@@ -15,6 +15,7 @@
     live anywhere on it. *)
 
 module Int_map = Map.Make (Int)
+module Tracked = Proto.Durability.Tracked (Int)
 
 type msg =
   | Write of { key : int; origin : Proto.Node_id.t }
@@ -148,7 +149,7 @@ end = struct
 
   type state = {
     self : Proto.Node_id.t;
-    store : int Int_map.t;  (* key -> last writer sequence *)
+    store : int Tracked.t;  (* key -> last writer sequence *)
     applied_seq : int;
     buffer : (int * int) Int_map.t;  (* out-of-order applies: seq -> (key, value) *)
     head_seq : int;  (* primary only *)
@@ -159,7 +160,7 @@ end = struct
     known_seq : (Proto.Node_id.t * int) list;  (* last applied_seq seen per replica *)
     next_rid : int;  (* read-request ids issued by this session *)
     last_rid : int;  (* newest reply this session has processed *)
-    history : (int * int) Int_map.t;  (* primary: seq -> (key, value), for anti-entropy *)
+    history : (int * int) Tracked.t;  (* primary: seq -> (key, value), for anti-entropy *)
     read_lat : float list;
     write_lat : float list;
     mono_violations : int;
@@ -174,7 +175,7 @@ end = struct
 
   let equal_state (a : state) b =
     Proto.Node_id.equal a.self b.self
-    && Int_map.equal Int.equal a.store b.store
+    && Int_map.equal Int.equal a.store.map b.store.map
     && a.applied_seq = b.applied_seq
     && Int_map.equal ( = ) a.buffer b.buffer
     && a.head_seq = b.head_seq
@@ -185,7 +186,7 @@ end = struct
     && a.known_seq = b.known_seq
     && a.next_rid = b.next_rid
     && a.last_rid = b.last_rid
-    && Int_map.equal ( = ) a.history b.history
+    && Int_map.equal ( = ) a.history.map b.history.map
     && a.read_lat = b.read_lat
     && a.write_lat = b.write_lat
     && a.mono_violations = b.mono_violations
@@ -274,12 +275,12 @@ end = struct
     Wire.Codec.conv
       (fun st ->
         ( (st.applied_seq, st.head_seq),
-          (Int_map.bindings st.store, Int_map.bindings st.history) ))
+          (Int_map.bindings st.store.map, Int_map.bindings st.history.map) ))
       (fun ((applied_seq, head_seq), (store, history)) ->
         {
           self = Proto.Node_id.of_int 0;
           (* placeholder: [restore] keeps the booted self *)
-          store = Int_map.of_seq (List.to_seq store);
+          store = Tracked.of_map (Int_map.of_seq (List.to_seq store));
           applied_seq;
           buffer = Int_map.empty;
           head_seq;
@@ -290,7 +291,7 @@ end = struct
           known_seq = [];
           next_rid = 0;
           last_rid = 0;
-          history = Int_map.of_seq (List.to_seq history);
+          history = Tracked.of_map (Int_map.of_seq (List.to_seq history));
           read_lat = [];
           write_lat = [];
           mono_violations = 0;
@@ -302,16 +303,10 @@ end = struct
         })
       durable_c
 
-  let changed_bindings prev next =
-    Int_map.fold
-      (fun k v acc ->
-        match Int_map.find_opt k prev with Some v' when v' = v -> acc | _ -> (k, v) :: acc)
-      next []
-
   let durable =
     let log ~prev ~next =
-      let store = changed_bindings prev.store next.store in
-      let history = changed_bindings prev.history next.history in
+      let store = Tracked.changes ~prev:prev.store ~next:next.store in
+      let history = Tracked.changes ~prev:prev.history ~next:next.history in
       if
         store = [] && history = [] && prev.applied_seq = next.applied_seq
         && prev.head_seq = next.head_seq
@@ -324,7 +319,7 @@ end = struct
     let replay st record =
       Result.map
         (fun ((applied_seq, head_seq), (store, history)) ->
-          let add m (k, v) = Int_map.add k v m in
+          let add m (k, v) = Tracked.add k v m in
           {
             st with
             applied_seq = Int.max st.applied_seq applied_seq;
@@ -404,7 +399,7 @@ end = struct
     in
     ( {
         self = ctx.self;
-        store = Int_map.empty;
+        store = Tracked.empty;
         applied_seq = 0;
         buffer = Int_map.empty;
         head_seq = 0;
@@ -415,7 +410,7 @@ end = struct
         known_seq = [];
         next_rid = 0;
         last_rid = 0;
-        history = Int_map.empty;
+        history = Tracked.empty;
         read_lat = [];
         write_lat = [];
         mono_violations = 0;
@@ -437,7 +432,7 @@ end = struct
             st with
             applied_seq = st.applied_seq + 1;
             buffer = Int_map.remove (st.applied_seq + 1) st.buffer;
-            store = Int_map.add key value st.store;
+            store = Tracked.add key value st.store;
           }
 
   (* Read-only degradation on the failure detector's word. The primary
@@ -484,7 +479,7 @@ end = struct
                 st with
                 head_seq = seq;
                 write_origins = (seq, (origin, born)) :: st.write_origins;
-                history = Int_map.add seq (key, seq) st.history;
+                history = Tracked.add seq (key, seq) st.history;
               }
             in
             (* The primary is its own first replica: it applies
@@ -569,7 +564,7 @@ end = struct
             if Proto.Ctx.pressure ctx >= 0.5 then
               (st, [ Proto.Action.send ~dst:origin (Read_reject { rid; retryable = true }) ])
             else
-              let value = Option.value ~default:0 (Int_map.find_opt key st.store) in
+              let value = Option.value ~default:0 (Int_map.find_opt key st.store.map) in
               ( st,
                 [
                   Proto.Action.send ~dst:origin
@@ -637,7 +632,7 @@ end = struct
             let upto = min st.head_seq (have + sync_batch) in
             let resend = ref [] in
             for seq = upto downto have + 1 do
-              match Int_map.find_opt seq st.history with
+              match Int_map.find_opt seq st.history.map with
               | Some (key, value) ->
                   resend := Proto.Action.send ~dst:src (Apply { seq; key; value }) :: !resend
               | None -> ()

@@ -119,11 +119,18 @@ module Default_params = struct
 end
 
 module Int_map = Map.Make (Int)
+module Tracked = Proto.Durability.Tracked (Int)
 
 module Make (P : PARAMS) : sig
   include Proto.App_intf.APP with type msg = msg
 
   val decided : state -> cmd Int_map.t
+
+  val agreement_uncached : (state, msg) Proto.View.t -> bool
+  (** The agreement property folded over every decision in the view:
+      the reference the incremental check behind {!properties} must
+      agree with. *)
+
   val latencies : state -> float list
   (** Commit latencies (seconds) of commands born at this replica,
       newest first. *)
@@ -154,9 +161,9 @@ end = struct
     next_seq : int;  (* client sequence numbers *)
     next_slot : int;  (* own instance counter: inst = slot * n + self *)
     queue : cmd list;  (* commands awaiting an instance *)
-    acceptor : acceptor_slot Int_map.t;
+    acceptor : acceptor_slot Tracked.t;
     proposals : proposal Int_map.t;
-    decided : cmd Int_map.t;
+    decided : cmd Tracked.t;
     latencies : float list;
     born : int;
     degraded : bool;  (* stepped down: suspected quorum unreachable *)
@@ -165,7 +172,25 @@ end = struct
   }
 
   let name = "paxos"
-  let equal_state (a : state) b = a = b
+
+  (* Field by field: polymorphic [=] on a map depends on its tree
+     shape, so two replicas holding the same bindings inserted in a
+     different order would compare unequal (and it would compare the
+     tracked maps' write windows too). *)
+  let equal_state (a : state) b =
+    Proto.Node_id.equal a.self b.self
+    && a.next_seq = b.next_seq
+    && a.next_slot = b.next_slot
+    && a.queue = b.queue
+    && Int_map.equal ( = ) a.acceptor.map b.acceptor.map
+    && Int_map.equal ( = ) a.proposals b.proposals
+    && Int_map.equal ( = ) a.decided.map b.decided.map
+    && a.latencies = b.latencies
+    && a.born = b.born
+    && a.degraded = b.degraded
+    && a.deg_entries = b.deg_entries
+    && a.deg_exits = b.deg_exits
+
   let msg_kind = msg_kind
   let msg_bytes = msg_bytes
   let pp_msg = pp_msg
@@ -212,16 +237,16 @@ end = struct
 
   let pp_state ppf st =
     Format.fprintf ppf "{q=%d props=%d dec=%d}" (List.length st.queue)
-      (Int_map.cardinal st.proposals) (Int_map.cardinal st.decided)
+      (Int_map.cardinal st.proposals) (Int_map.cardinal st.decided.map)
 
   (* Same equivalence classes as [pp_state] above, without formatting. *)
   let fingerprint =
     Some
       (fun st ->
         Hashtbl.hash
-          (List.length st.queue, Int_map.cardinal st.proposals, Int_map.cardinal st.decided))
+          (List.length st.queue, Int_map.cardinal st.proposals, Int_map.cardinal st.decided.map))
 
-  let decided st = st.decided
+  let decided st = st.decided.map
   let latencies st = st.latencies
   let born_count st = st.born
   let degraded_entries st = st.deg_entries
@@ -267,7 +292,7 @@ end = struct
     Wire.Codec.conv
       (fun st ->
         ( (st.next_seq, st.next_slot),
-          (Int_map.bindings st.acceptor, Int_map.bindings st.decided) ))
+          (Int_map.bindings st.acceptor.map, Int_map.bindings st.decided.map) ))
       (fun ((next_seq, next_slot), (acc, dec)) ->
         {
           self = Proto.Node_id.of_int 0;
@@ -275,9 +300,9 @@ end = struct
           next_seq;
           next_slot;
           queue = [];
-          acceptor = Int_map.of_seq (List.to_seq acc);
+          acceptor = Tracked.of_map (Int_map.of_seq (List.to_seq acc));
           proposals = Int_map.empty;
-          decided = Int_map.of_seq (List.to_seq dec);
+          decided = Tracked.of_map (Int_map.of_seq (List.to_seq dec));
           latencies = [];
           born = 0;
           degraded = false;
@@ -286,16 +311,10 @@ end = struct
         })
       durable_c
 
-  let changed_bindings prev next =
-    Int_map.fold
-      (fun k v acc ->
-        match Int_map.find_opt k prev with Some v' when v' = v -> acc | _ -> (k, v) :: acc)
-      next []
-
   let durable =
     let log ~prev ~next =
-      let slots = changed_bindings prev.acceptor next.acceptor in
-      let dec = changed_bindings prev.decided next.decided in
+      let slots = Tracked.changes ~prev:prev.acceptor ~next:next.acceptor in
+      let dec = Tracked.changes ~prev:prev.decided ~next:next.decided in
       if
         slots = [] && dec = [] && prev.next_seq = next.next_seq
         && prev.next_slot = next.next_slot
@@ -305,7 +324,7 @@ end = struct
     let replay st record =
       Result.map
         (fun ((next_seq, next_slot), (slots, dec)) ->
-          let add m (k, v) = Int_map.add k v m in
+          let add m (k, v) = Tracked.add k v m in
           {
             st with
             next_seq = Int.max st.next_seq next_seq;
@@ -345,9 +364,9 @@ end = struct
         next_seq = 0;
         next_slot = 0;
         queue = [];
-        acceptor = Int_map.empty;
+        acceptor = Tracked.empty;
         proposals = Int_map.empty;
-        decided = Int_map.empty;
+        decided = Tracked.empty;
         latencies = [];
         born = 0;
         degraded = false;
@@ -365,7 +384,7 @@ end = struct
     (st, timers)
 
   let slot st inst =
-    Option.value ~default:{ promised = 0; accepted = None } (Int_map.find_opt inst st.acceptor)
+    Option.value ~default:{ promised = 0; accepted = None } (Int_map.find_opt inst st.acceptor.map)
 
   let broadcast st msg = List.map (fun r -> Proto.Action.send ~dst:r msg) (others st)
 
@@ -380,7 +399,7 @@ end = struct
       { p_cmd = cmd; p_bal = bal; p_promises = []; p_accepts = [ self_int st ]; p_phase2 = true; p_started = now }
     in
     (* Accept our own proposal locally. *)
-    let acceptor = Int_map.add inst { promised = bal; accepted = Some (bal, cmd) } st.acceptor in
+    let acceptor = Tracked.add inst { promised = bal; accepted = Some (bal, cmd) } st.acceptor in
     let st =
       {
         st with
@@ -392,9 +411,9 @@ end = struct
     (st, broadcast st (Accept_req { inst; bal; cmd }))
 
   let record_decision (ctx : Proto.Ctx.t) st inst cmd =
-    if Int_map.mem inst st.decided then st
+    if Int_map.mem inst st.decided.map then st
     else begin
-      let st = { st with decided = Int_map.add inst cmd st.decided } in
+      let st = { st with decided = Tracked.add inst cmd st.decided } in
       if cmd.origin = self_int st then
         { st with latencies = (Dsim.Vtime.to_seconds ctx.now -. cmd.born) :: st.latencies }
       else st
@@ -416,7 +435,7 @@ end = struct
         | Prepare { inst; bal } ->
             let s = slot st inst in
             if bal > s.promised then
-              ( { st with acceptor = Int_map.add inst { s with promised = bal } st.acceptor },
+              ( { st with acceptor = Tracked.add inst { s with promised = bal } st.acceptor },
                 [ Proto.Action.send ~dst:src (Promise { inst; bal; accepted = s.accepted }) ] )
             else (st, [])
         | _ -> (st, []))
@@ -451,7 +470,7 @@ end = struct
                     let value = match adopted with Some (_, v) -> v | None -> prop.p_cmd in
                     let prop = { prop with p_phase2 = true; p_accepts = [ self_int st ] } in
                     let acceptor =
-                      Int_map.add inst
+                      Tracked.add inst
                         { promised = bal; accepted = Some (bal, value) }
                         st.acceptor
                     in
@@ -482,7 +501,7 @@ end = struct
             if bal >= s.promised && value_consistent then
               ( {
                   st with
-                  acceptor = Int_map.add inst { promised = bal; accepted = Some (bal, cmd) } st.acceptor;
+                  acceptor = Tracked.add inst { promised = bal; accepted = Some (bal, cmd) } st.acceptor;
                 },
                 [ Proto.Action.send ~dst:src (Accepted { inst; bal; cmd }) ] )
             else (st, [])
@@ -525,7 +544,7 @@ end = struct
                is ignored — the honest announcement still arrives. *)
             let from_owner = Proto.Node_id.to_int src = inst mod n in
             let consistent =
-              match Int_map.find_opt inst st.acceptor with
+              match Int_map.find_opt inst st.acceptor.map with
               | Some { accepted = Some (_, c); _ } -> c = cmd
               | _ -> true
             in
@@ -635,7 +654,7 @@ end = struct
                 let s = slot st inst in
                 let acceptor =
                   if bal > s.promised then
-                    Int_map.add inst { s with promised = bal } st.acceptor
+                    Tracked.add inst { s with promised = bal } st.acceptor
                   else st.acceptor
                 in
                 ( { st with proposals = Int_map.add inst prop st.proposals; acceptor },
@@ -660,35 +679,66 @@ end = struct
                 Hashtbl.replace decisions inst cmd;
                 ok
             | Some cmd' -> ok && cmd = cmd')
-          st.decided ok)
+          st.decided.map ok)
       true view
 
   (* The engine checks agreement after every event and the explorer
-     after every expanded world, but [decided] maps are immutable and
-     only ever replaced when a decision lands — most checks see the
-     exact same maps as the previous one. Memoize on the physical
-     identity of each node's [decided] (plus its id), which is sound
-     because the fold above reads nothing else. One cache per domain
-     (DLS): explorer workers check properties concurrently, and a
-     shared cell would race; a per-domain miss just recomputes. *)
-  let agreement_memo = Domain.DLS.new_key (fun () -> ref ([], true))
+     after every expanded world. Between two checks of one run, each
+     [decided] map is either the same map or the previous one plus the
+     few decisions that just landed, and its write window says which
+     ones. So the memo keeps every decision of the last checked view in
+     an [inst -> cmd] table, with the verdict, and advances it by the
+     fresh inserts alone. Anything else rebuilds the table from
+     scratch: a changed node set, a window that does not reach the
+     memoised map (an amnesia reboot, a recovered state, the explorer
+     switching branches), or a write over a decision already counted.
+     Decisions are only ever added between rebuilds, so a violation
+     stays one until then, exactly as the full fold would find it. One
+     memo per domain (DLS): explorer workers check properties
+     concurrently, and a shared table would race. *)
+  type agreement_memo = {
+    mutable seen : (Proto.Node_id.t * cmd Tracked.t) list;  (* the last view checked *)
+    decisions : (int, cmd) Hashtbl.t;  (* first decision seen per instance *)
+    mutable agree : bool;
+  }
+
+  let agreement_memo =
+    Domain.DLS.new_key (fun () -> { seen = []; decisions = Hashtbl.create 64; agree = true })
+
+  let learn memo inst cmd =
+    match Hashtbl.find_opt memo.decisions inst with
+    | None -> Hashtbl.replace memo.decisions inst cmd
+    | Some cmd' -> if cmd <> cmd' then memo.agree <- false
+
+  (* Fold the decisions [next] has beyond [prev] into the memo; [false]
+     when they are not a set of fresh inserts. *)
+  let advance memo (prev : cmd Tracked.t) (next : cmd Tracked.t) =
+    prev == next
+    ||
+    match Tracked.written ~prev ~next with
+    | Some insts when not (List.exists (fun inst -> Int_map.mem inst prev.map) insts) ->
+        List.iter (fun inst -> learn memo inst (Int_map.find inst next.map)) insts;
+        true
+    | Some _ | None -> false
 
   let agreement view =
-    let key = Proto.View.fold (fun acc id st -> (id, st.decided) :: acc) [] view in
     let memo = Domain.DLS.get agreement_memo in
-    let prev_key, prev_result = !memo in
-    let rec same a b =
-      match (a, b) with
-      | [], [] -> true
-      | (id1, d1) :: ra, (id2, d2) :: rb -> Proto.Node_id.equal id1 id2 && d1 == d2 && same ra rb
-      | ([], _ :: _ | _ :: _, []) -> false
+    let current = List.map (fun (id, st) -> (id, st.decided)) view.Proto.View.nodes in
+    let advanced =
+      List.compare_lengths memo.seen current = 0
+      && List.for_all2
+           (fun (id, prev) (id', next) -> Proto.Node_id.equal id id' && advance memo prev next)
+           memo.seen current
     in
-    if same prev_key key then prev_result
-    else begin
-      let result = agreement_uncached view in
-      memo := (key, result);
-      result
-    end
+    if not advanced then begin
+      Hashtbl.reset memo.decisions;
+      memo.agree <- true;
+      List.iter
+        (fun (_, (d : cmd Tracked.t)) -> Int_map.iter (learn memo) d.map)
+        current
+    end;
+    memo.seen <- current;
+    memo.agree
 
   let properties =
     [
@@ -709,7 +759,7 @@ end = struct
           Proto.View.fold
             (fun acc _ st ->
               acc
-              +. float_of_int (Int_map.cardinal st.decided)
+              +. float_of_int (Int_map.cardinal st.decided.map)
               -. (0.25 *. float_of_int (List.length st.queue + Int_map.cardinal st.proposals)))
             0. view);
       Core.Objective.v ~name:"commit-latency" ~weight:2.0 (fun view ->
@@ -719,7 +769,7 @@ end = struct
     ]
 
   let generic_msgs st =
-    if Int_map.is_empty st.decided then []
+    if Int_map.is_empty st.decided.map then []
     else
       let ghost = 94 in
       [

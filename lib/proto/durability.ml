@@ -59,7 +59,8 @@ let v ?(snapshot_every = 32) ?equal ?log ?replay ?restore codec =
     match log with
     | Some l -> l
     | None ->
-        fun ~prev ~next -> if equal prev next then None else Some (Wire.Codec.encode codec next)
+        fun ~prev ~next ->
+          if prev == next || equal prev next then None else Some (Wire.Codec.encode codec next)
   in
   let replay =
     match replay with Some r -> r | None -> fun _st record -> Wire.Codec.decode codec record
@@ -68,3 +69,89 @@ let v ?(snapshot_every = 32) ?equal ?log ?replay ?restore codec =
     match restore with Some r -> r | None -> fun ~boot:_ ~durable -> durable
   in
   { codec; log; replay; restore; snapshot_every }
+
+(** A persistent map that remembers its latest writes, so an app's
+    [log] can find what a transition changed in O(changed) instead of
+    diffing whole maps.
+
+    Each {!add} that changes the map records the key it wrote together
+    with the map it was applied to, in a window of the last
+    {!window_size} writes. [changes ~prev ~next] walks [next]'s window,
+    newest first, until it reaches a write applied to [prev.map]
+    itself ([==]): the keys written on the way are exactly the ones
+    that may differ. Physical identity is the proof of lineage, so the
+    walk is sound whichever states it is handed. When the window does
+    not reach [prev] — a state decoded from a snapshot, a restored or
+    reborn one, or a transition that wrote more than the window holds —
+    [changes] falls back to the full fold.
+
+    The window is a small constant on purpose: every entry keeps an old
+    version of the map alive (mostly shared with the current one). *)
+module Tracked (K : Map.OrderedType) : sig
+  type 'a map = 'a Map.Make(K).t
+
+  type 'a t = private {
+    map : 'a map;  (** the current bindings *)
+    window : (K.t * 'a map) list;
+        (** latest writes, newest first: the key and the map it was
+            applied to; at most {!window_size} *)
+  }
+
+  val window_size : int
+  val empty : 'a t
+
+  val of_map : 'a map -> 'a t
+  (** A map with no recorded writes: every [changes] from an unrelated
+      state takes the full fold. *)
+
+  val add : K.t -> 'a -> 'a t -> 'a t
+  (** [add k v t] binds [k] to [v]; a write that leaves the map
+      physically unchanged is not recorded. *)
+
+  val written : prev:'a t -> next:'a t -> K.t list option
+  (** The distinct keys written between [prev] and [next], in
+      descending order, if [next]'s window reaches [prev.map]; [Some []]
+      when both hold the same map. *)
+
+  val changes : prev:'a t -> next:'a t -> (K.t * 'a) list
+  (** The bindings of [next] that [prev] lacks or binds to a different
+      value (structural [=]), in descending key order. *)
+end = struct
+  module M = Map.Make (K)
+
+  type 'a map = 'a M.t
+  type 'a t = { map : 'a map; window : (K.t * 'a map) list }
+
+  let window_size = 4
+  let empty = { map = M.empty; window = [] }
+  let of_map map = { map; window = [] }
+
+  let add k v t =
+    let map = M.add k v t.map in
+    if map == t.map then t
+    else { map; window = (k, t.map) :: List.filteri (fun i _ -> i < window_size - 1) t.window }
+
+  let written ~prev ~next =
+    if prev.map == next.map then Some []
+    else
+      let rec walk keys = function
+        | [] -> None
+        | (k, before) :: older ->
+            if before == prev.map then Some (List.sort_uniq (fun a b -> K.compare b a) (k :: keys))
+            else walk (k :: keys) older
+      in
+      walk [] next.window
+
+  let changed prev k v =
+    match M.find_opt k prev.map with Some v' -> v' <> v | None -> true
+
+  let changes ~prev ~next =
+    match written ~prev ~next with
+    | Some keys ->
+        List.filter_map
+          (fun k ->
+            let v = M.find k next.map in
+            if changed prev k v then Some (k, v) else None)
+          keys
+    | None -> M.fold (fun k v acc -> if changed prev k v then (k, v) :: acc else acc) next.map []
+end

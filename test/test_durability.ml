@@ -10,11 +10,64 @@ let nid = Proto.Node_id.of_int
 (* A small consensus group keeps the quorum-intersection argument
    sharp: majority is 2 of 3, so one amnesiac acceptor plus the reborn
    proposer can outvote the survivor's memory. *)
-module P = Apps.Paxos.Make (struct
+module Params = struct
   let population = 3
   let client_period = 0.5
   let retry_timeout = 1.5
-end)
+end
+
+(* [durable] with every WAL record its [log] returns appended to
+   [records], in the order the engine asked for them. *)
+let recording records durable =
+  Option.map
+    (fun (d : _ Proto.Durability.t) ->
+      {
+        d with
+        log =
+          (fun ~prev ~next ->
+            let r = d.log ~prev ~next in
+            Option.iter
+              (fun s ->
+                Buffer.add_string records (string_of_int (String.length s));
+                Buffer.add_char records ':';
+                Buffer.add_string records s)
+              r;
+            r);
+      })
+    durable
+
+(* Paxos whose agreement check also runs the full fold
+   [agreement_uncached] on every view it is handed and counts any
+   disagreement, so every storm and exploration below doubles as a
+   differential test of the incremental check. Atomic counters: the
+   explorer checks properties from several domains at once. Its WAL
+   records are kept for the byte-identity pins. *)
+module P = struct
+  include Apps.Paxos.Make (Params)
+
+  let records = Buffer.create 4096
+  let durable = recording records durable
+  let checks = Atomic.make 0
+  let refusals = Atomic.make 0
+  let mismatches = Atomic.make 0
+
+  let properties =
+    List.map
+      (fun (p : _ Core.Property.t) ->
+        if p.name <> "agreement" then p
+        else
+          {
+            p with
+            holds =
+              (fun view ->
+                let verdict = p.holds view in
+                Atomic.incr checks;
+                if not verdict then Atomic.incr refusals;
+                if verdict <> agreement_uncached view then Atomic.incr mismatches;
+                verdict);
+          })
+      properties
+end
 
 module E = Engine.Sim.Make (P)
 module F = Engine.Faultplan
@@ -28,18 +81,20 @@ let topology =
    witness of every pre-storm decision, so an amnesiac rebirth that
    re-decides an old instance disagrees with a *live* replica. Same
    seed + same mode = same run. *)
-let storm ~mode ~seed =
+let storm ?(and_then = 4.0) ~mode ~seed () =
+  Buffer.clear P.records;
   let eng = E.create ~seed ~topology () in
   E.set_resolver eng Apps.Paxos.self_resolver;
   for i = 0 to 2 do
     E.spawn eng (nid i)
   done;
   E.run_for eng 2.0;
-  Run.execute ~and_then:4.0 eng
+  Run.execute ~and_then eng
     (F.plan [ (0., F.Crash_storm { victims = 1; period = 2.0; rounds = 2; mode }) ]);
   eng
 
 let seeds = [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 11; 12 ]
+let modes = [ F.Clean; F.Torn; F.Amnesia ]
 
 (* The headline: with intact disks, every crash in the storm is
    survivable — promises, accepted values and the instance counter come
@@ -47,7 +102,7 @@ let seeds = [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 11; 12 ]
 let test_durable_agreement_holds () =
   List.iter
     (fun seed ->
-      let eng = storm ~mode:F.Clean ~seed in
+      let eng = storm ~mode:F.Clean ~seed () in
       checki (Printf.sprintf "clean storm keeps agreement (seed %d)" seed) 0
         (List.length (E.violations eng));
       let s = E.stats eng in
@@ -62,11 +117,11 @@ let test_durable_agreement_holds () =
    exists to prevent. *)
 let test_amnesia_violates_agreement () =
   let violated =
-    List.exists (fun seed -> E.violations (storm ~mode:F.Amnesia ~seed) <> []) seeds
+    List.exists (fun seed -> E.violations (storm ~mode:F.Amnesia ~seed ()) <> []) seeds
   in
   checkb "some amnesia storm violates agreement" true violated;
   (* And the wipes really happened — the engine counted them. *)
-  let s = E.stats (storm ~mode:F.Amnesia ~seed:1) in
+  let s = E.stats (storm ~mode:F.Amnesia ~seed:1 ()) in
   checkb "amnesia wipes counted" true (s.E.amnesia_wipes > 0)
 
 (* Torn writes: every crash truncates the WAL mid-record. Recovery must
@@ -76,7 +131,7 @@ let test_torn_write_recovery_never_raises () =
   let torn_seen = ref false and recovered_seen = ref false in
   List.iter
     (fun seed ->
-      let eng = storm ~mode:F.Torn ~seed in
+      let eng = storm ~mode:F.Torn ~seed () in
       let s = E.stats eng in
       if s.E.torn_writes > 0 then torn_seen := true;
       if s.E.torn_recoveries > 0 then recovered_seen := true;
@@ -92,7 +147,7 @@ let test_torn_write_recovery_never_raises () =
    same everything out. *)
 let test_deterministic () =
   let observe () =
-    let eng = storm ~mode:F.Amnesia ~seed:5 in
+    let eng = storm ~mode:F.Amnesia ~seed:5 () in
     ( E.stats eng,
       E.violations eng,
       List.map
@@ -173,6 +228,129 @@ let test_dissem_keeps_blocks () =
   in
   checki "amnesia restarts empty" 0 wiped
 
+(* ---------- incremental agreement ----------
+
+   The agreement memo advances by the decisions each check adds and
+   rebuilds on anything else; [P] counts every check whose verdict
+   differs from the full fold. Amnesia storms reboot nodes with empty
+   maps and really violate agreement, so both verdicts and the rebuild
+   path are covered. *)
+module Ex = Mc.Explorer.Make (P)
+
+let reset_counts () = List.iter (fun c -> Atomic.set c 0) [ P.checks; P.refusals; P.mismatches ]
+
+let test_agreement_matches_full_fold () =
+  reset_counts ();
+  List.iter
+    (fun mode -> List.iter (fun seed -> ignore (storm ~mode ~seed ())) seeds)
+    modes;
+  checkb "every event was checked" true (Atomic.get P.checks > 1000);
+  checkb "some views violate agreement" true (Atomic.get P.refusals > 0);
+  checki "incremental and full-fold verdicts agree" 0 (Atomic.get P.mismatches)
+
+(* Explorer worlds branch from one view and are checked in whatever
+   order the workers reach them, on one domain or several. Views are
+   taken every half second through an amnesia storm, so some worlds
+   lie just before or after the violation. *)
+let test_agreement_matches_full_fold_explored () =
+  List.iter
+    (fun domains ->
+      reset_counts ();
+      let pool = Core.Pool.create ~domains in
+      Fun.protect
+        ~finally:(fun () -> Core.Pool.shutdown pool)
+        (fun () ->
+          List.iter
+            (fun seed ->
+              let eng = storm ~and_then:0. ~mode:F.Amnesia ~seed () in
+              for _ = 1 to 8 do
+                E.run_for eng 0.5;
+                let world = Ex.world_of_view (E.global_view eng) in
+                ignore (Ex.explore ~pool ~include_drops:true ~max_worlds:2_000 ~depth:3 world)
+              done)
+            [ 1; 2; 3 ]);
+      let label = Printf.sprintf " (%d domains)" domains in
+      checkb ("engine and explorer views were checked" ^ label) true (Atomic.get P.checks > 1000);
+      checkb ("some explored worlds violate agreement" ^ label) true (Atomic.get P.refusals > 0);
+      checki ("incremental and full-fold verdicts agree" ^ label) 0 (Atomic.get P.mismatches))
+    [ 1; 4 ]
+
+(* ---------- WAL byte identity ----------
+
+   A change to how [log] finds what a transition changed must not
+   change what it writes. The pins below are the append count, the
+   bytes charged to the disks and a digest over the stream of WAL
+   records plus every node's final store (snapshot, surviving WAL
+   records, torn flag), for seeded crash storms in all three crash
+   modes. *)
+module Rk = struct
+  include Apps.Kvstore.Default
+
+  let records = Buffer.create 4096
+  let durable = recording records durable
+end
+
+module Erk = Engine.Sim.Make (Rk)
+module Rk_run = F.Run (Erk)
+
+let store_digest records stores =
+  let b = Buffer.create 4096 in
+  Buffer.add_buffer b records;
+  List.iter
+    (function
+      | None -> Buffer.add_string b "-"
+      | Some s ->
+          let { Store.snapshot; entries; torn } = Store.read s in
+          Buffer.add_string b (Option.value ~default:"" snapshot);
+          List.iter (Buffer.add_string b) entries;
+          Buffer.add_string b (if torn then "T" else "C"))
+    stores;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let mode_name = function F.Clean -> "clean" | F.Torn -> "torn" | F.Amnesia -> "amnesia"
+
+let wal_pin ~app ~mode ~appends ~bytes ~digest =
+  Printf.sprintf "%s %s: appends=%d bytes=%d digest=%s" app (mode_name mode) appends bytes digest
+
+let paxos_wal ~mode ~seed =
+  let eng = storm ~and_then:20.0 ~mode ~seed () in
+  let s = E.stats eng in
+  wal_pin ~app:"paxos" ~mode ~appends:s.E.wal_appends ~bytes:s.E.store_bytes_written
+    ~digest:(store_digest P.records (List.init 3 (fun i -> E.store eng (nid i))))
+
+let kv_wal ~mode ~seed =
+  Buffer.clear Rk.records;
+  let n = Apps.Kvstore.Default_params.population in
+  let topo = Net.Topology.uniform ~n (Net.Linkprop.v ~latency:0.02 ~bandwidth:1_000_000. ~loss:0.) in
+  let eng = Erk.create ~seed ~topology:topo () in
+  Erk.set_resolver eng Apps.Kvstore.session_resolver;
+  for i = 0 to n - 1 do
+    Erk.spawn eng (nid i)
+  done;
+  Erk.run_for eng 3.0;
+  Rk_run.execute ~and_then:20.0 eng
+    (F.plan [ (0., F.Crash_storm { victims = 2; period = 2.0; rounds = 3; mode }) ]);
+  let s = Erk.stats eng in
+  wal_pin ~app:"kvstore" ~mode ~appends:s.Erk.wal_appends ~bytes:s.Erk.store_bytes_written
+    ~digest:(store_digest Rk.records (List.init n (fun i -> Erk.store eng (nid i))))
+
+let test_wal_bytes_pinned () =
+  let got =
+    List.map (fun mode -> paxos_wal ~mode ~seed:4) modes
+    @ List.map (fun mode -> kv_wal ~mode ~seed:6) modes
+  in
+  Alcotest.(check (list string))
+    "WAL appends, bytes and record digests"
+    [
+      "paxos clean: appends=833 bytes=39556 digest=28e3d0e821cee7c8ea2c682316660f99";
+      "paxos torn: appends=833 bytes=39408 digest=021a267f61155cead93711f90c76f59c";
+      "paxos amnesia: appends=833 bytes=39368 digest=1a7c0554c19e7878cd0f0790a145676d";
+      "kvstore clean: appends=1466 bytes=24194 digest=e576670cfc80e9a184f658641bc59eee";
+      "kvstore torn: appends=1457 bytes=24025 digest=7fa157b5f5cf32ee7f1cde5be4751973";
+      "kvstore amnesia: appends=1432 bytes=21787 digest=63d3ff7ae55ccef2e10da05f148a9a3b";
+    ]
+    got
+
 let () =
   Alcotest.run "durability"
     [
@@ -182,6 +360,13 @@ let () =
           Alcotest.test_case "amnesia violates agreement" `Quick test_amnesia_violates_agreement;
           Alcotest.test_case "torn-write recovery" `Quick test_torn_write_recovery_never_raises;
           Alcotest.test_case "deterministic" `Quick test_deterministic;
+          Alcotest.test_case "WAL bytes pinned" `Quick test_wal_bytes_pinned;
+        ] );
+      ( "incremental agreement",
+        [
+          Alcotest.test_case "storms match the full fold" `Quick test_agreement_matches_full_fold;
+          Alcotest.test_case "explored worlds match the full fold" `Quick
+            test_agreement_matches_full_fold_explored;
         ] );
       ( "opt-in boundary",
         [

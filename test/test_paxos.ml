@@ -85,6 +85,29 @@ let test_latency_recorded_at_origin () =
       checkb "positive latency" true (List.for_all (fun l -> l > 0.) (App.latencies st))
   | None -> Alcotest.fail "origin missing"
 
+(* Two replicas that learned the same decisions in opposite orders hold
+   the same bindings in differently shaped maps; [equal_state] must
+   still call them equal, or the explorer fails to dedup them. *)
+let test_equal_state_ignores_insertion_order () =
+  let learn order =
+    let eng = make_quiet () in
+    List.iteri
+      (fun k inst ->
+        E.inject eng ~after:(0.001 *. float_of_int k) ~src:(nid (inst mod 3)) ~dst:(nid 2)
+          (P.Decided { inst; cmd = cmd ~origin:0 ~seq:inst () }))
+      order;
+    E.run_for eng 0.1;
+    match E.state_of eng (nid 2) with Some st -> st | None -> Alcotest.fail "replica 2 missing"
+  in
+  let insts = List.init 6 Fun.id in
+  let a = learn insts and b = learn (List.rev insts) in
+  checkb "same decisions" true
+    (P.Int_map.bindings (App.decided a) = P.Int_map.bindings (App.decided b));
+  checkb "differently shaped maps" false (App.decided a = App.decided b);
+  checkb "equal states" true (App.equal_state a b);
+  checkb "one decision fewer is not equal" false
+    (App.equal_state a (learn [ 0; 1; 2; 3; 4 ]))
+
 let run_busy ~seed ~loss ~duration resolver =
   let eng = BE.create ~seed ~jitter:0. ~topology:(topology 5 ~loss ()) () in
   BE.set_resolver eng resolver;
@@ -240,6 +263,8 @@ let () =
           Alcotest.test_case "lower prepare ignored" `Quick test_lower_prepare_ignored;
           Alcotest.test_case "latency at origin" `Quick test_latency_recorded_at_origin;
           Alcotest.test_case "equal-ballot value change" `Quick test_equal_ballot_value_change_rejected;
+          Alcotest.test_case "equal_state ignores insertion order" `Quick
+            test_equal_state_ignores_insertion_order;
           Alcotest.test_case "crash-recovery chaos" `Slow test_crash_recovery_chaos_regression;
         ] );
       ( "agreement",

@@ -131,6 +131,73 @@ let test_ctx_choose_dispatches () =
     (ctx.choose (Core.Choice.of_values ~label:"l" [ "first"; "mid"; "last" ]));
   checki "works at other types" 3 (ctx.choose (Core.Choice.of_values ~label:"l" [ 1; 2; 3 ]))
 
+(* ---------- Durability.Tracked ---------- *)
+
+module Tr = Proto.Durability.Tracked (Int)
+module Int_map = Map.Make (Int)
+
+(* The whole-map diff [Tracked.changes] replaces: every binding of
+   [next] that [prev] lacks or binds to a different value, in
+   descending key order. *)
+let full_diff prev next =
+  Int_map.fold
+    (fun k v acc -> match Int_map.find_opt k prev with Some v' when v' = v -> acc | _ -> (k, v) :: acc)
+    next []
+
+(* Every version of a tracked map built from the empty one by [ops]. An
+   op [(key, kind, c)] writes one of eight keys: kind 0 re-adds the
+   current value itself (no write is recorded), kind 1 an equal fresh
+   copy of it, otherwise one of four values. *)
+let versions ops =
+  let step t (key, kind, c) =
+    let key = key mod 8 in
+    let v =
+      match (kind mod 3, Int_map.find_opt key t.Tr.map) with
+      | 0, Some v -> v
+      | 1, Some v -> String.init (String.length v) (String.get v)
+      | _ -> String.make 1 (Char.chr (97 + (c mod 4)))
+    in
+    Tr.add key v t
+  in
+  List.rev (List.fold_left (fun acc op -> step (List.hd acc) op :: acc) [ Tr.empty ] ops)
+
+let prop_tracked_changes_match_full_diff =
+  QCheck.Test.make ~name:"tracked changes equal the full diff" ~count:300
+    QCheck.(list_of_size Gen.(0 -- 24) (triple small_nat small_nat small_nat))
+    (fun ops ->
+      let vs = Array.of_list (versions ops) in
+      let ok = ref true in
+      Array.iteri
+        (fun i prev ->
+          Array.iteri
+            (fun j next ->
+              let expect = full_diff prev.Tr.map next.Tr.map in
+              (* Along one lineage, and from an unrelated copy of [prev]
+                 whose window reaches nothing. *)
+              if Tr.changes ~prev ~next <> expect then ok := false;
+              if Tr.changes ~prev:(Tr.of_map prev.Tr.map) ~next <> expect then ok := false;
+              (* A chain within the window is found without the fold. *)
+              if i <= j && j - i <= Tr.window_size && Tr.written ~prev ~next = None then ok := false;
+              if List.length next.Tr.window > Tr.window_size then ok := false)
+            vs)
+        vs;
+      !ok)
+
+let test_tracked_window_fallback () =
+  let chain n = List.init n (fun k -> (k, 2, k)) in
+  let within = versions (chain Tr.window_size) and beyond = versions (chain (Tr.window_size + 1)) in
+  let first l = List.hd l and last l = List.nth l (List.length l - 1) in
+  checkb "a chain the window holds is walked" true
+    (Tr.written ~prev:(first within) ~next:(last within) <> None);
+  checkb "a longer chain falls back" true
+    (Tr.written ~prev:(first beyond) ~next:(last beyond) = None);
+  checkb "the fallback still finds every change" true
+    (Tr.changes ~prev:(first beyond) ~next:(last beyond)
+    = full_diff (first beyond).Tr.map (last beyond).Tr.map);
+  let t = last within in
+  checkb "re-adding the bound value records nothing" true
+    (Tr.add 0 (Int_map.find 0 t.Tr.map) t == t)
+
 let () =
   Alcotest.run "proto"
     [
@@ -156,4 +223,7 @@ let () =
           Alcotest.test_case "predicted_ms" `Quick test_ctx_predicted_ms;
           Alcotest.test_case "choose dispatches" `Quick test_ctx_choose_dispatches;
         ] );
+      ( "tracked map",
+        Alcotest.test_case "window fallback" `Quick test_tracked_window_fallback
+        :: List.map QCheck_alcotest.to_alcotest [ prop_tracked_changes_match_full_diff ] );
     ]
