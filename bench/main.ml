@@ -809,6 +809,11 @@ let ex_randtree_world ~seed =
 
 let ex_json_path = "BENCH_explorer.json"
 
+(* Pooled throughput measures the pool only with two or more cores: on
+   one core every minor GC synchronises the idle worker domain over the
+   single CPU, so the figure is noise, not a measurement. *)
+let ex_multicore = Domain.recommended_domain_count () >= 2
+
 let ex_emit_json rows =
   let oc = open_out ex_json_path in
   let p fmt = Printf.fprintf oc fmt in
@@ -822,6 +827,9 @@ let ex_emit_json rows =
   p "  \"units\": { \"throughput\": \"worlds/second\", \"latency\": \"ms/steering round\" },\n";
   p "  \"fast\": %b,\n" fast;
   p "  \"cores\": %d,\n" (Domain.recommended_domain_count ());
+  if not ex_multicore then
+    p "  \"parallel_note\": %S,\n"
+      "single-core host: after_parallel and parallel_speedup are not measurements here";
   p "  \"scenarios\": [\n";
   List.iteri
     (fun i r ->
@@ -832,12 +840,17 @@ let ex_emit_json rows =
       p "      \"explore\": {\n";
       p "        \"before\": %s,\n" (measure_json "digest-dfs" r.before);
       p "        \"after\": %s,\n" (measure_json "fingerprint-worklist" r.after);
-      p "        \"after_parallel\": { \"domains\": %d, %s },\n" r.par_domains
-        (let s = measure_json "fingerprint-worklist" r.after_par in
-         String.sub s 2 (String.length s - 4));
+      let after_parallel, parallel_speedup =
+        if ex_multicore then
+          ( (let s = measure_json "fingerprint-worklist" r.after_par in
+             Printf.sprintf "{ \"domains\": %d, %s }" r.par_domains
+               (String.sub s 2 (String.length s - 4))),
+            Printf.sprintf "%.2f" (r.after_par.worlds_per_sec /. r.after.worlds_per_sec) )
+        else ("null", "null")
+      in
+      p "        \"after_parallel\": %s,\n" after_parallel;
       p "        \"speedup\": %.2f,\n" (r.after.worlds_per_sec /. r.before.worlds_per_sec);
-      p "        \"parallel_speedup\": %.2f\n"
-        (r.after_par.worlds_per_sec /. r.after.worlds_per_sec);
+      p "        \"parallel_speedup\": %s\n" parallel_speedup;
       p "      },\n";
       p "      \"steering_round\": {\n";
       p "        \"before_ms\": %.4f,\n" r.steer_before_ms;
@@ -874,7 +887,8 @@ let ex () =
            Printf.sprintf "%.0f" r.before.worlds_per_sec;
            Printf.sprintf "%.0f" r.after.worlds_per_sec;
            Printf.sprintf "%.1fx" (r.after.worlds_per_sec /. r.before.worlds_per_sec);
-           Printf.sprintf "%.0f (%d)" r.after_par.worlds_per_sec r.par_domains;
+           (if ex_multicore then Printf.sprintf "%.0f (%d)" r.after_par.worlds_per_sec r.par_domains
+            else "n/a (1 core)");
          ])
        rows);
   Metrics.Report.print ~title:"steering-round latency (base explore + per-veto re-explores)"
@@ -903,7 +917,7 @@ let ex () =
      one CPU, which alone costs 2-10x on this allocation-heavy loop —
      a healthy pool and a broken one are indistinguishable there. *)
   let cores = Domain.recommended_domain_count () in
-  if cores < 2 then
+  if not ex_multicore then
     Printf.printf
       "  parallel guard skipped: single-core host (parallel throughput is GC-sync noise here)\n"
   else begin

@@ -365,7 +365,7 @@ let explore_cmd =
     let interesting view =
       List.exists
         (fun (_, _, m) -> String.equal (App.msg_kind m) "lease")
-        view.Proto.View.inflight
+        (Proto.View.inflight view)
       && Proto.View.fold (fun n _ st -> if App.holding st then n + 1 else n) 0 view >= 1
     in
     let rec seek budget =

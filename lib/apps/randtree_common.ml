@@ -77,18 +77,71 @@ module Measure = struct
   let depth_of ~parent view id =
     match chain_of ~parent view id with Depth d -> Some d | Left_view | Cycle -> None
 
+  (* [depths] codes: a complete chain's depth (>= 1), or one of these. *)
+  let left_view = 0
+  and cycle = -1
+  and walking = -2
+  and unresolved = -3
+
+  (* Every node's [chain_of], in view order, from one pass: parents are
+     found through an id-indexed table, and each walk memoises every
+     node it passes, so a view costs O(n) instead of [chain_of]'s list
+     scan per hop per node. A walk that meets a node still on its own
+     path has looped. Duplicate ids resolve like [View.find]: to the
+     first binding. *)
+  let depths ~parent view =
+    let nodes = Array.of_list view.Proto.View.nodes in
+    let n = Array.length nodes in
+    (* Open-addressed id -> position table, at most half full. *)
+    let cap = ref 1 in
+    while !cap < 2 * n do
+      cap := 2 * !cap
+    done;
+    let mask = !cap - 1 in
+    let keys = Array.make !cap (-1) and pos = Array.make !cap 0 in
+    let rec slot k s = if keys.(s) = k || keys.(s) < 0 then s else slot k ((s + 1) land mask) in
+    Array.iteri
+      (fun i (id, _) ->
+        let k = Proto.Node_id.to_int id in
+        let s = slot k (k land mask) in
+        if keys.(s) < 0 then begin
+          keys.(s) <- k;
+          pos.(s) <- i
+        end)
+      nodes;
+    let position id =
+      let k = Proto.Node_id.to_int id in
+      let s = slot k (k land mask) in
+      if keys.(s) < 0 then -1 else pos.(s)
+    in
+    let memo = Array.make n unresolved in
+    let rec resolve i =
+      let m = memo.(i) in
+      if m = walking then cycle
+      else if m <> unresolved then m
+      else begin
+        memo.(i) <- walking;
+        let c =
+          match parent (snd nodes.(i)) with
+          | None -> 1
+          | Some p ->
+              let j = position p in
+              if j < 0 then left_view
+              else
+                let d = resolve j in
+                if d >= 1 then d + 1 else d
+        in
+        memo.(i) <- c;
+        c
+      end
+    in
+    Array.map (fun (id, _) -> resolve (position id)) nodes
+
   (* Maximum depth over nodes with a complete chain to a root; 0 for an
      empty view. *)
-  let max_depth ~parent view =
-    List.fold_left
-      (fun acc (id, _) ->
-        match depth_of ~parent view id with Some d -> max acc d | None -> acc)
-      0 view.Proto.View.nodes
+  let max_depth ~parent view = Array.fold_left max 0 (depths ~parent view)
 
-  let has_cycle ~parent view =
-    List.exists
-      (fun (id, _) -> chain_of ~parent view id = Cycle)
-      view.Proto.View.nodes
+  let has_cycle ~parent view = Array.exists (fun d -> d = cycle) (depths ~parent view)
 
   let joined_count ~joined view =
     List.length (List.filter (fun (_, st) -> joined st) view.Proto.View.nodes)
@@ -96,15 +149,15 @@ module Measure = struct
   (* Mean depth over nodes with complete chains; 0 for an empty view.
      Differentiates futures whose maximum depth ties. *)
   let mean_depth ~parent view =
-    let total, count =
-      List.fold_left
-        (fun (total, count) (id, _) ->
-          match depth_of ~parent view id with
-          | Some d -> (total + d, count + 1)
-          | None -> (total, count))
-        (0, 0) view.Proto.View.nodes
-    in
-    if count = 0 then 0. else float_of_int total /. float_of_int count
+    let total = ref 0 and count = ref 0 in
+    Array.iter
+      (fun d ->
+        if d >= 1 then begin
+          total := !total + d;
+          incr count
+        end)
+      (depths ~parent view);
+    if !count = 0 then 0. else float_of_int !total /. float_of_int !count
 end
 
 (** The objectives and properties both variants expose (§3.2): keep the

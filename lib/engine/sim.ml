@@ -759,9 +759,16 @@ module Make (App : Proto.App_intf.APP) = struct
             acc)
 
   let global_view t : (App.state, App.msg) Proto.View.t =
-    { time = t.now; nodes = live_nodes t; inflight = inflight t }
+    Proto.View.v ~time:t.now ~nodes:(live_nodes t) ~inflight:(inflight t)
 
-  let objective_score t = Core.Objective.total App.objectives (global_view t)
+  (* The view property checks and lookahead scoring evaluate: the
+     in-flight list is built only if something reads it, from the
+     queue as it is at that moment, so the view is valid only until
+     [t] next changes. *)
+  let transient_view t : (App.state, App.msg) Proto.View.t =
+    Proto.View.deferred ~time:t.now ~nodes:(live_nodes t) (fun () -> inflight t)
+
+  let objective_score t = Core.Objective.total App.objectives (transient_view t)
 
   let delivered_of_kind t kind = Option.value ~default:0 (Hashtbl.find_opt t.kind_counts kind)
 
@@ -1542,7 +1549,7 @@ module Make (App : Proto.App_intf.APP) = struct
     run_budgeted f ~until:(Dsim.Vtime.add t.now cfg.horizon) ~budget:cfg.max_events;
     let fresh_violations = f.n_violations - before_violations in
     let view =
-      match cfg.scope with None -> global_view f | Some scope -> scope node (global_view f)
+      match cfg.scope with None -> transient_view f | Some scope -> scope node (transient_view f)
     in
     Core.Objective.total App.objectives view
     -. (cfg.violation_penalty *. float_of_int fresh_violations)
@@ -2204,7 +2211,7 @@ module Make (App : Proto.App_intf.APP) = struct
     t.processing <- saved_processing;
     t.event_decisions <- saved_decisions;
     if t.check_properties then begin
-      let view = global_view t in
+      let view = transient_view t in
       let now_violated =
         List.map (fun (p : _ Core.Property.t) -> p.name) (Core.Property.check App.properties view)
       in

@@ -409,6 +409,9 @@ module Make (App : Proto.App_intf.APP) : sig
   val state_of : t -> Proto.Node_id.t -> App.state option
   val live_nodes : t -> (Proto.Node_id.t * App.state) list
   val global_view : t -> (App.state, App.msg) Proto.View.t
+  (** A snapshot: its in-flight list is built now, so the view stays
+      valid while the engine runs on (see {!Proto.View}). *)
+
   val objective_score : t -> float
   val violations : t -> (Dsim.Vtime.t * string) list
   val stats : t -> stats

@@ -39,7 +39,7 @@ module Make (App : Proto.App_intf.APP) = struct
       states =
         List.fold_left (fun m (id, s) -> Proto.Node_id.Map.add id s m) Proto.Node_id.Map.empty
           view.nodes;
-      pending = view.inflight;
+      pending = Proto.View.inflight view;
       timers;
       clocks;
     }
@@ -123,12 +123,11 @@ module Make (App : Proto.App_intf.APP) = struct
       i_clocks = w.clocks;
     }
 
+  (* Deferred: property checks that read only node states never build
+     the in-flight list. [iw] is immutable, so the view stays valid. *)
   let view_of_iworld iw : (App.state, App.msg) Proto.View.t =
-    {
-      time = Dsim.Vtime.zero;
-      nodes = Nm.bindings iw.i_states;
-      inflight = List.map (fun p -> (p.p_src, p.p_dst, p.p_msg)) iw.i_pending;
-    }
+    Proto.View.deferred ~time:Dsim.Vtime.zero ~nodes:(Nm.bindings iw.i_states) (fun () ->
+        List.map (fun p -> (p.p_src, p.p_dst, p.p_msg)) iw.i_pending)
 
   let world_key iw =
     let h1 = ref 0x42 and h2 = ref 0x1337 in
@@ -279,8 +278,11 @@ module Make (App : Proto.App_intf.APP) = struct
      more workers than the cache has seen before. *)
   type cache = { mutable shards : shard array }
 
+  (* Small to start, like the visited shards: a cache made for one
+     explore serves a handful of lookups, and a persistent one grows
+     once to its working set. *)
   let create_shard () =
-    { c_deliver = Dcache.create 4096; c_timer = Tcache.create 256; c_hits = 0; c_lookups = 0 }
+    { c_deliver = Dcache.create 16; c_timer = Tcache.create 16; c_hits = 0; c_lookups = 0 }
 
   let create_cache () = { shards = [| create_shard () |] }
 
@@ -485,9 +487,12 @@ module Make (App : Proto.App_intf.APP) = struct
        the key, never on [w]'s partitioning of the frontier, and the
        budget is applied afterwards by a sequential in-order merge —
        see DESIGN.md §8 for why verdicts stay byte-identical to
-       [domains = 1]. *)
+       [domains = 1]. Shards start small and grow on demand: a steering
+       explore visits a handful of worlds, and a table past the minor
+       heap's size limit would be allocated straight on the major heap
+       on every call. *)
     let visited : (int, int list ref) Hashtbl.t array =
-      Array.init w (fun _ -> Hashtbl.create 1024)
+      Array.init w (fun _ -> Hashtbl.create 16)
     in
     let shard_of k1 = (k1 land max_int) mod w in
     let collisions = ref 0 in

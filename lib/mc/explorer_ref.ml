@@ -44,16 +44,13 @@ module Make (App : Proto.App_intf.APP) = struct
       states =
         List.fold_left (fun m (id, s) -> Proto.Node_id.Map.add id s m) Proto.Node_id.Map.empty
           view.nodes;
-      pending = view.inflight;
+      pending = Proto.View.inflight view;
       timers;
     }
 
   let view_of_world w : (App.state, App.msg) Proto.View.t =
-    {
-      time = Dsim.Vtime.zero;
-      nodes = Proto.Node_id.Map.bindings w.states;
-      inflight = w.pending;
-    }
+    Proto.View.v ~time:Dsim.Vtime.zero ~nodes:(Proto.Node_id.Map.bindings w.states)
+      ~inflight:w.pending
 
   let digest w =
     let buf = Buffer.create 256 in

@@ -5,7 +5,7 @@ module Make (App : Proto.App_intf.APP) = struct
 
   type checkpoint = { taken_at : Dsim.Vtime.t; view : (App.state, App.msg) Proto.View.t }
 
-  type live_veto = { veto : St.veto; expires : Dsim.Vtime.t }
+  type live_veto = { veto : St.veto; name : string; expires : Dsim.Vtime.t }
 
   type report = {
     checkpoints_taken : int;
@@ -169,30 +169,41 @@ module Make (App : Proto.App_intf.APP) = struct
                        stale_neighbors.Proto.View.nodes;
               })
 
+  let add_filter t lv =
+    let v = lv.veto in
+    E.add_filter t.eng ~name:lv.name (fun ~kind ~src ~dst ->
+        String.equal kind v.St.kind
+        && Proto.Node_id.equal src v.St.src
+        && Proto.Node_id.equal dst v.St.dst)
+
+  (* Runs on every tick: an install adds its own filter, so the
+     engine's filters are rebuilt only when a veto has expired. *)
   let refresh_filters t =
     let now = E.now t.eng in
-    t.vetoes <- List.filter (fun lv -> Dsim.Vtime.(now < lv.expires) ) t.vetoes;
-    E.clear_filters t.eng;
-    List.iter
-      (fun lv ->
-        let v = lv.veto in
-        E.add_filter t.eng ~name:(Format.asprintf "%a" St.pp_veto v)
-          (fun ~kind ~src ~dst ->
-            String.equal kind v.St.kind
-            && Proto.Node_id.equal src v.St.src
-            && Proto.Node_id.equal dst v.St.dst))
-      t.vetoes
+    let live lv = Dsim.Vtime.(now < lv.expires) in
+    if not (List.for_all live t.vetoes) then begin
+      t.vetoes <- List.filter live t.vetoes;
+      E.clear_filters t.eng;
+      List.iter (add_filter t) t.vetoes
+    end
 
   let install_veto t veto =
     let already =
       List.exists (fun lv -> lv.veto = veto) t.vetoes
     in
     if not already then begin
-      t.vetoes <-
-        { veto; expires = Dsim.Vtime.add (E.now t.eng) t.cfg.filter_ttl } :: t.vetoes;
+      let lv =
+        {
+          veto;
+          name = Format.asprintf "%a" St.pp_veto veto;
+          expires = Dsim.Vtime.add (E.now t.eng) t.cfg.filter_ttl;
+        }
+      in
+      t.vetoes <- lv :: t.vetoes;
+      add_filter t lv;
       t.n_vetoes <- t.n_vetoes + 1;
       Dsim.Trace.logf (E.trace t.eng) (E.now t.eng) Dsim.Trace.Info ~component:"crystal"
-        "installing %a" St.pp_veto veto
+        "installing %s" lv.name
     end
 
   (* One steering round: run consequence prediction from each live

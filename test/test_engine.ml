@@ -530,6 +530,115 @@ let test_resolver_name () =
   E.set_lookahead eng E.default_lookahead;
   Alcotest.check Alcotest.string "lookahead" "lookahead/random" (E.resolver_name eng)
 
+(* ---------- the in-flight contract ----------
+
+   [global_view] is a snapshot; the view the per-event check and
+   lookahead scoring see builds its in-flight list only when read. *)
+
+module Px = Apps.Paxos.Default
+
+(* Paxos plus a safety property that reads the in-flight list at every
+   per-event check and keeps what it saw. *)
+module Probe = struct
+  include Px
+
+  let seen = ref []
+  let checks = ref 0
+
+  let properties =
+    Core.Property.safety ~name:"inflight-probe" (fun view ->
+        incr checks;
+        seen := Proto.View.inflight view;
+        true)
+    :: Px.properties
+end
+
+module PE = Engine.Sim.Make (Probe)
+
+let paxos_engine () =
+  let n = Apps.Paxos.Default_params.population in
+  let eng = PE.create ~seed:21 ~topology:(Experiments.Chaos_exp.topology ~n) () in
+  PE.set_resolver eng Apps.Paxos.self_resolver;
+  for i = 0 to n - 1 do
+    PE.spawn eng ~after:(0.05 *. float_of_int i) (nid i)
+  done;
+  eng
+
+let same_inflight a b =
+  List.equal
+    (fun (s, d, m) (s', d', m') -> Proto.Node_id.equal s s' && Proto.Node_id.equal d d' && m == m')
+    a b
+
+let test_snapshot_keeps_inflight () =
+  let eng = paxos_engine () in
+  PE.run_for eng 1.0;
+  while Proto.View.inflight (PE.global_view eng) = [] && PE.step eng do
+    ()
+  done;
+  let view = PE.global_view eng in
+  let expected = Proto.View.inflight (PE.global_view eng) in
+  checkb "messages in flight" true (expected <> []);
+  PE.run_for eng 1.0;
+  checkb "engine moved on" false
+    (same_inflight expected (Proto.View.inflight (PE.global_view eng)));
+  checkb "first read after run_for is the snapshot" true
+    (same_inflight expected (Proto.View.inflight view))
+
+let test_deferred_inflight_matches_eager () =
+  let eng = paxos_engine () in
+  Probe.checks := 0;
+  let steps = ref 0 and busy = ref 0 in
+  while !steps < 3000 && PE.step eng do
+    incr steps;
+    if !Probe.seen <> [] then incr busy;
+    if not (same_inflight !Probe.seen (Proto.View.inflight (PE.global_view eng))) then
+      Alcotest.failf "event %d: the deferred list differs from the eager one" !steps
+  done;
+  checki "all events stepped" 3000 !steps;
+  checkb "most events leave messages in flight" true (!busy > 1500);
+  checki "one check per event" 3000 !Probe.checks;
+  checki "no violations" 0 (List.length (PE.violations eng))
+
+(* Seeded violation lists and event counts: the buggy lease service
+   without steering, and RandTree joining under lookahead (forked
+   futures scored on deferred views). *)
+let render_violations vs =
+  String.concat "\n" (List.map (fun (at, name) -> Format.asprintf "%a %s" Dsim.Vtime.pp at name) vs)
+
+let test_seeded_runs_pinned () =
+  let module S = Experiments.Steering_exp in
+  let eng = S.E.create ~seed:5 ~jitter:0. ~topology:S.topology () in
+  S.E.set_resolver eng Core.Resolver.random;
+  for i = 0 to S.population - 1 do
+    S.E.spawn eng (nid i)
+  done;
+  S.E.run_for eng 60.;
+  let vs = S.E.violations eng in
+  checki "lease violations" 22 (List.length vs);
+  Alcotest.check Alcotest.string "lease violation digest" "a2e8e4d96b41e952648ba2be3146f475"
+    (Digest.to_hex (Digest.string (render_violations vs)));
+  checki "lease events" 321 (S.E.stats eng).events_processed;
+  let module Tree = Apps.Randtree_choice.Default in
+  let module TE = Engine.Sim.Make (Tree) in
+  let topology =
+    Net.Topology.uniform ~n:15 (Net.Linkprop.v ~latency:0.01 ~bandwidth:1_000_000. ~loss:0.)
+  in
+  let t = TE.create ~seed:8 ~jitter:0. ~topology () in
+  TE.set_lookahead t { TE.default_lookahead with horizon = 3.0; max_events = 600 };
+  for i = 0 to 14 do
+    TE.spawn t ~after:(0.3 *. float_of_int i) (nid i)
+  done;
+  TE.run_for t 15.;
+  TE.kill t (nid 1);
+  TE.run_for t 10.;
+  let st = TE.stats t in
+  checki "tree events" 1164 st.events_processed;
+  checki "tree forks" 48 st.lookahead_forks;
+  checki "tree decisions" 24 st.decisions;
+  checki "tree violations" 0 (List.length (TE.violations t));
+  checki "tree depth" 6
+    (Apps.Randtree_common.Measure.max_depth ~parent:Tree.parent_of (TE.global_view t))
+
 let () =
   Alcotest.run "engine"
     [
@@ -567,5 +676,12 @@ let () =
           Alcotest.test_case "fork independence" `Quick test_fork_independence;
           Alcotest.test_case "view + objective" `Quick test_global_view_and_objective;
           Alcotest.test_case "quiescence" `Quick test_run_until_quiescent;
+        ] );
+      ( "inflight",
+        [
+          Alcotest.test_case "snapshot survives run_for" `Quick test_snapshot_keeps_inflight;
+          Alcotest.test_case "deferred = eager per event" `Quick
+            test_deferred_inflight_matches_eager;
+          Alcotest.test_case "seeded runs pinned" `Quick test_seeded_runs_pinned;
         ] );
     ]

@@ -130,11 +130,9 @@ let test_iterative_deepening () =
 
 let test_world_of_view () =
   let view : (Lock.state, Lock.msg) Proto.View.t =
-    {
-      time = Dsim.Vtime.zero;
-      nodes = [ (nid 0, { Lock.self = nid 0; holding = true }) ];
-      inflight = [ (nid 1, nid 0, Lock.Grant) ];
-    }
+    Proto.View.v ~time:Dsim.Vtime.zero
+      ~nodes:[ (nid 0, { Lock.self = nid 0; holding = true }) ]
+      ~inflight:[ (nid 1, nid 0, Lock.Grant) ]
   in
   let w = Ex.world_of_view ~timers:[ (nid 0, "grab") ] view in
   checki "states" 1 (Proto.Node_id.Map.cardinal w.Ex.states);

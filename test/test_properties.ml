@@ -274,11 +274,8 @@ let prop_view_restrict_shrinks =
     (fun (nodes, keep) ->
       let nodes = List.sort_uniq compare nodes in
       let view : (int, unit) Proto.View.t =
-        {
-          time = Dsim.Vtime.zero;
-          nodes = List.map (fun i -> (nid i, i)) nodes;
-          inflight = [];
-        }
+        Proto.View.v ~time:Dsim.Vtime.zero ~nodes:(List.map (fun i -> (nid i, i)) nodes)
+          ~inflight:[]
       in
       let keep_set = Proto.Node_id.Set.of_list (List.map nid keep) in
       let r = Proto.View.restrict view keep_set in

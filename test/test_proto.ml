@@ -65,11 +65,9 @@ let test_handler_guards () =
 (* ---------- View ---------- *)
 
 let view nodes inflight : (string, int) Proto.View.t =
-  {
-    time = Dsim.Vtime.zero;
-    nodes = List.map (fun (i, s) -> (nid i, s)) nodes;
-    inflight = List.map (fun (a, b, m) -> (nid a, nid b, m)) inflight;
-  }
+  Proto.View.v ~time:Dsim.Vtime.zero
+    ~nodes:(List.map (fun (i, s) -> (nid i, s)) nodes)
+    ~inflight:(List.map (fun (a, b, m) -> (nid a, nid b, m)) inflight)
 
 let test_view_accessors () =
   let v = view [ (0, "a"); (1, "b") ] [ (0, 1, 42) ] in

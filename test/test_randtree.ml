@@ -27,11 +27,9 @@ let test_msg_kinds () =
 type toy = { parent : int option; joined : bool }
 
 let toy_view nodes : (toy, unit) Proto.View.t =
-  {
-    time = Dsim.Vtime.zero;
-    nodes = List.map (fun (i, parent, joined) -> (nid i, { parent; joined })) nodes;
-    inflight = [];
-  }
+  Proto.View.v ~time:Dsim.Vtime.zero
+    ~nodes:(List.map (fun (i, parent, joined) -> (nid i, { parent; joined })) nodes)
+    ~inflight:[]
 
 let parent st = Option.map nid st.parent
 let joined st = st.joined
@@ -58,6 +56,57 @@ let test_measure_left_view_is_not_cycle () =
 let test_measure_joined_count () =
   let v = toy_view [ (0, None, true); (1, None, false) ] in
   checki "joined" 1 (C.Measure.joined_count ~joined v)
+
+(* The one-pass measures against the per-node reference: a fold of
+   [chain_of] over every node. Random parent graphs cover cycles,
+   self-loops, parents outside the view, sparse ids (which collide in
+   the id table), views in any order, duplicate ids and empty views. *)
+let reference_measures v =
+  let chains = List.map (fun (id, _) -> C.Measure.chain_of ~parent v id) v.Proto.View.nodes in
+  let depths = List.filter_map (function C.Measure.Depth d -> Some d | _ -> None) chains in
+  ( List.mem C.Measure.Cycle chains,
+    List.fold_left max 0 depths,
+    match depths with
+    | [] -> 0.
+    | _ -> float_of_int (List.fold_left ( + ) 0 depths) /. float_of_int (List.length depths) )
+
+let parent_graph =
+  let open QCheck.Gen in
+  let graph span =
+    list_size (int_bound 40)
+      (pair (int_bound span)
+         (frequency
+            [
+              (1, return `Root);
+              (1, return `Self);
+              (6, map (fun p -> `To p) (int_bound (span + 4)));
+            ]))
+  in
+  let view =
+    map
+      (fun nodes ->
+        toy_view
+          (List.map
+             (fun (i, p) ->
+               (i, (match p with `Root -> None | `Self -> Some i | `To p -> Some p), true))
+             nodes))
+      (oneof [ graph 48; graph 1000 ])
+  in
+  QCheck.make view ~print:(fun v ->
+      String.concat " "
+        (List.map
+           (fun (id, st) ->
+             Printf.sprintf "%d->%s" (Proto.Node_id.to_int id)
+               (match st.parent with None -> "root" | Some p -> string_of_int p))
+           v.Proto.View.nodes))
+
+let prop_measures_match_reference =
+  QCheck.Test.make ~name:"one-pass tree measures = per-node chain_of fold" ~count:2000
+    parent_graph (fun v ->
+      let cycle, max_d, mean_d = reference_measures v in
+      C.Measure.has_cycle ~parent v = cycle
+      && C.Measure.max_depth ~parent v = max_d
+      && Float.equal (C.Measure.mean_depth ~parent v) mean_d)
 
 (* ---------- engine-level joins ---------- *)
 
@@ -178,6 +227,7 @@ let () =
           Alcotest.test_case "cycle" `Quick test_measure_cycle;
           Alcotest.test_case "left view" `Quick test_measure_left_view_is_not_cycle;
           Alcotest.test_case "joined count" `Quick test_measure_joined_count;
+          QCheck_alcotest.to_alcotest prop_measures_match_reference;
         ] );
       ( "protocol",
         [

@@ -112,6 +112,58 @@ let test_report_counts () =
   checkb "checkpoints accumulate" true (r.R.checkpoints_taken >= 4);
   checkb "engine reachable" true (E.now (R.engine cry) = E.now eng)
 
+(* A seeded steering run of the paper's lease service. Its report,
+   verdict log and filtered-message count are pinned, so the way the
+   runtime maintains the engine's filters cannot change what it
+   steers. *)
+module S = Experiments.Steering_exp
+
+let render_verdicts log =
+  String.concat "\n"
+    (List.map
+       (fun (at, v) ->
+         Format.asprintf "%a %s" Dsim.Vtime.pp at
+           (match v with
+           | S.R.St.No_violation -> "none"
+           | S.R.St.Steer vetoes ->
+               String.concat "," (List.map (Format.asprintf "%a" S.R.St.pp_veto) vetoes)
+           | S.R.St.Cannot_steer props -> "cannot:" ^ String.concat "," props))
+       log)
+
+let test_seeded_steering_pinned () =
+  let eng = S.E.create ~seed:11 ~jitter:0. ~topology:S.topology () in
+  S.E.set_resolver eng Core.Resolver.random;
+  for i = 0 to S.population - 1 do
+    S.E.spawn eng (nid i)
+  done;
+  let config =
+    {
+      Runtime.Config.default with
+      Runtime.Config.checkpoint_period = 0.1;
+      checkpoint_delay = 0.05;
+      steer_period = 0.1;
+      steer_depth = 2;
+      filter_ttl = 0.5;
+    }
+  in
+  let cry = S.R.attach ~config ~neighbors:S.neighbors eng in
+  S.R.run_for cry 60.;
+  let r = S.R.report cry in
+  checki "checkpoints" 500 r.S.R.checkpoints_taken;
+  checki "rounds" 499 r.S.R.steering_rounds;
+  checki "vetoes" 24 r.S.R.vetoes_installed;
+  checki "cannot steer" 0 r.S.R.cannot_steer;
+  checki "worlds" 5133 r.S.R.worlds_explored;
+  checki "outcomes cached" 2951 r.S.R.outcomes_cached;
+  checki "collisions" 0 r.S.R.fingerprint_collisions;
+  let log = S.R.verdict_log cry in
+  checki "verdicts" 181 (List.length log);
+  Alcotest.check Alcotest.string "verdict log digest" "2faa6ba9bd39fa864432b040280226e8"
+    (Digest.to_hex (Digest.string (render_verdicts log)));
+  checki "filtered" 24 (S.E.stats eng).messages_filtered;
+  checki "events" 277 (S.E.stats eng).events_processed;
+  checki "violations" 0 (List.length (S.E.violations eng))
+
 let test_config_validation () =
   Alcotest.check_raises "bad period" (Invalid_argument "Config: checkpoint_period must be positive")
     (fun () ->
@@ -136,6 +188,7 @@ let () =
           Alcotest.test_case "filters offender" `Quick test_steering_filters_offender;
           Alcotest.test_case "filters expire" `Quick test_filters_expire;
           Alcotest.test_case "quiet when safe" `Quick test_no_violation_no_vetoes;
+          Alcotest.test_case "seeded run pinned" `Quick test_seeded_steering_pinned;
         ] );
       ( "plumbing",
         [
