@@ -208,7 +208,7 @@ end = struct
                 ("remaining", float_of_int (distance fpos key));
                 ("rtt_ms", Proto.Ctx.predicted_ms ctx finger);
               ]
-            ~describe:(Format.asprintf "%a" Proto.Node_id.pp finger)
+            ~describe:(Proto.Node_id.to_string finger)
             finger
         in
         let next =

@@ -259,7 +259,7 @@ end = struct
                   ( "age_s",
                     match last_seen st peer with Some t -> now -. t | None -> 1e6 );
                 ]
-              ~describe:(Format.asprintf "%a" Proto.Node_id.pp peer)
+              ~describe:(Proto.Node_id.to_string peer)
               peer
           in
           match candidates with

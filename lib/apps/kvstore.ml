@@ -265,22 +265,22 @@ end = struct
      [buffer] are deliberately transient: a reborn session starts a
      fresh one, and anti-entropy refetches whatever the buffer held. *)
 
-  let bindings_c value_c = Wire.Codec.(list (pair int value_c))
+  let store_entry = Wire.Codec.(pair int int)
+  let history_entry = Wire.Codec.(pair int (pair int int))
 
+  (* As in paxos: a snapshot writes the whole tracked maps, a WAL delta
+     the changed bindings, in the same wire shape. *)
   let durable_c =
-    Wire.Codec.(
-      pair (pair int int) (pair (bindings_c int) (bindings_c (pair int int))))
+    Wire.Codec.(pair (pair int int) (pair (list store_entry) (list history_entry)))
 
   let projection_c =
     Wire.Codec.conv
-      (fun st ->
-        ( (st.applied_seq, st.head_seq),
-          (Int_map.bindings st.store.map, Int_map.bindings st.history.map) ))
+      (fun st -> ((st.applied_seq, st.head_seq), (st.store, st.history)))
       (fun ((applied_seq, head_seq), (store, history)) ->
         {
           self = Proto.Node_id.of_int 0;
           (* placeholder: [restore] keeps the booted self *)
-          store = Tracked.of_map (Int_map.of_seq (List.to_seq store));
+          store;
           applied_seq;
           buffer = Int_map.empty;
           head_seq;
@@ -291,7 +291,7 @@ end = struct
           known_seq = [];
           next_rid = 0;
           last_rid = 0;
-          history = Tracked.of_map (Int_map.of_seq (List.to_seq history));
+          history;
           read_lat = [];
           write_lat = [];
           mono_violations = 0;
@@ -301,7 +301,8 @@ end = struct
           deg_exits = 0;
           reads_rejected = 0;
         })
-      durable_c
+      Wire.Codec.(
+        pair (pair int int) (pair (Tracked.codec store_entry) (Tracked.codec history_entry)))
 
   let durable =
     let log ~prev ~next =
@@ -399,7 +400,7 @@ end = struct
     in
     ( {
         self = ctx.self;
-        store = Tracked.empty;
+        store = Tracked.empty store_entry;
         applied_seq = 0;
         buffer = Int_map.empty;
         head_seq = 0;
@@ -410,7 +411,7 @@ end = struct
         known_seq = [];
         next_rid = 0;
         last_rid = 0;
-        history = Tracked.empty;
+        history = Tracked.empty history_entry;
         read_lat = [];
         write_lat = [];
         mono_violations = 0;
@@ -662,7 +663,7 @@ end = struct
               float_of_int (Option.value ~default:0 (List.assoc_opt r st.known_seq)) );
             ("floor", float_of_int (max st.read_floor st.write_floor));
           ]
-        ~describe:(Format.asprintf "%a" Proto.Node_id.pp r)
+        ~describe:(Proto.Node_id.to_string r)
         r
     in
     ctx.choose (Core.Choice.make ~label:read_label (List.map alternative candidates))

@@ -281,35 +281,36 @@ end = struct
       (fun (promised, accepted) -> { promised; accepted })
       (pair int (option (pair int cmd_codec)))
 
-  let bindings_c value_c = Wire.Codec.(list (pair int value_c))
+  let slot_entry = Wire.Codec.(pair int slot_c)
+  let decided_entry = Wire.Codec.(pair int cmd_codec)
 
-  (* Snapshots and WAL deltas share one shape: the counters (absolute)
-     and two binding lists — the whole maps in a snapshot, only the
-     changed entries in a delta. *)
-  let durable_c = Wire.Codec.(pair (pair int int) (pair (bindings_c slot_c) (bindings_c cmd_codec)))
+  (* Snapshots and WAL deltas share one wire shape: the counters
+     (absolute) and two binding lists — the whole maps in a snapshot,
+     written straight from the tracked maps, and only the changed
+     entries in a delta. *)
+  let durable_c = Wire.Codec.(pair (pair int int) (pair (list slot_entry) (list decided_entry)))
 
   let projection_c =
     Wire.Codec.conv
-      (fun st ->
-        ( (st.next_seq, st.next_slot),
-          (Int_map.bindings st.acceptor.map, Int_map.bindings st.decided.map) ))
-      (fun ((next_seq, next_slot), (acc, dec)) ->
+      (fun st -> ((st.next_seq, st.next_slot), (st.acceptor, st.decided)))
+      (fun ((next_seq, next_slot), (acceptor, decided)) ->
         {
           self = Proto.Node_id.of_int 0;
           (* placeholder: [restore] keeps the booted self *)
           next_seq;
           next_slot;
           queue = [];
-          acceptor = Tracked.of_map (Int_map.of_seq (List.to_seq acc));
+          acceptor;
           proposals = Int_map.empty;
-          decided = Tracked.of_map (Int_map.of_seq (List.to_seq dec));
+          decided;
           latencies = [];
           born = 0;
           degraded = false;
           deg_entries = 0;
           deg_exits = 0;
         })
-      durable_c
+      Wire.Codec.(
+        pair (pair int int) (pair (Tracked.codec slot_entry) (Tracked.codec decided_entry)))
 
   let durable =
     let log ~prev ~next =
@@ -364,9 +365,9 @@ end = struct
         next_seq = 0;
         next_slot = 0;
         queue = [];
-        acceptor = Tracked.empty;
+        acceptor = Tracked.empty slot_entry;
         proposals = Int_map.empty;
-        decided = Tracked.empty;
+        decided = Tracked.empty decided_entry;
         latencies = [];
         born = 0;
         degraded = false;
@@ -572,7 +573,7 @@ end = struct
             ( "rtt_ms",
               if rid = self_int st then 0. else Proto.Ctx.predicted_ms ctx replica );
           ]
-        ~describe:(Format.asprintf "%a" Proto.Node_id.pp replica)
+        ~describe:(Proto.Node_id.to_string replica)
         replica
     in
     ctx.choose (Core.Choice.make ~label:proposer_label (List.map alternative replicas))

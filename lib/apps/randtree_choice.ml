@@ -171,7 +171,7 @@ end = struct
                     ("age_s", now -. seen);
                     ("rtt_ms", Proto.Ctx.predicted_ms ctx child);
                   ]
-                ~describe:(Format.asprintf "%a" Proto.Node_id.pp child)
+                ~describe:(Proto.Node_id.to_string child)
                 child
             in
             let target =

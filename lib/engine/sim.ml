@@ -1723,6 +1723,14 @@ module Make (App : Proto.App_intf.APP) = struct
         t.stores <- Proto.Node_id.Map.add node s t.stores;
         s
 
+  (* Compaction charges the snapshot's exact size now and encodes it
+     only if a recovery reads it: states are immutable, so the deferred
+     bytes are the ones an eager encode would have written, and every
+     disk delay (hence the event stream) is unchanged. *)
+  and install_snapshot store ~now (d : (App.state, App.msg) Proto.Durability.t) st =
+    Store.install_snapshot store ~now ~bytes:(Wire.Codec.size d.codec st) (fun () ->
+        Wire.Codec.encode d.codec st)
+
   (* Write-ahead step for one transition: ask the app what (if
      anything) this transition must persist, append it, and return the
      disk's completion delay so the caller can withhold the sends. *)
@@ -1737,9 +1745,7 @@ module Make (App : Proto.App_intf.APP) = struct
         if Store.wal_entries store >= d.snapshot_every then begin
           (* Compaction queues behind the append on the same disk, so
              its completion delay subsumes the append's. *)
-          let delay' =
-            Store.install_snapshot store ~now (Wire.Codec.encode d.codec next)
-          in
+          let delay' = install_snapshot store ~now d next in
           t.n_snapshots <- t.n_snapshots + 1;
           Float.max delay delay'
         end
@@ -1767,7 +1773,7 @@ module Make (App : Proto.App_intf.APP) = struct
     let store = store_of t id in
     let now = Dsim.Vtime.to_seconds t.now in
     let seed_snapshot st =
-      let delay = Store.install_snapshot store ~now (Wire.Codec.encode d.codec st) in
+      let delay = install_snapshot store ~now d st in
       t.n_snapshots <- t.n_snapshots + 1;
       delay
     in

@@ -72,7 +72,8 @@ let v ?(snapshot_every = 32) ?equal ?log ?replay ?restore codec =
 
 (** A persistent map that remembers its latest writes, so an app's
     [log] can find what a transition changed in O(changed) instead of
-    diffing whole maps.
+    diffing whole maps, and its snapshot codec can report its size in
+    O(1) instead of encoding the map.
 
     Each {!add} that changes the map records the key it wrote together
     with the map it was applied to, in a window of the last
@@ -86,7 +87,12 @@ let v ?(snapshot_every = 32) ?equal ?log ?replay ?restore codec =
     [changes] falls back to the full fold.
 
     The window is a small constant on purpose: every entry keeps an old
-    version of the map alive (mostly shared with the current one). *)
+    version of the map alive (mostly shared with the current one).
+
+    Every tracked map is built with an entry codec and keeps two
+    running totals, updated by {!add}: its binding count and the summed
+    encoded size of its bindings under that codec. {!codec} reads them
+    to size a snapshot without encoding it. *)
 module Tracked (K : Map.OrderedType) : sig
   type 'a map = 'a Map.Make(K).t
 
@@ -95,14 +101,20 @@ module Tracked (K : Map.OrderedType) : sig
     window : (K.t * 'a map) list;
         (** latest writes, newest first: the key and the map it was
             applied to; at most {!window_size} *)
+    entry : (K.t * 'a) Wire.Codec.t;  (** the codec [bytes] is measured with *)
+    count : int;  (** bindings in [map] *)
+    bytes : int;  (** summed [Wire.Codec.size entry] over the bindings *)
   }
 
   val window_size : int
-  val empty : 'a t
 
-  val of_map : 'a map -> 'a t
+  val empty : (K.t * 'a) Wire.Codec.t -> 'a t
+  (** [empty entry] has no bindings; its totals are measured with
+      [entry]. *)
+
+  val of_map : (K.t * 'a) Wire.Codec.t -> 'a map -> 'a t
   (** A map with no recorded writes: every [changes] from an unrelated
-      state takes the full fold. *)
+      state takes the full fold. Its totals are folded once, here. *)
 
   val add : K.t -> 'a -> 'a t -> 'a t
   (** [add k v t] binds [k] to [v]; a write that leaves the map
@@ -116,20 +128,53 @@ module Tracked (K : Map.OrderedType) : sig
   val changes : prev:'a t -> next:'a t -> (K.t * 'a) list
   (** The bindings of [next] that [prev] lacks or binds to a different
       value (structural [=]), in descending key order. *)
+
+  val codec : (K.t * 'a) Wire.Codec.t -> 'a t Wire.Codec.t
+  (** [codec entry] encodes a tracked map byte-for-byte like
+      [Wire.Codec.list entry] over its bindings in key order, without
+      building the list. Its size is O(1) for a map built with [entry]
+      itself ([==]) and a fold over the bindings otherwise. Decoding
+      rebuilds the map (a later duplicate key wins) with totals
+      measured by [entry]. *)
 end = struct
   module M = Map.Make (K)
 
   type 'a map = 'a M.t
-  type 'a t = { map : 'a map; window : (K.t * 'a map) list }
+
+  type 'a t = {
+    map : 'a map;
+    window : (K.t * 'a map) list;
+    entry : (K.t * 'a) Wire.Codec.t;
+    count : int;
+    bytes : int;
+  }
 
   let window_size = 4
-  let empty = { map = M.empty; window = [] }
-  let of_map map = { map; window = [] }
+  let empty entry = { map = M.empty; window = []; entry; count = 0; bytes = 0 }
+
+  let of_map entry map =
+    let count, bytes =
+      M.fold (fun k v (n, b) -> (n + 1, b + Wire.Codec.size entry (k, v))) map (0, 0)
+    in
+    { map; window = []; entry; count; bytes }
 
   let add k v t =
     let map = M.add k v t.map in
     if map == t.map then t
-    else { map; window = (k, t.map) :: List.filteri (fun i _ -> i < window_size - 1) t.window }
+    else
+      let size = Wire.Codec.size t.entry (k, v) in
+      let count, bytes =
+        match M.find_opt k t.map with
+        | None -> (t.count + 1, t.bytes + size)
+        | Some old -> (t.count, t.bytes + size - Wire.Codec.size t.entry (k, old))
+      in
+      {
+        t with
+        map;
+        window = (k, t.map) :: List.filteri (fun i _ -> i < window_size - 1) t.window;
+        count;
+        bytes;
+      }
 
   let written ~prev ~next =
     if prev.map == next.map then Some []
@@ -154,4 +199,13 @@ end = struct
             if changed prev k v then Some (k, v) else None)
           keys
     | None -> M.fold (fun k v acc -> if changed prev k v then (k, v) :: acc else acc) next.map []
+
+  let codec entry =
+    Wire.Codec.collection
+      ~length:(fun t -> t.count)
+      ~iter:(fun f t -> M.iter (fun k v -> f (k, v)) t.map)
+      ~of_list:(fun bindings ->
+        of_map entry (List.fold_left (fun m (k, v) -> M.add k v m) M.empty bindings))
+      ~elements_size:(fun t -> if t.entry == entry then Some t.bytes else None)
+      entry
 end

@@ -8,7 +8,8 @@ let to_int t = t
 let equal = Int.equal
 let compare = Int.compare
 let hash t = t
-let pp ppf t = Format.fprintf ppf "n%d" t
+let to_string t = "n" ^ string_of_int t
+let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 module Ord = struct
   type nonrec t = t

@@ -12,6 +12,9 @@ val to_int : t -> int
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int
+val to_string : t -> string
+(** [n<int>], the same text {!pp} prints. *)
+
 val pp : Format.formatter -> t -> unit
 
 module Map : Map.S with type key = t

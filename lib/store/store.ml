@@ -8,9 +8,16 @@ type disk = {
 
 type recovered = { snapshot : string option; entries : string list; torn : bool }
 
+(* A snapshot is charged its exact length when installed, but its bytes
+   are built only when a recovery reads them: [Deferred] holds the
+   length and the encoder, and [read] swaps in the [Ready] string.
+   Both are immutable, so a {!copy} shares them safely; each copy
+   encodes at most once on its own read. *)
+type snapshot = Ready of string | Deferred of { bytes : int; make : unit -> string }
+
 type t = {
   disk : disk;
-  mutable snapshot : string option;
+  mutable snapshot : snapshot option;
   mutable wal : Buffer.t;
   mutable entries : int;
   mutable last_start : int;  (* offset of the last appended frame; -1 = none *)
@@ -32,7 +39,7 @@ let copy t =
   Buffer.add_buffer wal t.wal;
   { t with disk = { t.disk with busy_until = t.disk.busy_until }; wal }
 
-let is_empty t = t.snapshot = None && Buffer.length t.wal = 0
+let is_empty t = Option.is_none t.snapshot && Buffer.length t.wal = 0
 
 (* One durable write: starts when the disk frees up, costs one fsync
    plus the transfer time of [bytes]; the returned delay is what the
@@ -101,12 +108,21 @@ let append t ~now record =
 
 (* Snapshots model write-new-then-rename: the write is charged, the
    replacement is atomic, and the WAL restarts empty. *)
-let install_snapshot t ~now s =
-  t.snapshot <- Some s;
+let install_snapshot t ~now ~bytes make =
+  t.snapshot <- Some (Deferred { bytes; make });
   Buffer.clear t.wal;
   t.entries <- 0;
   t.last_start <- -1;
-  write t.disk ~now ~bytes:(String.length s + 16)
+  write t.disk ~now ~bytes:(bytes + 16)
+
+let snapshot_string t =
+  match t.snapshot with
+  | None -> None
+  | Some (Ready s) -> Some s
+  | Some (Deferred { make; _ }) ->
+      let s = make () in
+      t.snapshot <- Some (Ready s);
+      Some s
 
 let read t =
   let raw = Buffer.contents t.wal in
@@ -124,7 +140,7 @@ let read t =
             else go (body + n + 4) (payload :: acc)
   in
   let entries, torn = go 0 [] in
-  ({ snapshot = t.snapshot; entries; torn } : recovered)
+  ({ snapshot = snapshot_string t; entries; torn } : recovered)
 
 let wipe t =
   t.snapshot <- None;
@@ -147,6 +163,12 @@ let tear t ~rng =
 
 let wal_entries t = t.entries
 let wal_bytes t = Buffer.length t.wal
-let snapshot_bytes t = match t.snapshot with None -> 0 | Some s -> String.length s
+
+let snapshot_bytes t =
+  match t.snapshot with
+  | None -> 0
+  | Some (Ready s) -> String.length s
+  | Some (Deferred { bytes; _ }) -> bytes
+
 let bytes_written t = t.disk.bytes_written
 let write_seconds t = t.disk.write_seconds

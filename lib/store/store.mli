@@ -33,7 +33,9 @@ val create : ?fsync_latency:float -> ?bandwidth:float -> unit -> t
     latency or non-positive bandwidth. *)
 
 val copy : t -> t
-(** Independent deep copy — used when a simulation forks. *)
+(** Independent deep copy — used when a simulation forks. A snapshot
+    not yet read is shared as its encoder, which each copy runs on its
+    own first {!read}. *)
 
 val is_empty : t -> bool
 (** No snapshot and no WAL bytes: a disk that has never been written
@@ -46,13 +48,18 @@ val append : t -> now:float -> string -> float
     flight). Write-ahead discipline: the caller must withhold effects
     that depend on the record until the delay has elapsed. *)
 
-val install_snapshot : t -> now:float -> string -> float
-(** Atomically replaces the snapshot and truncates the WAL, returning
-    the completion delay like {!append}. *)
+val install_snapshot : t -> now:float -> bytes:int -> (unit -> string) -> float
+(** [install_snapshot t ~now ~bytes make] atomically replaces the
+    snapshot and truncates the WAL, returning the completion delay like
+    {!append}. The write is charged [bytes] plus a 16-byte header now;
+    [make] runs at most once, when {!read} first needs the snapshot,
+    and must return exactly [bytes] bytes. A caller passes an encoder
+    over an immutable value, so the deferred bytes are the ones an
+    eager encode would have written. *)
 
 val read : t -> recovered
-(** Parses the durable area; never raises. A torn tail is dropped and
-    flagged. *)
+(** Parses the durable area; never raises unless the deferred snapshot
+    encoder does. A torn tail is dropped and flagged. *)
 
 val wipe : t -> unit
 (** Total amnesia: snapshot and WAL are erased (the crash mode where

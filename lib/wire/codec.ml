@@ -1,8 +1,8 @@
-(* Encoders write through a sink so [size] can run the same pass into a
-   counter instead of a buffer; decoders consume a string with a mutable
+(* Encoders append to a buffer; every codec also carries a structural
+   [size] that computes the exact encoded length without encoding, so a
+   caller that only needs the byte count (disk and link accounting)
+   never builds the string. Decoders consume a string with a mutable
    cursor and fail with a message rather than an exception. *)
-
-type sink = { put_char : char -> unit; put_string : string -> unit }
 
 type cursor = { data : string; mutable pos : int }
 
@@ -28,28 +28,21 @@ type shape =
   | Triple of shape * shape * shape
   | Tagged of (int * shape) list
 
-type 'a t = { enc : sink -> 'a -> unit; dec : cursor -> 'a; sh : shape }
+type 'a t = {
+  enc : Buffer.t -> 'a -> unit;
+  dec : cursor -> 'a;
+  size : 'a -> int;  (* = the number of bytes [enc] appends *)
+  sh : shape;
+}
 
 let shape c = c.sh
 
-let buffer_sink buf =
-  { put_char = Buffer.add_char buf; put_string = Buffer.add_string buf }
-
-let counting_sink counter =
-  {
-    put_char = (fun _ -> incr counter);
-    put_string = (fun s -> counter := !counter + String.length s);
-  }
-
 let encode c v =
   let buf = Buffer.create 64 in
-  c.enc (buffer_sink buf) v;
+  c.enc buf v;
   Buffer.contents buf
 
-let size c v =
-  let counter = ref 0 in
-  c.enc (counting_sink counter) v;
-  !counter
+let size c v = c.size v
 
 let decode c s =
   let cur = { data = s; pos = 0 } in
@@ -77,17 +70,22 @@ let read_string cur n =
   s
 
 (* Unsigned LEB128 over the int's bits. *)
-let enc_uint sink v =
+let enc_uint buf v =
   let rec go v =
     let low = v land 0x7F in
     let rest = v lsr 7 in
-    if rest = 0 then sink.put_char (Char.chr low)
+    if rest = 0 then Buffer.add_char buf (Char.chr low)
     else begin
-      sink.put_char (Char.chr (low lor 0x80));
+      Buffer.add_char buf (Char.chr (low lor 0x80));
       go rest
     end
   in
   go v
+
+(* Bytes [enc_uint] writes: one per started 7-bit group. *)
+let uint_size v =
+  let rec go n v = if v = 0 then n else go (n + 1) (v lsr 7) in
+  go 1 (v lsr 7)
 
 let dec_uint cur =
   let rec go shift acc =
@@ -98,40 +96,38 @@ let dec_uint cur =
   in
   go 0 0
 
-let unit = { enc = (fun _ () -> ()); dec = (fun _ -> ()); sh = Unit }
+let unit = { enc = (fun _ () -> ()); dec = (fun _ -> ()); size = (fun () -> 0); sh = Unit }
 
 let bool =
   {
-    enc = (fun sink b -> sink.put_char (if b then '\001' else '\000'));
+    enc = (fun buf b -> Buffer.add_char buf (if b then '\001' else '\000'));
     dec =
       (fun cur ->
         match read_char cur with
         | '\000' -> false
         | '\001' -> true
         | c -> raise (Malformed (Printf.sprintf "invalid bool byte %d" (Char.code c))));
+    size = (fun _ -> 1);
     sh = Bool;
   }
 
 (* Zig-zag so negative ints stay short. *)
+let zigzag v = (v lsl 1) lxor (v asr 62)
+
 let int =
   {
-    enc = (fun sink v -> enc_uint sink ((v lsl 1) lxor (v asr 62)));
+    enc = (fun buf v -> enc_uint buf (zigzag v));
     dec =
       (fun cur ->
         let u = dec_uint cur in
         (u lsr 1) lxor (-(u land 1)));
+    size = (fun v -> uint_size (zigzag v));
     sh = Int;
   }
 
 let float =
   {
-    enc =
-      (fun sink v ->
-        let bits = Int64.bits_of_float v in
-        for i = 0 to 7 do
-          sink.put_char
-            (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical bits (8 * i)) 0xFFL)))
-        done);
+    enc = (fun buf v -> Buffer.add_int64_le buf (Int64.bits_of_float v));
     dec =
       (fun cur ->
         let bits = ref 0L in
@@ -140,8 +136,11 @@ let float =
             Int64.logor !bits (Int64.shift_left (Int64.of_int (Char.code (read_char cur))) (8 * i))
         done;
         Int64.float_of_bits !bits);
+    size = (fun _ -> 8);
     sh = Float;
   }
+
+let string_size n = uint_size n + n
 
 (* [read_string] bounds the claimed length by the remaining input, so a
    mutated length header can neither allocate beyond the message nor
@@ -149,35 +148,40 @@ let float =
 let string =
   {
     enc =
-      (fun sink s ->
-        enc_uint sink (String.length s);
-        sink.put_string s);
+      (fun buf s ->
+        enc_uint buf (String.length s);
+        Buffer.add_string buf s);
     dec =
       (fun cur ->
         let n = dec_uint cur in
         read_string cur n);
+    size = (fun s -> string_size (String.length s));
     sh = String;
   }
 
 let bytes_ =
-  { enc = (fun sink b -> string.enc sink (Bytes.to_string b));
+  {
+    enc = (fun buf b -> string.enc buf (Bytes.to_string b));
     dec = (fun cur -> Bytes.of_string (string.dec cur));
-    sh = Bytes }
+    size = (fun b -> string_size (Bytes.length b));
+    sh = Bytes;
+  }
 
 let option c =
   {
     enc =
-      (fun sink -> function
-        | None -> sink.put_char '\000'
+      (fun buf -> function
+        | None -> Buffer.add_char buf '\000'
         | Some v ->
-            sink.put_char '\001';
-            c.enc sink v);
+            Buffer.add_char buf '\001';
+            c.enc buf v);
     dec =
       (fun cur ->
         match read_char cur with
         | '\000' -> None
         | '\001' -> Some (c.dec cur)
         | ch -> raise (Malformed (Printf.sprintf "invalid option byte %d" (Char.code ch))));
+    size = (function None -> 1 | Some v -> 1 + c.size v);
     sh = Option c.sh;
   }
 
@@ -195,65 +199,79 @@ let dec_length cur =
     raise (Malformed (Printf.sprintf "container length %d exceeds remaining input" n));
   n
 
-let list c =
+let collection ~length ~iter ~of_list ?(elements_size = fun _ -> None) c =
   {
     enc =
-      (fun sink xs ->
-        enc_uint sink (List.length xs);
-        List.iter (c.enc sink) xs);
+      (fun buf xs ->
+        enc_uint buf (length xs);
+        iter (c.enc buf) xs);
     dec =
       (fun cur ->
         let n = dec_length cur in
-        List.init n (fun _ -> c.dec cur));
+        of_list (List.init n (fun _ -> c.dec cur)));
+    size =
+      (fun xs ->
+        let n = length xs in
+        match elements_size xs with
+        | Some bytes -> uint_size n + bytes
+        | None ->
+            let total = ref (uint_size n) in
+            iter (fun x -> total := !total + c.size x) xs;
+            !total);
     sh = List c.sh;
   }
+
+let list c = collection ~length:List.length ~iter:List.iter ~of_list:Fun.id c
 
 let array c =
   {
     enc =
-      (fun sink xs ->
-        enc_uint sink (Array.length xs);
-        Array.iter (c.enc sink) xs);
+      (fun buf xs ->
+        enc_uint buf (Array.length xs);
+        Array.iter (c.enc buf) xs);
     dec =
       (fun cur ->
         let n = dec_length cur in
         Array.init n (fun _ -> c.dec cur));
+    size = (fun xs -> Array.fold_left (fun acc x -> acc + c.size x) (uint_size (Array.length xs)) xs);
     sh = Array c.sh;
   }
 
 let pair a b =
   {
     enc =
-      (fun sink (x, y) ->
-        a.enc sink x;
-        b.enc sink y);
+      (fun buf (x, y) ->
+        a.enc buf x;
+        b.enc buf y);
     dec =
       (fun cur ->
         let x = a.dec cur in
         let y = b.dec cur in
         (x, y));
+    size = (fun (x, y) -> a.size x + b.size y);
     sh = Pair (a.sh, b.sh);
   }
 
 let triple a b c =
   {
     enc =
-      (fun sink (x, y, z) ->
-        a.enc sink x;
-        b.enc sink y;
-        c.enc sink z);
+      (fun buf (x, y, z) ->
+        a.enc buf x;
+        b.enc buf y;
+        c.enc buf z);
     dec =
       (fun cur ->
         let x = a.dec cur in
         let y = b.dec cur in
         let z = c.dec cur in
         (x, y, z));
+    size = (fun (x, y, z) -> a.size x + b.size y + c.size z);
     sh = Triple (a.sh, b.sh, c.sh);
   }
 
 let conv to_repr of_repr repr =
   {
-    enc = (fun sink v -> repr.enc sink (to_repr v));
+    enc = (fun buf v -> repr.enc buf (to_repr v));
     dec =
       (fun cur ->
         let r = repr.dec cur in
@@ -263,16 +281,17 @@ let conv to_repr of_repr repr =
         try of_repr r with
         | Malformed _ as e -> raise e
         | e -> raise (Malformed (Printexc.to_string e)));
+    size = (fun v -> repr.size (to_repr v));
     sh = repr.sh;
   }
 
 let tagged ?(cases = []) to_case of_case =
   {
     enc =
-      (fun sink v ->
+      (fun buf v ->
         let tag, payload = to_case v in
-        enc_uint sink tag;
-        string.enc sink payload);
+        enc_uint buf tag;
+        string.enc buf payload);
     dec =
       (fun cur ->
         let tag = dec_uint cur in
@@ -280,6 +299,10 @@ let tagged ?(cases = []) to_case of_case =
         match of_case tag payload with
         | Ok v -> v
         | Error msg -> raise (Malformed msg));
+    size =
+      (fun v ->
+        let tag, payload = to_case v in
+        uint_size tag + string.size payload);
     sh = Tagged cases;
   }
 
@@ -306,45 +329,68 @@ type view =
 
 and payload = Raw of string | Shaped of view
 
-let rec enc_view sh sink v =
+(* [size_view] mirrors [enc_view] case for case, so a shaped payload's
+   length prefix is known before its bytes are written. *)
+let rec size_view sh v =
+  match (sh, v) with
+  | Unit, Vunit -> 0
+  | Bool, Vbool _ -> 1
+  | Int, Vint i -> int.size i
+  | Float, Vfloat _ -> 8
+  | String, Vstring s -> string.size s
+  | Bytes, Vbytes b -> bytes_.size b
+  | Option _, Voption None -> 1
+  | Option s, Voption (Some v) -> 1 + size_view s v
+  | List s, Vlist vs ->
+      List.fold_left (fun acc v -> acc + size_view s v) (uint_size (List.length vs)) vs
+  | Array s, Varray vs ->
+      Array.fold_left (fun acc v -> acc + size_view s v) (uint_size (Array.length vs)) vs
+  | Pair (a, b), Vpair (x, y) -> size_view a x + size_view b y
+  | Triple (a, b, c), Vtriple (x, y, z) -> size_view a x + size_view b y + size_view c z
+  | Tagged _, Vtagged (tag, Raw s) -> uint_size tag + string.size s
+  | Tagged cases, Vtagged (tag, Shaped v) -> (
+      match List.assoc_opt tag cases with
+      | Some s -> uint_size tag + string_size (size_view s v)
+      | None -> raise (Malformed "shaped payload for an undeclared tag"))
+  | _ -> raise (Malformed "view does not match shape")
+
+let rec enc_view sh buf v =
   match (sh, v) with
   | Unit, Vunit -> ()
-  | Bool, Vbool b -> bool.enc sink b
-  | Int, Vint i -> int.enc sink i
-  | Float, Vfloat f -> float.enc sink f
-  | String, Vstring s -> string.enc sink s
-  | Bytes, Vbytes b -> bytes_.enc sink b
+  | Bool, Vbool b -> bool.enc buf b
+  | Int, Vint i -> int.enc buf i
+  | Float, Vfloat f -> float.enc buf f
+  | String, Vstring s -> string.enc buf s
+  | Bytes, Vbytes b -> bytes_.enc buf b
   | Option s, Voption o -> (
       match o with
-      | None -> sink.put_char '\000'
+      | None -> Buffer.add_char buf '\000'
       | Some v ->
-          sink.put_char '\001';
-          enc_view s sink v)
+          Buffer.add_char buf '\001';
+          enc_view s buf v)
   | List s, Vlist vs ->
-      enc_uint sink (List.length vs);
-      List.iter (enc_view s sink) vs
+      enc_uint buf (List.length vs);
+      List.iter (enc_view s buf) vs
   | Array s, Varray vs ->
-      enc_uint sink (Array.length vs);
-      Array.iter (enc_view s sink) vs
+      enc_uint buf (Array.length vs);
+      Array.iter (enc_view s buf) vs
   | Pair (a, b), Vpair (x, y) ->
-      enc_view a sink x;
-      enc_view b sink y
+      enc_view a buf x;
+      enc_view b buf y
   | Triple (a, b, c), Vtriple (x, y, z) ->
-      enc_view a sink x;
-      enc_view b sink y;
-      enc_view c sink z
+      enc_view a buf x;
+      enc_view b buf y;
+      enc_view c buf z
   | Tagged cases, Vtagged (tag, p) -> (
-      enc_uint sink tag;
+      enc_uint buf tag;
       match p with
-      | Raw s -> string.enc sink s
+      | Raw s -> string.enc buf s
       | Shaped v -> (
           match List.assoc_opt tag cases with
           | Some s ->
-              (* Payloads are length-prefixed on the wire; render the
-                 shaped view to bytes first. *)
-              let buf = Buffer.create 32 in
-              enc_view s (buffer_sink buf) v;
-              string.enc sink (Buffer.contents buf)
+              (* Payloads are length-prefixed on the wire. *)
+              enc_uint buf (size_view s v);
+              enc_view s buf v
           | None -> raise (Malformed "shaped payload for an undeclared tag")))
   | _ -> raise (Malformed "view does not match shape")
 
@@ -391,4 +437,5 @@ let rec dec_view sh cur =
           | exception Malformed _ -> Vtagged (tag, Raw payload))
       | None -> Vtagged (tag, Raw payload))
 
-let view_codec sh = { enc = (fun sink v -> enc_view sh sink v); dec = dec_view sh; sh }
+let view_codec sh =
+  { enc = (fun buf v -> enc_view sh buf v); dec = dec_view sh; size = size_view sh; sh }

@@ -43,8 +43,9 @@ val decode : 'a t -> string -> ('a, string) result
 (** [Error] describes the first malformed byte encountered. *)
 
 val size : 'a t -> 'a -> int
-(** [size c v] = [String.length (encode c v)] without materialising the
-    string (single encoding pass into a counter). *)
+(** [size c v] = [String.length (encode c v)], computed structurally:
+    every combinator adds up its parts' lengths without encoding them
+    (a {!tagged} value still builds its payload string). *)
 
 (** {1 Primitives} *)
 
@@ -63,6 +64,23 @@ val bytes_ : bytes t
 
 val option : 'a t -> 'a option t
 val list : 'a t -> 'a list t
+
+val collection :
+  length:('c -> int) ->
+  iter:(('a -> unit) -> 'c -> unit) ->
+  of_list:('a list -> 'c) ->
+  ?elements_size:('c -> int option) ->
+  'a t ->
+  'c t
+(** A container with [list]'s wire form and shape: [encode] writes
+    [length c] and then every element [iter] visits, so it is
+    byte-for-byte [encode (list elt)] of that element sequence, and
+    decoding hands the elements, in order, to [of_list].
+    [elements_size c], when it returns [Some n], is trusted as the
+    summed [size elt] of [c]'s elements: a container that keeps a
+    running total answers {!size} in O(1). [None] (the default) sums
+    the elements. *)
+
 val array : 'a t -> 'a array t
 val pair : 'a t -> 'b t -> ('a * 'b) t
 val triple : 'a t -> 'b t -> 'c t -> ('a * 'b * 'c) t

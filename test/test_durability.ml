@@ -69,29 +69,52 @@ module P = struct
       properties
 end
 
-module E = Engine.Sim.Make (P)
 module F = Engine.Faultplan
-module Run = F.Run (E)
 
-let topology =
-  Net.Topology.uniform ~n:3 (Net.Linkprop.v ~latency:0.02 ~bandwidth:1_000_000. ~loss:0.)
+(* Seeded crash storms for any app: [n] nodes on a uniform 20 ms
+   network warm up, then [victims] of them crash [rounds] times in
+   [mode], two seconds apart. Same seed + same mode = same run. *)
+module Storm (A : Proto.App_intf.APP) = struct
+  module Eng = Engine.Sim.Make (A)
+  module Run = F.Run (Eng)
 
-(* Decide some instances, then crash nodes 0 and 1 in turn (in [mode])
-   and let the group settle. Node 2 is never crashed: it survives as a
-   witness of every pre-storm decision, so an amnesiac rebirth that
-   re-decides an old instance disagrees with a *live* replica. Same
-   seed + same mode = same run. *)
-let storm ?(and_then = 4.0) ~mode ~seed () =
+  let start ~n ~resolver ~seed =
+    let topology =
+      Net.Topology.uniform ~n (Net.Linkprop.v ~latency:0.02 ~bandwidth:1_000_000. ~loss:0.)
+    in
+    let eng = Eng.create ~seed ~topology () in
+    Eng.set_resolver eng resolver;
+    for i = 0 to n - 1 do
+      Eng.spawn eng (nid i)
+    done;
+    eng
+
+  let run ~n ~resolver ~warmup ~victims ~rounds ~and_then ~mode ~seed =
+    let eng = start ~n ~resolver ~seed in
+    Eng.run_for eng warmup;
+    Run.execute ~and_then eng
+      (F.plan [ (0., F.Crash_storm { victims; period = 2.0; rounds; mode }) ]);
+    eng
+
+  (* Decide some instances, then crash nodes 0 and 1 in turn and let
+     the group settle. Node 2 is never crashed: it survives as a
+     witness of every pre-storm decision, so an amnesiac rebirth that
+     re-decides an old instance disagrees with a *live* replica. *)
+  let paxos ?(and_then = 4.0) ~mode ~seed () =
+    run ~n:3 ~resolver:Apps.Paxos.self_resolver ~warmup:2.0 ~victims:1 ~rounds:2 ~and_then ~mode
+      ~seed
+
+  let kvstore ~mode ~seed =
+    run ~n:Apps.Kvstore.Default_params.population ~resolver:Apps.Kvstore.session_resolver
+      ~warmup:3.0 ~victims:2 ~rounds:3 ~and_then:20.0 ~mode ~seed
+end
+
+module Sp = Storm (P)
+module E = Sp.Eng
+
+let storm ?and_then ~mode ~seed () =
   Buffer.clear P.records;
-  let eng = E.create ~seed ~topology () in
-  E.set_resolver eng Apps.Paxos.self_resolver;
-  for i = 0 to 2 do
-    E.spawn eng (nid i)
-  done;
-  E.run_for eng 2.0;
-  Run.execute ~and_then eng
-    (F.plan [ (0., F.Crash_storm { victims = 1; period = 2.0; rounds = 2; mode }) ]);
-  eng
+  Sp.paxos ?and_then ~mode ~seed ()
 
 let seeds = [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 11; 12 ]
 let modes = [ F.Clean; F.Torn; F.Amnesia ]
@@ -290,8 +313,7 @@ module Rk = struct
   let durable = recording records durable
 end
 
-module Erk = Engine.Sim.Make (Rk)
-module Rk_run = F.Run (Erk)
+module Erk = Storm (Rk)
 
 let store_digest records stores =
   let b = Buffer.create 4096 in
@@ -320,19 +342,12 @@ let paxos_wal ~mode ~seed =
 
 let kv_wal ~mode ~seed =
   Buffer.clear Rk.records;
-  let n = Apps.Kvstore.Default_params.population in
-  let topo = Net.Topology.uniform ~n (Net.Linkprop.v ~latency:0.02 ~bandwidth:1_000_000. ~loss:0.) in
-  let eng = Erk.create ~seed ~topology:topo () in
-  Erk.set_resolver eng Apps.Kvstore.session_resolver;
-  for i = 0 to n - 1 do
-    Erk.spawn eng (nid i)
-  done;
-  Erk.run_for eng 3.0;
-  Rk_run.execute ~and_then:20.0 eng
-    (F.plan [ (0., F.Crash_storm { victims = 2; period = 2.0; rounds = 3; mode }) ]);
-  let s = Erk.stats eng in
-  wal_pin ~app:"kvstore" ~mode ~appends:s.Erk.wal_appends ~bytes:s.Erk.store_bytes_written
-    ~digest:(store_digest Rk.records (List.init n (fun i -> Erk.store eng (nid i))))
+  let eng = Erk.kvstore ~mode ~seed in
+  let s = Erk.Eng.stats eng in
+  wal_pin ~app:"kvstore" ~mode ~appends:s.Erk.Eng.wal_appends ~bytes:s.Erk.Eng.store_bytes_written
+    ~digest:
+      (store_digest Rk.records
+         (List.init Apps.Kvstore.Default_params.population (fun i -> Erk.Eng.store eng (nid i))))
 
 let test_wal_bytes_pinned () =
   let got =
@@ -351,6 +366,95 @@ let test_wal_bytes_pinned () =
     ]
     got
 
+(* ---------- deferred compaction ----------
+
+   Compaction charges a snapshot [Codec.size] bytes and encodes it only
+   when a recovery reads the disk, so the event streams stay
+   byte-identical only while that size is exact. *)
+
+(* [A] with one more property, which after every event compares each
+   live node's snapshot size with the length of its encoding. It always
+   holds, so the run is the one [A] alone would make. *)
+module Size_probe (A : Proto.App_intf.APP) = struct
+  include A
+
+  let codec = (Option.get durable).Proto.Durability.codec
+  let checked = ref 0
+  let mismatches = ref 0
+
+  let properties =
+    Core.Property.safety ~name:"snapshot size exact" (fun view ->
+        Proto.View.fold
+          (fun () _ st ->
+            incr checked;
+            if Wire.Codec.size codec st <> String.length (Wire.Codec.encode codec st) then
+              incr mismatches)
+          () view;
+        true)
+    :: properties
+end
+
+module Ps = Size_probe (Apps.Paxos.Make (Params))
+module Ps_storm = Storm (Ps)
+module Ks = Size_probe (Apps.Kvstore.Default)
+module Ks_storm = Storm (Ks)
+
+let test_snapshot_size_exact () =
+  List.iter
+    (fun mode ->
+      List.iter (fun seed -> ignore (Ps_storm.paxos ~and_then:20.0 ~mode ~seed ())) [ 1; 2; 3; 4 ];
+      List.iter (fun seed -> ignore (Ks_storm.kvstore ~mode ~seed)) [ 5; 6 ])
+    modes;
+  checkb "paxos states were sized" true (!Ps.checked > 1000);
+  checki "paxos sizes are exact" 0 !Ps.mismatches;
+  checkb "kvstore states were sized" true (!Ks.checked > 1000);
+  checki "kvstore sizes are exact" 0 !Ks.mismatches
+
+(* Paxos whose snapshot codec counts the states it projects. [conv]
+   projects once per [size] and once per [encode], and the engine sizes
+   every snapshot it installs exactly once, so the snapshots encoded are
+   the projections less [stats.snapshots]. *)
+module Pc = struct
+  include Apps.Paxos.Make (Params)
+
+  let projections = ref 0
+
+  let durable =
+    Option.map
+      (fun (d : _ Proto.Durability.t) ->
+        {
+          d with
+          codec =
+            Wire.Codec.conv
+              (fun st ->
+                incr projections;
+                st)
+              Fun.id d.codec;
+        })
+      durable
+end
+
+module Pc_storm = Storm (Pc)
+
+let test_compaction_never_encodes () =
+  Pc.projections := 0;
+  let eng = Pc_storm.start ~n:3 ~resolver:Apps.Paxos.self_resolver ~seed:9 in
+  Pc_storm.Eng.run_for eng 300.;
+  let s = Pc_storm.Eng.stats eng in
+  checkb "300 s of compactions" true (s.Pc_storm.Eng.snapshots > 100);
+  checki "no recovery" 0 s.Pc_storm.Eng.recoveries;
+  checki "no snapshot encoded" 0 (!Pc.projections - s.Pc_storm.Eng.snapshots);
+  List.iter
+    (fun seed ->
+      Pc.projections := 0;
+      let eng = Pc_storm.paxos ~mode:F.Clean ~seed () in
+      let s = Pc_storm.Eng.stats eng in
+      let label = Printf.sprintf " (seed %d)" seed in
+      checkb ("recoveries happened" ^ label) true (s.Pc_storm.Eng.recoveries > 0);
+      checki ("one encode per recovery" ^ label) s.Pc_storm.Eng.recoveries
+        (!Pc.projections - s.Pc_storm.Eng.snapshots))
+    seeds
+
 let () =
   Alcotest.run "durability"
     [
@@ -367,6 +471,11 @@ let () =
           Alcotest.test_case "storms match the full fold" `Quick test_agreement_matches_full_fold;
           Alcotest.test_case "explored worlds match the full fold" `Quick
             test_agreement_matches_full_fold_explored;
+        ] );
+      ( "deferred compaction",
+        [
+          Alcotest.test_case "snapshot sizes exact in storms" `Quick test_snapshot_size_exact;
+          Alcotest.test_case "compaction never encodes" `Quick test_compaction_never_encodes;
         ] );
       ( "opt-in boundary",
         [

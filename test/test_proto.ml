@@ -134,6 +134,8 @@ let test_ctx_choose_dispatches () =
 module Tr = Proto.Durability.Tracked (Int)
 module Int_map = Map.Make (Int)
 
+let entry = Wire.Codec.(pair int string)
+
 (* The whole-map diff [Tracked.changes] replaces: every binding of
    [next] that [prev] lacks or binds to a different value, in
    descending key order. *)
@@ -145,7 +147,7 @@ let full_diff prev next =
 (* Every version of a tracked map built from the empty one by [ops]. An
    op [(key, kind, c)] writes one of eight keys: kind 0 re-adds the
    current value itself (no write is recorded), kind 1 an equal fresh
-   copy of it, otherwise one of four values. *)
+   copy of it, otherwise one of four values, each of its own length. *)
 let versions ops =
   let step t (key, kind, c) =
     let key = key mod 8 in
@@ -153,11 +155,11 @@ let versions ops =
       match (kind mod 3, Int_map.find_opt key t.Tr.map) with
       | 0, Some v -> v
       | 1, Some v -> String.init (String.length v) (String.get v)
-      | _ -> String.make 1 (Char.chr (97 + (c mod 4)))
+      | _ -> String.make (1 + (c mod 4)) (Char.chr (97 + (c mod 4)))
     in
     Tr.add key v t
   in
-  List.rev (List.fold_left (fun acc op -> step (List.hd acc) op :: acc) [ Tr.empty ] ops)
+  List.rev (List.fold_left (fun acc op -> step (List.hd acc) op :: acc) [ Tr.empty entry ] ops)
 
 let prop_tracked_changes_match_full_diff =
   QCheck.Test.make ~name:"tracked changes equal the full diff" ~count:300
@@ -173,7 +175,7 @@ let prop_tracked_changes_match_full_diff =
               (* Along one lineage, and from an unrelated copy of [prev]
                  whose window reaches nothing. *)
               if Tr.changes ~prev ~next <> expect then ok := false;
-              if Tr.changes ~prev:(Tr.of_map prev.Tr.map) ~next <> expect then ok := false;
+              if Tr.changes ~prev:(Tr.of_map entry prev.Tr.map) ~next <> expect then ok := false;
               (* A chain within the window is found without the fold. *)
               if i <= j && j - i <= Tr.window_size && Tr.written ~prev ~next = None then ok := false;
               if List.length next.Tr.window > Tr.window_size then ok := false)
@@ -195,6 +197,49 @@ let test_tracked_window_fallback () =
   let t = last within in
   checkb "re-adding the bound value records nothing" true
     (Tr.add 0 (Int_map.find 0 t.Tr.map) t == t)
+
+(* The snapshot codec against the list encoding it replaces, on every
+   version [versions] builds (adds, overwrites, equal-value and
+   same-value re-adds). *)
+let list_bytes e (t : string Tr.t) = Wire.Codec.(encode (list e)) (Int_map.bindings t.Tr.map)
+
+let prop_tracked_codec_matches_list =
+  QCheck.Test.make ~name:"tracked codec encodes like the bindings list" ~count:300
+    QCheck.(list_of_size Gen.(0 -- 24) (triple small_nat small_nat small_nat))
+    (fun ops ->
+      let c = Tr.codec entry in
+      List.for_all
+        (fun (t : string Tr.t) ->
+          let bytes = Wire.Codec.encode c t in
+          let folded = Int_map.fold (fun k v n -> n + Wire.Codec.size entry (k, v)) t.Tr.map 0 in
+          bytes = list_bytes entry t
+          && Wire.Codec.size c t = String.length bytes
+          && t.Tr.count = Int_map.cardinal t.Tr.map
+          && t.Tr.bytes = folded
+          &&
+          match Wire.Codec.decode c bytes with
+          | Error _ -> false
+          | Ok d ->
+              Int_map.equal String.equal d.Tr.map t.Tr.map
+              && d.Tr.count = t.Tr.count && d.Tr.bytes = t.Tr.bytes && d.Tr.entry == entry)
+        (versions ops))
+
+(* A map built with one entry codec and written with another: the
+   running totals measure the wrong bytes, so [size] must fold. The
+   doubling codec makes a wrongly trusted total visible. *)
+let prop_tracked_codec_other_entry =
+  let doubled =
+    Wire.Codec.(pair int (conv (fun s -> (s, s)) fst (pair string string)))
+  in
+  QCheck.Test.make ~name:"tracked codec folds for a foreign entry codec" ~count:200
+    QCheck.(list_of_size Gen.(0 -- 24) (triple small_nat small_nat small_nat))
+    (fun ops ->
+      let c = Tr.codec doubled in
+      List.for_all
+        (fun (t : string Tr.t) ->
+          let bytes = Wire.Codec.encode c t in
+          bytes = list_bytes doubled t && Wire.Codec.size c t = String.length bytes)
+        (versions ops))
 
 let () =
   Alcotest.run "proto"
@@ -223,5 +268,10 @@ let () =
         ] );
       ( "tracked map",
         Alcotest.test_case "window fallback" `Quick test_tracked_window_fallback
-        :: List.map QCheck_alcotest.to_alcotest [ prop_tracked_changes_match_full_diff ] );
+        :: List.map QCheck_alcotest.to_alcotest
+             [
+               prop_tracked_changes_match_full_diff;
+               prop_tracked_codec_matches_list;
+               prop_tracked_codec_other_entry;
+             ] );
     ]

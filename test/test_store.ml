@@ -5,6 +5,11 @@ let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 let checks = Alcotest.check Alcotest.string
 
+(* A snapshot whose bytes are known up front, as an app's codec
+   provides them. *)
+let install s ~now snap =
+  Store.install_snapshot s ~now ~bytes:(String.length snap) (fun () -> snap)
+
 let test_empty () =
   let s = Store.create () in
   checkb "fresh store is empty" true (Store.is_empty s);
@@ -25,7 +30,7 @@ let test_append_read_roundtrip () =
 let test_snapshot_truncates_wal () =
   let s = Store.create () in
   ignore (Store.append s ~now:0. "old");
-  ignore (Store.install_snapshot s ~now:0. "snap-state");
+  ignore (install s ~now:0. "snap-state");
   ignore (Store.append s ~now:0. "new");
   let r = Store.read s in
   checks "snapshot" "snap-state" (Option.get r.Store.snapshot);
@@ -34,7 +39,7 @@ let test_snapshot_truncates_wal () =
 let test_wipe () =
   let s = Store.create () in
   ignore (Store.append s ~now:0. "x");
-  ignore (Store.install_snapshot s ~now:0. "y");
+  ignore (install s ~now:0. "y");
   let written = Store.bytes_written s in
   Store.wipe s;
   checkb "empty after wipe" true (Store.is_empty s);
@@ -80,7 +85,7 @@ let test_tear_never_corrupts_earlier_records () =
 let test_tear_empty_wal_refused () =
   let s = Store.create () in
   checkb "nothing to tear" false (Store.tear s ~rng:(Dsim.Rng.create 1));
-  ignore (Store.install_snapshot s ~now:0. "snap");
+  ignore (install s ~now:0. "snap");
   checkb "snapshots cannot tear" false (Store.tear s ~rng:(Dsim.Rng.create 1))
 
 let test_copy_independent () =
@@ -92,6 +97,82 @@ let test_copy_independent () =
   checki "copy extended" 2 (Store.wal_entries c);
   Store.wipe c;
   checkb "original survives copy wipe" false (Store.is_empty s)
+
+(* ---------- deferred snapshots ----------
+
+   An install is charged its bytes at once but builds them only when a
+   recovery reads the disk. [counting snap] is an encoder for [snap]
+   that counts its runs. *)
+let counting snap =
+  let runs = ref 0 in
+  (runs, fun () -> incr runs; snap)
+
+let test_deferred_charges_exact_bytes () =
+  let snap = String.make 200 's' in
+  let s = Store.create ~fsync_latency:0.001 ~bandwidth:1000. () in
+  ignore (Store.append s ~now:0. "busy");
+  let before = Store.bytes_written s in
+  let runs, make = counting snap in
+  let d = Store.install_snapshot s ~now:0. ~bytes:(String.length snap) make in
+  (* What an eager install of [snap] charged: one fsync plus the string
+     and a 16-byte header, queued behind the append in flight. *)
+  let append_delay = 0.001 +. (float_of_int before /. 1000.) in
+  let charged = String.length snap + 16 in
+  Alcotest.(check (float 1e-12))
+    "delay" (append_delay +. 0.001 +. (float_of_int charged /. 1000.)) d;
+  checki "bytes written" (before + charged) (Store.bytes_written s);
+  checki "snapshot bytes" (String.length snap) (Store.snapshot_bytes s);
+  checki "nothing encoded yet" 0 !runs
+
+let test_deferred_encodes_once_on_read () =
+  let s = Store.create () in
+  let runs, make = counting "snap-state" in
+  ignore (Store.install_snapshot s ~now:0. ~bytes:10 make);
+  ignore (Store.append s ~now:0. "after");
+  ignore (Store.wal_entries s, Store.wal_bytes s, Store.snapshot_bytes s, Store.bytes_written s);
+  checkb "not empty" false (Store.is_empty s);
+  checki "accounting never encodes" 0 !runs;
+  let r = Store.read s in
+  checks "read builds the bytes" "snap-state" (Option.get r.Store.snapshot);
+  Alcotest.(check (list string)) "wal intact" [ "after" ] r.Store.entries;
+  ignore (Store.read s);
+  checki "encoded exactly once" 1 !runs
+
+let test_deferred_copy () =
+  let s = Store.create () in
+  let runs, make = counting "shared-snap" in
+  ignore (Store.install_snapshot s ~now:0. ~bytes:11 make);
+  let c = Store.copy s in
+  checki "copying does not encode" 0 !runs;
+  let rs = Store.read s and rc = Store.read c in
+  checks "original bytes" "shared-snap" (Option.get rs.Store.snapshot);
+  checkb "identical bytes in both copies" true (rs.Store.snapshot = rc.Store.snapshot);
+  ignore (Store.read s, Store.read c);
+  checki "each copy encodes at most once" 2 !runs
+
+let test_deferred_wipe () =
+  let s = Store.create () in
+  let runs, make = counting "gone" in
+  ignore (Store.install_snapshot s ~now:0. ~bytes:4 make);
+  Store.wipe s;
+  checkb "empty after wipe" true (Store.is_empty s);
+  checkb "no snapshot" true ((Store.read s).Store.snapshot = None);
+  checki "snapshot bytes" 0 (Store.snapshot_bytes s);
+  checki "a wiped snapshot is never encoded" 0 !runs
+
+let test_deferred_tear () =
+  let s = Store.create () in
+  let runs, make = counting "base" in
+  ignore (Store.install_snapshot s ~now:0. ~bytes:4 make);
+  checkb "an unread snapshot cannot tear" false (Store.tear s ~rng:(Dsim.Rng.create 1));
+  ignore (Store.append s ~now:0. "keep-me");
+  ignore (Store.append s ~now:0. "tear-me");
+  checkb "tear applies" true (Store.tear s ~rng:(Dsim.Rng.create 7));
+  checki "tearing does not encode" 0 !runs;
+  let r = Store.read s in
+  checks "snapshot untouched" "base" (Option.get r.Store.snapshot);
+  checkb "tail dropped" true r.Store.torn;
+  Alcotest.(check (list string)) "prefix survives" [ "keep-me" ] r.Store.entries
 
 let test_invalid_args () =
   Alcotest.check_raises "negative fsync"
@@ -116,6 +197,14 @@ let () =
           Alcotest.test_case "write costs" `Quick test_write_costs;
           Alcotest.test_case "copy independent" `Quick test_copy_independent;
           Alcotest.test_case "invalid args" `Quick test_invalid_args;
+        ] );
+      ( "deferred snapshots",
+        [
+          Alcotest.test_case "charges exact bytes" `Quick test_deferred_charges_exact_bytes;
+          Alcotest.test_case "encodes once on read" `Quick test_deferred_encodes_once_on_read;
+          Alcotest.test_case "copy before read" `Quick test_deferred_copy;
+          Alcotest.test_case "wipe drops it" `Quick test_deferred_wipe;
+          Alcotest.test_case "tear cuts only the wal" `Quick test_deferred_tear;
         ] );
       ( "torn writes",
         [

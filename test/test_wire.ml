@@ -125,10 +125,33 @@ let test_adversarial_length_prefixes () =
   (* A plausible count whose elements then run out must also error. *)
   reject "truncated elements" (C.list C.string) (C.encode C.int 3 ^ C.encode C.string "a")
 
+(* [size] is computed per combinator without encoding, so every
+   combinator, every varint width and shaped views are checked. *)
 let test_size_matches_encode () =
-  let codec = C.list (C.pair C.string C.float) in
-  let v = [ ("alpha", 1.5); ("", -2.) ] in
-  checki "size = |encode|" (String.length (C.encode codec v)) (C.size codec v)
+  let same name codec v =
+    checki (name ^ ": size = |encode|") (String.length (C.encode codec v)) (C.size codec v)
+  in
+  same "pairs" (C.list (C.pair C.string C.float)) [ ("alpha", 1.5); ("", -2.) ];
+  same "varint widths" (C.list C.int) [ 0; 63; 64; -64; -65; 8191; 8192; max_int; min_int ];
+  same "long string" C.string (String.make 300 'x');
+  same "option, array, triple"
+    (C.array (C.option (C.triple C.bool C.unit C.bytes_)))
+    [| None; Some (true, (), Bytes.of_string "xyz") |];
+  same "conv" (C.conv (fun n -> (n, string_of_int n)) fst (C.pair C.int C.string)) 1234;
+  let tagged =
+    C.tagged
+      ~cases:[ (0, C.shape C.int); (1, C.shape (C.list C.string)) ]
+      (function `A n -> (0, C.encode C.int n) | `B l -> (1, C.encode (C.list C.string) l))
+      (fun tag p ->
+        if tag = 0 then Result.map (fun n -> `A n) (C.decode C.int p)
+        else Result.map (fun l -> `B l) (C.decode (C.list C.string) p))
+  in
+  let values = [ `A (-5); `B [ "a"; String.make 200 'b' ] ] in
+  same "tagged" (C.list tagged) values;
+  let views = C.view_codec (C.shape (C.list tagged)) in
+  match C.decode views (C.encode (C.list tagged) values) with
+  | Ok view -> same "shaped view" views view
+  | Error e -> Alcotest.fail e
 
 (* ---------- application codec ---------- *)
 
