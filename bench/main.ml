@@ -1,8 +1,9 @@
 (* The benchmark harness: regenerates every quantity the paper reports
-   (E1-E3), every motivating comparison of its §3.1 (E4-E6), the
-   steering result its §2 rests on (S1), and the ablations DESIGN.md
-   calls out (A1-A3) — followed by Bechamel micro-benchmarks of the
-   runtime machinery. Paper-reported values are printed alongside
+   (E1-E3), every motivating comparison of its §3.1 (E4-E8), the
+   steering result its §2 rests on (S1) and the ablations DESIGN.md
+   calls out (A1-A5); then the exploration engine's throughput (EX),
+   the runtime's cost layer by layer (LAYERS) and Bechamel
+   micro-benchmarks. Paper-reported values are printed alongside
    measured ones; EXPERIMENTS.md records the comparison. *)
 
 let fast = Array.exists (String.equal "--fast") Sys.argv
@@ -11,27 +12,30 @@ let fast = Array.exists (String.equal "--fast") Sys.argv
    without regenerating every experiment table. *)
 let explorer_only = Array.exists (String.equal "--explorer-only") Sys.argv
 
-(* Run only the observability section (and emit BENCH_obs.json) *)
-let obs_only = Array.exists (String.equal "--obs-only") Sys.argv
-
-(* Run only the failure-detector/reliable-delivery section (and emit
-   BENCH_fd.json) *)
-let fd_only = Array.exists (String.equal "--fd-only") Sys.argv
-
-(* Run only the overload-robustness section (and emit
-   BENCH_overload.json) *)
-let overload_only = Array.exists (String.equal "--overload-only") Sys.argv
-
-(* Run only the per-node clock section (and emit BENCH_clock.json) *)
-let clock_only = Array.exists (String.equal "--clock-only") Sys.argv
-
-(* Run only the byzantine-mutation section (and emit BENCH_byz.json) *)
-let byz_only = Array.exists (String.equal "--byz-only") Sys.argv
+(* Run only the per-layer cost ladder (and emit BENCH_layers.json) *)
+let layers_only = Array.exists (String.equal "--layers-only") Sys.argv
 
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
 
 let seeds = if fast then [ 42 ] else [ 42; 43; 44 ]
+
+(* The middle element of an odd-length list; the upper middle otherwise. *)
+let median xs =
+  let sorted = List.sort compare xs in
+  List.nth sorted (List.length sorted / 2)
+
+(* Every BENCH_*.json is one [Obs.Json] document on one line. *)
+let write_json path doc =
+  let oc = open_out path in
+  output_string oc (Obs.Json.to_string doc);
+  output_char oc '\n';
+  close_out oc
+
+(* A float rounded to [digits] decimals, for readable JSON. *)
+let json_num digits x =
+  let scale = 10. ** float_of_int digits in
+  Obs.Json.Float (Float.round (x *. scale) /. scale)
 
 (* ------------------------------------------------------------------ *)
 (* E1: code metrics                                                     *)
@@ -351,10 +355,6 @@ let a1 () =
     let _victims = RT.rejoin_phase d ~seed in
     (join_depth, d.RT.max_depth (), d.RT.forks ())
   in
-  let median xs =
-    let sorted = List.sort Int.compare xs in
-    List.nth sorted (List.length sorted / 2)
-  in
   let rows =
     List.map
       (fun horizon ->
@@ -466,10 +466,6 @@ let a3 () =
 
 let a5 () =
   section "A5  Ablation: lookahead knowledge scope (paper S3.3.2 'lack of global information')";
-  let median xs =
-    let sorted = List.sort Int.compare xs in
-    List.nth sorted (List.length sorted / 2)
-  in
   let rows =
     List.map
       (fun hops ->
@@ -586,6 +582,16 @@ let micro () =
              (Net.Netmodel.predict_transfer_time netmodel ~src:0 ~dst:1
                 ~now:(Dsim.Vtime.of_seconds 1.) ~bytes:512)))
   in
+  (* One [logf] at a Debug site: formatted into the ring with the trace
+     at Debug; with the trace at Info the gate skips the formatting and
+     only counts the call. *)
+  let logf_test name level =
+    let tr = Dsim.Trace.create ~capacity:64 ~min_level:level () in
+    Test.make ~name
+      (Staged.stage (fun () ->
+           Dsim.Trace.logf tr Dsim.Vtime.zero Dsim.Trace.Debug ~component:"bench"
+             "event %d on node %d payload %s" 42 3 "0123456789abcdef"))
+  in
   let tests =
     [
       heap_test;
@@ -594,6 +600,8 @@ let micro () =
       resolver_test "greedy" (Core.Resolver.greedy ~feature:"v" ());
       resolver_test "bandit" (Core.Bandit.to_resolver bandit);
       netmodel_test;
+      logf_test "logf debug, trace=debug" Dsim.Trace.Debug;
+      logf_test "logf debug, trace=info" Dsim.Trace.Info;
     ]
   in
   List.iter
@@ -815,56 +823,57 @@ let ex_json_path = "BENCH_explorer.json"
 let ex_multicore = Domain.recommended_domain_count () >= 2
 
 let ex_emit_json rows =
-  let oc = open_out ex_json_path in
-  let p fmt = Printf.fprintf oc fmt in
-  let measure_json label (m : ex_measure) =
-    Printf.sprintf
-      "{ \"engine\": %S, \"worlds_per_run\": %d, \"ms_per_run\": %.4f, \"worlds_per_sec\": %.1f }"
-      label m.worlds_per_run m.ms_per_run m.worlds_per_sec
+  let open Obs.Json in
+  let measure label (m : ex_measure) =
+    [ ("engine", Str label); ("worlds_per_run", Int m.worlds_per_run);
+      ("ms_per_run", json_num 4 m.ms_per_run); ("worlds_per_sec", json_num 1 m.worlds_per_sec) ]
   in
-  p "{\n";
-  p "  \"bench\": \"explorer-engine\",\n";
-  p "  \"units\": { \"throughput\": \"worlds/second\", \"latency\": \"ms/steering round\" },\n";
-  p "  \"fast\": %b,\n" fast;
-  p "  \"cores\": %d,\n" (Domain.recommended_domain_count ());
-  if not ex_multicore then
-    p "  \"parallel_note\": %S,\n"
-      "single-core host: after_parallel and parallel_speedup are not measurements here";
-  p "  \"scenarios\": [\n";
-  List.iteri
-    (fun i r ->
-      p "    {\n";
-      p "      \"name\": %S,\n" r.scenario;
-      p "      \"config\": { \"depth\": %d, \"max_worlds\": %d, \"include_drops\": %b },\n"
-        r.ex_depth r.ex_max_worlds r.ex_drops;
-      p "      \"explore\": {\n";
-      p "        \"before\": %s,\n" (measure_json "digest-dfs" r.before);
-      p "        \"after\": %s,\n" (measure_json "fingerprint-worklist" r.after);
-      let after_parallel, parallel_speedup =
-        if ex_multicore then
-          ( (let s = measure_json "fingerprint-worklist" r.after_par in
-             Printf.sprintf "{ \"domains\": %d, %s }" r.par_domains
-               (String.sub s 2 (String.length s - 4))),
-            Printf.sprintf "%.2f" (r.after_par.worlds_per_sec /. r.after.worlds_per_sec) )
-        else ("null", "null")
-      in
-      p "        \"after_parallel\": %s,\n" after_parallel;
-      p "        \"speedup\": %.2f,\n" (r.after.worlds_per_sec /. r.before.worlds_per_sec);
-      p "        \"parallel_speedup\": %s\n" parallel_speedup;
-      p "      },\n";
-      p "      \"steering_round\": {\n";
-      p "        \"before_ms\": %.4f,\n" r.steer_before_ms;
-      p "        \"after_ms\": %.4f,\n" r.steer_after_ms;
-      p "        \"after_warm_cache_ms\": %.4f,\n" r.steer_warm_ms;
-      p "        \"speedup\": %.2f\n" (r.steer_before_ms /. r.steer_after_ms);
-      p "      },\n";
-      p "      \"counters\": { \"worlds_deduped\": %d, \"outcomes_cached_warm\": %d, \"fingerprint_collisions\": %d }\n"
-        r.deduped r.cached_warm r.collisions;
-      p "    }%s\n" (if i = List.length rows - 1 then "" else ","))
-    rows;
-  p "  ]\n";
-  p "}\n";
-  close_out oc
+  let ratio a b = json_num 2 (a /. b) in
+  let scenario r =
+    Obj
+      [
+        ("name", Str r.scenario);
+        ( "config",
+          Obj [ ("depth", Int r.ex_depth); ("max_worlds", Int r.ex_max_worlds);
+                ("include_drops", Bool r.ex_drops) ] );
+        ( "explore",
+          Obj
+            [
+              ("before", Obj (measure "digest-dfs" r.before));
+              ("after", Obj (measure "fingerprint-worklist" r.after));
+              ( "after_parallel",
+                if ex_multicore then
+                  Obj (("domains", Int r.par_domains) :: measure "fingerprint-worklist" r.after_par)
+                else Null );
+              ("speedup", ratio r.after.worlds_per_sec r.before.worlds_per_sec);
+              ( "parallel_speedup",
+                if ex_multicore then ratio r.after_par.worlds_per_sec r.after.worlds_per_sec
+                else Null );
+            ] );
+        ( "steering_round",
+          Obj [ ("before_ms", json_num 4 r.steer_before_ms);
+                ("after_ms", json_num 4 r.steer_after_ms);
+                ("after_warm_cache_ms", json_num 4 r.steer_warm_ms);
+                ("speedup", ratio r.steer_before_ms r.steer_after_ms) ] );
+        ( "counters",
+          Obj [ ("worlds_deduped", Int r.deduped); ("outcomes_cached_warm", Int r.cached_warm);
+                ("fingerprint_collisions", Int r.collisions) ] );
+      ]
+  in
+  let parallel_note =
+    if ex_multicore then []
+    else
+      [ ("parallel_note",
+         Str "single-core host: after_parallel and parallel_speedup are not measurements here") ]
+  in
+  write_json ex_json_path
+    (Obj
+       ([ ("bench", Str "explorer-engine");
+          ( "units",
+            Obj [ ("throughput", Str "worlds/second"); ("latency", Str "ms/steering round") ] );
+          ("fast", Bool fast); ("cores", Int (Domain.recommended_domain_count ())) ]
+       @ parallel_note
+       @ [ ("scenarios", Arr (List.map scenario rows)) ]))
 
 let ex () =
   section "EX  Exploration engine: digest DFS vs fingerprinted worklist (steering defaults)";
@@ -943,763 +952,248 @@ let ex () =
     end
   end
 
-(* ---------- OBS: observability layer (trace gate + metrics overhead) ----------
+(* ------------------------------------------------------------------ *)
+(* LAYERS: what each runtime layer costs a run that leaves it on       *)
+(* ------------------------------------------------------------------ *)
 
-   Two questions, answered against the same 5-replica Paxos engine the
-   obs subcommand instruments: (1) does the Trace min-level gate make
-   below-threshold [logf] sites free of formatting cost, and (2) does
-   attaching the metrics/span sink keep the event-loop slowdown inside
-   the 5% budget? Results go to stdout and BENCH_obs.json. *)
+(* One deployment — 5-replica paxos, uniform 20 ms links, no jitter,
+   trace at Info — as a cumulative ladder of engines, each rung adding
+   one layer to the rung above. Each rung reports wall ns per engine
+   event and per delivered message over the first and the last 20 s of
+   a 160 s virtual run; a cost that grows with history shows as a
+   late/early ratio above 1. Results go to stdout and BENCH_layers.json.
+   The bench exits 1 if an inert rung changes the event stream or a
+   rung's late cost exceeds twice its early cost.
 
-module Obs_papp = Apps.Paxos.Make (struct
+   Rungs run whole, never interleaved slice by slice with another
+   engine: the paxos agreement memo is per domain, so alternating two
+   paxos engines in one domain rebuilds it from scratch, in O(history),
+   on every switch — which once read as a 5x cost for [+properties].
+   Machine drift is spread instead by rotating the rung order each rep
+   after one unrecorded warm-up cycle; each rung reports its median. *)
+
+module Layer_paxos = Apps.Paxos.Make (struct
   let population = 5
   let client_period = 0.25
   let retry_timeout = 2.0
 end)
 
-module Obs_pe = Engine.Sim.Make (Obs_papp)
+(* The same app without its validator, then without its durable state. *)
+module Layer_paxos_durable = struct include Layer_paxos let validate = None end
+module Layer_paxos_bare = struct include Layer_paxos_durable let durable = None end
 
-(* Nanoseconds per [logf] call at a Debug site: with the trace at Debug
-   every call formats into the ring; at Info the gate must skip the
-   formatting entirely, so the gated cost is the counter bump alone. *)
-let obs_logf_ns level =
-  let n = if fast then 200_000 else 1_000_000 in
-  let tr = Dsim.Trace.create ~capacity:64 ~min_level:level () in
-  let payload = "0123456789abcdef" in
-  let t0 = Unix.gettimeofday () in
-  for i = 0 to n - 1 do
-    Dsim.Trace.logf tr Dsim.Vtime.zero Dsim.Trace.Debug ~component:"bench"
-      "event %d on node %d payload %s" i (i mod 7) payload
-  done;
-  let ns = (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int n in
-  (n, ns)
+let layer_seed = 7
+let each_replica f = List.iter (fun i -> f (Proto.Node_id.of_int i)) [ 0; 1; 2; 3; 4 ]
 
-(* Engine events per wall second over [duration] virtual seconds of
-   sustained Paxos traffic, at the given trace level, with or without
-   the observability sink attached. *)
-let obs_paxos_run ~level ~with_obs ~duration ~seed =
-  let topology =
-    Net.Topology.uniform ~n:5
-      (Net.Linkprop.v ~latency:0.02 ~bandwidth:1_000_000. ~loss:0.)
-  in
-  let eng = Obs_pe.create ~seed ~jitter:0. ~topology () in
-  Dsim.Trace.set_min_level (Obs_pe.trace eng) level;
-  if with_obs then Obs_pe.set_obs eng (Some (Obs.Sink.create ()));
-  Obs_pe.set_resolver eng Apps.Paxos.self_resolver;
-  for i = 0 to 4 do
-    Obs_pe.spawn eng (Proto.Node_id.of_int i)
-  done;
-  let t0 = Unix.gettimeofday () in
-  Obs_pe.run_for eng duration;
-  let wall = Unix.gettimeofday () -. t0 in
-  float_of_int (Obs_pe.stats eng).Obs_pe.events_processed /. wall
+(* A rung's engine behind closures, so engines over different app
+   modules run through one harness. *)
+type layer_engine = { run_for : float -> unit; events : unit -> int; deliveries : unit -> int }
 
-(* The configs differ by a few percent at most, well inside single-run
-   noise, and the process speeds up over its first runs (heap growth,
-   code warm-up), so position in the schedule is itself a bias.  Each
-   rep measures every config back to back with the order rotated, so
-   over [reps] cycles every config occupies every slot equally; a full
-   unrecorded cycle first absorbs the cold start, and each config
-   reports its median. *)
-let obs_paxos_sweep ~configs ~duration ~reps =
-  let rotate k l =
-    let n = List.length l in
-    List.init n (fun i -> List.nth l ((i + k) mod n))
-  in
-  List.iter
-    (fun (_, level, with_obs) -> ignore (obs_paxos_run ~level ~with_obs ~duration ~seed:7))
-    configs;
-  let samples = List.map (fun (name, _, _) -> (name, ref [])) configs in
-  for r = 0 to reps - 1 do
-    List.iter
-      (fun (name, level, with_obs) ->
-        let ev = obs_paxos_run ~level ~with_obs ~duration ~seed:(7 + r) in
-        let acc = List.assoc name samples in
-        acc := ev :: !acc)
-      (rotate r configs)
-  done;
-  List.map
-    (fun (name, acc) ->
-      let sorted = List.sort compare !acc in
-      (name, List.nth sorted (List.length sorted / 2)))
-    samples
+module Layer_engine (App : Proto.App_intf.APP) = struct
+  module E = Engine.Sim.Make (App)
 
-let obs_json_path = "BENCH_obs.json"
-
-let obs_emit_json ~calls ~debug_ns ~gated_ns ~ev_debug ~ev_info ~ev_obs =
-  let oc = open_out obs_json_path in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"bench\": \"observability\",\n";
-  p "  \"units\": { \"micro\": \"ns/logf call\", \"macro\": \"engine events/second\" },\n";
-  p "  \"fast\": %b,\n" fast;
-  p "  \"trace_gate\": {\n";
-  p "    \"micro\": { \"calls\": %d, \"debug_ns_per_call\": %.1f, \"gated_ns_per_call\": %.1f, \"speedup\": %.1f },\n"
-    calls debug_ns gated_ns
-    (if gated_ns > 0. then debug_ns /. gated_ns else 0.);
-  p "    \"paxos\": { \"debug_events_per_sec\": %.0f, \"info_events_per_sec\": %.0f, \"gate_gain_pct\": %.2f }\n"
-    ev_debug ev_info
-    ((ev_info -. ev_debug) /. ev_debug *. 100.);
-  p "  },\n";
-  p "  \"obs_overhead\": { \"base_events_per_sec\": %.0f, \"obs_events_per_sec\": %.0f, \"overhead_pct\": %.2f, \"budget_pct\": 5.0 }\n"
-    ev_info ev_obs
-    ((ev_info -. ev_obs) /. ev_info *. 100.);
-  p "}\n";
-  close_out oc
-
-let obs_bench () =
-  section "OBS Observability: trace level gate + metrics/span sink overhead";
-  let calls, debug_ns = obs_logf_ns Dsim.Trace.Debug in
-  let _, gated_ns = obs_logf_ns Dsim.Trace.Info in
-  Printf.printf
-    "  logf at a Debug site (%d calls): %.1f ns formatted, %.1f ns gated (%.1fx)\n" calls
-    debug_ns gated_ns
-    (if gated_ns > 0. then debug_ns /. gated_ns else 0.);
-  let duration = if fast then 20. else 60. in
-  let reps = if fast then 3 else 5 in
-  let medians =
-    obs_paxos_sweep ~duration ~reps
-      ~configs:
-        [
-          ("debug", Dsim.Trace.Debug, false);
-          ("info", Dsim.Trace.Info, false);
-          ("info+obs", Dsim.Trace.Info, true);
-        ]
-  in
-  let ev_debug = List.assoc "debug" medians in
-  let ev_info = List.assoc "info" medians in
-  let ev_obs = List.assoc "info+obs" medians in
-  let overhead_pct = (ev_info -. ev_obs) /. ev_info *. 100. in
-  Metrics.Report.print
-    ~title:
-      (Printf.sprintf "paxos engine throughput, %.0fs virtual, median of %d" duration reps)
-    ~header:[ "config"; "events/s"; "vs info" ]
-    [
-      [ "trace=debug"; Printf.sprintf "%.0f" ev_debug;
-        Printf.sprintf "%+.1f%%" ((ev_debug -. ev_info) /. ev_info *. 100.) ];
-      [ "trace=info (gated)"; Printf.sprintf "%.0f" ev_info; "baseline" ];
-      [ "trace=info + obs sink"; Printf.sprintf "%.0f" ev_obs;
-        Printf.sprintf "%+.1f%%" (-.overhead_pct) ];
-    ];
-  Printf.printf "  obs sink overhead: %.2f%% (budget 5%%)%s\n" overhead_pct
-    (if overhead_pct < 5. then "" else "  ** OVER BUDGET **");
-  obs_emit_json ~calls ~debug_ns ~gated_ns ~ev_debug ~ev_info ~ev_obs;
-  Printf.printf "  wrote %s\n" obs_json_path
-
-(* ---------- FD: failure detection + reliable delivery overhead ----------
-
-   The phi-accrual detector is fed passively on every delivery, so its
-   cost rides the engine's hottest path. One question with a hard
-   budget: does leaving the detector on (the default) keep the
-   event-loop slowdown inside 5% versus switching it off?  The reliable
-   layer is opt-in and schedules real extra work (acks, retry timers),
-   so its figure is informational, not budgeted. Same 5-replica Paxos
-   engine, same rotation/median discipline as the obs bench.  Results
-   go to stdout and BENCH_fd.json. *)
-
-let fd_paxos_run ~fd ~reliable ~duration ~seed =
-  let topology =
-    Net.Topology.uniform ~n:5
-      (Net.Linkprop.v ~latency:0.02 ~bandwidth:1_000_000. ~loss:0.)
-  in
-  let eng = Obs_pe.create ~seed ~jitter:0. ~topology () in
-  Dsim.Trace.set_min_level (Obs_pe.trace eng) Dsim.Trace.Info;
-  Obs_pe.set_fd_enabled eng fd;
-  if reliable then Obs_pe.enable_reliable eng;
-  Obs_pe.set_resolver eng Apps.Paxos.self_resolver;
-  for i = 0 to 4 do
-    Obs_pe.spawn eng (Proto.Node_id.of_int i)
-  done;
-  let t0 = Unix.gettimeofday () in
-  Obs_pe.run_for eng duration;
-  let wall = Unix.gettimeofday () -. t0 in
-  float_of_int (Obs_pe.stats eng).Obs_pe.events_processed /. wall
-
-(* Same schedule-rotation reasoning as [obs_paxos_sweep]: the configs
-   sit within a few percent of each other, so each rep measures every
-   config back to back in rotated order and reports the median. *)
-let fd_paxos_sweep ~configs ~duration ~reps =
-  let rotate k l =
-    let n = List.length l in
-    List.init n (fun i -> List.nth l ((i + k) mod n))
-  in
-  List.iter
-    (fun (_, fd, reliable) -> ignore (fd_paxos_run ~fd ~reliable ~duration ~seed:7))
-    configs;
-  let samples = List.map (fun (name, _, _) -> (name, ref [])) configs in
-  for r = 0 to reps - 1 do
-    List.iter
-      (fun (name, fd, reliable) ->
-        let ev = fd_paxos_run ~fd ~reliable ~duration ~seed:(7 + r) in
-        let acc = List.assoc name samples in
-        acc := ev :: !acc)
-      (rotate r configs)
-  done;
-  List.map
-    (fun (name, acc) ->
-      let sorted = List.sort compare !acc in
-      (name, List.nth sorted (List.length sorted / 2)))
-    samples
-
-let fd_json_path = "BENCH_fd.json"
-
-let fd_emit_json ~ev_base ~ev_fd ~ev_rel =
-  let oc = open_out fd_json_path in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"bench\": \"failure_detector\",\n";
-  p "  \"units\": \"engine events/second\",\n";
-  p "  \"fast\": %b,\n" fast;
-  p "  \"fd_overhead\": { \"base_events_per_sec\": %.0f, \"fd_events_per_sec\": %.0f, \"overhead_pct\": %.2f, \"budget_pct\": 5.0 },\n"
-    ev_base ev_fd
-    ((ev_base -. ev_fd) /. ev_base *. 100.);
-  p "  \"reliable_informational\": { \"events_per_sec\": %.0f, \"vs_base_pct\": %.2f }\n"
-    ev_rel
-    ((ev_base -. ev_rel) /. ev_base *. 100.);
-  p "}\n";
-  close_out oc
-
-let fd_bench () =
-  section "FD  Failure detection: passive phi-accrual feed overhead";
-  let duration = if fast then 20. else 60. in
-  let reps = if fast then 3 else 5 in
-  let medians =
-    fd_paxos_sweep ~duration ~reps
-      ~configs:
-        [
-          ("base", false, false);
-          ("fd", true, false);
-          ("fd+reliable", true, true);
-        ]
-  in
-  let ev_base = List.assoc "base" medians in
-  let ev_fd = List.assoc "fd" medians in
-  let ev_rel = List.assoc "fd+reliable" medians in
-  let overhead_pct = (ev_base -. ev_fd) /. ev_base *. 100. in
-  Metrics.Report.print
-    ~title:
-      (Printf.sprintf "paxos engine throughput, %.0fs virtual, median of %d" duration reps)
-    ~header:[ "config"; "events/s"; "vs base" ]
-    [
-      [ "fd off"; Printf.sprintf "%.0f" ev_base; "baseline" ];
-      [ "fd on (default)"; Printf.sprintf "%.0f" ev_fd;
-        Printf.sprintf "%+.1f%%" (-.overhead_pct) ];
-      [ "fd + reliable"; Printf.sprintf "%.0f" ev_rel;
-        Printf.sprintf "%+.1f%%" (-.((ev_base -. ev_rel) /. ev_base *. 100.)) ];
-    ];
-  Printf.printf "  fd feed overhead: %.2f%% (budget 5%%)%s\n" overhead_pct
-    (if overhead_pct < 5. then "" else "  ** OVER BUDGET **");
-  Printf.printf "  reliable layer (informational, schedules real ack/retry work): %+.1f%%\n"
-    (-.((ev_base -. ev_rel) /. ev_base *. 100.));
-  fd_emit_json ~ev_base ~ev_fd ~ev_rel;
-  Printf.printf "  wrote %s\n" fd_json_path
-
-(* ---------- OV: overload robustness (bounded queues + shedding) ----------
-
-   Two claims with teeth, against the same 5-replica Paxos engine as
-   the obs/fd benches. (1) Budgeted: the overload layer's hot-path
-   hooks — an option check per delivery when unconfigured, ticketed
-   queue bookkeeping when bounded mailboxes are installed but idle —
-   keep the event-loop slowdown inside 5%. (2) Directional: under a
-   genuine injection burst, bounded mailboxes with priority shedding
-   keep the p99 delivery latency of real traffic at a fraction of the
-   unbounded configuration's, where the backlog (and the queue delay
-   every later arrival pays) grows without limit for as long as the
-   burst lasts. Results go to stdout and BENCH_overload.json. *)
-
-let ov_config ~bounded =
-  {
-    Obs_pe.default_overload with
-    Obs_pe.mailbox_capacity = (if bounded then 64 else 0);
-    shed = Obs_pe.By_priority;
-    service_time = 5e-4;
-  }
-
-let ov_engine ~install ~seed =
-  let topology =
-    Net.Topology.uniform ~n:5
-      (Net.Linkprop.v ~latency:0.02 ~bandwidth:1_000_000. ~loss:0.)
-  in
-  let eng = Obs_pe.create ~seed ~jitter:0. ~topology () in
-  Dsim.Trace.set_min_level (Obs_pe.trace eng) Dsim.Trace.Info;
-  (* The budgeted quantity is the *disabled* path: layer installed,
-     every knob off — what every run that never asked for overload
-     robustness pays. *)
-  if install then Obs_pe.set_overload eng ~config:Obs_pe.default_overload;
-  Obs_pe.set_resolver eng Apps.Paxos.self_resolver;
-  for i = 0 to 4 do
-    Obs_pe.spawn eng (Proto.Node_id.of_int i)
-  done;
-  eng
-
-(* The two configs sit within noise of each other, and wall-clock
-   speed on a shared machine drifts more over a few seconds than the
-   budget we are asserting — so medians of whole-run throughputs are
-   not enough. Each rep instead advances a base engine and an
-   installed engine side by side in 1-virtual-second slices
-   (alternating which goes first), so machine drift lands on both
-   configs almost simultaneously; the rep contributes one idle/base
-   throughput ratio, and the budget is judged against the median
-   ratio. *)
-let ov_overhead_rep ~duration ~seed =
-  let e_base = ov_engine ~install:false ~seed
-  and e_idle = ov_engine ~install:true ~seed in
-  let wall_base = ref 0.
-  and wall_idle = ref 0. in
-  let timed wall eng =
-    let t0 = Unix.gettimeofday () in
-    Obs_pe.run_for eng 1.;
-    wall := !wall +. (Unix.gettimeofday () -. t0)
-  in
-  for slice = 0 to int_of_float duration - 1 do
-    if slice mod 2 = 0 then begin
-      timed wall_base e_base;
-      timed wall_idle e_idle
-    end
-    else begin
-      timed wall_idle e_idle;
-      timed wall_base e_base
-    end
-  done;
-  let evps wall eng = float_of_int (Obs_pe.stats eng).Obs_pe.events_processed /. !wall in
-  (evps wall_base e_base, evps wall_idle e_idle)
-
-let ov_overhead_sweep ~duration ~reps =
-  ignore (ov_overhead_rep ~duration:2. ~seed:7) (* warmup *);
-  let base = ref [] and idle = ref [] and ratios = ref [] in
-  for r = 0 to reps - 1 do
-    let b, i = ov_overhead_rep ~duration ~seed:(7 + r) in
-    base := b :: !base;
-    idle := i :: !idle;
-    ratios := (i /. b) :: !ratios
-  done;
-  let median l =
-    let s = List.sort compare l in
-    List.nth s (List.length s / 2)
-  in
-  (median !base, median !idle, (1. -. median !ratios) *. 100.)
-
-(* The burst comparison is in virtual time — fully deterministic, no
-   rotation needed. A 2000/s chaff burst hits node 0 for two virtual
-   seconds; with [service_time] 0.5 ms per queued message the drain
-   rate cannot keep up, so the unbounded config's queue (and the delay
-   every later real message pays behind it) grows for the whole burst,
-   while the bounded config sheds chaff and keeps the backlog at 64. *)
-let ov_burst_run ~bounded ~seed =
-  let topology =
-    Net.Topology.uniform ~n:5
-      (Net.Linkprop.v ~latency:0.02 ~bandwidth:1_000_000. ~loss:0.)
-  in
-  let eng = Obs_pe.create ~seed ~jitter:0. ~topology () in
-  Dsim.Trace.set_min_level (Obs_pe.trace eng) Dsim.Trace.Warn;
-  let sink = Obs.Sink.create () in
-  Obs_pe.set_obs eng (Some sink);
-  Obs_pe.set_overload eng ~config:(ov_config ~bounded);
-  Obs_pe.set_resolver eng Apps.Paxos.self_resolver;
-  for i = 0 to 4 do
-    Obs_pe.spawn eng (Proto.Node_id.of_int i)
-  done;
-  Obs_pe.run_for eng 2.;
-  Obs_pe.overload eng ~rate:2000. (Proto.Node_id.of_int 0);
-  Obs_pe.run_for eng 2.;
-  Obs_pe.heal_overload eng (Proto.Node_id.of_int 0);
-  Obs_pe.run_for eng 4.;
-  (* Worst per-link p99 of real deliveries (chaff is never observed by
-     the sink): the metric the burst is supposed to protect. *)
-  let p99 =
-    List.fold_left
-      (fun acc j ->
-        match (Obs.Json.member "name" j, Obs.Json.member "p99" j) with
-        | Some (Obs.Json.Str "engine_delivery_latency_ms"), Some (Obs.Json.Float p) ->
-            Float.max acc p
-        | _ -> acc)
-      0.
-      (Obs.Registry.to_json ~include_volatile:true sink.Obs.Sink.registry)
-  in
-  (p99, Obs_pe.stats eng)
-
-let ov_json_path = "BENCH_overload.json"
-
-let ov_emit_json ~ev_base ~ev_idle ~overhead_pct ~p99_bounded ~p99_unbounded ~sheds ~max_depth =
-  let oc = open_out ov_json_path in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"bench\": \"overload\",\n";
-  p "  \"fast\": %b,\n" fast;
-  p
-    "  \"overload_overhead\": { \"base_events_per_sec\": %.0f, \"idle_events_per_sec\": %.0f, \
-     \"overhead_pct\": %.2f, \"budget_pct\": 5.0 },\n"
-    ev_base ev_idle overhead_pct;
-  p
-    "  \"burst_p99_ms\": { \"bounded\": %.2f, \"unbounded\": %.2f, \
-     \"bounded_beats_unbounded\": %b },\n"
-    p99_bounded p99_unbounded
-    (p99_bounded < p99_unbounded);
-  p "  \"bounded_burst\": { \"sheds\": %d, \"max_mailbox_depth\": %d }\n" sheds max_depth;
-  p "}\n";
-  close_out oc
-
-let ov_bench () =
-  section "OV  Overload robustness: layer overhead and shed-vs-no-shed p99";
-  let duration = if fast then 20. else 60. in
-  let reps = if fast then 5 else 9 in
-  let ev_base, ev_idle, overhead_pct = ov_overhead_sweep ~duration ~reps in
-  let p99_bounded, stats_bounded = ov_burst_run ~bounded:true ~seed:11 in
-  let p99_unbounded, _ = ov_burst_run ~bounded:false ~seed:11 in
-  let sheds =
-    stats_bounded.Obs_pe.sheds_mailbox + stats_bounded.Obs_pe.sheds_link
-    + stats_bounded.Obs_pe.sheds_admission + stats_bounded.Obs_pe.sheds_sojourn
-  in
-  Metrics.Report.print
-    ~title:
-      (Printf.sprintf "paxos engine throughput, %.0fs virtual, median of %d paired ratios"
-         duration reps)
-    ~header:[ "config"; "events/s"; "vs base" ]
-    [
-      [ "overload off"; Printf.sprintf "%.0f" ev_base; "baseline" ];
-      [ "installed, knobs off"; Printf.sprintf "%.0f" ev_idle;
-        Printf.sprintf "%+.1f%%" (-.overhead_pct) ];
-    ];
-  Metrics.Report.print ~title:"p99 delivery latency under a 2000/s 2s burst at node 0"
-    ~header:[ "config"; "p99 (ms)"; "sheds"; "max depth" ]
-    [
-      [ "bounded (64, by-priority)"; Printf.sprintf "%.1f" p99_bounded;
-        Metrics.Report.fint sheds;
-        Metrics.Report.fint stats_bounded.Obs_pe.max_mailbox_depth ];
-      [ "unbounded"; Printf.sprintf "%.1f" p99_unbounded; "0"; "(unbounded)" ];
-    ];
-  Printf.printf "  overload layer overhead (installed, idle): %.2f%% (budget 5%%)%s\n"
-    overhead_pct
-    (if overhead_pct < 5. then "" else "  ** OVER BUDGET **");
-  Printf.printf "  burst p99: bounded %.1f ms vs unbounded %.1f ms%s\n" p99_bounded
-    p99_unbounded
-    (if p99_bounded < p99_unbounded then "" else "  ** SHEDDING DID NOT HELP **");
-  ov_emit_json ~ev_base ~ev_idle ~overhead_pct ~p99_bounded ~p99_unbounded ~sheds
-    ~max_depth:stats_bounded.Obs_pe.max_mailbox_depth;
-  Printf.printf "  wrote %s\n" ov_json_path
-
-(* ---------- CLOCK: per-node clock layer overhead ----------
-
-   The budgeted quantity is the instrumented-but-inert path: every node
-   given an identity clock entry (rate 1, zero offset — created via
-   [set_clock_rate ~rate:1.0], which stays in the table where a heal
-   would delete it), so every timer schedule and [Ctx.now] read goes
-   through the clock conversions while producing byte-identical
-   behaviour. That is what a run that never injects skew pays once the
-   table exists; with no table at all the layer is a single [None]
-   check. Same paired-slice protocol as the overload bench: the two
-   configs differ by well under machine drift over a few seconds, so
-   each rep advances both engines in alternating 1-virtual-second
-   slices and contributes one throughput ratio; the budget is judged
-   against the median ratio. Results go to stdout and
-   BENCH_clock.json. *)
-
-let clock_engine ~instrument ~seed =
-  let topology =
-    Net.Topology.uniform ~n:5
-      (Net.Linkprop.v ~latency:0.02 ~bandwidth:1_000_000. ~loss:0.)
-  in
-  let eng = Obs_pe.create ~seed ~jitter:0. ~topology () in
-  Dsim.Trace.set_min_level (Obs_pe.trace eng) Dsim.Trace.Info;
-  Obs_pe.set_resolver eng Apps.Paxos.self_resolver;
-  for i = 0 to 4 do
-    Obs_pe.spawn eng (Proto.Node_id.of_int i)
-  done;
-  if instrument then
-    for i = 0 to 4 do
-      Obs_pe.set_clock_rate eng (Proto.Node_id.of_int i) ~rate:1.0
-    done;
-  eng
-
-let clock_overhead_rep ~duration ~seed =
-  let e_base = clock_engine ~instrument:false ~seed
-  and e_inst = clock_engine ~instrument:true ~seed in
-  let wall_base = ref 0.
-  and wall_inst = ref 0. in
-  let timed wall eng =
-    let t0 = Unix.gettimeofday () in
-    Obs_pe.run_for eng 1.;
-    wall := !wall +. (Unix.gettimeofday () -. t0)
-  in
-  for slice = 0 to int_of_float duration - 1 do
-    if slice mod 2 = 0 then begin
-      timed wall_base e_base;
-      timed wall_inst e_inst
-    end
-    else begin
-      timed wall_inst e_inst;
-      timed wall_base e_base
-    end
-  done;
-  let evps wall eng = float_of_int (Obs_pe.stats eng).Obs_pe.events_processed /. !wall in
-  (evps wall_base e_base, evps wall_inst e_inst)
-
-let clock_overhead_sweep ~duration ~reps =
-  ignore (clock_overhead_rep ~duration:2. ~seed:7) (* warmup *);
-  let base = ref [] and inst = ref [] and ratios = ref [] in
-  for r = 0 to reps - 1 do
-    let b, i = clock_overhead_rep ~duration ~seed:(7 + r) in
-    base := b :: !base;
-    inst := i :: !inst;
-    ratios := (i /. b) :: !ratios
-  done;
-  let median l =
-    let s = List.sort compare l in
-    List.nth s (List.length s / 2)
-  in
-  (median !base, median !inst, (1. -. median !ratios) *. 100.)
-
-(* Deterministic skew sanity check (virtual time, no wall clock): the
-   same seeded paxos run with one replica's clock 25% fast must stay
-   byte-equal on delivery counts to a run where that replica's timers
-   genuinely fire early — i.e. the drift run must differ from the sync
-   run, while two identical drift runs agree. *)
-let clock_drift_determinism () =
-  let run drift seed =
-    let eng = clock_engine ~instrument:false ~seed in
-    if drift then Obs_pe.set_clock_rate eng (Proto.Node_id.of_int 0) ~rate:1.25;
-    Obs_pe.run_for eng 10.;
-    (Obs_pe.stats eng).Obs_pe.messages_delivered
-  in
-  let sync = run false 11 in
-  let d1 = run true 11 and d2 = run true 11 in
-  (sync, d1, d1 = d2)
-
-let clock_json_path = "BENCH_clock.json"
-
-let clock_emit_json ~ev_base ~ev_inst ~overhead_pct ~sync_dlv ~drift_dlv ~drift_deterministic =
-  let oc = open_out clock_json_path in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"bench\": \"clock\",\n";
-  p "  \"fast\": %b,\n" fast;
-  p
-    "  \"clock_overhead\": { \"base_events_per_sec\": %.0f, \"instrumented_events_per_sec\": \
-     %.0f, \"overhead_pct\": %.2f, \"budget_pct\": 5.0 },\n"
-    ev_base ev_inst overhead_pct;
-  p
-    "  \"drift_determinism\": { \"sync_delivered\": %d, \"drift_delivered\": %d, \
-     \"drift_changes_schedule\": %b, \"repeat_runs_agree\": %b }\n"
-    sync_dlv drift_dlv (sync_dlv <> drift_dlv) drift_deterministic;
-  p "}\n";
-  close_out oc
-
-let clock_bench () =
-  section "CLK Per-node clocks: identity-entry overhead and drift determinism";
-  let duration = if fast then 20. else 60. in
-  let reps = if fast then 5 else 9 in
-  let ev_base, ev_inst, overhead_pct = clock_overhead_sweep ~duration ~reps in
-  let sync_dlv, drift_dlv, drift_deterministic = clock_drift_determinism () in
-  Metrics.Report.print
-    ~title:
-      (Printf.sprintf "paxos engine throughput, %.0fs virtual, median of %d paired ratios"
-         duration reps)
-    ~header:[ "config"; "events/s"; "vs base" ]
-    [
-      [ "no clock table"; Printf.sprintf "%.0f" ev_base; "baseline" ];
-      [ "identity clocks, all nodes"; Printf.sprintf "%.0f" ev_inst;
-        Printf.sprintf "%+.1f%%" (-.overhead_pct) ];
-    ];
-  Metrics.Report.print ~title:"10s seeded paxos run, replica 0 at rate x1.25"
-    ~header:[ "config"; "delivered"; "note" ]
-    [
-      [ "all clocks sync"; Metrics.Report.fint sync_dlv; "baseline schedule" ];
-      [ "replica 0 fast"; Metrics.Report.fint drift_dlv;
-        (if sync_dlv <> drift_dlv then "schedule shifted" else "** DRIFT HAD NO EFFECT **") ];
-    ];
-  Printf.printf "  clock layer overhead (identity entries): %.2f%% (budget 5%%)%s\n"
-    overhead_pct
-    (if overhead_pct < 5. then "" else "  ** OVER BUDGET **");
-  Printf.printf "  drift determinism: repeat runs %s\n"
-    (if drift_deterministic then "agree" else "DISAGREE  ** NOT DETERMINISTIC **");
-  clock_emit_json ~ev_base ~ev_inst ~overhead_pct ~sync_dlv ~drift_dlv ~drift_deterministic;
-  Printf.printf "  wrote %s\n" clock_json_path
-
-(* BYZ --- What does the byzantine-mutation layer cost a run that never
-   mutates? The admission path runs on every delivered message whether
-   or not a storm is on: [App.validate] (a [Some] for paxos) plus
-   Netem's mutate-rate gate. The paired base is the same paxos app
-   with the validator stripped — byte-identical protocol, [None]
-   admission — so the ratio prices exactly what a byz-free run pays
-   for the feature existing. Same paired-slice protocol as the clock
-   bench; judged against the median ratio. Results go to stdout and
-   BENCH_byz.json. *)
-
-module Byz_papp_base = struct
-  include Obs_papp
-
-  let validate = None
+  (* [install] adds the rung's layers to an otherwise default engine. *)
+  let make ?(check_properties = true) ?(fd = true) ?(install = ignore) () =
+    let topology =
+      Net.Topology.uniform ~n:5 (Net.Linkprop.v ~latency:0.02 ~bandwidth:1_000_000. ~loss:0.)
+    in
+    let eng = E.create ~seed:layer_seed ~jitter:0. ~check_properties ~topology () in
+    Dsim.Trace.set_min_level (E.trace eng) Dsim.Trace.Info;
+    if not fd then E.set_fd_enabled eng false;
+    E.set_resolver eng Apps.Paxos.self_resolver;
+    each_replica (fun node -> E.spawn eng node);
+    install eng;
+    {
+      run_for = E.run_for eng;
+      events = (fun () -> (E.stats eng).E.events_processed);
+      deliveries = (fun () -> (E.stats eng).E.messages_delivered);
+    }
 end
 
-module Byz_pe_base = Engine.Sim.Make (Byz_papp_base)
+module Le_bare = Layer_engine (Layer_paxos_bare)
+module Le_durable = Layer_engine (Layer_paxos_durable)
+module Le = Layer_engine (Layer_paxos)
 
-let byz_topology () =
-  Net.Topology.uniform ~n:5 (Net.Linkprop.v ~latency:0.02 ~bandwidth:1_000_000. ~loss:0.)
+(* An inert rung must leave the event stream exactly as the rung above
+   it found it: same events, same deliveries. *)
+type rung = { rung : string; inert : bool; build : unit -> layer_engine }
 
-let byz_overhead_rep ~duration ~seed =
-  let e_base = Byz_pe_base.create ~seed ~jitter:0. ~topology:(byz_topology ()) () in
-  let e_inst = Obs_pe.create ~seed ~jitter:0. ~topology:(byz_topology ()) () in
-  Byz_pe_base.set_resolver e_base Apps.Paxos.self_resolver;
-  Obs_pe.set_resolver e_inst Apps.Paxos.self_resolver;
-  for i = 0 to 4 do
-    Byz_pe_base.spawn e_base (Proto.Node_id.of_int i);
-    Obs_pe.spawn e_inst (Proto.Node_id.of_int i)
+let default_rung = "+fd"
+
+let layer_rungs =
+  let full_layers =
+    [
+      (default_rung, false, ignore);
+      ("+obs sink", true, fun eng -> Le.E.set_obs eng (Some (Obs.Sink.create ())));
+      ( "+identity clocks",
+        true,
+        fun eng -> each_replica (fun node -> Le.E.set_clock_rate eng node ~rate:1.0) );
+      ("+overload idle", true, fun eng -> Le.E.set_overload eng ~config:Le.E.default_overload);
+      ("+reliable", false, fun eng -> Le.E.enable_reliable eng);
+    ]
+  in
+  let _, full =
+    List.fold_left_map
+      (fun below (rung, inert, layer) ->
+        let install eng =
+          below eng;
+          layer eng
+        in
+        (install, { rung; inert; build = (fun () -> Le.make ~install ()) }))
+      ignore full_layers
+  in
+  [
+    { rung = "bare"; inert = false; build = Le_bare.make ~check_properties:false ~fd:false };
+    { rung = "+properties"; inert = true; build = Le_bare.make ~fd:false };
+    { rung = "+durability"; inert = false; build = Le_durable.make ~fd:false };
+    { rung = "+validator"; inert = true; build = Le.make ~fd:false };
+  ]
+  @ full
+
+let layer_virtual_s = 160
+let layer_window_s = 20
+let layer_max_growth = 2.
+
+(* Wall ns per engine event and per delivered message over a window. *)
+type layer_cost = { per_event : float; per_delivery : float }
+type layer_run = {
+  events_total : int;
+  deliveries_total : int;
+  early : layer_cost;
+  late : layer_cost;
+}
+
+(* One whole run of a rung, advanced and timed in 1 s virtual slices. *)
+let layer_run r =
+  let e = r.build () in
+  let n = layer_virtual_s in
+  let ns = Array.make n 0. and ev = Array.make n 0. and dl = Array.make n 0. in
+  for s = 0 to n - 1 do
+    let ev0 = e.events () and dl0 = e.deliveries () in
+    let t0 = Monotonic_clock.now () in
+    e.run_for 1.;
+    ns.(s) <- Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0);
+    ev.(s) <- float_of_int (e.events () - ev0);
+    dl.(s) <- float_of_int (e.deliveries () - dl0)
   done;
-  let wall_base = ref 0. and wall_inst = ref 0. in
-  let timed_base () =
-    let t0 = Unix.gettimeofday () in
-    Byz_pe_base.run_for e_base 1.;
-    wall_base := !wall_base +. (Unix.gettimeofday () -. t0)
+  let window first =
+    let sum a = Array.fold_left ( +. ) 0. (Array.sub a first layer_window_s) in
+    { per_event = sum ns /. sum ev; per_delivery = sum ns /. sum dl }
   in
-  let timed_inst () =
-    let t0 = Unix.gettimeofday () in
-    Obs_pe.run_for e_inst 1.;
-    wall_inst := !wall_inst +. (Unix.gettimeofday () -. t0)
-  in
-  for slice = 0 to int_of_float duration - 1 do
-    if slice mod 2 = 0 then begin
-      timed_base ();
-      timed_inst ()
-    end
-    else begin
-      timed_inst ();
-      timed_base ()
-    end
+  { events_total = e.events (); deliveries_total = e.deliveries ();
+    early = window 0; late = window (n - layer_window_s) }
+
+let layers_json_path = "BENCH_layers.json"
+
+let layers () =
+  section "LAYERS Per-layer cost ladder: 5-replica paxos, one layer added per rung";
+  let reps = if fast then 3 else 7 in
+  let rungs = Array.of_list layer_rungs in
+  let k = Array.length rungs in
+  Array.iter (fun r -> ignore (layer_run r)) rungs;
+  let samples = Array.make k [] in
+  for rep = 0 to reps - 1 do
+    for j = 0 to k - 1 do
+      let i = (j + rep) mod k in
+      samples.(i) <- layer_run rungs.(i) :: samples.(i)
+    done
   done;
-  ( float_of_int (Byz_pe_base.stats e_base).Byz_pe_base.events_processed /. !wall_base,
-    float_of_int (Obs_pe.stats e_inst).Obs_pe.events_processed /. !wall_inst )
-
-let byz_overhead_sweep ~duration ~reps =
-  ignore (byz_overhead_rep ~duration:2. ~seed:7) (* warmup *);
-  let base = ref [] and inst = ref [] and ratios = ref [] in
-  for r = 0 to reps - 1 do
-    let b, i = byz_overhead_rep ~duration ~seed:(7 + r) in
-    base := b :: !base;
-    inst := i :: !inst;
-    ratios := (i /. b) :: !ratios
-  done;
-  let median l =
-    let s = List.sort compare l in
-    List.nth s (List.length s / 2)
+  (* The seed is fixed, so every rep of a rung does the same work: the
+     counts of any one rep stand for all of them. *)
+  let rows =
+    Array.map
+      (fun runs ->
+        let cost pick =
+          { per_event = median (List.map (fun x -> (pick x).per_event) runs);
+            per_delivery = median (List.map (fun x -> (pick x).per_delivery) runs) }
+        in
+        { (List.hd runs) with early = cost (fun x -> x.early); late = cost (fun x -> x.late) })
+      samples
   in
-  (median !base, median !inst, (1. -. median !ratios) *. 100.)
-
-(* Enabled-path sanity (virtual time, no wall clock): the pinned seeded
-   byzantine storm must mutate, bounce some mutants at the validators,
-   keep every safety property, and replay bit-identically. *)
-let byz_storm_sanity () =
-  let module X = Experiments.Chaos_exp in
-  let a = X.run ~seed:42 ~byz:(-1) "paxos" in
-  let b = X.run ~seed:42 ~byz:(-1) "paxos" in
-  let replays =
-    a.X.byz_emitted = b.X.byz_emitted
-    && a.X.byz_rejected = b.X.byz_rejected
-    && a.X.delivered = b.X.delivered
+  let growth x = x.late.per_event /. x.early.per_event in
+  let failing pred =
+    List.filter_map (fun i -> if pred i then Some rungs.(i).rung else None) (List.init k Fun.id)
   in
-  (a.X.byz_emitted, a.X.byz_rejected, a.X.byz_accepted, a.X.violations, replays)
-
-let byz_json_path = "BENCH_byz.json"
-
-let byz_emit_json ~ev_base ~ev_inst ~overhead_pct ~emitted ~rejected ~accepted ~violations
-    ~replays =
-  let oc = open_out byz_json_path in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"bench\": \"byz\",\n";
-  p "  \"fast\": %b,\n" fast;
-  p
-    "  \"disabled_path_overhead\": { \"base_events_per_sec\": %.0f, \
-     \"instrumented_events_per_sec\": %.0f, \"overhead_pct\": %.2f, \"budget_pct\": 5.0 },\n"
-    ev_base ev_inst overhead_pct;
-  p
-    "  \"storm_sanity\": { \"seed\": 42, \"byz_emitted\": %d, \"byz_rejected\": %d, \
-     \"byz_accepted\": %d, \"violations\": %d, \"replays_bit_identical\": %b }\n"
-    emitted rejected accepted violations replays;
-  p "}\n";
-  close_out oc
-
-let byz_bench () =
-  section "BYZ Byzantine mutation: disabled-path overhead and storm sanity";
-  let duration = if fast then 20. else 60. in
-  let reps = if fast then 5 else 9 in
-  let ev_base, ev_inst, overhead_pct = byz_overhead_sweep ~duration ~reps in
-  let emitted, rejected, accepted, violations, replays = byz_storm_sanity () in
+  let stream_changed =
+    failing (fun i ->
+        rungs.(i).inert
+        && (rows.(i).events_total <> rows.(i - 1).events_total
+           || rows.(i).deliveries_total <> rows.(i - 1).deliveries_total))
+  in
+  let grew = failing (fun i -> growth rows.(i) > layer_max_growth) in
   Metrics.Report.print
     ~title:
-      (Printf.sprintf "paxos engine throughput, %.0fs virtual, median of %d paired ratios"
-         duration reps)
-    ~header:[ "config"; "events/s"; "vs base" ]
-    [
-      [ "no validator"; Printf.sprintf "%.0f" ev_base; "baseline" ];
-      [ "validator, byz off"; Printf.sprintf "%.0f" ev_inst;
-        Printf.sprintf "%+.1f%%" (-.overhead_pct) ];
-    ];
-  Metrics.Report.print ~title:"seeded byzantine storm (seed 42, global channel at 0.05)"
-    ~header:[ "quantity"; "value"; "note" ]
-    [
-      [ "mutants emitted"; Metrics.Report.fint emitted;
-        (if emitted > 0 then "storm was real" else "** NO MUTANTS **") ];
-      [ "bounced by validators"; Metrics.Report.fint rejected;
-        (if rejected > 0 then "admission exercised" else "** NOTHING BOUNCED **") ];
-      [ "reached handlers"; Metrics.Report.fint accepted; "survived admission" ];
-      [ "safety violations"; Metrics.Report.fint violations;
-        (if violations = 0 then "invariants held" else "** UNSAFE **") ];
-    ];
-  Printf.printf "  disabled-path overhead (validator + rate gate): %.2f%% (budget 5%%)%s\n"
-    overhead_pct
-    (if overhead_pct < 5. then "" else "  ** OVER BUDGET **");
-  Printf.printf "  storm replay: %s\n" (if replays then "bit-identical" else "** DIVERGED **");
-  byz_emit_json ~ev_base ~ev_inst ~overhead_pct ~emitted ~rejected ~accepted ~violations
-    ~replays;
-  Printf.printf "  wrote %s\n" byz_json_path
+      (Printf.sprintf
+         "wall ns per event / per delivered message, %ds virtual, early = first %ds, late = last \
+          %ds, median of %d"
+         layer_virtual_s layer_window_s layer_window_s reps)
+    ~header:
+      [ "rung"; "events"; "delivered"; "ns/ev early"; "ns/ev late"; "ns/dlv early"; "ns/dlv late";
+        "late/early"; "+ns/dlv late" ]
+    (List.init k (fun i ->
+         let r = rungs.(i) and x = rows.(i) in
+         [
+           (if r.rung = default_rung then r.rung ^ " (default engine)" else r.rung);
+           Metrics.Report.fint x.events_total;
+           Metrics.Report.fint x.deliveries_total;
+         ]
+         @ List.map (Printf.sprintf "%.0f")
+             [ x.early.per_event; x.late.per_event; x.early.per_delivery; x.late.per_delivery ]
+         @ [
+             Printf.sprintf "%.2fx" (growth x);
+             (if i = 0 then "-"
+              else Printf.sprintf "%+.0f" (x.late.per_delivery -. rows.(i - 1).late.per_delivery));
+           ]));
+  let open Obs.Json in
+  let cost c =
+    Obj [ ("ns_per_event", json_num 1 c.per_event); ("ns_per_delivery", json_num 1 c.per_delivery) ]
+  in
+  let rung i =
+    let r = rungs.(i) and x = rows.(i) in
+    Obj
+      [ ("name", Str r.rung); ("default", Bool (r.rung = default_rung)); ("inert", Bool r.inert);
+        ("events", Int x.events_total); ("deliveries", Int x.deliveries_total);
+        ("early", cost x.early); ("late", cost x.late); ("late_over_early", json_num 3 (growth x)) ]
+  in
+  write_json layers_json_path
+    (Obj
+       [
+         ("bench", Str "layers"); ("fast", Bool fast); ("reps", Int reps);
+         ("statistic", Str "median over reps; rung order rotated per rep after one warm-up cycle");
+         ( "deployment",
+           Obj
+             [ ("app", Str "paxos"); ("replicas", Int 5); ("client_period_s", Float 0.25);
+               ("retry_timeout_s", Float 2.0); ("latency_ms", Float 20.); ("jitter", Float 0.);
+               ("trace", Str "info"); ("seed", Int layer_seed) ] );
+         ( "timing",
+           Obj
+             [ ("clock", Str "monotonic wall ns"); ("virtual_s", Int layer_virtual_s);
+               ("slice_s", Float 1.); ("window_s", Int layer_window_s) ] );
+         ("rungs", Arr (List.init k rung));
+         ( "checks",
+           Obj
+             [ ("inert_rungs_match", Bool (stream_changed = []));
+               ("max_late_over_early", Float layer_max_growth); ("growth_ok", Bool (grew = [])) ] );
+       ]);
+  Printf.printf "  wrote %s\n" layers_json_path;
+  let verdict = function [] -> "yes" | bad -> "NO: " ^ String.concat ", " bad in
+  Printf.printf "  inert rungs leave the stream alone: %s\n" (verdict stream_changed);
+  Printf.printf "  late ns/event within %.0fx of early: %s\n" layer_max_growth (verdict grew);
+  if stream_changed <> [] || grew <> [] then begin
+    prerr_endline "LAYER BENCH CHECK FAILED";
+    exit 1
+  end
 
 let () =
   Printf.printf
     "Reproduction benches: Yabandeh et al., Simplifying Distributed System Development (HotOS 2009)\n";
   if fast then print_endline "(--fast: single seed, reduced sweeps)";
-  if explorer_only then begin
-    ex ();
-    exit 0
-  end;
-  if obs_only then begin
-    obs_bench ();
-    exit 0
-  end;
-  if fd_only then begin
-    fd_bench ();
-    exit 0
-  end;
-  if overload_only then begin
-    ov_bench ();
-    exit 0
-  end;
-  if clock_only then begin
-    clock_bench ();
-    exit 0
-  end;
-  if byz_only then begin
-    byz_bench ();
-    exit 0
-  end;
-  e1 ();
-  e23 ();
-  e3b ();
-  e4 ();
-  e5 ();
-  e6 ();
-  e7 ();
-  e8 ();
-  s1 ();
-  a1 ();
-  a2 ();
-  a3 ();
-  a4 ();
-  a5 ();
-  ex ();
-  obs_bench ();
-  fd_bench ();
-  ov_bench ();
-  clock_bench ();
-  byz_bench ();
-  micro ();
-  print_endline "\nAll experiment tables regenerated. See EXPERIMENTS.md for the paper-vs-measured record."
+  if explorer_only then ex ()
+  else if layers_only then layers ()
+  else begin
+    List.iter
+      (fun f -> f ())
+      [ e1; e23; e3b; e4; e5; e6; e7; e8; s1; a1; a2; a3; a4; a5; ex; layers; micro ];
+    print_endline
+      "\nAll experiment tables regenerated. See EXPERIMENTS.md for the paper-vs-measured record."
+  end

@@ -123,12 +123,13 @@ let byz_soak app =
       checkb (app ^ ": accounting consistent") true
         (r.X.byz_rejected + r.X.byz_accepted <= r.X.byz_emitted))
 
-let test_byz_soak_replays () =
-  let a = X.run ~seed:42 ~byz:(-1) "kvstore" and b = X.run ~seed:42 ~byz:(-1) "kvstore" in
-  checki "same mutants emitted" a.X.byz_emitted b.X.byz_emitted;
-  checki "same mutants rejected" a.X.byz_rejected b.X.byz_rejected;
-  checki "same mutants accepted" a.X.byz_accepted b.X.byz_accepted;
-  checki "same deliveries" a.X.delivered b.X.delivered
+let test_byz_soak_replays app =
+  Alcotest.test_case (app ^ " replay is bit-identical") `Slow (fun () ->
+      let a = X.run ~seed:42 ~byz:(-1) app and b = X.run ~seed:42 ~byz:(-1) app in
+      checki (app ^ ": same mutants emitted") a.X.byz_emitted b.X.byz_emitted;
+      checki (app ^ ": same mutants rejected") a.X.byz_rejected b.X.byz_rejected;
+      checki (app ^ ": same mutants accepted") a.X.byz_accepted b.X.byz_accepted;
+      checki (app ^ ": same deliveries") a.X.delivered b.X.delivered)
 
 let test_byz_off_reports_zero () =
   let r = X.run ~seed:42 "paxos" in
@@ -261,7 +262,8 @@ let () =
         [
           byz_soak "paxos";
           byz_soak "kvstore";
-          Alcotest.test_case "replay is bit-identical" `Slow test_byz_soak_replays;
+          test_byz_soak_replays "paxos";
+          test_byz_soak_replays "kvstore";
           Alcotest.test_case "knob off reports zero" `Slow test_byz_off_reports_zero;
         ] );
       ( "plans",

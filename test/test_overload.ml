@@ -243,6 +243,63 @@ let test_heal_idempotent () =
   E.run_for eng 1.;
   checkb "overload installs the layer on demand" true (E.overload_limits eng <> None)
 
+(* A 2000/s chaff burst at one paxos replica for two virtual seconds,
+   each queued message costing 0.5 ms of service: unbounded, the
+   backlog and the queue delay every later real message pays behind it
+   grow for the whole burst; bounded at 64 with priority shedding, the
+   chaff is shed and real traffic keeps a short queue. *)
+module Pax = Apps.Paxos.Make (struct
+  let population = 5
+  let client_period = 0.25
+  let retry_timeout = 2.0
+end)
+
+module PE = Engine.Sim.Make (Pax)
+
+let paxos_burst ~capacity =
+  let topology =
+    Net.Topology.uniform ~n:5 (Net.Linkprop.v ~latency:0.02 ~bandwidth:1_000_000. ~loss:0.)
+  in
+  let eng = PE.create ~seed:11 ~jitter:0. ~topology () in
+  Dsim.Trace.set_min_level (PE.trace eng) Dsim.Trace.Warn;
+  let sink = Obs.Sink.create () in
+  PE.set_obs eng (Some sink);
+  PE.set_overload eng
+    ~config:
+      { PE.default_overload with
+        PE.mailbox_capacity = capacity; shed = PE.By_priority; service_time = 5e-4 };
+  PE.set_resolver eng Apps.Paxos.self_resolver;
+  for i = 0 to 4 do
+    PE.spawn eng (nid i)
+  done;
+  PE.run_for eng 2.;
+  PE.overload eng ~rate:2000. (nid 0);
+  PE.run_for eng 2.;
+  PE.heal_overload eng (nid 0);
+  PE.run_for eng 4.;
+  (* Worst per-link p99 of real deliveries: the sink never sees chaff. *)
+  let p99 =
+    List.fold_left
+      (fun acc j ->
+        match (Obs.Json.member "name" j, Obs.Json.member "p99" j) with
+        | Some (Obs.Json.Str "engine_delivery_latency_ms"), Some (Obs.Json.Float p) ->
+            Float.max acc p
+        | _ -> acc)
+      0.
+      (Obs.Registry.to_json ~include_volatile:true sink.Obs.Sink.registry)
+  in
+  (p99, PE.stats eng)
+
+let test_paxos_burst_p99 () =
+  let p99_bounded, s = paxos_burst ~capacity:64 in
+  let p99_unbounded, _ = paxos_burst ~capacity:0 in
+  checkb
+    (Printf.sprintf "bounded p99 %.1f ms below unbounded %.1f ms" p99_bounded p99_unbounded)
+    true (p99_bounded < p99_unbounded);
+  checkb "mailbox never exceeded 64" true (s.PE.max_mailbox_depth <= 64);
+  checkb "the burst was shed" true
+    (s.PE.sheds_mailbox + s.PE.sheds_link + s.PE.sheds_admission + s.PE.sheds_sojourn > 0)
+
 (* ---------- circuit breaker ---------- *)
 
 module Cb = Net.Circuit_breaker
@@ -383,6 +440,7 @@ let () =
         [
           Alcotest.test_case "bounded chaff burst" `Quick test_overload_burst_bounded;
           Alcotest.test_case "heal is idempotent" `Quick test_heal_idempotent;
+          Alcotest.test_case "shedding cuts paxos p99" `Quick test_paxos_burst_p99;
         ] );
       ( "breaker",
         [
