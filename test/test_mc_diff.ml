@@ -216,6 +216,15 @@ module Diff (App : Proto.App_intf.APP) = struct
     checkb (name ^ ": truncated") r1.Ex.truncated r4.Ex.truncated;
     check_strings (name ^ ": liveness_unmet") r1.Ex.liveness_unmet r4.Ex.liveness_unmet
 
+  (* One pin-table line: every result field, violations as an MD5 of
+     [full_sig] so representative paths are pinned too. *)
+  let pin_row name (r : Ex.result) =
+    Printf.sprintf "%s explored=%d deduped=%d collisions=%d truncated=%b unmet=[%s] cached=%d sig=%s"
+      name r.Ex.worlds_explored r.Ex.worlds_deduped r.Ex.fingerprint_collisions r.Ex.truncated
+      (String.concat "," r.Ex.liveness_unmet)
+      r.Ex.outcomes_cached
+      (Digest.to_hex (Digest.string (String.concat "\n" (full_sig r))))
+
   let check_cache_reuse name ?include_drops ?generic_node ~depth (w : Ex.world) =
     let cache = Ex.create_cache () in
     let r1 = Ex.explore ?include_drops ?generic_node ~cache ~depth w in
@@ -230,7 +239,7 @@ end
 module Lock = Test_support.Lock_app
 module DL = Diff (Lock)
 
-let lock_world ?(timers = []) states pending : DL.Ex.world =
+let lock_world ?(timers = []) ?(clocks = []) states pending : DL.Ex.world =
   {
     states =
       List.fold_left
@@ -238,7 +247,7 @@ let lock_world ?(timers = []) states pending : DL.Ex.world =
         Proto.Node_id.Map.empty states;
     pending = List.map (fun (a, b, m) -> (nid a, nid b, m)) pending;
     timers = List.map (fun (i, id) -> (nid i, id)) timers;
-    clocks = [];
+    clocks = List.map (fun (i, fp) -> (nid i, fp)) clocks;
   }
 
 let lock_worlds =
@@ -423,6 +432,89 @@ let test_cache_reuse () =
     (lock_world [ (0, false); (1, false) ] [ (0, 1, Lock.Grant); (1, 0, Lock.Grant) ]);
   DP.check_cache_reuse "paxos/cache" ~depth:3 (paxos_world ~seed:3)
 
+(* ---------- explorer pin table ----------
+
+   Every result field of a fixed set of explores, recorded from the
+   explorer as it stood before the level loop was collapsed into one
+   sequential pass. Any change to a counter, a verdict, a
+   representative path or the cache statistic shows up here as a
+   mismatching line. *)
+
+let mutant_world () =
+  let w = paxos_world ~seed:3 in
+  match w.DP.Ex.pending with
+  | [] -> Alcotest.fail "frozen world has no pending messages"
+  | (src, dst, m) :: rest -> { w with DP.Ex.pending = (src, dst, mutant_of m) :: (src, dst, m) :: rest }
+
+(* The skewed-clock lock world of test_clock.ml. *)
+let skewed_lock_world () =
+  lock_world
+    ~clocks:[ (0, 0x1234); (1, 0x5678) ]
+    [ (0, false); (1, false); (2, false) ]
+    [ (0, 1, Lock.Grant); (1, 2, Lock.Grant); (2, 0, Lock.Flip) ]
+
+let pin_rows () =
+  let iter_row row name (d, r) = row (Printf.sprintf "%s@stop%d" name d) r
+  in
+  let paxos3 = paxos_world ~seed:3 in
+  let rt = randtree_world ~seed:5 ~n:6 ~horizon:0.4 in
+  let cache = DP.Ex.create_cache () in
+  let warm1 = DP.Ex.explore ~include_drops:true ~cache ~depth:3 paxos3 in
+  let warm2 = DP.Ex.explore ~include_drops:true ~cache ~depth:3 paxos3 in
+  List.map
+    (fun (name, w) ->
+      DL.pin_row ("lock/" ^ name)
+        (DL.Ex.explore ~include_drops:true ~generic_node:true ~depth:4 w))
+    lock_worlds
+  @ [
+      DL.pin_row "lock/skewed-clocks" (DL.Ex.explore ~depth:4 (skewed_lock_world ()));
+      iter_row DL.pin_row "lock/double-grant/iterative"
+        (DL.Ex.iterative ~include_drops:true ~max_depth:3 (List.assoc "double-grant" lock_worlds));
+      DP.pin_row "paxos/seed3/drops" (DP.Ex.explore ~include_drops:true ~depth:3 paxos3);
+      DP.pin_row "paxos/seed11/plain" (DP.Ex.explore ~depth:3 (paxos_world ~seed:11));
+      DP.pin_row "paxos/seed3/generic"
+        (DP.Ex.explore ~include_drops:true ~generic_node:true ~depth:2 paxos3);
+      DP.pin_row "paxos/seed3/truncated"
+        (DP.Ex.explore ~include_drops:true ~max_worlds:60 ~depth:3 paxos3);
+      iter_row DP.pin_row "paxos/seed3/iterative"
+        (DP.Ex.iterative ~include_drops:true ~max_depth:3 paxos3);
+      DP.pin_row "paxos/seed3/warm-round1" warm1;
+      DP.pin_row "paxos/seed3/warm-round2" warm2;
+      DP.pin_row "paxos-mutant/drops" (DP.Ex.explore ~include_drops:true ~depth:3 (mutant_world ()));
+      DR.pin_row "randtree/plain" (DR.Ex.explore ~depth:2 rt);
+      DR.pin_row "randtree/generic" (DR.Ex.explore ~generic_node:true ~depth:2 rt);
+      DR.pin_row "randtree/mid-join"
+        (DR.Ex.explore ~depth:3 (randtree_world ~seed:5 ~n:6 ~horizon:0.26));
+    ]
+
+let expected_pin_rows =
+  [
+    "lock/safe explored=8 deduped=9 collisions=0 truncated=false unmet=[] cached=8 sig=8584937f25d01447415caeff35201773";
+    "lock/double-grant explored=16 deduped=33 collisions=0 truncated=false unmet=[] cached=26 sig=e93272f8ba02e30b9c2ed9ab43a75d8f";
+    "lock/flip-choice explored=4 deduped=5 collisions=0 truncated=false unmet=[] cached=1 sig=88f3f04f86ab938d4466669971dbee37";
+    "lock/timer-and-msgs explored=12 deduped=49 collisions=0 truncated=false unmet=[] cached=35 sig=be0b0cd6f5ca20d155813f8e15b7031c";
+    "lock/skewed-clocks explored=12 deduped=9 collisions=0 truncated=false unmet=[] cached=13 sig=f9bb842b4b9ecf6693bb8a352622e6e2";
+    "lock/double-grant/iterative@stop2 explored=9 deduped=4 collisions=0 truncated=false unmet=[] cached=4 sig=38ecf8a092e065dc395919a0c7b18a88";
+    "paxos/seed3/drops explored=157 deduped=140 collisions=0 truncated=false unmet=[] cached=124 sig=d41d8cd98f00b204e9800998ecf8427e";
+    "paxos/seed11/plain explored=77 deduped=12 collisions=0 truncated=false unmet=[] cached=64 sig=d41d8cd98f00b204e9800998ecf8427e";
+    "paxos/seed3/generic explored=43 deduped=22 collisions=0 truncated=false unmet=[] cached=22 sig=d41d8cd98f00b204e9800998ecf8427e";
+    "paxos/seed3/truncated explored=60 deduped=30 collisions=0 truncated=true unmet=[] cached=124 sig=d41d8cd98f00b204e9800998ecf8427e";
+    "paxos/seed3/iterative@stop3 explored=157 deduped=140 collisions=0 truncated=false unmet=[] cached=124 sig=d41d8cd98f00b204e9800998ecf8427e";
+    "paxos/seed3/warm-round1 explored=157 deduped=140 collisions=0 truncated=false unmet=[] cached=124 sig=d41d8cd98f00b204e9800998ecf8427e";
+    "paxos/seed3/warm-round2 explored=157 deduped=140 collisions=0 truncated=false unmet=[] cached=148 sig=d41d8cd98f00b204e9800998ecf8427e";
+    "paxos-mutant/drops explored=274 deduped=287 collisions=0 truncated=false unmet=[] cached=245 sig=d41d8cd98f00b204e9800998ecf8427e";
+    "randtree/plain explored=1 deduped=0 collisions=0 truncated=false unmet=[] cached=0 sig=d41d8cd98f00b204e9800998ecf8427e";
+    "randtree/generic explored=77 deduped=5 collisions=0 truncated=false unmet=[] cached=44 sig=d41d8cd98f00b204e9800998ecf8427e";
+    "randtree/mid-join explored=9 deduped=0 collisions=0 truncated=false unmet=[] cached=0 sig=d41d8cd98f00b204e9800998ecf8427e";
+  ]
+
+let test_pin_table () =
+  let actual = pin_rows () in
+  if actual <> expected_pin_rows then begin
+    List.iter (Printf.printf "%S;\n") actual;
+    check_strings "explorer pin table" expected_pin_rows actual
+  end
+
 let () =
   Alcotest.run "mc-diff"
     [
@@ -441,5 +533,6 @@ let () =
           Alcotest.test_case "domains determinism" `Quick test_domains_determinism;
           Alcotest.test_case "domains iterative" `Quick test_domains_iterative;
           Alcotest.test_case "cache reuse" `Quick test_cache_reuse;
+          Alcotest.test_case "explorer pin table" `Quick test_pin_table;
         ] );
     ]
