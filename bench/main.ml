@@ -637,8 +637,6 @@ type ex_row = {
   ex_drops : bool;
   before : ex_measure;
   after : ex_measure;
-  after_par : ex_measure;
-  par_domains : int;
   steer_before_ms : float;
   steer_after_ms : float;
   steer_warm_ms : float;
@@ -726,18 +724,6 @@ module Ex_bench (App : Proto.App_intf.APP) = struct
     in
     let ms_old = time_ms ~min_time (fun () -> Ref.explore ~include_drops ~max_worlds ~depth refw) in
     let ms_new = time_ms ~min_time (fun () -> Ex.explore ~include_drops ~max_worlds ~depth w) in
-    let par_domains = max 2 (min 8 (Domain.recommended_domain_count ())) in
-    (* One persistent pool across every timed run — the deployment
-       shape (Crystal spawns its pool once per attach), and the whole
-       point of the pool: domain spawn/join never lands in the timed
-       region. *)
-    let pool = Core.Pool.create ~domains:par_domains in
-    let ms_par =
-      Fun.protect
-        ~finally:(fun () -> Core.Pool.shutdown pool)
-        (fun () ->
-          time_ms ~min_time (fun () -> Ex.explore ~include_drops ~pool ~max_worlds ~depth w))
-    in
     let steer_before_ms =
       time_ms ~min_time (fun () -> ref_steer_round ~include_drops ~max_worlds ~depth refw)
     in
@@ -756,8 +742,6 @@ module Ex_bench (App : Proto.App_intf.APP) = struct
       ex_drops = include_drops;
       before = measure r_old.Ref.worlds_explored ms_old;
       after = measure r_new.Ex.worlds_explored ms_new;
-      after_par = measure r_new.Ex.worlds_explored ms_par;
-      par_domains;
       steer_before_ms;
       steer_after_ms;
       steer_warm_ms;
@@ -817,11 +801,6 @@ let ex_randtree_world ~seed =
 
 let ex_json_path = "BENCH_explorer.json"
 
-(* Pooled throughput measures the pool only with two or more cores: on
-   one core every minor GC synchronises the idle worker domain over the
-   single CPU, so the figure is noise, not a measurement. *)
-let ex_multicore = Domain.recommended_domain_count () >= 2
-
 let ex_emit_json rows =
   let open Obs.Json in
   let measure label (m : ex_measure) =
@@ -841,14 +820,7 @@ let ex_emit_json rows =
             [
               ("before", Obj (measure "digest-dfs" r.before));
               ("after", Obj (measure "fingerprint-worklist" r.after));
-              ( "after_parallel",
-                if ex_multicore then
-                  Obj (("domains", Int r.par_domains) :: measure "fingerprint-worklist" r.after_par)
-                else Null );
               ("speedup", ratio r.after.worlds_per_sec r.before.worlds_per_sec);
-              ( "parallel_speedup",
-                if ex_multicore then ratio r.after_par.worlds_per_sec r.after.worlds_per_sec
-                else Null );
             ] );
         ( "steering_round",
           Obj [ ("before_ms", json_num 4 r.steer_before_ms);
@@ -860,20 +832,13 @@ let ex_emit_json rows =
                 ("fingerprint_collisions", Int r.collisions) ] );
       ]
   in
-  let parallel_note =
-    if ex_multicore then []
-    else
-      [ ("parallel_note",
-         Str "single-core host: after_parallel and parallel_speedup are not measurements here") ]
-  in
   write_json ex_json_path
     (Obj
-       ([ ("bench", Str "explorer-engine");
-          ( "units",
-            Obj [ ("throughput", Str "worlds/second"); ("latency", Str "ms/steering round") ] );
-          ("fast", Bool fast); ("cores", Int (Domain.recommended_domain_count ())) ]
-       @ parallel_note
-       @ [ ("scenarios", Arr (List.map scenario rows)) ]))
+       [ ("bench", Str "explorer-engine");
+         ( "units",
+           Obj [ ("throughput", Str "worlds/second"); ("latency", Str "ms/steering round") ] );
+         ("fast", Bool fast);
+         ("scenarios", Arr (List.map scenario rows)) ])
 
 let ex () =
   section "EX  Exploration engine: digest DFS vs fingerprinted worklist (steering defaults)";
@@ -887,7 +852,7 @@ let ex () =
     ]
   in
   Metrics.Report.print ~title:"consequence-prediction throughput (same worlds both engines)"
-    ~header:[ "scenario"; "worlds"; "before w/s"; "after w/s"; "speedup"; "domains w/s" ]
+    ~header:[ "scenario"; "worlds"; "before w/s"; "after w/s"; "speedup" ]
     (List.map
        (fun r ->
          [
@@ -896,8 +861,6 @@ let ex () =
            Printf.sprintf "%.0f" r.before.worlds_per_sec;
            Printf.sprintf "%.0f" r.after.worlds_per_sec;
            Printf.sprintf "%.1fx" (r.after.worlds_per_sec /. r.before.worlds_per_sec);
-           (if ex_multicore then Printf.sprintf "%.0f (%d)" r.after_par.worlds_per_sec r.par_domains
-            else "n/a (1 core)");
          ])
        rows);
   Metrics.Report.print ~title:"steering-round latency (base explore + per-veto re-explores)"
@@ -918,39 +881,7 @@ let ex () =
         r.deduped r.cached_warm r.collisions)
     rows;
   ex_emit_json rows;
-  Printf.printf "  wrote %s\n" ex_json_path;
-  (* Regression guard: a parallel explore must never be slower than the
-     sequential one (0.95 leaves room for timer noise). Only meaningful
-     with at least two real cores: on a single-core host every minor GC
-     must synchronise the idle worker domain's backup thread over the
-     one CPU, which alone costs 2-10x on this allocation-heavy loop —
-     a healthy pool and a broken one are indistinguishable there. *)
-  let cores = Domain.recommended_domain_count () in
-  if not ex_multicore then
-    Printf.printf
-      "  parallel guard skipped: single-core host (parallel throughput is GC-sync noise here)\n"
-  else begin
-    let tolerance = 0.95 in
-    let failures =
-      List.filter_map
-        (fun r ->
-          let ratio = r.after_par.worlds_per_sec /. r.after.worlds_per_sec in
-          if ratio < tolerance then Some (r.scenario, ratio) else None)
-        rows
-    in
-    if failures <> [] then begin
-      List.iter
-        (fun (scenario, ratio) ->
-          Printf.eprintf
-            "PARALLEL REGRESSION: scenario %S runs at %.2fx sequential throughput with %d \
-             domains (tolerance %.2f on %d cores) — the domain pool is slower than one thread\n"
-            scenario ratio
-            (max 2 (min 8 cores))
-            tolerance cores)
-        failures;
-      exit 1
-    end
-  end
+  Printf.printf "  wrote %s\n" ex_json_path
 
 (* ------------------------------------------------------------------ *)
 (* LAYERS: what each runtime layer costs a run that leaves it on       *)

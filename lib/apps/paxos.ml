@@ -695,8 +695,8 @@ end = struct
      switching branches), or a write over a decision already counted.
      Decisions are only ever added between rebuilds, so a violation
      stays one until then, exactly as the full fold would find it. One
-     memo per domain (DLS): explorer workers check properties
-     concurrently, and a shared table would race. *)
+     memo per domain (DLS): a program checking properties from several
+     domains never shares a table between them. *)
   type agreement_memo = {
     mutable seen : (Proto.Node_id.t * cmd Tracked.t) list;  (* the last view checked *)
     decisions : (int, cmd) Hashtbl.t;  (* first decision seen per instance *)

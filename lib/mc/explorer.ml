@@ -262,38 +262,18 @@ module Make (App : Proto.App_intf.APP) = struct
     let hash k = Hashtbl.hash (k.tk_sfp, k.tk_id, k.tk_seed)
   end)
 
-  type shard = {
+  type cache = {
     c_deliver : outcome list Dcache.t;  (* [] encodes "no applicable handler" *)
     c_timer : outcome list Tcache.t;
     mutable c_hits : int;
     mutable c_lookups : int;  (* hits + misses, for hit-rate profiling *)
   }
 
-  (* The public cache is an array of independent shards: worker [k] of a
-     parallel phase owns shard [k] exclusively, so no lock is needed,
-     and because the whole array persists inside the caller's [cache],
-     every worker's memoized outcomes survive across explore calls and
-     steering rounds — not just worker 0's. Shards are only ever added
-     (on the owning thread, between parallel phases) when a pool wants
-     more workers than the cache has seen before. *)
-  type cache = { mutable shards : shard array }
-
-  (* Small to start, like the visited shards: a cache made for one
+  (* Small to start, like the visited table: a cache made for one
      explore serves a handful of lookups, and a persistent one grows
      once to its working set. *)
-  let create_shard () =
+  let create_cache () =
     { c_deliver = Dcache.create 16; c_timer = Tcache.create 16; c_hits = 0; c_lookups = 0 }
-
-  let create_cache () = { shards = [| create_shard () |] }
-
-  let ensure_shards cache w =
-    let have = Array.length cache.shards in
-    if have < w then
-      cache.shards <-
-        Array.init w (fun k -> if k < have then cache.shards.(k) else create_shard ())
-
-  let cache_hits cache = Array.fold_left (fun a s -> a + s.c_hits) 0 cache.shards
-  let cache_lookups cache = Array.fold_left (fun a s -> a + s.c_lookups) 0 cache.shards
 
   (* Bound memory on pathological workloads; steering neighbourhoods
      stay far below this. *)
@@ -315,8 +295,8 @@ module Make (App : Proto.App_intf.APP) = struct
 
   (* Outcomes of delivering [msg] from [src] at [dst] — one per
      (handler, choice-combo), [] when no handler applies — memoized in
-     the worker's cache shard. *)
-  let cached_deliver shard ~seed iw ~src ~dst msg =
+     [cache]. *)
+  let cached_deliver cache ~seed iw ~src ~dst msg =
     match Nm.find_opt dst iw.i_states with
     | None -> `Unchanged
     | Some state -> (
@@ -331,10 +311,10 @@ module Make (App : Proto.App_intf.APP) = struct
             dk_seed = seed;
           }
         in
-        shard.c_lookups <- shard.c_lookups + 1;
-        match Dcache.find_opt shard.c_deliver key with
+        cache.c_lookups <- cache.c_lookups + 1;
+        match Dcache.find_opt cache.c_deliver key with
         | Some outs ->
-            shard.c_hits <- shard.c_hits + 1;
+            cache.c_hits <- cache.c_hits + 1;
             if outs = [] then `Unchanged else `Outcomes (dst, outs)
         | None ->
             let outs =
@@ -347,28 +327,28 @@ module Make (App : Proto.App_intf.APP) = struct
                       |> List.map precompute)
                     handlers
             in
-            if Dcache.length shard.c_deliver >= cache_cap then Dcache.reset shard.c_deliver;
-            Dcache.add shard.c_deliver key outs;
+            if Dcache.length cache.c_deliver >= cache_cap then Dcache.reset cache.c_deliver;
+            Dcache.add cache.c_deliver key outs;
             if outs = [] then `Unchanged else `Outcomes (dst, outs))
 
-  let cached_timer shard ~seed iw ~node ~id =
+  let cached_timer cache ~seed iw ~node ~id =
     match Nm.find_opt node iw.i_states with
     | None -> `Unchanged
     | Some state -> (
         let sfp = fst (Nm.find node iw.i_sfp) in
         let key = { tk_state = state; tk_sfp = sfp; tk_id = id; tk_seed = seed } in
-        shard.c_lookups <- shard.c_lookups + 1;
-        match Tcache.find_opt shard.c_timer key with
+        cache.c_lookups <- cache.c_lookups + 1;
+        match Tcache.find_opt cache.c_timer key with
         | Some outs ->
-            shard.c_hits <- shard.c_hits + 1;
+            cache.c_hits <- cache.c_hits + 1;
             `Outcomes (node, outs)
         | None ->
             let outs =
               all_outcomes ~seed ~self:node (fun ctx -> App.on_timer ctx state id)
               |> List.map precompute
             in
-            if Tcache.length shard.c_timer >= cache_cap then Tcache.reset shard.c_timer;
-            Tcache.add shard.c_timer key outs;
+            if Tcache.length cache.c_timer >= cache_cap then Tcache.reset cache.c_timer;
+            Tcache.add cache.c_timer key outs;
             `Outcomes (node, outs))
 
   (* Rebuild a world around one node's outcome. Sends append to pending
@@ -400,7 +380,7 @@ module Make (App : Proto.App_intf.APP) = struct
      the old recursive branching order: deliveries (then the optional
      drop) of each pending message in order, then armed timers, then
      generic-node injections. *)
-  let successors shard ~seed ~include_drops ~generic_node iw =
+  let successors cache ~seed ~include_drops ~generic_node iw =
     let acc = ref [] in
     let add step w = acc := (step, w) :: !acc in
     List.iteri
@@ -408,7 +388,7 @@ module Make (App : Proto.App_intf.APP) = struct
         let kind = App.msg_kind p.p_msg in
         let without = { iw with i_pending = remove_nth i iw.i_pending } in
         let step = Deliver_step { src = p.p_src; dst = p.p_dst; kind } in
-        (match cached_deliver shard ~seed without ~src:p.p_src ~dst:p.p_dst p.p_msg with
+        (match cached_deliver cache ~seed without ~src:p.p_src ~dst:p.p_dst p.p_msg with
         | `Unchanged -> add step without
         | `Outcomes (node, outs) ->
             List.iter (fun o -> add step (apply_outcome without node o)) outs);
@@ -417,7 +397,7 @@ module Make (App : Proto.App_intf.APP) = struct
     List.iter
       (fun (node, id) ->
         let step = Timer_step { node; id } in
-        match cached_timer shard ~seed iw ~node ~id with
+        match cached_timer cache ~seed iw ~node ~id with
         | `Unchanged -> add step iw
         | `Outcomes (node, outs) -> List.iter (fun o -> add step (apply_outcome iw node o)) outs)
       iw.i_timers;
@@ -428,7 +408,7 @@ module Make (App : Proto.App_intf.APP) = struct
             (fun (sender, msg) ->
               let kind = App.msg_kind msg in
               let step = Generic_step { dst; kind } in
-              match cached_deliver shard ~seed iw ~src:sender ~dst msg with
+              match cached_deliver cache ~seed iw ~src:sender ~dst msg with
               | `Unchanged -> add step iw
               | `Outcomes (node, outs) ->
                   List.iter (fun o -> add step (apply_outcome iw node o)) outs)
@@ -440,61 +420,22 @@ module Make (App : Proto.App_intf.APP) = struct
 
   type frontier_item = { fw : iworld; fpath : step list (* reversed *) }
 
-  type analysis = {
-    a_viols : string list;
-    a_live : string list;
-    a_succs : (step * iworld) list;
-  }
-
-  (* Dedup verdicts, precomputed in parallel and consumed by the
-     sequential budget merge. *)
-  let v_new = 0
-  and v_dup = 1
-  and v_collision = 2
-
-  (* Frontiers below this size run on the owning thread even when a
-     pool is attached: one pool handshake costs a few microseconds, so
-     fan-out only pays once a level carries at least a comparable
-     amount of per-item work. Steering-sized neighbourhood explores
-     (tens of worlds per level) stay sequential. *)
-  let par_threshold = 128
-
-  let explore_levels ~max_worlds ~include_drops ~generic_node ~seed ~cache ~pool ~domains
-      ~depth ~early_stop root =
+  (* One in-order pass per level: each frontier item is checked against
+     the budget, deduplicated, counted, checked against every property
+     and expanded, before the next item is looked at. Truncation is a
+     one-way latch, so once the budget is spent no later item of any
+     level is keyed or expanded. *)
+  let explore_levels ~max_worlds ~include_drops ~generic_node ~seed ~cache ~depth ~early_stop
+      root =
     if depth < 0 then invalid_arg "Explorer.explore: negative depth";
-    if domains < 1 then invalid_arg "Explorer.explore: domains must be >= 1";
     if max_worlds < 0 then invalid_arg "Explorer.explore: negative max_worlds";
-    (* Without a caller-supplied pool, [domains > 1] gets a transient
-       one — spawned once per call, not once per level. *)
-    let owned_pool =
-      match (pool, domains) with
-      | None, d when d > 1 -> Some (Core.Pool.create ~domains:d)
-      | _ -> None
-    in
-    let pool = match pool with Some p -> Some p | None -> owned_pool in
-    Fun.protect ~finally:(fun () -> Option.iter Core.Pool.shutdown owned_pool) @@ fun () ->
-    let w = match pool with Some p -> Core.Pool.size p | None -> 1 in
-    let parallel n =
-      match pool with Some p -> Core.Pool.size p > 1 && n >= par_threshold | None -> false
-    in
     let cache = match cache with Some c -> c | None -> create_cache () in
-    ensure_shards cache w;
-    let hits0 = cache_hits cache in
-    let lookups0 = cache_lookups cache in
-    (* The visited table is sharded by first-lane hash: in a parallel
-       dedup pass each worker owns exactly the keys that route to its
-       shard, so shards are written lock-free. Routing depends only on
-       the key, never on [w]'s partitioning of the frontier, and the
-       budget is applied afterwards by a sequential in-order merge —
-       see DESIGN.md §8 for why verdicts stay byte-identical to
-       [domains = 1]. Shards start small and grow on demand: a steering
-       explore visits a handful of worlds, and a table past the minor
-       heap's size limit would be allocated straight on the major heap
-       on every call. *)
-    let visited : (int, int list ref) Hashtbl.t array =
-      Array.init w (fun _ -> Hashtbl.create 16)
-    in
-    let shard_of k1 = (k1 land max_int) mod w in
+    let hits0 = cache.c_hits and lookups0 = cache.c_lookups in
+    (* Keyed by first lane, holding every second lane seen under it.
+       Small to start and grown on demand: a steering explore visits a
+       handful of worlds, and a table past the minor heap's size limit
+       would be allocated straight on the major heap on every call. *)
+    let visited : (int, int list ref) Hashtbl.t = Hashtbl.create 16 in
     let collisions = ref 0 in
     let violations = ref [] in
     let explored = ref 0 in
@@ -504,126 +445,50 @@ module Make (App : Proto.App_intf.APP) = struct
       List.filter (fun (p : _ Core.Property.t) -> p.kind = Core.Property.Liveness) App.properties
     in
     let liveness_sat : (string, unit) Hashtbl.t = Hashtbl.create 8 in
-    let frontier = ref [| { fw = iworld_of_world root; fpath = [] } |] in
+    let is_new iw =
+      let k1, k2 = world_key iw in
+      match Hashtbl.find_opt visited k1 with
+      | Some lane2 when List.mem k2 !lane2 -> false
+      | Some lane2 ->
+          incr collisions;
+          lane2 := k2 :: !lane2;
+          true
+      | None ->
+          Hashtbl.add visited k1 (ref [ k2 ]);
+          true
+    in
+    let frontier = ref [ { fw = iworld_of_world root; fpath = [] } ] in
     let level = ref 0 in
-    let stop_level = ref 0 in
     let continue = ref true in
-    let no_analysis = { a_viols = []; a_live = []; a_succs = [] } in
     while !continue do
       let d = !level in
-      let items = !frontier in
-      let n = Array.length items in
-      (* Phase A1: world keys, pure per item (chunked when large). *)
-      let keys = Array.make n (0, 0) in
-      let key_range lo hi =
-        for i = lo to hi - 1 do
-          keys.(i) <- world_key items.(i).fw
-        done
-      in
-      (match pool with
-      | Some p when parallel n ->
-          Core.Pool.run_chunks p ~n (fun ~worker:_ ~lo ~hi -> key_range lo hi)
-      | Some _ | None -> key_range 0 n);
-      (* Phase A2: dedup verdicts. Worker [k] scans the whole key array
-         but touches only the keys its shard owns, in frontier order —
-         so each verdict depends only on earlier same-shard keys and is
-         independent of both [w] and the budget. *)
-      let verdicts = Array.make n v_new in
-      let dedup_key k i =
-        let k1, k2 = keys.(i) in
-        let tbl = visited.(k) in
-        match Hashtbl.find_opt tbl k1 with
-        | Some lane2 when List.mem k2 !lane2 -> verdicts.(i) <- v_dup
-        | Some lane2 ->
-            verdicts.(i) <- v_collision;
-            lane2 := k2 :: !lane2
-        | None ->
-            Hashtbl.add tbl k1 (ref [ k2 ]);
-            verdicts.(i) <- v_new
-      in
-      (match pool with
-      | Some p when parallel n ->
-          Core.Pool.run p (fun k ->
-              for i = 0 to n - 1 do
-                if shard_of (fst keys.(i)) = k then dedup_key k i
-              done)
-      | Some _ | None ->
-          for i = 0 to n - 1 do
-            dedup_key (shard_of (fst keys.(i))) i
-          done);
-      (* Phase A3 (sequential): the budget-and-count merge, in frontier
-         order, replaying exactly the old per-candidate check order.
-         Entries inserted by A2 for items the budget then rejects are
-         unobservable: truncation is a one-way latch, so no later item
-         of any level consults the table again. *)
-      let survivors = ref [] in
-      Array.iteri
-        (fun i item ->
-          if !explored >= max_worlds then truncated := true
-          else begin
-            let v = verdicts.(i) in
-            if v = v_dup then incr deduped
-            else begin
-              if v = v_collision then incr collisions;
-              incr explored;
-              survivors := item :: !survivors
-            end
-          end)
-        items;
-      let survivors = Array.of_list (List.rev !survivors) in
-      (* Phase B: property checks and successor generation, pure per
-         item, fanned out in block-strided chunks; worker [k] memoizes
-         into cache shard [k]. *)
       let expand = d < depth in
-      let m = Array.length survivors in
-      let analyses = Array.make m no_analysis in
-      let analyze shard item =
-        let view = view_of_iworld item.fw in
-        let a_viols =
-          List.map
-            (fun (p : _ Core.Property.t) -> p.name)
-            (Core.Property.check App.properties view)
-        in
-        let a_live =
-          List.filter_map
-            (fun (p : _ Core.Property.t) -> if p.holds view then Some p.name else None)
-            liveness
-        in
-        let a_succs =
-          if expand then successors shard ~seed ~include_drops ~generic_node item.fw else []
-        in
-        { a_viols; a_live; a_succs }
-      in
-      (match pool with
-      | Some p when parallel m ->
-          Core.Pool.run_chunks p ~n:m (fun ~worker ~lo ~hi ->
-              let shard = cache.shards.(worker) in
-              for i = lo to hi - 1 do
-                analyses.(i) <- analyze shard survivors.(i)
-              done)
-      | Some _ | None ->
-          let shard = cache.shards.(0) in
-          for i = 0 to m - 1 do
-            analyses.(i) <- analyze shard survivors.(i)
-          done);
-      (* Phase C (sequential): merge in frontier order. *)
       let next = ref [] in
-      Array.iteri
-        (fun i item ->
-          let a = analyses.(i) in
-          List.iter
-            (fun property ->
-              violations := { property; path = List.rev item.fpath; at_depth = d } :: !violations)
-            a.a_viols;
-          List.iter (fun name -> Hashtbl.replace liveness_sat name ()) a.a_live;
-          List.iter
-            (fun (step, w') -> next := { fw = w'; fpath = step :: item.fpath } :: !next)
-            a.a_succs)
-        survivors;
-      frontier := Array.of_list (List.rev !next);
-      stop_level := d;
+      List.iter
+        (fun item ->
+          if !explored >= max_worlds then truncated := true
+          else if not (is_new item.fw) then incr deduped
+          else begin
+            incr explored;
+            let view = view_of_iworld item.fw in
+            List.iter
+              (fun (p : _ Core.Property.t) ->
+                violations :=
+                  { property = p.name; path = List.rev item.fpath; at_depth = d } :: !violations)
+              (Core.Property.check App.properties view);
+            List.iter
+              (fun (p : _ Core.Property.t) ->
+                if p.holds view then Hashtbl.replace liveness_sat p.name ())
+              liveness;
+            if expand then
+              List.iter
+                (fun (step, w') -> next := { fw = w'; fpath = step :: item.fpath } :: !next)
+                (successors cache ~seed ~include_drops ~generic_node item.fw)
+          end)
+        !frontier;
+      frontier := List.rev !next;
       if early_stop && d >= 1 && !violations <> [] then continue := false
-      else if d >= depth || Array.length !frontier = 0 then continue := false
+      else if d >= depth || !frontier = [] then continue := false
       else incr level
     done;
     let liveness_unmet =
@@ -632,19 +497,17 @@ module Make (App : Proto.App_intf.APP) = struct
           if Hashtbl.mem liveness_sat p.name then None else Some p.name)
         liveness
     in
-    let hits = cache_hits cache - hits0 in
-    let lookups = cache_lookups cache - lookups0 in
-    ( !stop_level,
+    ( !level,
       {
         violations = List.rev !violations;
         worlds_explored = !explored;
         worlds_deduped = !deduped;
         liveness_unmet;
         truncated = !truncated;
-        outcomes_cached = hits;
+        outcomes_cached = cache.c_hits - hits0;
         fingerprint_collisions = !collisions;
       },
-      lookups )
+      cache.c_lookups - lookups0 )
 
   (* Per-call profiling into a metrics registry.  Counters are
      deterministic per seed; anything derived from the wall clock
@@ -672,11 +535,11 @@ module Make (App : Proto.App_intf.APP) = struct
         (float_of_int r.worlds_explored /. wall)
 
   let explore ?(max_worlds = 20_000) ?(include_drops = false) ?(generic_node = false) ?(seed = 7)
-      ?cache ?pool ?(domains = 1) ?obs ?(obs_phase = "explore") ~depth root =
+      ?cache ?obs ?(obs_phase = "explore") ~depth root =
     let t0 = if obs = None then 0. else Unix.gettimeofday () in
     let _, result, lookups =
-      explore_levels ~max_worlds ~include_drops ~generic_node ~seed ~cache ~pool ~domains ~depth
-        ~early_stop:false root
+      explore_levels ~max_worlds ~include_drops ~generic_node ~seed ~cache ~depth ~early_stop:false
+        root
     in
     (match obs with
     | None -> ()
@@ -689,12 +552,12 @@ module Make (App : Proto.App_intf.APP) = struct
      that has surfaced a violation, which is exactly the state the old
      implementation reached by re-exploring at depth 1, 2, … *)
   let iterative ?(max_worlds = 20_000) ?(include_drops = false) ?(generic_node = false)
-      ?(seed = 7) ?cache ?pool ?(domains = 1) ?obs ?(obs_phase = "iterative") ~max_depth world =
+      ?(seed = 7) ?cache ?obs ?(obs_phase = "iterative") ~max_depth world =
     if max_depth < 1 then invalid_arg "Explorer.iterative: max_depth must be >= 1";
     let t0 = if obs = None then 0. else Unix.gettimeofday () in
     let stop_level, result, lookups =
-      explore_levels ~max_worlds ~include_drops ~generic_node ~seed ~cache ~pool ~domains
-        ~depth:max_depth ~early_stop:true world
+      explore_levels ~max_worlds ~include_drops ~generic_node ~seed ~cache ~depth:max_depth
+        ~early_stop:true world
     in
     (match obs with
     | None -> ()

@@ -15,9 +15,9 @@
     Worlds are deduplicated by a two-lane structural fingerprint
     (first-lane collisions are detected via the second lane and the
     worlds kept apart); the search runs level-synchronously over an
-    explicit worklist, memoizes handler outcomes in a transposition
-    cache, and can fan a level out across Domains without changing any
-    verdict. See DESIGN.md §"The exploration engine". *)
+    explicit worklist, one in-order pass per level, and memoizes
+    handler outcomes in a transposition cache. See DESIGN.md §"The
+    exploration engine". *)
 
 module Make (App : Proto.App_intf.APP) : sig
   type world = {
@@ -50,9 +50,9 @@ module Make (App : Proto.App_intf.APP) : sig
         (** liveness properties satisfied by no explored world *)
     truncated : bool;  (** hit [max_worlds] before exhausting depth *)
     outcomes_cached : int;
-        (** handler outcomes served from the transposition cache (a
-            per-partition statistic: it may vary with [domains] or a
-            shared [cache], unlike every other field) *)
+        (** handler outcomes served from the transposition cache; a
+            shared [cache] that is already warm raises it, and changes
+            no other field *)
     fingerprint_collisions : int;
         (** distinct worlds whose first-lane fingerprints collided;
             detected via the second lane and kept apart *)
@@ -62,11 +62,8 @@ module Make (App : Proto.App_intf.APP) : sig
       {!explore} calls (steering re-explores near-identical
       neighbourhoods every round). Entries are exact — keyed on real
       state/message equality — so sharing one never changes verdicts,
-      only [outcomes_cached]. Internally sharded: worker [k] of a
-      parallel phase owns shard [k] exclusively, and the shards persist
-      inside this value, so every worker's memoized outcomes survive
-      across calls — not just the sequential caller's. Share one cache
-      with at most one explore at a time. *)
+      only [outcomes_cached]. Share one cache with at most one explore
+      at a time. *)
   type cache
 
   val create_cache : unit -> cache
@@ -83,8 +80,6 @@ module Make (App : Proto.App_intf.APP) : sig
     ?generic_node:bool ->
     ?seed:int ->
     ?cache:cache ->
-    ?pool:Core.Pool.t ->
-    ?domains:int ->
     ?obs:Obs.Registry.t ->
     ?obs_phase:string ->
     depth:int ->
@@ -95,13 +90,7 @@ module Make (App : Proto.App_intf.APP) : sig
       [generic_node] (default false) injects [App.generic_msgs].
       [seed] feeds the context RNG handlers see (default 7) — handler
       randomness is explored as-is, not branched. [cache] carries
-      memoized handler outcomes across calls. [pool] fans each large
-      level out across the pool's persistent worker domains (small
-      levels stay on the caller's thread); without it, [domains]
-      (default 1) > 1 spawns a transient pool for this one call. Either
-      way, any worker count yields identical results — verdicts,
-      counters and representative paths — only timing and
-      [outcomes_cached] (a partition statistic) change. [obs] records
+      memoized handler outcomes across calls. [obs] records
       per-call profiling (worlds explored/deduped, cache hit rate, wall
       time and worlds/s — the latter two volatile) labelled with
       [obs_phase] (default ["explore"]). *)
@@ -112,8 +101,6 @@ module Make (App : Proto.App_intf.APP) : sig
     ?generic_node:bool ->
     ?seed:int ->
     ?cache:cache ->
-    ?pool:Core.Pool.t ->
-    ?domains:int ->
     ?obs:Obs.Registry.t ->
     ?obs_phase:string ->
     max_depth:int ->

@@ -36,8 +36,7 @@ module Make (App : Proto.App_intf.APP) = struct
     fingerprint_collisions : int;
   }
 
-  let decide_with_stats ?max_worlds ?include_drops ?generic_node ?seed ?cache ?pool ?domains
-      ?obs ~depth world =
+  let decide_with_stats ?max_worlds ?include_drops ?generic_node ?seed ?cache ?obs ~depth world =
     (* One transposition cache spans the base explore and every
        candidate-veto re-explore: steered worlds differ from the base
        by a single removed delivery, so almost every handler outcome
@@ -51,8 +50,8 @@ module Make (App : Proto.App_intf.APP) = struct
     in
     let explore w =
       let r =
-        Ex.explore ?max_worlds ?include_drops ?generic_node ?seed ~cache ?pool ?domains ?obs
-          ~obs_phase:!phase ~depth w
+        Ex.explore ?max_worlds ?include_drops ?generic_node ?seed ~cache ?obs ~obs_phase:!phase
+          ~depth w
       in
       stats :=
         {
@@ -107,9 +106,6 @@ module Make (App : Proto.App_intf.APP) = struct
           ((Unix.gettimeofday () -. t0) *. 1000.));
     (verdict, !stats)
 
-  let decide ?max_worlds ?include_drops ?generic_node ?seed ?cache ?pool ?domains ?obs ~depth
-      world =
-    fst
-      (decide_with_stats ?max_worlds ?include_drops ?generic_node ?seed ?cache ?pool ?domains
-         ?obs ~depth world)
+  let decide ?max_worlds ?include_drops ?generic_node ?seed ?cache ?obs ~depth world =
+    fst (decide_with_stats ?max_worlds ?include_drops ?generic_node ?seed ?cache ?obs ~depth world)
 end

@@ -38,8 +38,6 @@ module Make (App : Proto.App_intf.APP) : sig
     ?generic_node:bool ->
     ?seed:int ->
     ?cache:Ex.cache ->
-    ?pool:Core.Pool.t ->
-    ?domains:int ->
     ?obs:Obs.Registry.t ->
     depth:int ->
     Ex.world ->
@@ -51,8 +49,6 @@ module Make (App : Proto.App_intf.APP) : sig
     ?generic_node:bool ->
     ?seed:int ->
     ?cache:Ex.cache ->
-    ?pool:Core.Pool.t ->
-    ?domains:int ->
     ?obs:Obs.Registry.t ->
     depth:int ->
     Ex.world ->
@@ -60,10 +56,7 @@ module Make (App : Proto.App_intf.APP) : sig
   (** Like {!decide}, also reporting the exploration work done. A
       supplied [cache] (or one created internally) is shared across
       the base and per-veto explores; pass a persistent one to reuse
-      outcomes across steering rounds. [pool] (or, without one,
-      [domains] > 1 with a transient pool) fans each explore's large
-      levels out across persistent worker domains; verdicts never
-      depend on either. [obs] profiles each underlying explore (phases
+      outcomes across steering rounds. [obs] profiles each underlying explore (phases
       ["steer-base"] / ["steer-veto"]) plus per-round verdict counters
       and volatile round wall time. *)
 

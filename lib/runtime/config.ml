@@ -12,11 +12,6 @@ type t = {
   steer_period : float;  (** how often consequence prediction runs *)
   steer_depth : int;  (** exploration depth for steering *)
   max_worlds : int;  (** exploration budget per steering round *)
-  domains : int;
-      (** Domains the explorer fans each level out across; 1 (the
-          default) keeps exploration on the caller's thread. Any value
-          produces identical verdicts — this trades cores for
-          steering-round latency only. *)
   include_drops : bool;  (** explore message-loss branches *)
   generic_node : bool;  (** inject the generic-node alphabet *)
   filter_ttl : float;  (** seconds an installed event filter lives *)
@@ -30,7 +25,6 @@ let default =
     steer_period = 1.0;
     steer_depth = 3;
     max_worlds = 5_000;
-    domains = 1;
     include_drops = false;
     generic_node = false;
     filter_ttl = 5.0;
@@ -43,7 +37,6 @@ let validate t =
   if t.steer_period <= 0. then invalid_arg "Config: steer_period must be positive";
   if t.steer_depth < 0 then invalid_arg "Config: steer_depth must be non-negative";
   if t.max_worlds <= 0 then invalid_arg "Config: max_worlds must be positive";
-  if t.domains < 1 then invalid_arg "Config: domains must be >= 1";
   if t.filter_ttl <= 0. then invalid_arg "Config: filter_ttl must be positive";
   if t.history <= 0 then invalid_arg "Config: history must be positive";
   t

@@ -40,10 +40,6 @@ module Make (App : Proto.App_intf.APP) = struct
        near-identical neighbourhoods, which is the transposition
        cache's best case. *)
     cache : St.Ex.cache;
-    (* One worker pool for the whole attachment (when [cfg.domains] >
-       1): spawned once, reused by every explore of every steering
-       round — never respawned in the steering hot path. *)
-    pool : Core.Pool.t option;
     obs : Obs.Registry.t option;
   }
 
@@ -126,7 +122,6 @@ module Make (App : Proto.App_intf.APP) = struct
         n_cached = 0;
         n_collisions = 0;
         cache = St.Ex.create_cache ();
-        pool = (if cfg.domains > 1 then Some (Core.Pool.create ~domains:cfg.domains) else None);
         obs;
       }
     in
@@ -228,7 +223,7 @@ module Make (App : Proto.App_intf.APP) = struct
             let verdict, stats =
               St.decide_with_stats ~max_worlds:t.cfg.max_worlds
                 ~include_drops:t.cfg.include_drops ~generic_node:t.cfg.generic_node
-                ~cache:t.cache ?pool:t.pool ?obs:t.obs ~depth:t.cfg.steer_depth world
+                ~cache:t.cache ?obs:t.obs ~depth:t.cfg.steer_depth world
             in
             t.n_worlds <- t.n_worlds + stats.St.worlds_explored;
             t.n_cached <- t.n_cached + stats.St.outcomes_cached;
@@ -285,6 +280,4 @@ module Make (App : Proto.App_intf.APP) = struct
     }
 
   let verdict_log t = List.rev t.verdicts
-
-  let detach t = Option.iter Core.Pool.shutdown t.pool
 end

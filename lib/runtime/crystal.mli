@@ -60,11 +60,7 @@ module Make (App : Proto.App_intf.APP) : sig
       access links, so checkpointing contends with the application
       (paper §3.3.2). When omitted, the codec of the app's
       {!Proto.Durability} hook (if any) is used, so durability and
-      checkpointing share one serialization path.
-
-      When [config] asks for [domains] > 1, attaching spawns one
-      persistent worker pool that every steering round's explores
-      reuse; release it with {!detach}. *)
+      checkpointing share one serialization path. *)
 
   val engine : t -> E.t
 
@@ -88,9 +84,4 @@ module Make (App : Proto.App_intf.APP) : sig
 
   val report : t -> report
   val verdict_log : t -> (Dsim.Vtime.t * St.verdict) list
-
-  val detach : t -> unit
-  (** Releases the runtime's worker pool (a no-op when [domains] = 1,
-      idempotent otherwise). The engine itself is untouched; only
-      further steering rounds on this [t] are invalid. *)
 end

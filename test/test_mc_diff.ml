@@ -24,8 +24,9 @@
      and byte-identical steering verdicts against a reference
      steering decision procedure run over the old explorer.
 
-   A second group checks that [domains] parallelism and shared
-   transposition caches never change any verdict. *)
+   A second group checks that mutant messages never alias honest ones,
+   that shared transposition caches never change any verdict, and pins
+   every result field of a fixed set of explores. *)
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -196,8 +197,7 @@ module Diff (App : Proto.App_intf.APP) = struct
         (List.sort_uniq compare
            (List.map (fun (v : Ex.violation) -> v.property) r_new.Ex.violations))
 
-  (* Everything except outcomes_cached (a partition statistic) must be
-     invariant in [domains] — including representative paths. *)
+  (* Every violation with its depth and representative path. *)
   let full_sig (r : Ex.result) =
     List.map
       (fun (v : Ex.violation) ->
@@ -205,16 +205,6 @@ module Diff (App : Proto.App_intf.APP) = struct
           (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ";") Ex.pp_step)
           v.path)
       r.violations
-
-  let check_domains name ?max_worlds ?include_drops ?generic_node ~depth (w : Ex.world) =
-    let r1 = Ex.explore ?max_worlds ?include_drops ?generic_node ~domains:1 ~depth w in
-    let r4 = Ex.explore ?max_worlds ?include_drops ?generic_node ~domains:4 ~depth w in
-    check_strings (name ^ ": violations") (full_sig r1) (full_sig r4);
-    checki (name ^ ": worlds_explored") r1.Ex.worlds_explored r4.Ex.worlds_explored;
-    checki (name ^ ": worlds_deduped") r1.Ex.worlds_deduped r4.Ex.worlds_deduped;
-    checki (name ^ ": collisions") r1.Ex.fingerprint_collisions r4.Ex.fingerprint_collisions;
-    checkb (name ^ ": truncated") r1.Ex.truncated r4.Ex.truncated;
-    check_strings (name ^ ": liveness_unmet") r1.Ex.liveness_unmet r4.Ex.liveness_unmet
 
   (* One pin-table line: every result field, violations as an MD5 of
      [full_sig] so representative paths are pinned too. *)
@@ -369,8 +359,7 @@ let test_randtree_differential () =
 (* A decodes-clean mutant of a pending message is a different protocol
    value, and the dedup fingerprint must treat it as one: a world
    carrying honest + mutant copies of a message explores strictly more
-   than a world carrying honest twins (whose two deliveries alias), and
-   exploring the mutated world stays invariant in [domains]. *)
+   than a world carrying honest twins (whose two deliveries alias). *)
 let mutant_of m =
   let codec = Option.get PApp.msg_codec in
   let rng = Dsim.Rng.create 13 in
@@ -400,31 +389,7 @@ let test_mutant_worlds_never_alias () =
       checki "honest twins alias, mutant does not" (r_mixed.DP.Ex.worlds_deduped + 1)
         r_twins.DP.Ex.worlds_deduped
 
-let test_mutant_domains_determinism () =
-  let w = paxos_world ~seed:3 in
-  match w.DP.Ex.pending with
-  | [] -> Alcotest.fail "frozen world has no pending messages"
-  | (src, dst, m) :: rest ->
-      let mixed = { w with DP.Ex.pending = (src, dst, mutant_of m) :: (src, dst, m) :: rest } in
-      DP.check_domains "paxos-mutant/domains" ~include_drops:true ~depth:3 mixed
-
-(* ---------- domains and cache invariance ---------- *)
-
-let test_domains_determinism () =
-  List.iter
-    (fun (name, w) ->
-      DL.check_domains (name ^ "/domains") ~include_drops:true ~generic_node:true ~depth:4 w)
-    lock_worlds;
-  DP.check_domains "paxos/domains" ~include_drops:true ~depth:3 (paxos_world ~seed:3);
-  DR.check_domains "randtree/domains" ~depth:2 (randtree_world ~seed:5 ~n:6 ~horizon:0.4)
-
-let test_domains_iterative () =
-  let w = paxos_world ~seed:3 in
-  let d1, r1 = DP.Ex.iterative ~include_drops:true ~domains:1 ~max_depth:3 w in
-  let d4, r4 = DP.Ex.iterative ~include_drops:true ~domains:4 ~max_depth:3 w in
-  checki "iterative stop depth invariant in domains" d1 d4;
-  check_strings "iterative violations invariant in domains" (DP.full_sig r1) (DP.full_sig r4);
-  checki "iterative worlds invariant in domains" r1.DP.Ex.worlds_explored r4.DP.Ex.worlds_explored
+(* ---------- cache invariance ---------- *)
 
 let test_cache_reuse () =
   DL.check_cache_reuse "lock/cache"
@@ -444,7 +409,8 @@ let mutant_world () =
   let w = paxos_world ~seed:3 in
   match w.DP.Ex.pending with
   | [] -> Alcotest.fail "frozen world has no pending messages"
-  | (src, dst, m) :: rest -> { w with DP.Ex.pending = (src, dst, mutant_of m) :: (src, dst, m) :: rest }
+  | (src, dst, m) :: rest ->
+      { w with DP.Ex.pending = (src, dst, mutant_of m) :: (src, dst, m) :: rest }
 
 (* The skewed-clock lock world of test_clock.ml. *)
 let skewed_lock_world () =
@@ -529,9 +495,6 @@ let () =
       ( "invariance",
         [
           Alcotest.test_case "mutant worlds never alias" `Quick test_mutant_worlds_never_alias;
-          Alcotest.test_case "mutant domains determinism" `Quick test_mutant_domains_determinism;
-          Alcotest.test_case "domains determinism" `Quick test_domains_determinism;
-          Alcotest.test_case "domains iterative" `Quick test_domains_iterative;
           Alcotest.test_case "cache reuse" `Quick test_cache_reuse;
           Alcotest.test_case "explorer pin table" `Quick test_pin_table;
         ] );
