@@ -382,6 +382,28 @@ let test_explorer_keeps_skewed_worlds_apart () =
   checki "same worlds explored" r_sync.Ex.worlds_explored r_skew.Ex.worlds_explored;
   checki "same violations" (List.length r_sync.Ex.violations) (List.length r_skew.Ex.violations)
 
+(* The clock lane of the fingerprint lives in the explore call alone:
+   pools of 1 and 4 fresh domains, each domain exploring the skewed
+   world at the same time, agree on every verdict and counter. *)
+let test_explorer_pool_sizes_agree_on_skewed_world () =
+  let w =
+    lock_world
+      ~clocks:[ (0, 0x1234); (1, 0x5678) ]
+      [ (0, false); (1, false); (2, false) ]
+      [ (0, 1, Lock.Grant); (1, 2, Lock.Grant); (2, 0, Lock.Flip) ]
+  in
+  let on_pool n =
+    List.map Domain.join (List.init n (fun _ -> Domain.spawn (fun () -> Ex.explore ~depth:4 w)))
+  in
+  let r1 = List.hd (on_pool 1) in
+  List.iter
+    (fun r4 ->
+      checki "worlds explored agree" r1.Ex.worlds_explored r4.Ex.worlds_explored;
+      checki "worlds deduped agree" r1.Ex.worlds_deduped r4.Ex.worlds_deduped;
+      checkb "violations agree" true (r1.Ex.violations = r4.Ex.violations);
+      checkb "truncation agrees" true (r1.Ex.truncated = r4.Ex.truncated))
+    (on_pool 4)
+
 let () =
   Alcotest.run "clock"
     [
@@ -427,5 +449,7 @@ let () =
         [
           Alcotest.test_case "skewed worlds kept apart" `Quick
             test_explorer_keeps_skewed_worlds_apart;
+          Alcotest.test_case "pool sizes agree" `Quick
+            test_explorer_pool_sizes_agree_on_skewed_world;
         ] );
     ]

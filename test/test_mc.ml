@@ -170,6 +170,34 @@ let test_steering_reports_unsteerable () =
   | St.No_violation -> Alcotest.fail "violation missed"
   | St.Steer _ -> Alcotest.fail "no delivery can be vetoed here"
 
+(* The steering shape: one cache reused round after round over
+   successive snapshots. Every warm round agrees with a cold explore of
+   the same world on all but [outcomes_cached], and a world seen in an
+   earlier round hits the cache more than its cold explore does. *)
+let test_warm_cache_across_rounds () =
+  let a = world [ (0, false); (1, false) ] [ (0, 1, Lock.Grant); (1, 0, Lock.Grant) ] in
+  let b =
+    world ~timers:[ (1, "grab"); (0, "grab") ] [ (0, true); (1, false) ]
+      [ (1, 0, Lock.Release); (0, 1, Lock.Flip) ]
+  in
+  let cache = Ex.create_cache () in
+  List.iteri
+    (fun round w ->
+      let cold = Ex.explore ~include_drops:true ~depth:4 w in
+      let warm = Ex.explore ~include_drops:true ~cache ~depth:4 w in
+      let name = Printf.sprintf "round %d: " round in
+      checkb (name ^ "same violations") true (cold.Ex.violations = warm.Ex.violations);
+      checki (name ^ "same worlds") cold.Ex.worlds_explored warm.Ex.worlds_explored;
+      checki (name ^ "same dedups") cold.Ex.worlds_deduped warm.Ex.worlds_deduped;
+      checki (name ^ "same collisions") cold.Ex.fingerprint_collisions
+        warm.Ex.fingerprint_collisions;
+      checkb (name ^ "same truncation") cold.Ex.truncated warm.Ex.truncated;
+      checkb (name ^ "same unmet liveness") true (cold.Ex.liveness_unmet = warm.Ex.liveness_unmet);
+      if round >= 2 then
+        checkb (name ^ "revisit hits the warm cache") true
+          (warm.Ex.outcomes_cached > cold.Ex.outcomes_cached))
+    [ a; b; a; b ]
+
 let () =
   Alcotest.run "mc"
     [
@@ -188,6 +216,7 @@ let () =
           Alcotest.test_case "first steps" `Quick test_first_steps;
           Alcotest.test_case "iterative deepening" `Quick test_iterative_deepening;
           Alcotest.test_case "world_of_view" `Quick test_world_of_view;
+          Alcotest.test_case "warm cache across rounds" `Quick test_warm_cache_across_rounds;
         ] );
       ( "steering",
         [

@@ -25,8 +25,9 @@
      steering decision procedure run over the old explorer.
 
    A second group checks that mutant messages never alias honest ones,
-   that shared transposition caches never change any verdict, and pins
-   every result field of a fixed set of explores. *)
+   that neither running explores on several domains at once nor
+   sharing a transposition cache changes any verdict, and pins every
+   result field of a fixed set of explores. *)
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -206,6 +207,31 @@ module Diff (App : Proto.App_intf.APP) = struct
           v.path)
       r.violations
 
+  (* Every result field, [outcomes_cached] included: without a shared
+     cache it is as deterministic as the rest. *)
+  let check_result_equal name (a : Ex.result) (b : Ex.result) =
+    check_strings (name ^ ": violations") (full_sig a) (full_sig b);
+    checki (name ^ ": worlds_explored") a.Ex.worlds_explored b.Ex.worlds_explored;
+    checki (name ^ ": worlds_deduped") a.Ex.worlds_deduped b.Ex.worlds_deduped;
+    checki (name ^ ": collisions") a.Ex.fingerprint_collisions b.Ex.fingerprint_collisions;
+    checkb (name ^ ": truncated") a.Ex.truncated b.Ex.truncated;
+    check_strings (name ^ ": liveness_unmet") a.Ex.liveness_unmet b.Ex.liveness_unmet;
+    checki (name ^ ": outcomes_cached") a.Ex.outcomes_cached b.Ex.outcomes_cached
+
+  (* Runs [f] on [n] fresh domains at once; results in spawn order. *)
+  let on_fresh_domains n f = List.map Domain.join (List.init n (fun _ -> Domain.spawn f))
+
+  (* An explore keeps all its state in the call, and an app keeps any
+     memo per domain (Paxos's agreement memo lives in Domain.DLS), so
+     the explore run on the calling domain and the same explore run on
+     4 fresh domains at once agree on every result field. *)
+  let check_domains name ?max_worlds ?include_drops ?generic_node ~depth (w : Ex.world) =
+    let explore () = Ex.explore ?max_worlds ?include_drops ?generic_node ~depth w in
+    let base = explore () in
+    List.iteri
+      (fun i r -> check_result_equal (Printf.sprintf "%s: fresh domain %d" name i) base r)
+      (on_fresh_domains 4 explore)
+
   (* One pin-table line: every result field, violations as an MD5 of
      [full_sig] so representative paths are pinned too. *)
   let pin_row name (r : Ex.result) =
@@ -372,6 +398,15 @@ let mutant_of m =
   in
   go 100
 
+(* The frozen paxos world with a mutant copy of its first pending
+   message queued ahead of the honest one. *)
+let mutant_world () =
+  let w = paxos_world ~seed:3 in
+  match w.DP.Ex.pending with
+  | [] -> Alcotest.fail "frozen world has no pending messages"
+  | (src, dst, m) :: rest ->
+      { w with DP.Ex.pending = (src, dst, mutant_of m) :: (src, dst, m) :: rest }
+
 let test_mutant_worlds_never_alias () =
   let w = paxos_world ~seed:3 in
   match w.DP.Ex.pending with
@@ -389,7 +424,30 @@ let test_mutant_worlds_never_alias () =
       checki "honest twins alias, mutant does not" (r_mixed.DP.Ex.worlds_deduped + 1)
         r_twins.DP.Ex.worlds_deduped
 
-(* ---------- cache invariance ---------- *)
+let test_mutant_domains_determinism () =
+  DP.check_domains "paxos-mutant/domains" ~include_drops:true ~depth:3 (mutant_world ())
+
+(* ---------- domains and cache invariance ---------- *)
+
+let test_domains_determinism () =
+  List.iter
+    (fun (name, w) ->
+      DL.check_domains (name ^ "/domains") ~include_drops:true ~generic_node:true ~depth:4 w)
+    lock_worlds;
+  DP.check_domains "paxos/domains" ~include_drops:true ~depth:3 (paxos_world ~seed:3);
+  DR.check_domains "randtree/domains" ~depth:2 (randtree_world ~seed:5 ~n:6 ~horizon:0.4)
+
+let test_domains_iterative () =
+  let w = paxos_world ~seed:3 in
+  let run () = DP.Ex.iterative ~include_drops:true ~max_depth:3 w in
+  let d1, r1 = run () in
+  List.iter
+    (fun (d4, r4) ->
+      checki "iterative stop depth invariant in domains" d1 d4;
+      check_strings "iterative violations invariant in domains" (DP.full_sig r1) (DP.full_sig r4);
+      checki "iterative worlds invariant in domains" r1.DP.Ex.worlds_explored
+        r4.DP.Ex.worlds_explored)
+    (DP.on_fresh_domains 4 run)
 
 let test_cache_reuse () =
   DL.check_cache_reuse "lock/cache"
@@ -404,13 +462,6 @@ let test_cache_reuse () =
    sequential pass. Any change to a counter, a verdict, a
    representative path or the cache statistic shows up here as a
    mismatching line. *)
-
-let mutant_world () =
-  let w = paxos_world ~seed:3 in
-  match w.DP.Ex.pending with
-  | [] -> Alcotest.fail "frozen world has no pending messages"
-  | (src, dst, m) :: rest ->
-      { w with DP.Ex.pending = (src, dst, mutant_of m) :: (src, dst, m) :: rest }
 
 (* The skewed-clock lock world of test_clock.ml. *)
 let skewed_lock_world () =
@@ -495,6 +546,9 @@ let () =
       ( "invariance",
         [
           Alcotest.test_case "mutant worlds never alias" `Quick test_mutant_worlds_never_alias;
+          Alcotest.test_case "mutant domains determinism" `Quick test_mutant_domains_determinism;
+          Alcotest.test_case "domains determinism" `Quick test_domains_determinism;
+          Alcotest.test_case "domains iterative" `Quick test_domains_iterative;
           Alcotest.test_case "cache reuse" `Quick test_cache_reuse;
           Alcotest.test_case "explorer pin table" `Quick test_pin_table;
         ] );
