@@ -889,9 +889,9 @@ let ex () =
 
 (* One deployment — 5-replica paxos, uniform 20 ms links, no jitter,
    trace at Info — as a cumulative ladder of engines, each rung adding
-   one layer to the rung above. Each rung reports wall ns per engine
-   event and per delivered message over the first and the last 20 s of
-   a 160 s virtual run; a cost that grows with history shows as a
+   one layer to the rung above. Each rung reports wall ns and
+   minor-heap words per engine event and per delivered message over the
+   first and the last 20 s of a 160 s virtual run; a cost that grows with history shows as a
    late/early ratio above 1. Results go to stdout and BENCH_layers.json.
    The bench exits 1 if an inert rung changes the event stream or a
    rung's late cost exceeds twice its early cost.
@@ -985,8 +985,14 @@ let layer_virtual_s = 160
 let layer_window_s = 20
 let layer_max_growth = 2.
 
-(* Wall ns per engine event and per delivered message over a window. *)
-type layer_cost = { per_event : float; per_delivery : float }
+(* Wall ns and minor-heap words per engine event and per delivered
+   message over a window. *)
+type layer_cost = {
+  per_event : float;
+  per_delivery : float;
+  words_per_event : float;
+  words_per_delivery : float;
+}
 type layer_run = {
   events_total : int;
   deliveries_total : int;
@@ -998,18 +1004,22 @@ type layer_run = {
 let layer_run r =
   let e = r.build () in
   let n = layer_virtual_s in
-  let ns = Array.make n 0. and ev = Array.make n 0. and dl = Array.make n 0. in
+  let ns = Array.make n 0. and words = Array.make n 0. in
+  let ev = Array.make n 0. and dl = Array.make n 0. in
   for s = 0 to n - 1 do
     let ev0 = e.events () and dl0 = e.deliveries () in
+    let w0 = Gc.minor_words () in
     let t0 = Monotonic_clock.now () in
     e.run_for 1.;
     ns.(s) <- Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0);
+    words.(s) <- Gc.minor_words () -. w0;
     ev.(s) <- float_of_int (e.events () - ev0);
     dl.(s) <- float_of_int (e.deliveries () - dl0)
   done;
   let window first =
     let sum a = Array.fold_left ( +. ) 0. (Array.sub a first layer_window_s) in
-    { per_event = sum ns /. sum ev; per_delivery = sum ns /. sum dl }
+    { per_event = sum ns /. sum ev; per_delivery = sum ns /. sum dl;
+      words_per_event = sum words /. sum ev; words_per_delivery = sum words /. sum dl }
   in
   { events_total = e.events (); deliveries_total = e.deliveries ();
     early = window 0; late = window (n - layer_window_s) }
@@ -1035,8 +1045,10 @@ let layers () =
     Array.map
       (fun runs ->
         let cost pick =
-          { per_event = median (List.map (fun x -> (pick x).per_event) runs);
-            per_delivery = median (List.map (fun x -> (pick x).per_delivery) runs) }
+          let med f = median (List.map (fun x -> f (pick x)) runs) in
+          { per_event = med (fun c -> c.per_event); per_delivery = med (fun c -> c.per_delivery);
+            words_per_event = med (fun c -> c.words_per_event);
+            words_per_delivery = med (fun c -> c.words_per_delivery) }
         in
         { (List.hd runs) with early = cost (fun x -> x.early); late = cost (fun x -> x.late) })
       samples
@@ -1055,12 +1067,12 @@ let layers () =
   Metrics.Report.print
     ~title:
       (Printf.sprintf
-         "wall ns per event / per delivered message, %ds virtual, early = first %ds, late = last \
-          %ds, median of %d"
+         "wall ns and minor words per event / per delivered message, %ds virtual, early = first \
+          %ds, late = last %ds, median of %d"
          layer_virtual_s layer_window_s layer_window_s reps)
     ~header:
       [ "rung"; "events"; "delivered"; "ns/ev early"; "ns/ev late"; "ns/dlv early"; "ns/dlv late";
-        "late/early"; "+ns/dlv late" ]
+        "late/early"; "+ns/dlv late"; "w/ev early"; "w/ev late"; "w/dlv early"; "w/dlv late" ]
     (List.init k (fun i ->
          let r = rungs.(i) and x = rows.(i) in
          [
@@ -1074,10 +1086,16 @@ let layers () =
              Printf.sprintf "%.2fx" (growth x);
              (if i = 0 then "-"
               else Printf.sprintf "%+.0f" (x.late.per_delivery -. rows.(i - 1).late.per_delivery));
-           ]));
+           ]
+         @ List.map (Printf.sprintf "%.1f")
+             [ x.early.words_per_event; x.late.words_per_event; x.early.words_per_delivery;
+               x.late.words_per_delivery ]));
   let open Obs.Json in
   let cost c =
-    Obj [ ("ns_per_event", json_num 1 c.per_event); ("ns_per_delivery", json_num 1 c.per_delivery) ]
+    Obj
+      [ ("ns_per_event", json_num 1 c.per_event); ("ns_per_delivery", json_num 1 c.per_delivery);
+        ("words_per_event", json_num 1 c.words_per_event);
+        ("words_per_delivery", json_num 1 c.words_per_delivery) ]
   in
   let rung i =
     let r = rungs.(i) and x = rows.(i) in
@@ -1098,7 +1116,8 @@ let layers () =
                ("trace", Str "info"); ("seed", Int layer_seed) ] );
          ( "timing",
            Obj
-             [ ("clock", Str "monotonic wall ns"); ("virtual_s", Int layer_virtual_s);
+             [ ("clock", Str "monotonic wall ns"); ("alloc", Str "Gc.minor_words");
+               ("virtual_s", Int layer_virtual_s);
                ("slice_s", Float 1.); ("window_s", Int layer_window_s) ] );
          ("rungs", Arr (List.init k rung));
          ( "checks",

@@ -1,0 +1,87 @@
+(** The engine's reliable-delivery layer: sequence numbers, the
+    sender's pending table, the receiver's seen-set and the per-pair
+    pending counts, for any message type. {!Sim} schedules the
+    retransmit timers and acks; this module owns the tables. *)
+
+type config = {
+  base_timeout : float;
+  backoff : float;
+  max_retries : int;
+  jitter : float;
+  ack_bytes : int;
+  suspect_cap : int;
+}
+(** Field meanings are documented on {!Sim.Make.reliable_config}. *)
+
+val default : config
+(** [{base_timeout = 0.25; backoff = 2.0; max_retries = 5;
+    jitter = 0.1; ack_bytes = 24; suspect_cap = 0}] *)
+
+(** One tracked send awaiting its ack. *)
+type 'msg entry = {
+  src : Proto.Node_id.t;
+  dst : Proto.Node_id.t;
+  msg : 'msg;
+  tries : int;  (** retransmissions performed so far *)
+}
+
+type 'msg t
+
+val create : ?kinds:string list -> config -> 'msg t
+(** [kinds] restricts tracking to those message kinds (default: all).
+    @raise Invalid_argument on non-positive [base_timeout] or
+    [ack_bytes], [backoff < 1], or negative
+    [max_retries]/[jitter]/[suspect_cap]. *)
+
+val copy : 'msg t -> 'msg t
+(** An independent deep copy, for speculative forks. *)
+
+val tracked : 'msg t -> string -> bool
+(** Whether sends of this kind are tracked. *)
+
+val track : 'msg t -> src:Proto.Node_id.t -> dst:Proto.Node_id.t -> 'msg -> int
+(** Registers a send as pending and returns its sequence number. *)
+
+val timeout : 'msg t -> Dsim.Rng.t -> tries:int -> float
+(** Retransmission timeout on the [tries]-th retry: exponential
+    backoff plus up to [jitter] random spread (one draw when
+    [jitter > 0]). *)
+
+val find : 'msg t -> int -> 'msg entry option
+(** The pending send with this sequence number, if still unacked. *)
+
+val remove : 'msg t -> int -> 'msg entry -> unit
+(** Forgets a pending send (acked, given up, shed or orphaned). *)
+
+val pending_on : 'msg t -> 'msg entry -> int
+(** Sends pending on the entry's directed pair. *)
+
+(** What a retransmission timeout did with a pending send. *)
+type 'msg timeout =
+  | Shed  (** over [suspect_cap] toward a suspected peer: forgotten *)
+  | Give_up  (** retry budget exhausted: forgotten *)
+  | Resend of 'msg entry  (** counted as one more try; send it again *)
+  | Refused of 'msg entry
+      (** counted as one more try, but the breaker refused the wire *)
+
+val timed_out :
+  'msg t ->
+  int ->
+  'msg entry ->
+  breaker:Net.Circuit_breaker.t option ->
+  suspected:(unit -> bool) ->
+  pressure:(unit -> float) ->
+  now:Dsim.Vtime.t ->
+  'msg timeout
+(** Applies the retry policy to a pending send whose timer fired while
+    its sender is alive: the suspect cap, then (with a [breaker]) the
+    timeout recorded as failure evidence — tripping the pair when the
+    destination is [suspected] — and the retry budget, halved while
+    the breaker refuses the pair or the sender's [pressure] is at
+    least 0.5. [now] is the sender's local time. *)
+
+val ack_bytes : 'msg t -> int
+
+val first_arrival : 'msg t -> int -> bool
+(** Records a sequence number at the receiver; [false] when it was
+    already seen (a retransmission or a Netem duplicate). *)

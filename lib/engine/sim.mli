@@ -15,76 +15,77 @@
 module Make (App : Proto.App_intf.APP) : sig
   type t
 
-  (** Aggregate counters since creation. *)
-  type stats = {
-    events_processed : int;
-    messages_delivered : int;
-    messages_dropped : int;
-    messages_filtered : int;  (** dropped by steering event filters *)
-    messages_duplicated : int;  (** ghost copies injected by the fault layer *)
-    messages_corrupted : int;  (** messages garbled by the fault layer *)
-    messages_reordered : int;
+  (** Aggregate counters since creation: the engine's one counter
+      store, so every event is counted once. {!stats} returns a
+      snapshot; while a sink is attached (see {!set_obs}) the obs
+      export reads every field as the counter [engine_<field>]. *)
+  type stats = private {
+    mutable events_processed : int;
+    mutable messages_delivered : int;
+    mutable messages_dropped : int;
+    mutable messages_filtered : int;  (** dropped by steering event filters *)
+    mutable messages_duplicated : int;  (** ghost copies injected by the fault layer *)
+    mutable messages_corrupted : int;  (** messages garbled by the fault layer *)
+    mutable messages_reordered : int;
         (** messages held back by the reorder fault (they still arrive,
             late — this counter is the only witness) *)
-    decode_failures : int;
+    mutable decode_failures : int;
         (** corrupted messages whose wire form no longer decoded; a
             subset of [messages_corrupted] (the rest were caught by the
             modelled transport checksum), all surfaced as drops *)
-    decisions : int;  (** choice points resolved *)
-    lookahead_forks : int;  (** speculative branches simulated *)
-    wal_appends : int;  (** write-ahead records made durable *)
-    snapshots : int;  (** snapshot compactions (including boot seeds) *)
-    recoveries : int;  (** boots that restored state from a disk *)
-    torn_recoveries : int;  (** recoveries that dropped a torn WAL tail *)
-    amnesia_wipes : int;  (** {!kill_amnesia} crashes that erased a disk *)
-    torn_writes : int;  (** {!torn_write} crashes that truncated a WAL *)
-    store_bytes_written : int;  (** total bytes charged to all disks *)
-    rel_retransmits : int;  (** reliable-delivery retransmissions performed *)
-    rel_acked : int;  (** tracked sends confirmed by an ack *)
-    rel_dup_dropped : int;
+    mutable decisions : int;  (** choice points resolved *)
+    mutable lookahead_forks : int;  (** speculative branches simulated *)
+    mutable wal_appends : int;  (** write-ahead records made durable *)
+    mutable snapshots : int;  (** snapshot compactions (including boot seeds) *)
+    mutable recoveries : int;  (** boots that restored state from a disk *)
+    mutable torn_recoveries : int;  (** recoveries that dropped a torn WAL tail *)
+    mutable amnesia_wipes : int;  (** {!kill_amnesia} crashes that erased a disk *)
+    mutable torn_writes : int;  (** {!torn_write} crashes that truncated a WAL *)
+    mutable store_bytes_written : int;  (** total bytes charged to all disks *)
+    mutable rel_retransmits : int;  (** reliable-delivery retransmissions performed *)
+    mutable rel_acked : int;  (** tracked sends confirmed by an ack *)
+    mutable rel_dup_dropped : int;
         (** arrivals suppressed by the receiver's seen-set — covers both
             our own retransmissions and Netem's duplicate fault, which
             share a sequence number *)
-    rel_giveups : int;  (** tracked sends abandoned after the retry budget *)
-    fd_recoveries : int;
+    mutable rel_giveups : int;  (** tracked sends abandoned after the retry budget *)
+    mutable fd_recoveries : int;
         (** heartbeats that un-suspected a peer — the failure detector's
             count of observed recoveries *)
-    degraded_entries : int;  (** app-reported entries into degraded mode *)
-    degraded_exits : int;  (** app-reported exits from degraded mode *)
-    sheds_mailbox : int;  (** messages shed by a full bounded mailbox *)
-    sheds_link : int;  (** messages shed by a full bounded link queue *)
-    sheds_admission : int;  (** injects refused by the token bucket *)
-    sheds_sojourn : int;
+    mutable degraded_entries : int;  (** app-reported entries into degraded mode *)
+    mutable degraded_exits : int;  (** app-reported exits from degraded mode *)
+    mutable sheds_mailbox : int;  (** messages shed by a full bounded mailbox *)
+    mutable sheds_link : int;  (** messages shed by a full bounded link queue *)
+    mutable sheds_admission : int;  (** injects refused by the token bucket *)
+    mutable sheds_sojourn : int;
         (** injects refused by the CoDel-style sojourn gate — the oldest
             queued message had waited past the threshold *)
-    rel_sheds : int;
+    mutable rel_sheds : int;
         (** pending retransmissions shed by the suspected-peer cap
             ([reliable_config.suspect_cap]) *)
-    breaker_skips : int;  (** retransmission attempts refused by an open breaker *)
-    chaff_sent : int;  (** synthetic messages injected by {!overload} bursts *)
-    max_mailbox_depth : int;
+    mutable breaker_skips : int;  (** retransmission attempts refused by an open breaker *)
+    mutable chaff_sent : int;  (** synthetic messages injected by {!overload} bursts *)
+    mutable max_mailbox_depth : int;
         (** high-water mark of any node's mailbox since creation
             (0 until {!set_overload}) *)
-    clock_clamped : int;
+    mutable clock_clamped : int;
         (** timer deadlines whose global fire instant fell in the past
             (a forward {!clock_step} jumped the node's clock over them)
-            and were clamped to fire immediately — also published as
-            the ["clock.clamped"] obs counter. 0 while clocks are off. *)
-    byz_emitted : int;
+            and were clamped to fire immediately. 0 while clocks are
+            off. *)
+    mutable byz_emitted : int;
         (** byzantine mutants delivered decodes-clean (Netem [Mutate]
             verdicts whose {!Wire.Mutator} candidate survived the
             re-decode guarantee) *)
-    byz_discarded : int;
+    mutable byz_discarded : int;
         (** [Mutate] verdicts where no candidate survived — the
             original message was delivered unchanged instead *)
-    byz_rejected : int;
+    mutable byz_rejected : int;
         (** delivered mutants bounced by the app's [validate] hook
             (surfaced as drops with cause ["invalid:<reason>"]) *)
-    byz_accepted : int;
+    mutable byz_accepted : int;
         (** delivered mutants the validator let through to a handler —
-            the traffic soak invariants must survive. All four are also
-            published as the ["engine_byz"] obs counter, labelled by
-            outcome, lazily (byz-free runs export no new metrics). *)
+            the traffic soak invariants must survive *)
   }
 
   (** Reliable-delivery tuning: retransmissions start after
@@ -102,8 +103,9 @@ module Make (App : Proto.App_intf.APP) : sig
       pair, further retransmission timers shed their send instead of
       retrying (counted in [stats.rel_sheds]) and notify the sender via
       the synthetic timer id ["rel.shed:<kind>"]. [0] (the default)
-      disables the cap. *)
-  type reliable_config = {
+      disables the cap. The layer's tables and retry policy live in
+      {!Reliable}. *)
+  type reliable_config = Reliable.config = {
     base_timeout : float;
     backoff : float;
     max_retries : int;
@@ -222,7 +224,7 @@ module Make (App : Proto.App_intf.APP) : sig
       and is refused only when everything queued ranks strictly
       higher); with [App.priority = None] it behaves as
       [Drop_oldest]. *)
-  type shed_policy = Drop_newest | Drop_oldest | By_priority
+  type shed_policy = Overload.shed_policy = Drop_newest | Drop_oldest | By_priority
 
   (** Overload configuration, all knobs off by default:
 
@@ -243,9 +245,10 @@ module Make (App : Proto.App_intf.APP) : sig
         already waited longer than this many seconds, the inject is
         shed before the queue saturates (0. disables).
 
-      Every shed is counted by cause in {!stats} and, when a sink is
-      attached, in the [engine_sheds] Obs counter labelled by cause. *)
-  type overload_config = {
+      Every shed is counted by cause in {!stats} ([sheds_mailbox],
+      [sheds_link], [sheds_admission], [sheds_sojourn]). The tables
+      live in {!Overload}. *)
+  type overload_config = Overload.config = {
     mailbox_capacity : int;
     link_capacity : int;
     shed : shed_policy;
@@ -356,7 +359,7 @@ module Make (App : Proto.App_intf.APP) : sig
       fires early in global time), its failure-detector heartbeats and
       circuit-breaker cooldowns are stamped with its local reading, and
       pending timers are re-anchored whenever a later fault moves the
-      clock. *)
+      clock. The table lives in {!Clocks}. *)
 
   val set_clock_rate : t -> Proto.Node_id.t -> rate:float -> unit
   (** Drift: from now on the node's clock advances [rate] local seconds
@@ -440,16 +443,16 @@ module Make (App : Proto.App_intf.APP) : sig
 
   val set_obs : t -> Obs.Sink.t option -> unit
   (** Attach (or detach) an observability sink.  While attached, the
-      engine exports per-node/per-link delivery counters, drops by
-      cause, a queue-depth gauge and delivery-latency histograms into
-      the sink's registry, and records one causal span per message hop
+      engine exports every {!stats} field as the counter
+      [engine_<field>] (read from the engine's counter store at export
+      time), per-node/per-link delivery counters, drops by cause,
+      queue-depth gauges and delivery-latency histograms into the
+      sink's registry, and records one causal span per message hop
       and timer fire: spans carry a trace id minted at each root send
       (boot, {!inject}) and inherited by everything a handler does in
       response — including duplicated, reordered and deferred
       deliveries.  Speculative forks never observe: {!fork} detaches
       the sink in the copy. *)
-
-  val obs_sink : t -> Obs.Sink.t option
 
   val netem : t -> Net.Netem.t
   val netmodel : t -> Net.Netmodel.t

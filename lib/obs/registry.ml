@@ -9,7 +9,8 @@ type histogram = {
   h_buckets : int;
 }
 
-type value = Counter of counter | Gauge of gauge | Hist of histogram
+type value = Counter of counter | Probe of probe | Gauge of gauge | Hist of histogram
+and probe = { mutable read : unit -> int }
 
 type metric = {
   m_name : string;
@@ -45,6 +46,10 @@ let kind_clash name kind =
 let counter ?(volatile = false) t ~name ~labels =
   let m = register t ~name ~labels ~volatile (fun _ -> Counter { c = 0 }) in
   match m.m_value with Counter c -> c | _ -> kind_clash name "counter"
+
+let probe t ~name ~labels read =
+  let m = register t ~name ~labels ~volatile:false (fun _ -> Probe { read }) in
+  match m.m_value with Probe p -> p.read <- read | _ -> kind_clash name "probe counter"
 
 let incr ?(by = 1) c = c.c <- c.c + by
 let counter_value c = c.c
@@ -97,6 +102,7 @@ let metric_json m =
   in
   match m.m_value with
   | Counter c -> base "counter" [ ("value", Json.Int c.c) ]
+  | Probe p -> base "counter" [ ("value", Json.Int (p.read ())) ]
   | Gauge g -> base "gauge" [ ("value", Json.Float g.g) ]
   | Hist h ->
       let st = h.h_stats in
@@ -158,6 +164,7 @@ let pp ppf t =
       match m.m_value with
       | Counter c ->
           Format.fprintf ppf "%s%a = %d@," m.m_name pp_labels m.m_labels c.c
+      | Probe p -> Format.fprintf ppf "%s%a = %d@," m.m_name pp_labels m.m_labels (p.read ())
       | Gauge g -> Format.fprintf ppf "%s%a = %g@," m.m_name pp_labels m.m_labels g.g
       | Hist h ->
           Format.fprintf ppf "%s%a: %a@," m.m_name pp_labels m.m_labels

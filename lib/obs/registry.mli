@@ -24,6 +24,12 @@ val counter : ?volatile:bool -> t -> name:string -> labels:(string * string) lis
 val incr : ?by:int -> counter -> unit
 val counter_value : counter -> int
 
+val probe : t -> name:string -> labels:(string * string) list -> (unit -> int) -> unit
+(** A counter whose value is read from the function at export instead
+    of being incremented — for a component that already keeps the
+    count in its own store. Registering the key again replaces the
+    function. *)
+
 val gauge : ?volatile:bool -> t -> name:string -> labels:(string * string) list -> gauge
 val set : gauge -> float -> unit
 val gauge_value : gauge -> float

@@ -216,7 +216,7 @@ let test_span_propagation () =
     pongs
 
 let test_engine_metrics () =
-  let _, sink = run_pingpong ~seed:11 in
+  let eng, sink = run_pingpong ~seed:11 in
   let r = sink.Obs.Sink.registry in
   let deliveries node =
     Obs.Registry.counter_value
@@ -230,7 +230,23 @@ let test_engine_metrics () =
        (Obs.Registry.histogram r ~name:"engine_delivery_latency_ms"
           ~labels:[ ("src", "0"); ("dst", "1") ]
           ~lo:0. ~hi:2000. ~buckets:20)
-     >= 1)
+     >= 1);
+  (* Every stats field is exported, read from the engine's counters. *)
+  let exported name =
+    List.find_map
+      (fun j ->
+        match (Obs.Json.member "name" j, Obs.Json.member "value" j) with
+        | Some (Obs.Json.Str n), Some (Obs.Json.Int v) when String.equal n name -> Some v
+        | _ -> None)
+      (Obs.Registry.to_json r)
+  in
+  let s = E.stats eng in
+  checkb "engine_messages_delivered is the stats field" true
+    (exported "engine_messages_delivered" = Some s.E.messages_delivered);
+  checkb "engine_messages_duplicated is the stats field" true
+    (exported "engine_messages_duplicated" = Some s.E.messages_duplicated);
+  checkb "engine_events_processed is the stats field" true
+    (exported "engine_events_processed" = Some s.E.events_processed)
 
 let test_export_deterministic () =
   let _, s1 = run_pingpong ~seed:42 in

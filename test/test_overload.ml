@@ -411,6 +411,38 @@ let test_knobs_off_byte_identical () =
   checkb "default overload config changes no behaviour" true
     (plain_run ~overload:false () = plain_run ~overload:true ())
 
+(* An idle layer (every knob off) must not retain anything per
+   delivery: on the layer-ladder deployment (5 paxos replicas, 20 ms
+   links, seed 7), the words it keeps beyond the same engine without
+   the layer may not grow between 20 s and 160 s of virtual time. *)
+let test_idle_retains_nothing () =
+  let topology =
+    Net.Topology.uniform ~n:5 (Net.Linkprop.v ~latency:0.02 ~bandwidth:1_000_000. ~loss:0.)
+  in
+  let engine ~overload =
+    let eng = PE.create ~seed:7 ~jitter:0. ~topology () in
+    Dsim.Trace.set_min_level (PE.trace eng) Dsim.Trace.Info;
+    PE.set_resolver eng Apps.Paxos.self_resolver;
+    for i = 0 to 4 do
+      PE.spawn eng (nid i)
+    done;
+    if overload then PE.set_overload eng ~config:PE.default_overload;
+    eng
+  in
+  let plain = engine ~overload:false and idle = engine ~overload:true in
+  let extra_words_at s =
+    PE.run_until plain (Dsim.Vtime.of_seconds s);
+    PE.run_until idle (Dsim.Vtime.of_seconds s);
+    Obj.reachable_words (Obj.repr idle) - Obj.reachable_words (Obj.repr plain)
+  in
+  let early = extra_words_at 20. in
+  let late = extra_words_at 160. in
+  checkb
+    (Printf.sprintf "extra words %d at 20 s, %d at 160 s (%d deliveries): flat within 1000"
+       early late (PE.stats idle).PE.messages_delivered)
+    true
+    (abs (late - early) <= 1000)
+
 let () =
   Alcotest.run "overload"
     [
@@ -453,5 +485,6 @@ let () =
         [
           Alcotest.test_case "bit-identical replay" `Quick test_deterministic_replay;
           Alcotest.test_case "knobs off, byte-identical" `Quick test_knobs_off_byte_identical;
+          Alcotest.test_case "idle layer retains nothing" `Quick test_idle_retains_nothing;
         ] );
     ]
