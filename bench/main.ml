@@ -936,8 +936,8 @@ module Layer_engine (App : Proto.App_intf.APP) = struct
     install eng;
     {
       run_for = E.run_for eng;
-      events = (fun () -> (E.stats eng).E.events_processed);
-      deliveries = (fun () -> (E.stats eng).E.messages_delivered);
+      events = (fun () -> (E.stats eng).events_processed);
+      deliveries = (fun () -> (E.stats eng).messages_delivered);
     }
 end
 

@@ -325,26 +325,37 @@ let generate ~seed ~nodes profile =
   end;
   Faultplan.plan !events
 
+type outcome = {
+  plan : Faultplan.t;
+  violations : (Dsim.Vtime.t * string) list;
+  recovered : bool;
+  self_healed : bool;
+  heal_time : float option;
+  shed_bounded : bool;
+  overload_recovered : bool;
+  stats : Counters.t;
+  elapsed : float;
+}
+
 module Soak (App : Proto.App_intf.APP) = struct
   module E = Sim.Make (App)
   module Exec = Faultplan.Run (E)
 
-  type outcome = {
-    plan : Faultplan.t;
-    violations : (Dsim.Vtime.t * string) list;
-    recovered : bool;
-    self_healed : bool;  (* no node still degraded at the end of grace *)
-    heal_time : float option;  (* grace seconds until the last node undegraded *)
-    shed_bounded : bool;  (* no mailbox ever exceeded its configured capacity *)
-    overload_recovered : bool;  (* every queue drained by the end of grace *)
-    stats : E.stats;
-    elapsed : float;
-  }
-
-  let run ?(warmup = 2.) ~setup ~recovered ~seed ~topology profile =
+  let run ?(reliable = false) ?obs ~setup ~recovered ~seed ~topology profile =
     let eng = E.create ~seed ~topology () in
+    (* Bursting profiles get bounded mailboxes, priority shedding and
+       the circuit breaker; all off otherwise so seeded runs stay
+       byte-identical. *)
+    if profile.overload_nodes > 0 then begin
+      E.set_overload eng
+        ~config:
+          { E.default_overload with mailbox_capacity = 64; shed = E.By_priority; service_time = 5e-4 };
+      E.enable_breaker eng
+    end;
+    if reliable then E.enable_reliable eng;
+    Option.iter (fun sink -> E.set_obs eng (Some sink)) obs;
     setup eng;
-    E.run_for eng warmup;
+    E.run_for eng 2.;
     (* Steady-state queue depth before any fault: the recovery verdict
        compares against this, not against zero — a busy system always
        has a few messages in flight. *)
@@ -375,17 +386,12 @@ module Soak (App : Proto.App_intf.APP) = struct
       | _ -> ()
     done;
     let self_healed = E.degraded_nodes eng = 0 in
-    (* Overload verdicts. [shed_bounded]: the shed policy held the line
-       — the high-water mark never broke the configured capacity
-       (vacuously true while mailboxes are unbounded). [overload_recovered]:
-       the burst backlog has drained back to the neighbourhood of the
-       pre-storm steady state (double it, to absorb timing jitter), so
-       post-burst latency is baseline again — nothing still waits
-       behind a pile of chaff. *)
+    (* Overload verdicts: the high-water mark never broke the mailbox
+       capacity, and the backlog drained back to the neighbourhood of
+       the pre-storm steady state (doubled, to absorb timing jitter). *)
     let shed_bounded =
       match E.overload_limits eng with
-      | Some cfg when cfg.E.mailbox_capacity > 0 ->
-          (E.stats eng).E.max_mailbox_depth <= cfg.E.mailbox_capacity
+      | Some { mailbox_capacity = cap; _ } when cap > 0 -> (E.stats eng).max_mailbox_depth <= cap
       | Some _ | None -> true
     in
     {

@@ -104,48 +104,49 @@ val generate : seed:int -> nodes:int -> profile -> Faultplan.t
     negative byzantine link count, or a byzantine mutate rate outside
     [0,1] — each with an error naming the offending knob. *)
 
+type outcome = {
+  plan : Faultplan.t;
+  violations : (Dsim.Vtime.t * string) list;  (** safety violations, storm or grace *)
+  recovered : bool;  (** the caller's recovery check passed *)
+  self_healed : bool;
+      (** no live node still reported [App.degraded] at the end of
+          grace (vacuously true for apps without a degraded mode) *)
+  heal_time : float option;
+      (** grace seconds until the last degraded node recovered and
+          stayed so, on a 0.25s grid; [None] if it never did *)
+  shed_bounded : bool;
+      (** the mailbox high-water mark never exceeded the configured
+          capacity (vacuously true while mailboxes are unbounded) *)
+  overload_recovered : bool;
+      (** by the end of grace the backlog was back within twice the
+          one measured after warmup ("drained" means back to baseline,
+          not empty) *)
+  stats : Counters.t;
+  elapsed : float;  (** total virtual seconds simulated *)
+}
+
 module Soak (App : Proto.App_intf.APP) : sig
   module E : module type of Sim.Make (App)
 
-  type outcome = {
-    plan : Faultplan.t;
-    violations : (Dsim.Vtime.t * string) list;
-        (** safety violations observed at any point (storm or grace) *)
-    recovered : bool;  (** the caller's recovery check passed *)
-    self_healed : bool;
-        (** no live node was still reporting [App.degraded] at the end
-            of the grace period (vacuously true for apps without a
-            degraded mode) *)
-    heal_time : float option;
-        (** grace seconds until the last degraded node recovered —
-            and stayed recovered; [None] when the system never fully
-            un-degraded. Sampled on a 0.25s grid *)
-    shed_bounded : bool;
-        (** the mailbox high-water mark never exceeded the configured
-            [mailbox_capacity] — the shed policy held under the bursts
-            (vacuously true while mailboxes are unbounded) *)
-    overload_recovered : bool;
-        (** by the end of grace the deepest queue was back within the
-            backlog measured after warmup (a busy system always has a
-            few messages in flight — "drained" means back to baseline,
-            not empty) *)
-    stats : E.stats;
-    elapsed : float;  (** total virtual seconds simulated *)
-  }
-
   val run :
-    ?warmup:float ->
+    ?reliable:bool ->
+    ?obs:Obs.Sink.t ->
     setup:(E.t -> unit) ->
     recovered:(E.t -> unit -> bool) ->
     seed:int ->
     topology:Net.Topology.t ->
     profile ->
     outcome
-  (** [run ~setup ~recovered ~seed ~topology profile]: [setup] spawns
-      nodes and seeds workload on the fresh engine; after [warmup]
-      (default 2s) the generated plan executes, the rest of the storm
-      runs out, then [recovered eng] snapshots whatever baseline it
-      needs and the returned thunk is asked for the verdict after
-      [grace] more seconds. The engine seed equals the plan seed, so
-      the whole soak is bit-reproducible. *)
+  (** [run ~setup ~recovered ~seed ~topology profile]: the soak is the
+      one place that sets up a run's engine layers. A profile with
+      [overload_nodes > 0] gets capacity-64 mailboxes with
+      [By_priority] shedding, a 0.5 ms service time and the circuit
+      breaker; [reliable] (default [false]) turns on reliable
+      delivery; [obs] attaches a sink. [setup] then picks the
+      resolver, spawns nodes and seeds workload. After a 2s warmup
+      the generated plan executes, the rest of the storm runs out,
+      then [recovered eng] snapshots whatever baseline it needs and
+      the returned thunk is asked for the verdict after [grace] more
+      seconds. The engine seed equals the plan seed, so the whole
+      soak is bit-reproducible. *)
 end

@@ -15,8 +15,7 @@ type report = {
   self_healed : bool;  (** no node still degraded when grace ran out *)
   heal_time : float option;  (** grace seconds until the last node un-degraded *)
   plan_events : int;
-  plan_text : string;
-      (** [Faultplan.pp] of the generated plan — the replay witness *)
+  plan_text : string;  (** [Faultplan.pp] of the generated plan — the replay witness *)
   delivered : int;
   dropped : int;
   duplicated : int;
@@ -30,110 +29,83 @@ type report = {
   degraded_exits : int;
   retransmits : int;  (** reliable-delivery retransmissions (0 unless enabled) *)
   giveups : int;  (** reliable sends abandoned after the retry budget *)
-  sheds : int;
-      (** messages shed by the overload layer, all causes (0 unless the
-          profile runs injection bursts) *)
+  sheds : int;  (** messages shed by the overload layer, all causes *)
   max_depth : int;  (** mailbox high-water mark over the whole soak *)
   shed_bounded : bool;  (** queues never exceeded their configured capacity *)
   overload_recovered : bool;  (** every queue drained by the end of grace *)
   elapsed : float;
 }
 
-let pp_report ppf r =
-  Format.fprintf ppf
-    "%-8s seed=%-4d %s %s %s viol=%d dlv=%d drop=%d dup=%d corr=%d badwire=%d \
-     byz=%d(-%d/+%d) deg=%d/%d rexmit=%d giveup=%d shed=%d depth<=%d %s %s"
-    r.app r.seed
-    (if r.violations = 0 then "SAFE  " else "UNSAFE")
-    (if r.recovered then "recovered" else "STUCK    ")
-    (if r.self_healed then "healed  " else "DEGRADED")
-    r.violations r.delivered r.dropped r.duplicated r.corrupted r.decode_failures
-    r.byz_emitted r.byz_rejected r.byz_accepted
-    r.degraded_entries r.degraded_exits r.retransmits r.giveups r.sheds r.max_depth
-    (if r.shed_bounded then "bounded" else "OVERRUN")
-    (if r.overload_recovered then "drained" else "BACKLOGGED")
-
 (* Every soak uses one flat LAN-ish topology: the storm supplies the
    adversity, the base network stays out of the way. *)
 let topology ~n =
   Net.Topology.uniform ~n (Net.Linkprop.v ~latency:0.02 ~bandwidth:200_000. ~loss:0.)
+
+(* One report shape for every app: the soak's verdicts plus the
+   counters the table prints. *)
+let report_of ~app ~seed (o : Engine.Chaos.outcome) =
+  let s = o.stats in
+  {
+    app;
+    seed;
+    violations = List.length o.violations;
+    recovered = o.recovered;
+    self_healed = o.self_healed;
+    heal_time = o.heal_time;
+    plan_events = List.length (Engine.Faultplan.events o.plan);
+    plan_text = Format.asprintf "%a" Engine.Faultplan.pp o.plan;
+    delivered = s.messages_delivered;
+    dropped = s.messages_dropped;
+    duplicated = s.messages_duplicated;
+    corrupted = s.messages_corrupted;
+    reordered = s.messages_reordered;
+    decode_failures = s.decode_failures;
+    byz_emitted = s.byz_emitted;
+    byz_rejected = s.byz_rejected;
+    byz_accepted = s.byz_accepted;
+    degraded_entries = s.degraded_entries;
+    degraded_exits = s.degraded_exits;
+    retransmits = s.rel_retransmits;
+    giveups = s.rel_giveups;
+    sheds = s.sheds_mailbox + s.sheds_link + s.sheds_admission + s.sheds_sojourn;
+    max_depth = s.max_mailbox_depth;
+    shed_bounded = o.shed_bounded;
+    overload_recovered = o.overload_recovered;
+    elapsed = o.elapsed;
+  }
+
+(* Nodes [0 .. n-1] boot at random instants in the first 0.3s. *)
+let spawn_staggered ~seed ~n (spawn : ?after:float -> Proto.Node_id.t -> unit) =
+  let rng = Dsim.Rng.create (seed + 77) in
+  for i = 0 to n - 1 do
+    spawn ~after:(Dsim.Rng.float rng 0.3) (Proto.Node_id.of_int i)
+  done
+
+(* Sums [count st] over the live nodes. *)
+let total live count = List.fold_left (fun acc (_, st) -> acc + count st) 0 live
 
 (* ---------- paxos: 5 replicas, commands keep committing ---------- *)
 
 module Paxos_app = Apps.Paxos.Default
 module Paxos_soak = Engine.Chaos.Soak (Paxos_app)
 
-let paxos_profile =
-  { Engine.Chaos.default_profile with crashes = 2; partitions = 1 }
-
-let paxos_decided eng =
-  List.fold_left
-    (fun acc (_, st) -> acc + Apps.Paxos.Int_map.cardinal (Paxos_app.decided st))
-    0
-    (Paxos_soak.E.live_nodes eng)
+let paxos_profile = { Engine.Chaos.default_profile with crashes = 2; partitions = 1 }
 
 let soak_paxos ?(profile = paxos_profile) ?(reliable = false) ?obs seed =
   let n = Apps.Paxos.Default_params.population in
-  let o =
-    Paxos_soak.run ~seed ~topology:(topology ~n) profile
-      ~setup:(fun eng ->
-        Paxos_soak.E.set_resolver eng (Apps.Paxos.round_robin_resolver ~population:n);
-        (* Bursting profiles get bounded mailboxes, priority shedding
-           and the circuit breaker; all off otherwise so seeded runs
-           stay byte-identical. *)
-        (if profile.Engine.Chaos.overload_nodes > 0 then begin
-           Paxos_soak.E.set_overload eng
-             ~config:
-               {
-                 Paxos_soak.E.default_overload with
-                 Paxos_soak.E.mailbox_capacity = 64;
-                 shed = Paxos_soak.E.By_priority;
-                 service_time = 5e-4;
-               };
-           Paxos_soak.E.enable_breaker eng
-         end);
-        if reliable then Paxos_soak.E.enable_reliable eng;
-        Option.iter (fun sink -> Paxos_soak.E.set_obs eng (Some sink)) obs;
-        let rng = Dsim.Rng.create (seed + 77) in
-        for i = 0 to n - 1 do
-          Paxos_soak.E.spawn eng ~after:(Dsim.Rng.float rng 0.3) (Proto.Node_id.of_int i)
-        done)
-      ~recovered:(fun eng ->
-        (* Consensus recovered iff the log keeps growing after the storm. *)
-        let before = paxos_decided eng in
-        fun () -> paxos_decided eng > before)
+  let decided eng =
+    total (Paxos_soak.E.live_nodes eng) (fun st ->
+        Apps.Paxos.Int_map.cardinal (Paxos_app.decided st))
   in
-  let s = o.Paxos_soak.stats in
-  {
-    app = "paxos";
-    seed;
-    violations = List.length o.Paxos_soak.violations;
-    recovered = o.Paxos_soak.recovered;
-    self_healed = o.Paxos_soak.self_healed;
-    heal_time = o.Paxos_soak.heal_time;
-    plan_events = List.length (Engine.Faultplan.events o.Paxos_soak.plan);
-    plan_text = Format.asprintf "%a" Engine.Faultplan.pp o.Paxos_soak.plan;
-    delivered = s.Paxos_soak.E.messages_delivered;
-    dropped = s.Paxos_soak.E.messages_dropped;
-    duplicated = s.Paxos_soak.E.messages_duplicated;
-    corrupted = s.Paxos_soak.E.messages_corrupted;
-    reordered = s.Paxos_soak.E.messages_reordered;
-    decode_failures = s.Paxos_soak.E.decode_failures;
-    byz_emitted = s.Paxos_soak.E.byz_emitted;
-    byz_rejected = s.Paxos_soak.E.byz_rejected;
-    byz_accepted = s.Paxos_soak.E.byz_accepted;
-    degraded_entries = s.Paxos_soak.E.degraded_entries;
-    degraded_exits = s.Paxos_soak.E.degraded_exits;
-    retransmits = s.Paxos_soak.E.rel_retransmits;
-    giveups = s.Paxos_soak.E.rel_giveups;
-    sheds =
-      s.Paxos_soak.E.sheds_mailbox + s.Paxos_soak.E.sheds_link + s.Paxos_soak.E.sheds_admission
-      + s.Paxos_soak.E.sheds_sojourn;
-    max_depth = s.Paxos_soak.E.max_mailbox_depth;
-    shed_bounded = o.Paxos_soak.shed_bounded;
-    overload_recovered = o.Paxos_soak.overload_recovered;
-    elapsed = o.Paxos_soak.elapsed;
-  }
+  Paxos_soak.run ~reliable ?obs ~seed ~topology:(topology ~n) profile
+    ~setup:(fun eng ->
+      Paxos_soak.E.set_resolver eng (Apps.Paxos.round_robin_resolver ~population:n);
+      spawn_staggered ~seed ~n (Paxos_soak.E.spawn eng))
+    ~recovered:(fun eng ->
+      (* Consensus recovered iff the log keeps growing after the storm. *)
+      let before = decided eng in
+      fun () -> decided eng > before)
+  |> report_of ~app:"paxos" ~seed
 
 (* ---------- kvstore: primary protected, replicas catch up ---------- *)
 
@@ -150,74 +122,17 @@ let kvstore_profile =
 
 let soak_kvstore ?(profile = kvstore_profile) ?(reliable = false) ?obs seed =
   let n = Apps.Kvstore.Default_params.population in
-  let o =
-    Kv_soak.run ~seed ~topology:(topology ~n) profile
-      ~setup:(fun eng ->
-        Kv_soak.E.set_resolver eng Apps.Kvstore.session_resolver;
-        (* Bursting profiles get bounded mailboxes, priority shedding
-           and the circuit breaker; all off otherwise so seeded runs
-           stay byte-identical. *)
-        (if profile.Engine.Chaos.overload_nodes > 0 then begin
-           Kv_soak.E.set_overload eng
-             ~config:
-               {
-                 Kv_soak.E.default_overload with
-                 Kv_soak.E.mailbox_capacity = 64;
-                 shed = Kv_soak.E.By_priority;
-                 service_time = 5e-4;
-               };
-           Kv_soak.E.enable_breaker eng
-         end);
-        if reliable then Kv_soak.E.enable_reliable eng;
-        Option.iter (fun sink -> Kv_soak.E.set_obs eng (Some sink)) obs;
-        let rng = Dsim.Rng.create (seed + 77) in
-        for i = 0 to n - 1 do
-          Kv_soak.E.spawn eng ~after:(Dsim.Rng.float rng 0.3) (Proto.Node_id.of_int i)
-        done)
-      ~recovered:(fun eng ->
-        (* Recovery = anti-entropy closes the gap: every replica reaches
-           at least the head the primary had when the storm ended. *)
-        let head =
-          List.fold_left
-            (fun acc (_, st) -> max acc (Kv_app.applied_seq st))
-            0 (Kv_soak.E.live_nodes eng)
-        in
-        fun () ->
-          List.for_all
-            (fun (_, st) -> Kv_app.applied_seq st >= head)
-            (Kv_soak.E.live_nodes eng))
-  in
-  let s = o.Kv_soak.stats in
-  {
-    app = "kvstore";
-    seed;
-    violations = List.length o.Kv_soak.violations;
-    recovered = o.Kv_soak.recovered;
-    self_healed = o.Kv_soak.self_healed;
-    heal_time = o.Kv_soak.heal_time;
-    plan_events = List.length (Engine.Faultplan.events o.Kv_soak.plan);
-    plan_text = Format.asprintf "%a" Engine.Faultplan.pp o.Kv_soak.plan;
-    delivered = s.Kv_soak.E.messages_delivered;
-    dropped = s.Kv_soak.E.messages_dropped;
-    duplicated = s.Kv_soak.E.messages_duplicated;
-    corrupted = s.Kv_soak.E.messages_corrupted;
-    reordered = s.Kv_soak.E.messages_reordered;
-    decode_failures = s.Kv_soak.E.decode_failures;
-    byz_emitted = s.Kv_soak.E.byz_emitted;
-    byz_rejected = s.Kv_soak.E.byz_rejected;
-    byz_accepted = s.Kv_soak.E.byz_accepted;
-    degraded_entries = s.Kv_soak.E.degraded_entries;
-    degraded_exits = s.Kv_soak.E.degraded_exits;
-    retransmits = s.Kv_soak.E.rel_retransmits;
-    giveups = s.Kv_soak.E.rel_giveups;
-    sheds =
-      s.Kv_soak.E.sheds_mailbox + s.Kv_soak.E.sheds_link + s.Kv_soak.E.sheds_admission
-      + s.Kv_soak.E.sheds_sojourn;
-    max_depth = s.Kv_soak.E.max_mailbox_depth;
-    shed_bounded = o.Kv_soak.shed_bounded;
-    overload_recovered = o.Kv_soak.overload_recovered;
-    elapsed = o.Kv_soak.elapsed;
-  }
+  Kv_soak.run ~reliable ?obs ~seed ~topology:(topology ~n) profile
+    ~setup:(fun eng ->
+      Kv_soak.E.set_resolver eng Apps.Kvstore.session_resolver;
+      spawn_staggered ~seed ~n (Kv_soak.E.spawn eng))
+    ~recovered:(fun eng ->
+      (* Recovery = anti-entropy closes the gap: every replica reaches
+         at least the head the primary had when the storm ended. *)
+      let seqs () = List.map (fun (_, st) -> Kv_app.applied_seq st) (Kv_soak.E.live_nodes eng) in
+      let head = List.fold_left max 0 (seqs ()) in
+      fun () -> List.for_all (fun seq -> seq >= head) (seqs ()))
+  |> report_of ~app:"kvstore" ~seed
 
 (* ---------- flapping partitions: the self-healing storm ---------- *)
 
@@ -232,18 +147,9 @@ let soak_kvstore ?(profile = kvstore_profile) ?(reliable = false) ?obs seed =
 let flap_profile =
   {
     Engine.Chaos.default_profile with
-    crashes = 0;
-    partitions = 0;
-    degrades = 0;
-    duplicate_rate = 0.;
-    corrupt_rate = 0.;
-    corrupt_flip = 0.;
-    reorder_rate = 0.;
-    reorder_window = 0.;
-    flaps = 2;
-    flap_period = 30.;
-    storm = 130.;
-    grace = 30.;
+    crashes = 0; partitions = 0; degrades = 0;
+    duplicate_rate = 0.; corrupt_rate = 0.; corrupt_flip = 0.; reorder_rate = 0.; reorder_window = 0.;
+    flaps = 2; flap_period = 30.; storm = 130.; grace = 30.;
   }
 
 let soak_paxos_flap ?(profile = flap_profile) ?obs seed =
@@ -268,70 +174,21 @@ let gossip_rumors = [ 0; 1; 2; 3; 4 ]
 let soak_gossip ?(profile = gossip_profile) seed =
   let n = 12 in
   let source = Proto.Node_id.of_int 1 in
-  let o =
-    Gossip_soak.run ~seed ~topology:(topology ~n) profile
-      ~setup:(fun eng ->
-        Gossip_soak.E.set_resolver eng Core.Resolver.random;
-        (* Bursting profiles get bounded mailboxes, priority shedding
-           and the circuit breaker; all off otherwise so seeded runs
-           stay byte-identical. *)
-        (if profile.Engine.Chaos.overload_nodes > 0 then begin
-           Gossip_soak.E.set_overload eng
-             ~config:
-               {
-                 Gossip_soak.E.default_overload with
-                 Gossip_soak.E.mailbox_capacity = 64;
-                 shed = Gossip_soak.E.By_priority;
-                 service_time = 5e-4;
-               };
-           Gossip_soak.E.enable_breaker eng
-         end);
-        let rng = Dsim.Rng.create (seed + 77) in
-        for i = 0 to n - 1 do
-          Gossip_soak.E.spawn eng ~after:(Dsim.Rng.float rng 0.3) (Proto.Node_id.of_int i)
-        done;
-        Gossip_soak.E.inject eng ~after:0.5 ~src:source ~dst:source
-          (Gossip_app.seed_rumors source gossip_rumors))
-      ~recovered:(fun eng ->
-        (* Recovery = push-pull refills everyone, including nodes that
-           restarted with empty rumor sets. *)
-        let want = Apps.Gossip.Int_set.of_list gossip_rumors in
-        fun () ->
-          List.for_all
-            (fun (_, st) -> Apps.Gossip.Int_set.subset want (Gossip_app.known st))
-            (Gossip_soak.E.live_nodes eng))
-  in
-  let s = o.Gossip_soak.stats in
-  {
-    app = "gossip";
-    seed;
-    violations = List.length o.Gossip_soak.violations;
-    recovered = o.Gossip_soak.recovered;
-    self_healed = o.Gossip_soak.self_healed;
-    heal_time = o.Gossip_soak.heal_time;
-    plan_events = List.length (Engine.Faultplan.events o.Gossip_soak.plan);
-    plan_text = Format.asprintf "%a" Engine.Faultplan.pp o.Gossip_soak.plan;
-    delivered = s.Gossip_soak.E.messages_delivered;
-    dropped = s.Gossip_soak.E.messages_dropped;
-    duplicated = s.Gossip_soak.E.messages_duplicated;
-    corrupted = s.Gossip_soak.E.messages_corrupted;
-    reordered = s.Gossip_soak.E.messages_reordered;
-    decode_failures = s.Gossip_soak.E.decode_failures;
-    byz_emitted = s.Gossip_soak.E.byz_emitted;
-    byz_rejected = s.Gossip_soak.E.byz_rejected;
-    byz_accepted = s.Gossip_soak.E.byz_accepted;
-    degraded_entries = s.Gossip_soak.E.degraded_entries;
-    degraded_exits = s.Gossip_soak.E.degraded_exits;
-    retransmits = s.Gossip_soak.E.rel_retransmits;
-    giveups = s.Gossip_soak.E.rel_giveups;
-    sheds =
-      s.Gossip_soak.E.sheds_mailbox + s.Gossip_soak.E.sheds_link + s.Gossip_soak.E.sheds_admission
-      + s.Gossip_soak.E.sheds_sojourn;
-    max_depth = s.Gossip_soak.E.max_mailbox_depth;
-    shed_bounded = o.Gossip_soak.shed_bounded;
-    overload_recovered = o.Gossip_soak.overload_recovered;
-    elapsed = o.Gossip_soak.elapsed;
-  }
+  Gossip_soak.run ~seed ~topology:(topology ~n) profile
+    ~setup:(fun eng ->
+      Gossip_soak.E.set_resolver eng Core.Resolver.random;
+      spawn_staggered ~seed ~n (Gossip_soak.E.spawn eng);
+      Gossip_soak.E.inject eng ~after:0.5 ~src:source ~dst:source
+        (Gossip_app.seed_rumors source gossip_rumors))
+    ~recovered:(fun eng ->
+      (* Recovery = push-pull refills everyone, including nodes that
+         restarted with empty rumor sets. *)
+      let want = Apps.Gossip.Int_set.of_list gossip_rumors in
+      fun () ->
+        List.for_all
+          (fun (_, st) -> Apps.Gossip.Int_set.subset want (Gossip_app.known st))
+          (Gossip_soak.E.live_nodes eng))
+  |> report_of ~app:"gossip" ~seed
 
 (* ---------- dht: 16 nodes, lookups keep completing ---------- *)
 
@@ -345,70 +202,19 @@ module Dht_soak = Engine.Chaos.Soak (Dht_app)
 
 let dht_profile = { Engine.Chaos.default_profile with crashes = 3 }
 
-let dht_completed eng =
-  List.fold_left
-    (fun acc (_, st) -> acc + List.length (Dht_app.lookups st))
-    0 (Dht_soak.E.live_nodes eng)
-
 let soak_dht ?(profile = dht_profile) seed =
   let n = 16 in
-  let o =
-    Dht_soak.run ~seed ~topology:(topology ~n) profile
-      ~setup:(fun eng ->
-        Dht_soak.E.set_resolver eng Core.Resolver.random;
-        (* Bursting profiles get bounded mailboxes, priority shedding
-           and the circuit breaker; all off otherwise so seeded runs
-           stay byte-identical. *)
-        (if profile.Engine.Chaos.overload_nodes > 0 then begin
-           Dht_soak.E.set_overload eng
-             ~config:
-               {
-                 Dht_soak.E.default_overload with
-                 Dht_soak.E.mailbox_capacity = 64;
-                 shed = Dht_soak.E.By_priority;
-                 service_time = 5e-4;
-               };
-           Dht_soak.E.enable_breaker eng
-         end);
-        let rng = Dsim.Rng.create (seed + 77) in
-        for i = 0 to n - 1 do
-          Dht_soak.E.spawn eng ~after:(Dsim.Rng.float rng 0.3) (Proto.Node_id.of_int i)
-        done)
-      ~recovered:(fun eng ->
-        let before = dht_completed eng in
-        fun () -> dht_completed eng > before)
+  let completed eng =
+    total (Dht_soak.E.live_nodes eng) (fun st -> List.length (Dht_app.lookups st))
   in
-  let s = o.Dht_soak.stats in
-  {
-    app = "dht";
-    seed;
-    violations = List.length o.Dht_soak.violations;
-    recovered = o.Dht_soak.recovered;
-    self_healed = o.Dht_soak.self_healed;
-    heal_time = o.Dht_soak.heal_time;
-    plan_events = List.length (Engine.Faultplan.events o.Dht_soak.plan);
-    plan_text = Format.asprintf "%a" Engine.Faultplan.pp o.Dht_soak.plan;
-    delivered = s.Dht_soak.E.messages_delivered;
-    dropped = s.Dht_soak.E.messages_dropped;
-    duplicated = s.Dht_soak.E.messages_duplicated;
-    corrupted = s.Dht_soak.E.messages_corrupted;
-    reordered = s.Dht_soak.E.messages_reordered;
-    decode_failures = s.Dht_soak.E.decode_failures;
-    byz_emitted = s.Dht_soak.E.byz_emitted;
-    byz_rejected = s.Dht_soak.E.byz_rejected;
-    byz_accepted = s.Dht_soak.E.byz_accepted;
-    degraded_entries = s.Dht_soak.E.degraded_entries;
-    degraded_exits = s.Dht_soak.E.degraded_exits;
-    retransmits = s.Dht_soak.E.rel_retransmits;
-    giveups = s.Dht_soak.E.rel_giveups;
-    sheds =
-      s.Dht_soak.E.sheds_mailbox + s.Dht_soak.E.sheds_link + s.Dht_soak.E.sheds_admission
-      + s.Dht_soak.E.sheds_sojourn;
-    max_depth = s.Dht_soak.E.max_mailbox_depth;
-    shed_bounded = o.Dht_soak.shed_bounded;
-    overload_recovered = o.Dht_soak.overload_recovered;
-    elapsed = o.Dht_soak.elapsed;
-  }
+  Dht_soak.run ~seed ~topology:(topology ~n) profile
+    ~setup:(fun eng ->
+      Dht_soak.E.set_resolver eng Core.Resolver.random;
+      spawn_staggered ~seed ~n (Dht_soak.E.spawn eng))
+    ~recovered:(fun eng ->
+      let before = completed eng in
+      fun () -> completed eng > before)
+  |> report_of ~app:"dht" ~seed
 
 (* ---------- randtree: 8 nodes, tree re-forms around the root ---------- *)
 
@@ -422,68 +228,20 @@ let randtree_profile =
 
 let soak_randtree ?(profile = randtree_profile) seed =
   let n = 8 in
-  let o =
-    Tree_soak.run ~seed ~topology:(topology ~n) profile
-      ~setup:(fun eng ->
-        Tree_soak.E.set_resolver eng Core.Resolver.random;
-        (* Bursting profiles get bounded mailboxes, priority shedding
-           and the circuit breaker; all off otherwise so seeded runs
-           stay byte-identical. *)
-        (if profile.Engine.Chaos.overload_nodes > 0 then begin
-           Tree_soak.E.set_overload eng
-             ~config:
-               {
-                 Tree_soak.E.default_overload with
-                 Tree_soak.E.mailbox_capacity = 64;
-                 shed = Tree_soak.E.By_priority;
-                 service_time = 5e-4;
-               };
-           Tree_soak.E.enable_breaker eng
-         end);
-        let rng = Dsim.Rng.create (seed + 77) in
-        Tree_soak.E.spawn eng (Proto.Node_id.of_int 0);
-        for i = 1 to n - 1 do
-          Tree_soak.E.spawn eng
-            ~after:(0.3 +. (0.2 *. float_of_int i) +. Dsim.Rng.float rng 0.1)
-            (Proto.Node_id.of_int i)
-        done)
-      ~recovered:(fun eng ->
-        fun () ->
-          List.for_all
-            (fun (_, st) -> Tree_app.is_joined st)
-            (Tree_soak.E.live_nodes eng))
-  in
-  let s = o.Tree_soak.stats in
-  {
-    app = "randtree";
-    seed;
-    violations = List.length o.Tree_soak.violations;
-    recovered = o.Tree_soak.recovered;
-    self_healed = o.Tree_soak.self_healed;
-    heal_time = o.Tree_soak.heal_time;
-    plan_events = List.length (Engine.Faultplan.events o.Tree_soak.plan);
-    plan_text = Format.asprintf "%a" Engine.Faultplan.pp o.Tree_soak.plan;
-    delivered = s.Tree_soak.E.messages_delivered;
-    dropped = s.Tree_soak.E.messages_dropped;
-    duplicated = s.Tree_soak.E.messages_duplicated;
-    corrupted = s.Tree_soak.E.messages_corrupted;
-    reordered = s.Tree_soak.E.messages_reordered;
-    decode_failures = s.Tree_soak.E.decode_failures;
-    byz_emitted = s.Tree_soak.E.byz_emitted;
-    byz_rejected = s.Tree_soak.E.byz_rejected;
-    byz_accepted = s.Tree_soak.E.byz_accepted;
-    degraded_entries = s.Tree_soak.E.degraded_entries;
-    degraded_exits = s.Tree_soak.E.degraded_exits;
-    retransmits = s.Tree_soak.E.rel_retransmits;
-    giveups = s.Tree_soak.E.rel_giveups;
-    sheds =
-      s.Tree_soak.E.sheds_mailbox + s.Tree_soak.E.sheds_link + s.Tree_soak.E.sheds_admission
-      + s.Tree_soak.E.sheds_sojourn;
-    max_depth = s.Tree_soak.E.max_mailbox_depth;
-    shed_bounded = o.Tree_soak.shed_bounded;
-    overload_recovered = o.Tree_soak.overload_recovered;
-    elapsed = o.Tree_soak.elapsed;
-  }
+  Tree_soak.run ~seed ~topology:(topology ~n) profile
+    ~setup:(fun eng ->
+      Tree_soak.E.set_resolver eng Core.Resolver.random;
+      (* The root first, then one joiner every ~0.2s. *)
+      let rng = Dsim.Rng.create (seed + 77) in
+      Tree_soak.E.spawn eng (Proto.Node_id.of_int 0);
+      for i = 1 to n - 1 do
+        Tree_soak.E.spawn eng
+          ~after:(0.3 +. (0.2 *. float_of_int i) +. Dsim.Rng.float rng 0.1)
+          (Proto.Node_id.of_int i)
+      done)
+    ~recovered:(fun eng () ->
+      List.for_all (fun (_, st) -> Tree_app.is_joined st) (Tree_soak.E.live_nodes eng))
+  |> report_of ~app:"randtree" ~seed
 
 (* ---------- dispatcher ---------- *)
 
@@ -497,11 +255,8 @@ let scale factor (p : Engine.Chaos.profile) =
   let times n = max n (int_of_float (ceil (float_of_int n *. factor))) in
   {
     p with
-    Engine.Chaos.crashes = times p.Engine.Chaos.crashes;
-    partitions = times p.Engine.Chaos.partitions;
-    degrades = times p.Engine.Chaos.degrades;
-    storm = p.Engine.Chaos.storm *. factor;
-    grace = p.Engine.Chaos.grace *. factor;
+    crashes = times p.crashes; partitions = times p.partitions; degrades = times p.degrades;
+    storm = p.storm *. factor; grace = p.grace *. factor;
   }
 
 (* [with_flaps n] grafts a flapping partition onto any profile,
@@ -512,20 +267,15 @@ let with_flaps flaps (p : Engine.Chaos.profile) =
   if flaps < 0 then invalid_arg "Chaos_exp.with_flaps: negative flap count";
   if flaps = 0 then p
   else
-    let needed = 2. *. p.Engine.Chaos.flap_period *. float_of_int flaps /. 0.95 in
-    {
-      p with
-      Engine.Chaos.flaps;
-      storm = Float.max p.Engine.Chaos.storm (Float.ceil needed);
-      grace = Float.max p.Engine.Chaos.grace 30.;
-    }
+    let needed = 2. *. p.flap_period *. float_of_int flaps /. 0.95 in
+    { p with flaps; storm = Float.max p.storm (Float.ceil needed); grace = Float.max p.grace 30. }
 
 (* [with_overload n] asks the plan for [n] targeted injection bursts;
-   the soak setups react to the knob by bounding mailboxes and turning
-   on priority shedding and the circuit breaker. *)
+   the soak reacts to the knob by bounding mailboxes and turning on
+   priority shedding and the circuit breaker. *)
 let with_overload overload (p : Engine.Chaos.profile) =
   if overload < 0 then invalid_arg "Chaos_exp.with_overload: negative overload count";
-  if overload = 0 then p else { p with Engine.Chaos.overload_nodes = overload }
+  if overload = 0 then p else { p with overload_nodes = overload }
 
 (* [with_drift n] skews [n] nodes' local clocks (the profile's default
    drift band) and throws in one NTP-style step excursion alongside, so
@@ -533,7 +283,7 @@ let with_overload overload (p : Engine.Chaos.profile) =
    and hence the plan RNG stream — completely untouched. *)
 let with_drift drift (p : Engine.Chaos.profile) =
   if drift < 0 then invalid_arg "Chaos_exp.with_drift: negative drift count";
-  if drift = 0 then p else { p with Engine.Chaos.drift_nodes = drift; clock_steps = 1 }
+  if drift = 0 then p else { p with drift_nodes = drift; clock_steps = 1 }
 
 (* [with_byz n] turns on byzantine message mutation: [n] directed links
    carry typed decodes-clean mutations for a window each (0 leaves the
@@ -548,8 +298,8 @@ let with_drift drift (p : Engine.Chaos.profile) =
 let with_byz byz (p : Engine.Chaos.profile) =
   if byz < -1 then invalid_arg "Chaos_exp.with_byz: bad byzantine link count";
   if byz = 0 then p
-  else if byz < 0 then { p with Engine.Chaos.byz_links = 0; byz_rate = 0.05 }
-  else { p with Engine.Chaos.byz_links = byz; byz_rate = 0.25 }
+  else if byz < 0 then { p with byz_links = 0; byz_rate = 0.05 }
+  else { p with byz_links = byz; byz_rate = 0.25 }
 
 let run ?(factor = 1.) ?(flaps = 0) ?(overload = 0) ?(drift = 0) ?(byz = 0) ~seed app =
   let profile base =

@@ -16,7 +16,7 @@ module Make (App : Proto.App_intf.APP) = struct
       let eng = E.create ~seed:(seed + episode) ~topology () in
       E.set_lookahead eng ~cache:(t.bandit, never_hit) cfg;
       scenario eng;
-      t.forks <- t.forks + (E.stats eng).E.lookahead_forks
+      t.forks <- t.forks + (E.stats eng).lookahead_forks
     done;
     t
 

@@ -202,10 +202,10 @@ let test_rate_change_reanchors_pending_timer () =
 let test_forward_step_clamps_pending_timer () =
   let eng = make () in
   E.run_for eng 0.25;
-  checki "no clamps yet" 0 (E.stats eng).E.clock_clamped;
+  checki "no clamps yet" 0 (E.stats eng).clock_clamped;
   E.clock_step eng (nid 0) ~offset:10.;
   (* The 0.5s beat deadline is now far in the node's past. *)
-  checkb "clamp counted" true ((E.stats eng).E.clock_clamped >= 1);
+  checkb "clamp counted" true ((E.stats eng).clock_clamped >= 1);
   let before = ticks eng 0 in
   E.run_for eng 0.01;
   checkb "clamped timer fired immediately" true (ticks eng 0 > before)

@@ -25,47 +25,6 @@ module Row (App : Proto.App_intf.APP) = struct
       E.spawn eng ~after:(Dsim.Rng.float rng 0.3) (nid i)
     done
 
-  let stats_fields (s : E.stats) =
-    [
-      ("events_processed", s.events_processed);
-      ("messages_delivered", s.messages_delivered);
-      ("messages_dropped", s.messages_dropped);
-      ("messages_filtered", s.messages_filtered);
-      ("messages_duplicated", s.messages_duplicated);
-      ("messages_corrupted", s.messages_corrupted);
-      ("messages_reordered", s.messages_reordered);
-      ("decode_failures", s.decode_failures);
-      ("decisions", s.decisions);
-      ("lookahead_forks", s.lookahead_forks);
-      ("wal_appends", s.wal_appends);
-      ("snapshots", s.snapshots);
-      ("recoveries", s.recoveries);
-      ("torn_recoveries", s.torn_recoveries);
-      ("amnesia_wipes", s.amnesia_wipes);
-      ("torn_writes", s.torn_writes);
-      ("store_bytes_written", s.store_bytes_written);
-      ("rel_retransmits", s.rel_retransmits);
-      ("rel_acked", s.rel_acked);
-      ("rel_dup_dropped", s.rel_dup_dropped);
-      ("rel_giveups", s.rel_giveups);
-      ("fd_recoveries", s.fd_recoveries);
-      ("degraded_entries", s.degraded_entries);
-      ("degraded_exits", s.degraded_exits);
-      ("sheds_mailbox", s.sheds_mailbox);
-      ("sheds_link", s.sheds_link);
-      ("sheds_admission", s.sheds_admission);
-      ("sheds_sojourn", s.sheds_sojourn);
-      ("rel_sheds", s.rel_sheds);
-      ("breaker_skips", s.breaker_skips);
-      ("chaff_sent", s.chaff_sent);
-      ("max_mailbox_depth", s.max_mailbox_depth);
-      ("clock_clamped", s.clock_clamped);
-      ("byz_emitted", s.byz_emitted);
-      ("byz_discarded", s.byz_discarded);
-      ("byz_rejected", s.byz_rejected);
-      ("byz_accepted", s.byz_accepted);
-    ]
-
   let secs t = Printf.sprintf "%h" (Dsim.Vtime.to_seconds t)
   let node = Proto.Node_id.to_int
 
@@ -87,7 +46,8 @@ module Row (App : Proto.App_intf.APP) = struct
         (fun (t, s, d, k) -> Printf.sprintf "%s %d->%d %s" (secs t) (node s) (node d) k)
         (E.message_log eng)
     in
-    let stats = List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) (stats_fields (E.stats eng)) in
+    let s = E.stats eng in
+    let stats = List.map (fun (k, read) -> Printf.sprintf "%s=%d" k (read s)) Engine.Counters.fields in
     let violations = List.map (fun (t, p) -> secs t ^ " " ^ p) (E.violations eng) in
     let sites =
       List.map

@@ -128,8 +128,8 @@ let test_durable_agreement_holds () =
       checki (Printf.sprintf "clean storm keeps agreement (seed %d)" seed) 0
         (List.length (E.violations eng));
       let s = E.stats eng in
-      checkb (Printf.sprintf "recoveries happened (seed %d)" seed) true (s.E.recoveries > 0);
-      checkb (Printf.sprintf "wal written (seed %d)" seed) true (s.E.wal_appends > 0))
+      checkb (Printf.sprintf "recoveries happened (seed %d)" seed) true (s.recoveries > 0);
+      checkb (Printf.sprintf "wal written (seed %d)" seed) true (s.wal_appends > 0))
     seeds
 
 (* The counterfactual on the same seeds: wipe the disks at each crash
@@ -144,7 +144,7 @@ let test_amnesia_violates_agreement () =
   checkb "some amnesia storm violates agreement" true violated;
   (* And the wipes really happened — the engine counted them. *)
   let s = E.stats (storm ~mode:F.Amnesia ~seed:1 ()) in
-  checkb "amnesia wipes counted" true (s.E.amnesia_wipes > 0)
+  checkb "amnesia wipes counted" true (s.amnesia_wipes > 0)
 
 (* Torn writes: every crash truncates the WAL mid-record. Recovery must
    never raise — the checksum detects the torn tail, drops it, and the
@@ -155,8 +155,8 @@ let test_torn_write_recovery_never_raises () =
     (fun seed ->
       let eng = storm ~mode:F.Torn ~seed () in
       let s = E.stats eng in
-      if s.E.torn_writes > 0 then torn_seen := true;
-      if s.E.torn_recoveries > 0 then recovered_seen := true;
+      if s.torn_writes > 0 then torn_seen := true;
+      if s.torn_recoveries > 0 then recovered_seen := true;
       (* The state every node resumed with is a real paxos state. *)
       List.iter
         (fun (_, st) -> ignore (Apps.Paxos.Int_map.cardinal (P.decided st)))
@@ -195,9 +195,9 @@ let test_zero_cost_without_hook () =
   EL.restart eng (nid 1);
   EL.run_for eng 1.;
   let s = EL.stats eng in
-  checki "no wal appends" 0 s.EL.wal_appends;
-  checki "no snapshots" 0 s.EL.snapshots;
-  checki "no bytes written" 0 s.EL.store_bytes_written;
+  checki "no wal appends" 0 s.wal_appends;
+  checki "no snapshots" 0 s.snapshots;
+  checki "no bytes written" 0 s.store_bytes_written;
   checkb "no store materialized" true (EL.store eng (nid 0) = None)
 
 (* Dissem rides the same hook with its checkpoint codec: a cleanly
@@ -328,14 +328,14 @@ let wal_pin ~app ~mode ~appends ~bytes ~digest =
 let paxos_wal ~mode ~seed =
   let eng = storm ~and_then:20.0 ~mode ~seed () in
   let s = E.stats eng in
-  wal_pin ~app:"paxos" ~mode ~appends:s.E.wal_appends ~bytes:s.E.store_bytes_written
+  wal_pin ~app:"paxos" ~mode ~appends:s.wal_appends ~bytes:s.store_bytes_written
     ~digest:(store_digest P.records (List.init 3 (fun i -> E.store eng (nid i))))
 
 let kv_wal ~mode ~seed =
   Buffer.clear Rk.records;
   let eng = Erk.kvstore ~mode ~seed in
   let s = Erk.Eng.stats eng in
-  wal_pin ~app:"kvstore" ~mode ~appends:s.Erk.Eng.wal_appends ~bytes:s.Erk.Eng.store_bytes_written
+  wal_pin ~app:"kvstore" ~mode ~appends:s.wal_appends ~bytes:s.store_bytes_written
     ~digest:
       (store_digest Rk.records
          (List.init Apps.Kvstore.Default_params.population (fun i -> Erk.Eng.store eng (nid i))))
@@ -432,18 +432,18 @@ let test_compaction_never_encodes () =
   let eng = Pc_storm.start ~n:3 ~resolver:Apps.Paxos.self_resolver ~seed:9 in
   Pc_storm.Eng.run_for eng 300.;
   let s = Pc_storm.Eng.stats eng in
-  checkb "300 s of compactions" true (s.Pc_storm.Eng.snapshots > 100);
-  checki "no recovery" 0 s.Pc_storm.Eng.recoveries;
-  checki "no snapshot encoded" 0 (!Pc.projections - s.Pc_storm.Eng.snapshots);
+  checkb "300 s of compactions" true (s.snapshots > 100);
+  checki "no recovery" 0 s.recoveries;
+  checki "no snapshot encoded" 0 (!Pc.projections - s.snapshots);
   List.iter
     (fun seed ->
       Pc.projections := 0;
       let eng = Pc_storm.paxos ~mode:F.Clean ~seed () in
       let s = Pc_storm.Eng.stats eng in
       let label = Printf.sprintf " (seed %d)" seed in
-      checkb ("recoveries happened" ^ label) true (s.Pc_storm.Eng.recoveries > 0);
-      checki ("one encode per recovery" ^ label) s.Pc_storm.Eng.recoveries
-        (!Pc.projections - s.Pc_storm.Eng.snapshots))
+      checkb ("recoveries happened" ^ label) true (s.recoveries > 0);
+      checki ("one encode per recovery" ^ label) s.recoveries
+        (!Pc.projections - s.snapshots))
     seeds
 
 let () =

@@ -144,8 +144,8 @@ let test_overload_runs_against_engine () =
   Run.execute eng p;
   E.run_for eng 4.;
   let s = E.stats eng in
-  checkb "chaff flowed through the engine" true (s.E.chaff_sent > 0);
-  checkb "burst stopped at the heal" true (s.E.chaff_sent < 1000)
+  checkb "chaff flowed through the engine" true (s.chaff_sent > 0);
+  checkb "burst stopped at the heal" true (s.chaff_sent < 1000)
 
 let test_heal_matches_up_to_ordering () =
   (* Group pairs are normalized: scrambled element order and swapped

@@ -242,11 +242,11 @@ let test_engine_metrics () =
   in
   let s = E.stats eng in
   checkb "engine_messages_delivered is the stats field" true
-    (exported "engine_messages_delivered" = Some s.E.messages_delivered);
+    (exported "engine_messages_delivered" = Some s.messages_delivered);
   checkb "engine_messages_duplicated is the stats field" true
-    (exported "engine_messages_duplicated" = Some s.E.messages_duplicated);
+    (exported "engine_messages_duplicated" = Some s.messages_duplicated);
   checkb "engine_events_processed is the stats field" true
-    (exported "engine_events_processed" = Some s.E.events_processed)
+    (exported "engine_events_processed" = Some s.events_processed)
 
 let test_export_deterministic () =
   let _, s1 = run_pingpong ~seed:42 in

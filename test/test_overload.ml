@@ -118,13 +118,13 @@ let burst_under ?(cap = 4) policy msgs =
 let test_drop_newest () =
   let eng = burst_under E.Drop_newest (List.init 10 (fun i -> Prio_app.Lo (i + 1))) in
   checkb "first four admitted, the rest refused" true (lo_of eng 1 = [ 1; 2; 3; 4 ]);
-  checki "six sheds counted against the mailbox" 6 (E.stats eng).E.sheds_mailbox;
-  checki "high-water mark is the capacity" 4 (E.stats eng).E.max_mailbox_depth
+  checki "six sheds counted against the mailbox" 6 (E.stats eng).sheds_mailbox;
+  checki "high-water mark is the capacity" 4 (E.stats eng).max_mailbox_depth
 
 let test_drop_oldest () =
   let eng = burst_under E.Drop_oldest (List.init 10 (fun i -> Prio_app.Lo (i + 1))) in
   checkb "each arrival evicted the oldest: last four survive" true (lo_of eng 1 = [ 7; 8; 9; 10 ]);
-  checki "six sheds" 6 (E.stats eng).E.sheds_mailbox
+  checki "six sheds" 6 (E.stats eng).sheds_mailbox
 
 let test_by_priority () =
   (* Five low-priority sends fill the queue, then five high-priority
@@ -140,7 +140,7 @@ let test_by_priority () =
     (lo_of eng 1);
   Alcotest.check (Alcotest.list Alcotest.int) "the newest four his survive" [ 2; 3; 4; 5 ]
     (hi_of eng 1);
-  checki "six messages shed along the way" 6 (E.stats eng).E.sheds_mailbox
+  checki "six messages shed along the way" 6 (E.stats eng).sheds_mailbox
 
 let test_link_capacity () =
   (* Per-pair bound tighter than the mailbox: a 3-node fan-in where each
@@ -154,8 +154,8 @@ let test_link_capacity () =
   E.run_for eng 5.;
   checki "two per directed pair" 2 (List.length (lo_of eng 2));
   checki "the other pair is bounded independently" 2 (List.length (hi_of eng 2));
-  checki "eight sheds against link queues" 8 (E.stats eng).E.sheds_link;
-  checki "none against the (unbounded) mailbox" 0 (E.stats eng).E.sheds_mailbox
+  checki "eight sheds against link queues" 8 (E.stats eng).sheds_link;
+  checki "none against the (unbounded) mailbox" 0 (E.stats eng).sheds_mailbox
 
 (* ---------- pressure ---------- *)
 
@@ -191,14 +191,14 @@ let test_token_bucket () =
     E.inject eng ~src:(nid 0) ~dst:(nid 1) (Prio_app.Lo i)
   done;
   E.run_for eng 0.5;
-  checki "burst budget admits two, refuses three" 3 (E.stats eng).E.sheds_admission;
+  checki "burst budget admits two, refuses three" 3 (E.stats eng).sheds_admission;
   checki "the two admitted arrive" 2 (List.length (lo_of eng 1));
   (* A virtual second refills one token. *)
   E.run_for eng 1.0;
   E.inject eng ~src:(nid 0) ~dst:(nid 1) (Prio_app.Lo 6);
   E.run_for eng 0.5;
   checki "refill admits one more" 3 (List.length (lo_of eng 1));
-  checki "no further admission sheds" 3 (E.stats eng).E.sheds_admission
+  checki "no further admission sheds" 3 (E.stats eng).sheds_admission
 
 let test_sojourn_gate () =
   (* A slow receiver (service_time delays each arrival by the backlog):
@@ -213,7 +213,7 @@ let test_sojourn_gate () =
   E.run_for eng 0.15;
   (* The head of the queue has now waited 0.15s > 0.1s. *)
   E.inject eng ~src:(nid 0) ~dst:(nid 1) (Prio_app.Lo 6);
-  checkb "late inject refused by the sojourn gate" true ((E.stats eng).E.sheds_sojourn > 0);
+  checkb "late inject refused by the sojourn gate" true ((E.stats eng).sheds_sojourn > 0);
   E.run_for eng 5.;
   checki "only the pre-gate messages arrived" 5 (List.length (lo_of eng 1))
 
@@ -225,14 +225,14 @@ let test_overload_burst_bounded () =
   E.overload eng ~rate:1000. (nid 1);
   E.run_for eng 2.;
   let s = E.stats eng in
-  checkb "chaff flowed" true (s.E.chaff_sent > 500);
-  checkb "mailbox never exceeded its bound" true (s.E.max_mailbox_depth <= 8);
-  checkb "the bound actually bit" true (s.E.sheds_mailbox > 0);
+  checkb "chaff flowed" true (s.chaff_sent > 500);
+  checkb "mailbox never exceeded its bound" true (s.max_mailbox_depth <= 8);
+  checkb "the bound actually bit" true (s.sheds_mailbox > 0);
   checkb "chaff is never handed to the app" true (lo_of eng 1 = [] && hi_of eng 1 = []);
   E.heal_overload eng (nid 1);
-  let sent_at_heal = (E.stats eng).E.chaff_sent in
+  let sent_at_heal = (E.stats eng).chaff_sent in
   E.run_for eng 2.;
-  checki "healing stops the generator" sent_at_heal (E.stats eng).E.chaff_sent;
+  checki "healing stops the generator" sent_at_heal (E.stats eng).chaff_sent;
   checki "the queue drains" 0 (E.mailbox_depth eng (nid 1))
 
 let test_heal_idempotent () =
@@ -296,9 +296,9 @@ let test_paxos_burst_p99 () =
   checkb
     (Printf.sprintf "bounded p99 %.1f ms below unbounded %.1f ms" p99_bounded p99_unbounded)
     true (p99_bounded < p99_unbounded);
-  checkb "mailbox never exceeded 64" true (s.PE.max_mailbox_depth <= 64);
+  checkb "mailbox never exceeded 64" true (s.max_mailbox_depth <= 64);
   checkb "the burst was shed" true
-    (s.PE.sheds_mailbox + s.PE.sheds_link + s.PE.sheds_admission + s.PE.sheds_sojourn > 0)
+    (s.sheds_mailbox + s.sheds_link + s.sheds_admission + s.sheds_sojourn > 0)
 
 (* ---------- circuit breaker ---------- *)
 
@@ -356,7 +356,7 @@ let test_breaker_in_engine () =
   done;
   E.run_for eng 30.;
   let s = E.stats eng in
-  checkb "retransmission attempts were refused" true (s.E.breaker_skips > 0);
+  checkb "retransmission attempts were refused" true (s.breaker_skips > 0);
   checkb "the pair is open" true
     (Cb.state (E.circuit_breaker eng) ~src:0 ~dst:1 ~now:(E.now eng) = Cb.Open)
 
@@ -375,7 +375,7 @@ let chaffed_run () =
   E.heal_overload eng (nid 2);
   E.run_for eng 3.;
   let s = E.stats eng in
-  (lo_of eng 2, hi_of eng 2, s.E.sheds_mailbox, s.E.chaff_sent, s.E.max_mailbox_depth)
+  (lo_of eng 2, hi_of eng 2, s.sheds_mailbox, s.chaff_sent, s.max_mailbox_depth)
 
 let test_deterministic_replay () =
   checkb "same seed, same shed trajectory" true (chaffed_run () = chaffed_run ())
@@ -403,9 +403,9 @@ let plain_run ~overload () =
     hi_of eng 1,
     lo_of eng 2,
     hi_of eng 2,
-    s.E.messages_delivered,
-    s.E.messages_duplicated,
-    s.E.events_processed )
+    s.messages_delivered,
+    s.messages_duplicated,
+    s.events_processed )
 
 let test_knobs_off_byte_identical () =
   checkb "default overload config changes no behaviour" true
@@ -439,7 +439,7 @@ let test_idle_retains_nothing () =
   let late = extra_words_at 160. in
   checkb
     (Printf.sprintf "extra words %d at 20 s, %d at 160 s (%d deliveries): flat within 1000"
-       early late (PE.stats idle).PE.messages_delivered)
+       early late (PE.stats idle).messages_delivered)
     true
     (abs (late - early) <= 1000)
 

@@ -36,7 +36,7 @@ let run_fingerprint ~seed ~moves =
       (fun (id, st) -> (Proto.Node_id.to_int id, st.Lock.holding))
       (E.live_nodes eng)
   in
-  (stats.E.events_processed, stats.E.messages_delivered, stats.E.decisions, states)
+  (stats.events_processed, stats.messages_delivered, stats.decisions, states)
 
 let prop_engine_deterministic =
   QCheck.Test.make ~name:"engine runs are pure functions of the seed" ~count:8
@@ -81,7 +81,7 @@ let prop_fork_fidelity =
         List.map (fun (id, st) -> (Proto.Node_id.to_int id, st.Lock.holding)) (E.live_nodes e)
       in
       states eng = states fork
-      && (E.stats eng).E.messages_delivered = (E.stats fork).E.messages_delivered)
+      && (E.stats eng).messages_delivered = (E.stats fork).messages_delivered)
 
 (* ---------- explorer purity and monotonicity ---------- *)
 

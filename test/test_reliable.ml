@@ -101,9 +101,9 @@ let test_retransmit_through_loss () =
   E.run_for eng 30.;
   let s = E.stats eng in
   checki "all pings arrived" 20 (List.length (got eng 1));
-  checkb "needed retransmissions" true (s.E.rel_retransmits > 0);
-  checkb "sends acked" true (s.E.rel_acked > 0);
-  checki "every send eventually acked" 0 s.E.rel_giveups
+  checkb "needed retransmissions" true (s.rel_retransmits > 0);
+  checkb "sends acked" true (s.rel_acked > 0);
+  checki "every send eventually acked" 0 s.rel_giveups
 
 let test_unreliable_baseline_loses () =
   let eng = make ~loss:0.6 () in
@@ -132,8 +132,8 @@ let test_at_most_once_under_duplication () =
   checki "every payload exactly once" 10 (List.length arrived);
   checki "no payload twice" 10 (List.length (List.sort_uniq compare arrived));
   let s = E.stats eng in
-  checkb "ghost copies were suppressed" true (s.E.rel_dup_dropped > 0);
-  checkb "the fault layer really duplicated" true (s.E.messages_duplicated > 0)
+  checkb "ghost copies were suppressed" true (s.rel_dup_dropped > 0);
+  checkb "the fault layer really duplicated" true (s.messages_duplicated > 0)
 
 let test_lossy_retransmit_still_at_most_once () =
   (* Loss and duplication together: retransmissions race ghost copies,
@@ -161,8 +161,8 @@ let test_giveup_notifies_sender () =
   (* Budget: 0.25 + 0.5 + 1 + 2 + 4 + 8 (+10% jitter each) < 20s. *)
   E.run_for eng 25.;
   let s = E.stats eng in
-  checki "gave up once" 1 s.E.rel_giveups;
-  checki "spent the whole budget" E.default_reliable.E.max_retries s.E.rel_retransmits;
+  checki "gave up once" 1 s.rel_giveups;
+  checki "spent the whole budget" E.default_reliable.E.max_retries s.rel_retransmits;
   checki "sender was told" 1 (giveups_of eng 0);
   checki "nothing arrived" 0 (List.length (got eng 1))
 
@@ -174,8 +174,8 @@ let test_custom_budget () =
   E.inject eng ~src:(nid 0) ~dst:(nid 1) (Count_app.Ping 1);
   E.run_for eng 10.;
   let s = E.stats eng in
-  checki "two retries then give up" 2 s.E.rel_retransmits;
-  checki "one give-up" 1 s.E.rel_giveups
+  checki "two retries then give up" 2 s.rel_retransmits;
+  checki "one give-up" 1 s.rel_giveups
 
 let test_kinds_filter () =
   (* Tracking restricted to pings: pongs stay fire-and-forget. *)
@@ -184,10 +184,10 @@ let test_kinds_filter () =
   Net.Netem.cut_bidirectional (E.netem eng) 0 1;
   E.inject eng ~src:(nid 0) ~dst:(nid 1) (Count_app.Pong 1);
   E.run_for eng 25.;
-  checki "untracked kind never retransmits" 0 (E.stats eng).E.rel_retransmits;
+  checki "untracked kind never retransmits" 0 (E.stats eng).rel_retransmits;
   E.inject eng ~src:(nid 0) ~dst:(nid 1) (Count_app.Ping 1);
   E.run_for eng 25.;
-  checkb "tracked kind does" true ((E.stats eng).E.rel_retransmits > 0)
+  checkb "tracked kind does" true ((E.stats eng).rel_retransmits > 0)
 
 let test_config_validation () =
   let eng = make () in
@@ -229,9 +229,9 @@ let test_suspect_cap_sheds_pending () =
   done;
   E.run_for eng 60.;
   let s = E.stats eng in
-  checki "pending above the cap was shed, the cap kept alive" 7 s.E.rel_sheds;
-  checki "each shed notified the sender" s.E.rel_sheds (sheds_of eng 0);
-  checki "survivors are still inside their budget, not given up" 0 s.E.rel_giveups
+  checki "pending above the cap was shed, the cap kept alive" 7 s.rel_sheds;
+  checki "each shed notified the sender" s.rel_sheds (sheds_of eng 0);
+  checki "survivors are still inside their budget, not given up" 0 s.rel_giveups
 
 let test_suspect_cap_off_by_default () =
   (* Same scenario, default config: nothing sheds, every pending send
@@ -244,8 +244,8 @@ let test_suspect_cap_off_by_default () =
   done;
   E.run_for eng 60.;
   let s = E.stats eng in
-  checki "no sheds without a cap" 0 s.E.rel_sheds;
-  checki "all ten give up instead" 10 s.E.rel_giveups
+  checki "no sheds without a cap" 0 s.rel_sheds;
+  checki "all ten give up instead" 10 s.rel_giveups
 
 (* ---------- crash during the retry window ---------- *)
 
@@ -266,11 +266,11 @@ let crash_mid_retry_run () =
   E.run_for eng 60.;
   let s = E.stats eng in
   ( got eng 1,
-    s.E.rel_retransmits,
-    s.E.rel_acked,
-    s.E.rel_giveups,
-    s.E.rel_dup_dropped,
-    s.E.messages_delivered )
+    s.rel_retransmits,
+    s.rel_acked,
+    s.rel_giveups,
+    s.rel_dup_dropped,
+    s.messages_delivered )
 
 let test_crash_during_retransmit () =
   let ((arrived, retransmits, acked, _, _, _) as a) = crash_mid_retry_run () in
@@ -294,11 +294,11 @@ let lossy_run () =
   let s = E.stats eng in
   ( got eng 1,
     got eng 2,
-    s.E.rel_retransmits,
-    s.E.rel_acked,
-    s.E.rel_dup_dropped,
-    s.E.rel_giveups,
-    s.E.messages_delivered )
+    s.rel_retransmits,
+    s.rel_acked,
+    s.rel_dup_dropped,
+    s.rel_giveups,
+    s.messages_delivered )
 
 let test_deterministic_replay () =
   let a = lossy_run () and b = lossy_run () in
