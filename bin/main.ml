@@ -533,15 +533,7 @@ let chaos_cmd =
           Printf.printf "\n%s seed %d plan:\n  %s\n" r.Experiments.Chaos_exp.app
             r.Experiments.Chaos_exp.seed r.Experiments.Chaos_exp.plan_text)
         reports;
-    let bad =
-      List.filter
-        (fun (r : Experiments.Chaos_exp.report) ->
-          r.Experiments.Chaos_exp.violations > 0
-          || (not r.Experiments.Chaos_exp.recovered)
-          || (not r.Experiments.Chaos_exp.shed_bounded)
-          || not r.Experiments.Chaos_exp.overload_recovered)
-        reports
-    in
+    let bad = List.filter Experiments.Chaos_exp.failed reports in
     if bad <> [] then begin
       Printf.printf "\n%d of %d soaks failed\n" (List.length bad) (List.length reports);
       exit 1

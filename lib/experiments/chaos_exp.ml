@@ -74,6 +74,12 @@ let report_of ~app ~seed (o : Engine.Chaos.outcome) =
     elapsed = o.elapsed;
   }
 
+(* A soak fails on any violation, a stuck objective, a node still
+   degraded after grace, an overrun mailbox or an undrained backlog. *)
+let failed r =
+  r.violations > 0 || (not r.recovered) || (not r.self_healed) || (not r.shed_bounded)
+  || not r.overload_recovered
+
 (* Nodes [0 .. n-1] boot at random instants in the first 0.3s. *)
 let spawn_staggered ~seed ~n (spawn : ?after:float -> Proto.Node_id.t -> unit) =
   let rng = Dsim.Rng.create (seed + 77) in

@@ -253,6 +253,17 @@ let test_scale_grows_profile () =
     (Invalid_argument "Chaos_exp.scale: non-positive factor") (fun () ->
       ignore (X.scale 0. C.default_profile))
 
+(* [failed] is the CLI's exit verdict: each failing column alone fails
+   the soak, a node left degraded included. *)
+let test_failed_verdict () =
+  let ok = X.run ~seed:42 "randtree" in
+  checkb "a clean soak passes" false (X.failed ok);
+  checkb "still degraded fails" true (X.failed { ok with X.self_healed = false });
+  checkb "a violation fails" true (X.failed { ok with X.violations = 1 });
+  checkb "stuck fails" true (X.failed { ok with X.recovered = false });
+  checkb "overrun fails" true (X.failed { ok with X.shed_bounded = false });
+  checkb "backlogged fails" true (X.failed { ok with X.overload_recovered = false })
+
 let () =
   Alcotest.run "chaos"
     [
@@ -285,5 +296,6 @@ let () =
             test_pp_profile_shows_new_knobs;
           Alcotest.test_case "replay is bit-identical" `Slow test_replay_bit_identical;
           Alcotest.test_case "profile scaling" `Quick test_scale_grows_profile;
+          Alcotest.test_case "failed verdict" `Quick test_failed_verdict;
         ] );
     ]
