@@ -341,18 +341,18 @@ module Soak (App : Proto.App_intf.APP) = struct
   module E = Sim.Make (App)
   module Exec = Faultplan.Run (E)
 
-  let run ?(reliable = false) ?obs ~setup ~recovered ~seed ~topology profile =
+  let run ?reliable ?obs ~setup ~recovered ~seed ~topology profile =
     let eng = E.create ~seed ~topology () in
     (* Bursting profiles get bounded mailboxes, priority shedding and
-       the circuit breaker; all off otherwise so seeded runs stay
-       byte-identical. *)
+       the circuit breaker, flapping ones reliable delivery; all off
+       otherwise so seeded runs stay byte-identical. *)
     if profile.overload_nodes > 0 then begin
       E.set_overload eng
         ~config:
           { E.default_overload with mailbox_capacity = 64; shed = E.By_priority; service_time = 5e-4 };
       E.enable_breaker eng
     end;
-    if reliable then E.enable_reliable eng;
+    if Option.value reliable ~default:(profile.flaps > 0) then E.enable_reliable eng;
     Option.iter (fun sink -> E.set_obs eng (Some sink)) obs;
     setup eng;
     E.run_for eng 2.;

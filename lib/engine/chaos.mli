@@ -141,8 +141,8 @@ module Soak (App : Proto.App_intf.APP) : sig
       one place that sets up a run's engine layers. A profile with
       [overload_nodes > 0] gets capacity-64 mailboxes with
       [By_priority] shedding, a 0.5 ms service time and the circuit
-      breaker; [reliable] (default [false]) turns on reliable
-      delivery; [obs] attaches a sink. [setup] then picks the
+      breaker; [reliable] turns on reliable delivery (default: when
+      [flaps > 0], so retransmissions carry traffic across the cuts); [obs] attaches a sink. [setup] then picks the
       resolver, spawns nodes and seeds workload. After a 2s warmup
       the generated plan executes, the rest of the storm runs out,
       then [recovered eng] snapshots whatever baseline it needs and

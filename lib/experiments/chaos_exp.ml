@@ -97,13 +97,13 @@ module Paxos_soak = Engine.Chaos.Soak (Paxos_app)
 
 let paxos_profile = { Engine.Chaos.default_profile with crashes = 2; partitions = 1 }
 
-let soak_paxos ?(profile = paxos_profile) ?(reliable = false) ?obs seed =
+let soak_paxos ?(profile = paxos_profile) ?reliable ?obs seed =
   let n = Apps.Paxos.Default_params.population in
   let decided eng =
     total (Paxos_soak.E.live_nodes eng) (fun st ->
         Apps.Paxos.Int_map.cardinal (Paxos_app.decided st))
   in
-  Paxos_soak.run ~reliable ?obs ~seed ~topology:(topology ~n) profile
+  Paxos_soak.run ?reliable ?obs ~seed ~topology:(topology ~n) profile
     ~setup:(fun eng ->
       Paxos_soak.E.set_resolver eng (Apps.Paxos.round_robin_resolver ~population:n);
       spawn_staggered ~seed ~n (Paxos_soak.E.spawn eng))
@@ -126,9 +126,9 @@ let kvstore_profile =
      sequencing window is still the system's only copy. *)
   { Engine.Chaos.default_profile with crashes = 2; protect = [ 0 ] }
 
-let soak_kvstore ?(profile = kvstore_profile) ?(reliable = false) ?obs seed =
+let soak_kvstore ?(profile = kvstore_profile) ?reliable ?obs seed =
   let n = Apps.Kvstore.Default_params.population in
-  Kv_soak.run ~reliable ?obs ~seed ~topology:(topology ~n) profile
+  Kv_soak.run ?reliable ?obs ~seed ~topology:(topology ~n) profile
     ~setup:(fun eng ->
       Kv_soak.E.set_resolver eng Apps.Kvstore.session_resolver;
       spawn_staggered ~seed ~n (Kv_soak.E.spawn eng))
