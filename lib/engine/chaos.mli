@@ -142,11 +142,12 @@ module Soak (App : Proto.App_intf.APP) : sig
       [overload_nodes > 0] gets capacity-64 mailboxes with
       [By_priority] shedding, a 0.5 ms service time and the circuit
       breaker; [reliable] turns on reliable delivery (default: when
-      [flaps > 0], so retransmissions carry traffic across the cuts); [obs] attaches a sink. [setup] then picks the
-      resolver, spawns nodes and seeds workload. After a 2s warmup
-      the generated plan executes, the rest of the storm runs out,
-      then [recovered eng] snapshots whatever baseline it needs and
-      the returned thunk is asked for the verdict after [grace] more
-      seconds. The engine seed equals the plan seed, so the whole
-      soak is bit-reproducible. *)
+      [flaps > 0], so retransmissions carry traffic across the cuts);
+      [obs] attaches a sink. [setup] then picks the resolver, spawns
+      nodes and seeds workload. After a 2s warmup the generated plan
+      executes, the rest of the storm runs out, then [recovered eng]
+      snapshots whatever baseline it needs and the returned thunk is
+      asked for the verdict after [grace] more seconds. The engine
+      seed equals the plan seed, so the whole soak is
+      bit-reproducible. *)
 end

@@ -29,7 +29,7 @@ type report = {
   degraded_exits : int;
   retransmits : int;  (** reliable-delivery retransmissions (0 unless enabled) *)
   giveups : int;  (** reliable sends abandoned after the retry budget *)
-  sheds : int;  (** messages shed by the overload layer, all causes *)
+  sheds : int;  (** overload-layer sheds, all causes (0 unless the profile bursts) *)
   max_depth : int;  (** mailbox high-water mark over the whole soak *)
   shed_bounded : bool;  (** queues never exceeded their configured capacity *)
   overload_recovered : bool;  (** every queue drained by the end of grace *)
