@@ -154,6 +154,34 @@ let test_heap_filter () =
   Dsim.Heap.filter_in_place h (fun x -> x mod 2 = 1);
   check (Alcotest.list Alcotest.int) "odds survive" [ 1; 5; 7 ] (Dsim.Heap.drain h)
 
+(* A pinned push/pop sequence with tied instants: keys take five
+   values, so most pushes tie with earlier ones. The expected lists were
+   recorded from the comparator heap this queue replaced; they pin the
+   pop order (FIFO among ties) and the backing layout [rev_fold] walks. *)
+let pinned_key i = float_of_int (i * 7 mod 5) /. 4.
+
+let test_heap_pinned_order () =
+  let h = Dsim.Heap.create ~cmp:(fun (a, _) (b, _) -> Float.compare a b) in
+  let pops = ref [] and layout = ref [] in
+  for i = 0 to 59 do
+    Dsim.Heap.push h (pinned_key i, i);
+    if i mod 3 = 2 then
+      Option.iter (fun (_, v) -> pops := v :: !pops) (Dsim.Heap.pop h);
+    if i = 40 then layout := Dsim.Heap.rev_fold h ~init:[] ~f:(fun acc (_, v) -> v :: acc)
+  done;
+  let ints = Alcotest.list Alcotest.int in
+  check ints "pop order"
+    [ 0; 5; 3; 10; 8; 15; 20; 13; 25; 18; 30; 35; 23; 40; 28; 45; 50; 33; 55; 38 ]
+    (List.rev !pops);
+  check ints "rev_fold layout"
+    [ 40; 33; 28; 6; 31; 1; 38; 11; 26; 4; 2; 36; 16; 21; 9; 22; 24; 12; 27; 29; 14; 32; 17; 7;
+      34; 37; 39; 19 ]
+    !layout;
+  check ints "drain order"
+    [ 43; 48; 53; 58; 1; 6; 11; 16; 21; 26; 31; 36; 41; 46; 51; 56; 4; 9; 14; 19; 24; 29; 34; 39;
+      44; 49; 54; 59; 2; 7; 12; 17; 22; 27; 32; 37; 42; 47; 52; 57 ]
+    (List.map snd (Dsim.Heap.drain h))
+
 let prop_heap_sorts =
   QCheck.Test.make ~name:"heap drains any list sorted" ~count:200
     QCheck.(list int)
@@ -379,6 +407,7 @@ let () =
         :: Alcotest.test_case "peek/pop" `Quick test_heap_peek_pop
         :: Alcotest.test_case "copy" `Quick test_heap_copy_independent
         :: Alcotest.test_case "filter" `Quick test_heap_filter
+        :: Alcotest.test_case "pinned order" `Quick test_heap_pinned_order
         :: qcheck [ prop_heap_sorts; prop_heap_length ] );
       ( "stats",
         Alcotest.test_case "basic" `Quick test_stats_basic

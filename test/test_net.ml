@@ -261,6 +261,39 @@ let test_netem_copy_independent () =
   | Net.Netem.Deliver _ -> ()
   | _ -> Alcotest.fail "copy shares override table"
 
+(* Every mutator on a copy stays on the copy, both ways round: the
+   original keeps its isolation, overrides, pair faults and access-link
+   queues. *)
+let test_netem_copy_mutators () =
+  let topo = Net.Topology.uniform ~n:4 (prop ~latency:0.01 ~bandwidth:1000. ~loss:0.) in
+  let nem = Net.Netem.create ~jitter:0. ~rng:(Dsim.Rng.create 1) topo in
+  Net.Netem.isolate nem 3;
+  Net.Netem.cut nem ~src:1 ~dst:0;
+  let c = Net.Netem.copy nem in
+  Net.Netem.isolate c 2;
+  Net.Netem.rejoin c 3;
+  Net.Netem.cut c ~src:0 ~dst:1;
+  Net.Netem.heal c ~src:1 ~dst:0;
+  Net.Netem.set_pair_faults c ~src:1 ~dst:0 { Net.Netem.no_faults with duplicate_rate = 1. };
+  ignore (Net.Netem.judge c ~now:0. ~src:0 ~dst:3 ~bytes:5000);
+  checkb "copy isolation stays on the copy" false (Net.Netem.is_isolated nem 2);
+  checkb "copy rejoin stays on the copy" true (Net.Netem.is_isolated nem 3);
+  checkf "copy cut stays on the copy" 0. (Net.Netem.path nem ~src:0 ~dst:1).Net.Linkprop.loss;
+  checkf "copy heal stays on the copy" 1. (Net.Netem.path nem ~src:1 ~dst:0).Net.Linkprop.loss;
+  checkb "copy pair faults stay on the copy" true
+    (Net.Netem.faults_of nem ~src:1 ~dst:0 = Net.Netem.no_faults);
+  (* 5000 bytes at 1000 B/s hold the copy's 0 -> 3 uplink for 5 s; the
+     original's link is still free. *)
+  (match Net.Netem.judge nem ~now:0. ~src:0 ~dst:1 ~bytes:10 with
+  | Net.Netem.Deliver d -> checkf "original access links unqueued" 0.02 d
+  | _ -> Alcotest.fail "original judged the pair faulty");
+  checkb "copy sees its own isolation" true (Net.Netem.is_isolated c 2);
+  checkb "copy sees its own rejoin" false (Net.Netem.is_isolated c 3);
+  checkf "copy sees its own cut" 1. (Net.Netem.path c ~src:0 ~dst:1).Net.Linkprop.loss;
+  checkf "copy sees its own heal" 0. (Net.Netem.path c ~src:1 ~dst:0).Net.Linkprop.loss;
+  checkf "copy sees its pair faults" 1.
+    (Net.Netem.faults_of c ~src:1 ~dst:0).Net.Netem.duplicate_rate
+
 (* ---------- Netmodel ---------- *)
 
 let vt = Dsim.Vtime.of_seconds
@@ -369,6 +402,7 @@ let () =
         :: Alcotest.test_case "fault validation" `Quick test_netem_faults_validated
         :: Alcotest.test_case "access serialization" `Quick test_netem_serialization
         :: Alcotest.test_case "copy" `Quick test_netem_copy_independent
+        :: Alcotest.test_case "copy mutators stay on the copy" `Quick test_netem_copy_mutators
         :: qcheck [ prop_cut_degrade_heal_roundtrip ] );
       ( "netmodel",
         Alcotest.test_case "latency ewma" `Quick test_netmodel_latency_estimate

@@ -118,6 +118,54 @@ let test_ring_eviction () =
       checki "newest retained" 4 b.Obs.Span.trace
   | l -> Alcotest.failf "expected 2 retained spans, got %d" (List.length l)
 
+(* The ring read back after [n] records at [capacity]: the retained
+   spans, oldest first, each rebuilt field for field. Crossing the
+   capacity by growth alone and by eviction must read the same. *)
+let ring_span i : Obs.Span.span =
+  {
+    trace = i / 3;
+    seq = i;
+    src = i mod 5;
+    dst = (i + 1) mod 5;
+    kind = (if i mod 4 = 0 then "timer:tick" else "ping");
+    enqueue = float_of_int i *. 0.001;
+    deliver = (float_of_int i *. 0.001) +. 0.0125;
+    verdict = (if i mod 7 = 0 then "drop:" ^ "loss" else "deliver");
+  }
+
+let test_ring_readback () =
+  List.iter
+    (fun (capacity, n) ->
+      let ring = Obs.Span.ring ~capacity () in
+      for i = 0 to n - 1 do
+        let s = ring_span i in
+        Obs.Span.record ring ~trace:s.trace ~src:s.src ~dst:s.dst ~kind:s.kind
+          ~enqueue:s.enqueue ~deliver:s.deliver ~verdict:s.verdict
+      done;
+      let first = Stdlib.max 0 (n - capacity) in
+      let expected = List.init (n - first) (fun i -> ring_span (first + i)) in
+      let label = Printf.sprintf "cap %d, %d records" capacity n in
+      checki (label ^ ": recorded") n (Obs.Span.recorded ring);
+      checki (label ^ ": dropped") first (Obs.Span.dropped ring);
+      checkb (label ^ ": spans") true (Obs.Span.spans ring = expected);
+      Alcotest.(check (list string))
+        (label ^ ": json lines")
+        (List.map (fun s -> Obs.Json.to_string (Obs.Span.to_json s)) expected)
+        (Obs.Span.to_json_lines ring))
+    [ (100, 0); (100, 60); (100, 100); (100, 250); (1000, 250); (1, 3); (7, 23) ];
+  let ring = Obs.Span.ring ~capacity:100 () in
+  for i = 0 to 249 do
+    let s = ring_span i in
+    Obs.Span.record ring ~trace:s.trace ~src:s.src ~dst:s.dst ~kind:s.kind ~enqueue:s.enqueue
+      ~deliver:s.deliver ~verdict:s.verdict
+  done;
+  match Obs.Span.to_json_lines ring with
+  | first :: _ ->
+      checks "oldest retained line"
+        {|{"trace":50,"seq":150,"src":0,"dst":1,"kind":"ping","enqueue":0.15,"deliver":0.1625,"verdict":"deliver"}|}
+        first
+  | [] -> Alcotest.fail "no lines"
+
 (* ---------- engine integration: trace propagation under faults ---------- *)
 
 module Toy = struct
@@ -307,6 +355,7 @@ let () =
           Alcotest.test_case "span round-trip" `Quick test_span_json_roundtrip;
           Alcotest.test_case "metrics lines stable" `Quick test_metrics_json_stable;
           Alcotest.test_case "ring eviction" `Quick test_ring_eviction;
+          Alcotest.test_case "ring read-back" `Quick test_ring_readback;
         ] );
       ( "engine",
         [
