@@ -546,14 +546,15 @@ let micro () =
   section "Micro-benchmarks (Bechamel, ns/op)";
   let open Bechamel in
   let heap_test =
-    Test.make ~name:"heap push+pop x100"
+    Test.make ~name:"event queue push+pop x100"
       (Staged.stage (fun () ->
-           let h = Dsim.Heap.create ~cmp:Int.compare in
+           let h = Dsim.Event_queue.create () in
            for i = 0 to 99 do
-             Dsim.Heap.push h (i * 7919 mod 100)
+             let x = i * 7919 mod 100 in
+             Dsim.Event_queue.push h (float_of_int x) x
            done;
-           while not (Dsim.Heap.is_empty h) do
-             ignore (Dsim.Heap.pop h)
+           while not (Dsim.Event_queue.is_empty h) do
+             ignore (Dsim.Event_queue.pop h)
            done))
   in
   let rng = Dsim.Rng.create 1 in
@@ -893,8 +894,12 @@ let ex () =
    minor-heap words per engine event and per delivered message over the
    first and the last 20 s of a 160 s virtual run; a cost that grows with history shows as a
    late/early ratio above 1. Results go to stdout and BENCH_layers.json.
-   The bench exits 1 if an inert rung changes the event stream or a
-   rung's late cost exceeds twice its early cost.
+   The bench exits 1 if an inert rung changes the event stream, a
+   rung's late cost exceeds twice its early cost, or a rung's late
+   words per delivery rise more than 1% above the checked-in
+   BENCH_layers.json. Allocation is exact where wall time is not: the
+   seed fixes the work, so the word counts repeat across reps, runs and
+   machines, and the fast mode's counts equal the full mode's.
 
    Rungs run whole, never interleaved slice by slice with another
    engine: the paxos agreement memo is per domain, so alternating two
@@ -1025,10 +1030,34 @@ let layer_run r =
     early = window 0; late = window (n - layer_window_s) }
 
 let layers_json_path = "BENCH_layers.json"
+let layer_max_word_rise = 0.01
+
+(* Late words per delivery by rung name, from the checked-in file;
+   empty when there is none to compare against. *)
+let layer_baseline () =
+  match In_channel.with_open_text layers_json_path In_channel.input_all with
+  | exception Sys_error _ -> []
+  | text -> (
+      let open Obs.Json in
+      let num = function Some (Float f) -> Some f | Some (Int i) -> Some (float_of_int i) | _ -> None in
+      match of_string (String.trim text) with
+      | Error _ -> []
+      | Ok doc -> (
+          match member "rungs" doc with
+          | Some (Arr rungs) ->
+              List.filter_map
+                (fun r ->
+                  match (member "name" r, Option.bind (member "late" r) (member "words_per_delivery")) with
+                  | Some (Str name), w -> Option.map (fun w -> (name, w)) (num w)
+                  | _ -> None)
+                rungs
+          | _ -> []))
 
 let layers () =
   section "LAYERS Per-layer cost ladder: 5-replica paxos, one layer added per rung";
   let reps = if fast then 3 else 7 in
+  (* Read before this run overwrites it. *)
+  let baseline = layer_baseline () in
   let rungs = Array.of_list layer_rungs in
   let k = Array.length rungs in
   Array.iter (fun r -> ignore (layer_run r)) rungs;
@@ -1064,6 +1093,12 @@ let layers () =
            || rows.(i).deliveries_total <> rows.(i - 1).deliveries_total))
   in
   let grew = failing (fun i -> growth rows.(i) > layer_max_growth) in
+  let allocates_more =
+    failing (fun i ->
+        match List.assoc_opt rungs.(i).rung baseline with
+        | Some base -> rows.(i).late.words_per_delivery > base *. (1. +. layer_max_word_rise)
+        | None -> false)
+  in
   Metrics.Report.print
     ~title:
       (Printf.sprintf
@@ -1123,13 +1158,19 @@ let layers () =
          ( "checks",
            Obj
              [ ("inert_rungs_match", Bool (stream_changed = []));
-               ("max_late_over_early", Float layer_max_growth); ("growth_ok", Bool (grew = [])) ] );
+               ("max_late_over_early", Float layer_max_growth); ("growth_ok", Bool (grew = []));
+               ("max_word_rise", Float layer_max_word_rise);
+               ("words_ok", Bool (allocates_more = [])) ] );
        ]);
   Printf.printf "  wrote %s\n" layers_json_path;
   let verdict = function [] -> "yes" | bad -> "NO: " ^ String.concat ", " bad in
   Printf.printf "  inert rungs leave the stream alone: %s\n" (verdict stream_changed);
   Printf.printf "  late ns/event within %.0fx of early: %s\n" layer_max_growth (verdict grew);
-  if stream_changed <> [] || grew <> [] then begin
+  if baseline = [] then Printf.printf "  no checked-in %s to compare words against\n" layers_json_path
+  else
+    Printf.printf "  late words/delivery within %.0f%% of the checked-in file: %s\n"
+      (100. *. layer_max_word_rise) (verdict allocates_more);
+  if stream_changed <> [] || grew <> [] || allocates_more <> [] then begin
     prerr_endline "LAYER BENCH CHECK FAILED";
     exit 1
   end

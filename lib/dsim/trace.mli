@@ -2,12 +2,18 @@
 
     Each record carries the virtual time at which it was produced, a
     severity, a component tag (e.g. ["engine"], ["steering"]) and a
-    message. Traces are consulted by tests and printed by the CLI's
-    [--verbose] mode; the simulator itself never reads them back.
+    message. Tests read traces back through {!records} and {!find};
+    the simulator itself never reads them.
 
-    A minimum-level gate makes below-threshold records free: a gated
-    {!logf} never runs the formatter, so hot-path [Debug] sites cost a
-    comparison rather than a [Format.kasprintf] allocation. *)
+    Cost. A record below the minimum level is dropped without running
+    its formatter: a gated {!logf} consumes its arguments and allocates
+    nothing. Engines trace at [Debug] by default, though, so on the
+    default path every site passes the gate and pays for its text.
+    {!logf} formats into one reused per-domain formatter rather than a
+    fresh [Format.kasprintf] buffer per record. {!logp} defers even
+    that: it stores the printer, and {!records} runs it on first read.
+    Use it for hot sites whose arguments are immutable, since the
+    printer keeps them alive for as long as the record is retained. *)
 
 type level = Debug | Info | Warn | Error
 
@@ -35,10 +41,19 @@ val log : t -> Vtime.t -> level -> component:string -> string -> unit
 val logf :
   t -> Vtime.t -> level -> component:string -> ('a, Format.formatter, unit, unit) format4 -> 'a
 (** Like {!log} but lazy about formatting: when the level is gated the
-    format arguments are consumed without being rendered. *)
+    format arguments are consumed without being rendered. The message
+    is the text [Format.asprintf] would give for the same format and
+    arguments. *)
+
+val logp : t -> Vtime.t -> level -> component:string -> (Format.formatter -> unit) -> unit
+(** Print on read: records the printer instead of its text. The
+    message {!records} returns is what [logf t time level ~component
+    "%t" print] would have recorded, provided everything [print] reads
+    is immutable. A gated record never runs its printer. *)
 
 val records : t -> record list
-(** Retained records, oldest first. *)
+(** Retained records, oldest first. Runs the printer of each {!logp}
+    record not read before, once. *)
 
 val count : t -> int
 (** Total records ever logged, including discarded ones (but not

@@ -28,11 +28,13 @@ type 'msg t = {
   mutable next_seq : int;
   pending : (int, 'msg entry) Hashtbl.t;  (* sender side: unacked sends *)
   seen : (int, unit) Hashtbl.t;  (* receiver side: seqs already handled *)
-  pair : (int * int, int) Hashtbl.t;
-      (* pending count per directed pair, for the suspect cap; kept at 0 *)
+  endpoints : int;
+  pair : (int, int) Hashtbl.t;
+      (* pending count per directed pair, keyed [src * endpoints + dst],
+         for the suspect cap; kept at 0 *)
 }
 
-let create ?kinds config =
+let create ?kinds ~endpoints config =
   if config.base_timeout <= 0. then invalid_arg "Sim.enable_reliable: base_timeout must be positive";
   if config.backoff < 1. then invalid_arg "Sim.enable_reliable: backoff must be >= 1";
   if config.max_retries < 0 then invalid_arg "Sim.enable_reliable: negative max_retries";
@@ -53,6 +55,7 @@ let create ?kinds config =
     next_seq = 0;
     pending = Hashtbl.create 64;
     seen = Hashtbl.create 256;
+    endpoints;
     pair = Hashtbl.create 64;
   }
 
@@ -61,19 +64,20 @@ let copy r =
 
 let ack_bytes r = r.cfg.ack_bytes
 let tracked r kind = match r.kinds with None -> true | Some h -> Hashtbl.mem h kind
-let pair_key (e : _ entry) = (Proto.Node_id.to_int e.src, Proto.Node_id.to_int e.dst)
+let pair_key r (e : _ entry) =
+  (Proto.Node_id.to_int e.src * r.endpoints) + Proto.Node_id.to_int e.dst
 (* A pair whose count falls to zero keeps its key, so the lookup on
    every tracked send and ack neither allocates nor, after the pair's
    first send, raises. *)
 let count r key = match Hashtbl.find r.pair key with n -> n | exception Not_found -> 0
-let pending_on r e = count r (pair_key e)
+let pending_on r e = count r (pair_key r e)
 
 let track r ~src ~dst msg =
   let seq = r.next_seq in
   r.next_seq <- seq + 1;
   let e = { src; dst; msg; tries = 0 } in
   Hashtbl.replace r.pending seq e;
-  let key = pair_key e in
+  let key = pair_key r e in
   Hashtbl.replace r.pair key (1 + count r key);
   seq
 
@@ -91,13 +95,13 @@ let find r seq = Hashtbl.find_opt r.pending seq
    here, keeping the per-pair count honest. *)
 let remove r seq e =
   Hashtbl.remove r.pending seq;
-  let key = pair_key e in
+  let key = pair_key r e in
   match count r key with 0 -> () | n -> Hashtbl.replace r.pair key (n - 1)
 
 type 'msg timeout = Shed | Give_up | Resend of 'msg entry | Refused of 'msg entry
 
 let timed_out r seq e ~breaker ~suspected ~pressure ~now =
-  let src, dst = pair_key e in
+  let src = Proto.Node_id.to_int e.src and dst = Proto.Node_id.to_int e.dst in
   (* Bounded retransmit queue toward a suspected peer: past the cap,
      shed instead of growing without limit — the peer is silent and
      every pending send is already being retried. *)

@@ -63,8 +63,6 @@ module Make (App : Proto.App_intf.APP) = struct
         (* generator heartbeat of an active overload burst; a stale
            generation (the burst was healed) dies silently *)
 
-  type scheduled = { at : Dsim.Vtime.t; ev : ev }
-
   type reliable_config = Reliable.config = {
     base_timeout : float;
     backoff : float;
@@ -125,8 +123,8 @@ module Make (App : Proto.App_intf.APP) = struct
   type filter = { f_name : string; drop : kind:string -> src:Proto.Node_id.t -> dst:Proto.Node_id.t -> bool }
 
   (* Metric handles the hot path would otherwise re-intern per event.
-     Keys are raw endpoint ints; values are registry handles created on
-     first use. *)
+     Keys are raw endpoint ints, or [src * endpoints + dst] for a
+     directed pair; values are registry handles created on first use. *)
   (* The three handles every successful delivery touches, bundled so
      the hot path pays one cache lookup instead of three. *)
   type link_obs = {
@@ -138,7 +136,7 @@ module Make (App : Proto.App_intf.APP) = struct
   type obs = {
     o_sink : Obs.Sink.t;
     o_queue_depth : Obs.Registry.gauge;
-    o_deliver : (int * int, link_obs) Hashtbl.t;
+    o_deliver : (int, link_obs) Hashtbl.t;
     o_drops : (string * int * int, Obs.Registry.counter) Hashtbl.t;
     o_timer_fires : (int, Obs.Registry.counter) Hashtbl.t;
     o_degraded : (int * string, Obs.Registry.counter) Hashtbl.t;
@@ -156,12 +154,17 @@ module Make (App : Proto.App_intf.APP) = struct
 
   type t = {
     mutable now : Dsim.Vtime.t;
-    queue : scheduled Dsim.Heap.t;
+    queue : ev Dsim.Event_queue.t;  (* keyed by the global fire instant, in seconds *)
     mutable nodes : node Proto.Node_id.Map.t;
+    mutable live : (Proto.Node_id.t * App.state) list;
+    mutable live_of : node Proto.Node_id.Map.t;
+        (* [live] is the live nodes of [live_of]; rebuilt when [nodes] is
+           no longer physically that map *)
     rng : Dsim.Rng.t;
+    endpoints : int;  (* topology size; directed pairs key as [src * endpoints + dst] *)
     netem : Net.Netem.t;
     netmodel : Net.Netmodel.t;
-    nm_links : (int * int, Net.Netmodel.link) Hashtbl.t;
+    nm_links : (int, Net.Netmodel.link) Hashtbl.t;
         (* per-(src,dst) netmodel handles so each delivery does one
            lookup here instead of three inside the model; bound to
            [netmodel]'s cells, so forks get a fresh empty table *)
@@ -191,7 +194,7 @@ module Make (App : Proto.App_intf.APP) = struct
            numbers, so order is irrelevant and consing beats the
            quadratic append this used to do *)
     mutable event_occurrence : int;
-    mutable processing : scheduled option;
+    mutable processing : ev option;  (* the event being processed, for lookahead to replay *)
     mutable spawned : Proto.Node_id.Set.t;
     mutable reward_window : float option;
     mutable pending_rewards : pending_reward list;
@@ -215,9 +218,12 @@ module Make (App : Proto.App_intf.APP) = struct
     let netem_rng = Dsim.Rng.split rng in
     {
       now = Dsim.Vtime.zero;
-      queue = Dsim.Heap.create ~cmp:(fun a b -> Dsim.Vtime.compare a.at b.at);
+      queue = Dsim.Event_queue.create ();
       nodes = Proto.Node_id.Map.empty;
+      live = [];
+      live_of = Proto.Node_id.Map.empty;
       rng;
+      endpoints = Net.Topology.size topology;
       netem = Net.Netem.create ~jitter ~rng:netem_rng topology;
       netmodel = Net.Netmodel.create ();
       nm_links = Hashtbl.create 64;
@@ -342,7 +348,8 @@ module Make (App : Proto.App_intf.APP) = struct
 
   let failure_detector t = t.fd
   let set_fd_enabled t on = t.fd_enabled <- on
-  let enable_reliable ?(config = default_reliable) ?kinds t = t.rel <- Some (Reliable.create ?kinds config)
+  let enable_reliable ?(config = default_reliable) ?kinds t =
+    t.rel <- Some (Reliable.create ?kinds ~endpoints:t.endpoints config)
 
   (* ---------- overload API ---------- *)
 
@@ -383,9 +390,19 @@ module Make (App : Proto.App_intf.APP) = struct
     | Some n when n.alive -> Some n.state
     | Some _ | None -> None
 
+  (* Every event builds a property view, but most (acks, drops, stale
+     timers) leave [t.nodes] untouched: the list is rebuilt only when
+     the map changed. *)
   let live_nodes t =
-    Proto.Node_id.Map.fold (fun id n acc -> if n.alive then (id, n.state) :: acc else acc) t.nodes []
-    |> List.rev
+    if t.live_of != t.nodes then begin
+      t.live <-
+        Proto.Node_id.Map.fold
+          (fun id n acc -> if n.alive then (id, n.state) :: acc else acc)
+          t.nodes []
+        |> List.rev;
+      t.live_of <- t.nodes
+    end;
+    t.live
 
   let inflight t =
     (* A shed-while-queued delivery is a tombstone: still in the heap,
@@ -399,8 +416,8 @@ module Make (App : Proto.App_intf.APP) = struct
       | Some ov -> fun did -> not (Overload.is_shed ov did)
       | None -> fun _ -> true
     in
-    Dsim.Heap.rev_fold t.queue ~init:[] ~f:(fun acc s ->
-        match s.ev with
+    Dsim.Event_queue.rev_fold t.queue ~init:[] ~f:(fun acc ev ->
+        match ev with
         | Deliver { src; dst; msg; did; _ } when keep did -> (src, dst, msg) :: acc
         | Deliver _ | Chaff _ | Overload_tick _ | Boot _ | Timer_fire _ | Outbound _
         | Rel_ack _ | Rel_retransmit _ ->
@@ -451,7 +468,7 @@ module Make (App : Proto.App_intf.APP) = struct
   let fork_with t fallback =
     {
       t with
-      queue = Dsim.Heap.copy t.queue;
+      queue = Dsim.Event_queue.copy t.queue;
       kind_counts = Hashtbl.copy t.kind_counts;
       rng = Dsim.Rng.copy t.rng;
       netem = Net.Netem.copy t.netem;
@@ -482,9 +499,11 @@ module Make (App : Proto.App_intf.APP) = struct
 
   (* ---------- scheduling ---------- *)
 
+  let push_at t at ev = Dsim.Event_queue.push t.queue (Dsim.Vtime.to_seconds at) ev
+
   let schedule t ~after ev =
     if after < 0. then invalid_arg "Sim.schedule: negative delay";
-    Dsim.Heap.push t.queue { at = Dsim.Vtime.add t.now after; ev }
+    push_at t (Dsim.Vtime.add t.now after) ev
 
   let check_endpoint t id =
     let e = Proto.Node_id.to_int id in
@@ -570,13 +589,13 @@ module Make (App : Proto.App_intf.APP) = struct
      preserves the FIFO tie-break among untouched events. Clock events
      are rare, so the O(n log n) rebuild never taxes the hot path. *)
   let reanchor_timers t node ck =
-    let entries = Dsim.Heap.drain t.queue in
+    let entries = Dsim.Event_queue.drain t.queue in
     List.iter
-      (fun s ->
-        match s.ev with
+      (fun (at, ev) ->
+        match ev with
         | Timer_fire f when Proto.Node_id.equal f.node node ->
-            Dsim.Heap.push t.queue { s with at = global_of_deadline t node ck f.deadline }
-        | _ -> Dsim.Heap.push t.queue s)
+            push_at t (global_of_deadline t node ck f.deadline) ev
+        | _ -> Dsim.Event_queue.push t.queue at ev)
       entries
 
   let set_clock_rate t node ~rate =
@@ -645,7 +664,7 @@ module Make (App : Proto.App_intf.APP) = struct
     Bytes.to_string b
 
   let nm_link t ~se ~de =
-    let key = (se, de) in
+    let key = (se * t.endpoints) + de in
     match Hashtbl.find_opt t.nm_links key with
     | Some l -> l
     | None ->
@@ -664,7 +683,10 @@ module Make (App : Proto.App_intf.APP) = struct
   type refusal = Dropped of string | Dead | Filtered
 
   (* Every refused delivery goes through here: its counter, its obs
-     drop and span, and its trace line. *)
+     drop and span, and its trace line. Refusals are most of a faulty
+     run's trace, so their two Debug lines are printed only if the
+     trace is read; app messages are immutable, so the text is what it
+     would have been at the time. *)
   let refuse t ~src ~dst ~sent_at ~trace msg refusal =
     let se = Proto.Node_id.to_int src and de = Proto.Node_id.to_int dst in
     let s = t.stats in
@@ -672,8 +694,8 @@ module Make (App : Proto.App_intf.APP) = struct
       match refusal with
       | Dead ->
           s.messages_dropped <- s.messages_dropped + 1;
-          Dsim.Trace.logf t.trace t.now Dsim.Trace.Debug ~component:"engine" "%a dead, dropping %a"
-            Proto.Node_id.pp dst App.pp_msg msg;
+          Dsim.Trace.logp t.trace t.now Dsim.Trace.Debug ~component:"engine" (fun ppf ->
+              Format.fprintf ppf "%a dead, dropping %a" Proto.Node_id.pp dst App.pp_msg msg);
           "dead"
       | Filtered ->
           s.messages_filtered <- s.messages_filtered + 1;
@@ -683,9 +705,9 @@ module Make (App : Proto.App_intf.APP) = struct
       | Dropped cause ->
           s.messages_dropped <- s.messages_dropped + 1;
           Net.Netmodel.observe_link_loss t.netmodel (nm_link t ~se ~de) t.now ~delivered:false;
-          (* [%t] formats measurably faster here than [%a App.pp_msg]. *)
-          Dsim.Trace.logf t.trace t.now Dsim.Trace.Debug ~component:"net" "drop(%s) %a->%a %t" cause
-            Proto.Node_id.pp src Proto.Node_id.pp dst (fun out -> App.pp_msg out msg);
+          Dsim.Trace.logp t.trace t.now Dsim.Trace.Debug ~component:"net" (fun ppf ->
+              Format.fprintf ppf "drop(%s) %a->%a %a" cause Proto.Node_id.pp src Proto.Node_id.pp
+                dst App.pp_msg msg);
           root_cause cause
     in
     match t.obs with
@@ -768,20 +790,15 @@ module Make (App : Proto.App_intf.APP) = struct
   let push_deliver t ?(byz = false) ~src ~dst ~sent_at ~trace ~rel ~delay msg =
     match t.ov with
     | None ->
-        Dsim.Heap.push t.queue
-          {
-            at = Dsim.Vtime.add t.now delay;
-            ev = Deliver { src; dst; msg; sent_at; trace; rel; did = -1; byz };
-          }
+        push_at t (Dsim.Vtime.add t.now delay)
+          (Deliver { src; dst; msg; sent_at; trace; rel; did = -1; byz })
     | Some ov -> (
         let se = Proto.Node_id.to_int src and de = Proto.Node_id.to_int dst in
         match enqueue t ov ~se ~de ~prio:(prio_of msg) with
         | Some did ->
-            Dsim.Heap.push t.queue
-              {
-                at = Dsim.Vtime.add t.now (delay +. Overload.service_delay ov de);
-                ev = Deliver { src; dst; msg; sent_at; trace; rel; did; byz };
-              }
+            push_at t
+              (Dsim.Vtime.add t.now (delay +. Overload.service_delay ov de))
+              (Deliver { src; dst; msg; sent_at; trace; rel; did; byz })
         | None -> ())
 
   let transmit t ~src ~dst ~rel msg =
@@ -890,8 +907,7 @@ module Make (App : Proto.App_intf.APP) = struct
   let send_ack t r ~receiver ~sender ~seq =
     let se = Proto.Node_id.to_int receiver and de = Proto.Node_id.to_int sender in
     let push delay =
-      Dsim.Heap.push t.queue
-        { at = Dsim.Vtime.add t.now delay; ev = Rel_ack { seq; trace = t.current_trace } }
+      push_at t (Dsim.Vtime.add t.now delay) (Rel_ack { seq; trace = t.current_trace })
     in
     match
       Net.Netem.judge t.netem ~now:(Dsim.Vtime.to_seconds t.now) ~src:se ~dst:de
@@ -988,12 +1004,14 @@ module Make (App : Proto.App_intf.APP) = struct
      in-flight event with that branch forced (and all earlier choices of
      the same event pinned to what was actually decided), run the fork
      [horizon] seconds, and score the resulting view. *)
-  let rec predict_branch t (cfg : lookahead) fallback ~node sched ~forced =
+  let rec predict_branch t (cfg : lookahead) fallback ~node ev ~forced =
     let f = fork_with t fallback in
     f.mode <- Replay (forced, fallback);
     t.stats.lookahead_forks <- t.stats.lookahead_forks + 1;
     let before_violations = f.violation_count in
-    process_scheduled f sched;
+    (* The event fired at or before [t.now], which the fork inherits, so
+       replaying it at [t.now] leaves the fork's clock where it is. *)
+    process_scheduled f ~at:t.now ev;
     f.mode <- Plain fallback;
     run_budgeted f ~until:(Dsim.Vtime.add t.now cfg.horizon) ~budget:cfg.max_events;
     let fresh_violations = f.violation_count - before_violations in
@@ -1019,7 +1037,7 @@ module Make (App : Proto.App_intf.APP) = struct
       | Predictive (cfg, fb, cache) -> (
           match t.processing with
           | None -> fb.Core.Resolver.choose t.rng site
-          | Some sched ->
+          | Some ev ->
               if arity = 1 then 0
               else begin
                 let cached =
@@ -1040,7 +1058,7 @@ module Make (App : Proto.App_intf.APP) = struct
                     let prior = t.event_decisions in
                     let scores =
                       Array.init n (fun i ->
-                          predict_branch t cfg fb ~node sched
+                          predict_branch t cfg fb ~node ev
                             ~forced:((occurrence, i) :: prior))
                     in
                     let best_score = Array.fold_left Float.max neg_infinity scores in
@@ -1123,8 +1141,7 @@ module Make (App : Proto.App_intf.APP) = struct
             match Clocks.find t.clocks node with
             | None ->
                 let at = Dsim.Vtime.add t.now after in
-                Dsim.Heap.push t.queue
-                  { at; ev = Timer_fire { node; id; gen; deadline = at; trace = t.current_trace } }
+                push_at t at (Timer_fire { node; id; gen; deadline = at; trace = t.current_trace })
             | Some ck ->
                 (* [after] is a duration on the node's own clock: the
                    deadline lives in local time and its global fire
@@ -1132,8 +1149,7 @@ module Make (App : Proto.App_intf.APP) = struct
                    fast clock fires early in global time. *)
                 let deadline = Dsim.Vtime.add (Dsim.Clock.read ck ~global:t.now) after in
                 let at = global_of_deadline t node ck deadline in
-                Dsim.Heap.push t.queue
-                  { at; ev = Timer_fire { node; id; gen; deadline; trace = t.current_trace } })
+                push_at t at (Timer_fire { node; id; gen; deadline; trace = t.current_trace }))
         | Proto.Action.Cancel_timer id ->
             let n = Proto.Node_id.Map.find node t.nodes in
             let gen = 1 + Option.value ~default:0 (Smap.find_opt id n.timer_gens) in
@@ -1230,7 +1246,7 @@ module Make (App : Proto.App_intf.APP) = struct
     | None -> ()
     | Some o ->
         let lh =
-          obs_handle o.o_deliver (se, de) (fun () ->
+          obs_handle o.o_deliver ((se * t.endpoints) + de) (fun () ->
               let reg = o.o_sink.Obs.Sink.registry in
               let link = [ ("src", string_of_int se); ("dst", string_of_int de) ] in
               {
@@ -1345,21 +1361,21 @@ module Make (App : Proto.App_intf.APP) = struct
         (match enqueue t ov ~se:(-1) ~de ~prio:Overload.chaff_prio with
         | Some did ->
             let delay = Overload.chaff_latency +. Overload.service_delay ov de in
-            Dsim.Heap.push t.queue { at = Dsim.Vtime.add t.now delay; ev = Chaff { dst; did } }
+            push_at t (Dsim.Vtime.add t.now delay) (Chaff { dst; did })
         | None -> ());
         schedule t ~after:(1. /. rate) (Overload_tick { dst; gen })
 
-  and process_scheduled t sched =
-    t.now <- Dsim.Vtime.max t.now sched.at;
+  and process_scheduled t ~at ev =
+    t.now <- Dsim.Vtime.max t.now at;
     t.stats.events_processed <- t.stats.events_processed + 1;
     t.event_occurrence <- 0;
     let saved_decisions = t.event_decisions in
     t.event_decisions <- [];
     let saved_processing = t.processing in
-    t.processing <- Some sched;
+    t.processing <- Some ev;
     (* Everything a handler does while this event is in flight — sends,
        timers, deferred outbound batches — inherits its trace id. *)
-    (match sched.ev with
+    (match ev with
     | Boot _ | Chaff _ | Overload_tick _ -> t.current_trace <- mint_trace t
     | Deliver { trace; _ }
     | Timer_fire { trace; _ }
@@ -1370,8 +1386,8 @@ module Make (App : Proto.App_intf.APP) = struct
     (match t.obs with
     | None -> ()
     | Some o ->
-        Obs.Registry.set o.o_queue_depth (float_of_int (Dsim.Heap.length t.queue)));
-    (match sched.ev with
+        Obs.Registry.set o.o_queue_depth (float_of_int (Dsim.Event_queue.length t.queue)));
+    (match ev with
     | Boot id -> (
         match Proto.Node_id.Map.find_opt id t.nodes with
         | Some n when n.alive ->
@@ -1496,25 +1512,31 @@ module Make (App : Proto.App_intf.APP) = struct
                   ~reward:(score_now -. pr.pr_score))
               due)
 
+  (* Pops and processes the earliest event; the caller has checked the
+     queue is not empty. *)
+  and process_next t =
+    let at = Dsim.Vtime.of_seconds (Dsim.Event_queue.min_key t.queue) in
+    process_scheduled t ~at (Dsim.Event_queue.pop t.queue)
+
   and run_budgeted t ~until ~budget =
+    let until_s = Dsim.Vtime.to_seconds until in
     let remaining = ref budget in
-    let continue = ref true in
-    while !continue && !remaining > 0 do
-      match Dsim.Heap.peek t.queue with
-      | Some sched when Dsim.Vtime.(sched.at <= until) ->
-          ignore (Dsim.Heap.pop t.queue);
-          process_scheduled t sched;
-          decr remaining
-      | Some _ | None -> continue := false
+    while
+      !remaining > 0
+      && (not (Dsim.Event_queue.is_empty t.queue))
+      && Dsim.Event_queue.min_key t.queue <= until_s
+    do
+      process_next t;
+      decr remaining
     done;
     if Dsim.Vtime.(t.now < until) then t.now <- until
 
   let step t =
-    match Dsim.Heap.pop t.queue with
-    | None -> false
-    | Some sched ->
-        process_scheduled t sched;
-        true
+    if Dsim.Event_queue.is_empty t.queue then false
+    else begin
+      process_next t;
+      true
+    end
 
   let run_until t until = run_budgeted t ~until ~budget:max_int
   let run_for t dt = run_until t (Dsim.Vtime.add t.now dt)

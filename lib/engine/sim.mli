@@ -402,8 +402,11 @@ module Make (App : Proto.App_intf.APP) : sig
   val clear_filters : t -> unit
 
   val fork : t -> t
-  (** Deep copy with an independent RNG position, a silent trace, and
-      the fallback resolver installed; the original is untouched. The
-      model checker and the runtime build consequence prediction on
-      this. *)
+  (** Deep copy with an independent RNG position and the fallback
+      resolver installed; the original is untouched. The copy gets a
+      fresh trace of capacity 16 at the default [Debug] level, so it
+      still formats and keeps its last 16 records (read them through
+      {!trace}), while the original's trace sees nothing of the fork.
+      The copy has no obs sink and no message log. The model checker
+      and the runtime build consequence prediction on this. *)
 end

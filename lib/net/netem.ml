@@ -39,31 +39,38 @@ let validate_faults f =
   if f.duplicate_copies < 1 then invalid_arg "Netem: duplicate_copies < 1";
   if f.reorder_window < 0. then invalid_arg "Netem: negative reorder_window"
 
+(* Directed pairs are keyed [src * size + dst] and endpoints index
+   arrays directly, so a lookup hashes no tuple and a queue update
+   boxes no float. *)
 type t = {
   topo : Topology.t;
+  size : int;  (* endpoints: [Topology.size topo] *)
   jitter : float;
   serialize_access : bool;
   rng : Dsim.Rng.t;
-  overrides : (int * int, Linkprop.t) Hashtbl.t;
-  isolated : (int, unit) Hashtbl.t;
-  uplink_free : (int, float) Hashtbl.t;  (* endpoint -> time its uplink frees up *)
-  downlink_free : (int, float) Hashtbl.t;
+  overrides : (int, Linkprop.t) Hashtbl.t;
+  isolated : bool array;
+  uplink_free : Float.Array.t;  (* endpoint -> time its uplink frees up *)
+  downlink_free : Float.Array.t;
   mutable faults : faults;  (* default for every pair *)
-  pair_faults : (int * int, faults) Hashtbl.t;  (* directed-pair overrides *)
+  pair_faults : (int, faults) Hashtbl.t;  (* directed-pair overrides *)
   mutable reorders : int;  (* messages held back by the reorder fault *)
 }
 
 let create ?(jitter = 0.05) ?(serialize_access = true) ~rng topo =
   if jitter < 0. then invalid_arg "Netem.create: negative jitter";
+  let size = Topology.size topo in
   {
     topo;
+    size;
     jitter;
     serialize_access;
     rng;
     overrides = Hashtbl.create 64;
-    isolated = Hashtbl.create 16;
-    uplink_free = Hashtbl.create 64;
-    downlink_free = Hashtbl.create 64;
+    isolated = Array.make size false;
+    (* never busy: [Float.max now neg_infinity = now] *)
+    uplink_free = Float.Array.make size neg_infinity;
+    downlink_free = Float.Array.make size neg_infinity;
     faults = no_faults;
     pair_faults = Hashtbl.create 16;
     reorders = 0;
@@ -76,11 +83,21 @@ let copy t =
     t with
     rng = Dsim.Rng.copy t.rng;
     overrides = Hashtbl.copy t.overrides;
-    isolated = Hashtbl.copy t.isolated;
-    uplink_free = Hashtbl.copy t.uplink_free;
-    downlink_free = Hashtbl.copy t.downlink_free;
+    isolated = Array.copy t.isolated;
+    uplink_free = Float.Array.copy t.uplink_free;
+    downlink_free = Float.Array.copy t.downlink_free;
     pair_faults = Hashtbl.copy t.pair_faults;
   }
+
+let in_range t e = e >= 0 && e < t.size
+
+let pair t ~src ~dst =
+  if not (in_range t src && in_range t dst) then invalid_arg "Netem: endpoint out of range";
+  (src * t.size) + dst
+
+(* The tables are empty on every fault-free path: skip the hash. *)
+let find_pair tbl t ~src ~dst =
+  if Hashtbl.length tbl = 0 then None else Hashtbl.find_opt tbl ((src * t.size) + dst)
 
 let reorders t = t.reorders
 let global_faults t = t.faults
@@ -91,28 +108,33 @@ let set_faults t f =
 
 let set_pair_faults t ~src ~dst f =
   validate_faults f;
-  Hashtbl.replace t.pair_faults (src, dst) f
+  Hashtbl.replace t.pair_faults (pair t ~src ~dst) f
 
-let clear_pair_faults t ~src ~dst = Hashtbl.remove t.pair_faults (src, dst)
+let clear_pair_faults t ~src ~dst = Hashtbl.remove t.pair_faults (pair t ~src ~dst)
 
+let pair_faults_of t ~src ~dst =
+  match find_pair t.pair_faults t ~src ~dst with Some f -> f | None -> t.faults
+
+(* An out-of-range pair can have no entry. *)
 let faults_of t ~src ~dst =
-  match Hashtbl.find_opt t.pair_faults (src, dst) with Some f -> f | None -> t.faults
+  if in_range t src && in_range t dst then pair_faults_of t ~src ~dst else t.faults
 
 let blackhole = Linkprop.v ~latency:0.001 ~bandwidth:1. ~loss:1.
 
 let path t ~src ~dst =
-  if Hashtbl.mem t.isolated src || Hashtbl.mem t.isolated dst then blackhole
+  (* Out of range: [Topology.path] raises its own error. *)
+  if not (in_range t src && in_range t dst) then Topology.path t.topo src dst
+  else if t.isolated.(src) || t.isolated.(dst) then blackhole
   else
-    match Hashtbl.find_opt t.overrides (src, dst) with
+    match find_pair t.overrides t ~src ~dst with
     | Some p -> p
     | None -> Topology.path t.topo src dst
 
 (* Occupies [endpoint]'s link (up or down) for [tx] seconds starting no
    earlier than [now]; returns the extra queueing delay incurred. *)
 let enqueue table endpoint ~now ~tx =
-  let free_at = Option.value ~default:now (Hashtbl.find_opt table endpoint) in
-  let start = Float.max now free_at in
-  Hashtbl.replace table endpoint (start +. tx);
+  let start = Float.max now (Float.Array.get table endpoint) in
+  Float.Array.set table endpoint (start +. tx);
   start -. now
 
 let judge t ~now ~src ~dst ~bytes =
@@ -139,7 +161,7 @@ let judge t ~now ~src ~dst ~bytes =
        rate-positivity check so that a fault-free configuration consumes
        exactly the same RNG stream as before this layer existed — seeded
        experiments stay bit-identical unless faults are switched on. *)
-    let f = faults_of t ~src ~dst in
+    let f = pair_faults_of t ~src ~dst in
     let delay =
       if f.reorder_rate > 0. && Dsim.Rng.uniform t.rng < f.reorder_rate then begin
         (* Held back by up to a full window — enough to overtake any
@@ -188,8 +210,8 @@ let occupy_access t ~endpoint ~now ~bytes =
     ignore (enqueue t.downlink_free endpoint ~now ~tx)
   end
 
-let set_override t ~src ~dst p = Hashtbl.replace t.overrides (src, dst) p
-let clear_override t ~src ~dst = Hashtbl.remove t.overrides (src, dst)
+let set_override t ~src ~dst p = Hashtbl.replace t.overrides (pair t ~src ~dst) p
+let clear_override t ~src ~dst = Hashtbl.remove t.overrides (pair t ~src ~dst)
 let cut t ~src ~dst = set_override t ~src ~dst blackhole
 
 let cut_bidirectional t a b =
@@ -197,6 +219,14 @@ let cut_bidirectional t a b =
   cut t ~src:b ~dst:a
 
 let heal t ~src ~dst = clear_override t ~src ~dst
-let isolate t e = Hashtbl.replace t.isolated e ()
-let rejoin t e = Hashtbl.remove t.isolated e
-let is_isolated t e = Hashtbl.mem t.isolated e
+let endpoint t e = if not (in_range t e) then invalid_arg "Netem: endpoint out of range"
+
+let isolate t e =
+  endpoint t e;
+  t.isolated.(e) <- true
+
+let rejoin t e =
+  endpoint t e;
+  t.isolated.(e) <- false
+
+let is_isolated t e = in_range t e && t.isolated.(e)

@@ -3,7 +3,11 @@
     (degraded links, partitions, crashed endpoints).
 
     This is the ModelNet substitute: the engine asks it, for each
-    outbound message, whether the message arrives and after how long. *)
+    outbound message, whether the message arrives and after how long.
+
+    Endpoints are the topology's, [0 .. Topology.size - 1]. Every
+    function that pins state to an endpoint or a pair (overrides, pair
+    faults, isolation) raises [Invalid_argument] outside that range. *)
 
 type t
 

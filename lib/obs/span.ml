@@ -9,15 +9,65 @@ type span = {
   verdict : string;
 }
 
-type ring = { cap : int; buf : span option array; mutable next : int }
+(* One column per field, indexed by [seq mod cap]; [seq] itself is the
+   index, so it is not stored. The columns start small and double up to
+   [cap], so a ring that sees few spans never holds [cap] slots, and
+   recording a span allocates nothing outside the occasional doubling. *)
+type ring = {
+  cap : int;
+  mutable traces : int array;
+  mutable srcs : int array;
+  mutable dsts : int array;
+  mutable kinds : string array;
+  mutable verdicts : string array;
+  mutable enqueues : Float.Array.t;
+  mutable delivers : Float.Array.t;
+  mutable next : int;
+}
 
 let ring ?(capacity = 65536) () =
   if capacity <= 0 then invalid_arg "Span.ring: capacity must be positive";
-  { cap = capacity; buf = Array.make capacity None; next = 0 }
+  {
+    cap = capacity;
+    traces = [||];
+    srcs = [||];
+    dsts = [||];
+    kinds = [||];
+    verdicts = [||];
+    enqueues = Float.Array.create 0;
+    delivers = Float.Array.create 0;
+    next = 0;
+  }
+
+let grow r =
+  let len = Array.length r.traces in
+  let n = Stdlib.min r.cap (Stdlib.max 16 (2 * len)) in
+  let ints a = Array.append a (Array.make (n - len) 0) in
+  let strs a = Array.append a (Array.make (n - len) "") in
+  let floats a =
+    let b = Float.Array.create n in
+    Float.Array.blit a 0 b 0 len;
+    b
+  in
+  r.traces <- ints r.traces;
+  r.srcs <- ints r.srcs;
+  r.dsts <- ints r.dsts;
+  r.kinds <- strs r.kinds;
+  r.verdicts <- strs r.verdicts;
+  r.enqueues <- floats r.enqueues;
+  r.delivers <- floats r.delivers
 
 let record r ~trace ~src ~dst ~kind ~enqueue ~deliver ~verdict =
   let seq = r.next in
-  r.buf.(seq mod r.cap) <- Some { trace; seq; src; dst; kind; enqueue; deliver; verdict };
+  let i = seq mod r.cap in
+  if i = Array.length r.traces then grow r;
+  r.traces.(i) <- trace;
+  r.srcs.(i) <- src;
+  r.dsts.(i) <- dst;
+  r.kinds.(i) <- kind;
+  r.verdicts.(i) <- verdict;
+  Float.Array.set r.enqueues i enqueue;
+  Float.Array.set r.delivers i deliver;
   r.next <- seq + 1
 
 let recorded r = r.next
@@ -25,10 +75,19 @@ let dropped r = Stdlib.max 0 (r.next - r.cap)
 
 let spans r =
   let first = dropped r in
-  List.init (r.next - first) (fun i ->
-      match r.buf.((first + i) mod r.cap) with
-      | Some s -> s
-      | None -> assert false)
+  List.init (r.next - first) (fun k ->
+      let seq = first + k in
+      let i = seq mod r.cap in
+      {
+        trace = r.traces.(i);
+        seq;
+        src = r.srcs.(i);
+        dst = r.dsts.(i);
+        kind = r.kinds.(i);
+        enqueue = Float.Array.get r.enqueues i;
+        deliver = Float.Array.get r.delivers i;
+        verdict = r.verdicts.(i);
+      })
 
 let to_json s =
   Json.Obj

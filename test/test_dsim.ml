@@ -112,47 +112,50 @@ let test_rng_exponential_mean () =
   let mean = !total /. float_of_int n in
   checkb "mean near 2.0" true (Float.abs (mean -. 2.0) < 0.1)
 
-(* ---------- Heap ---------- *)
+(* ---------- Event queue ---------- *)
 
-let int_heap () = Dsim.Heap.create ~cmp:Int.compare
+(* Integer elements keyed by their own value. *)
+let push_int q x = Dsim.Event_queue.push q (float_of_int x) x
+let drain_values q = List.map snd (Dsim.Event_queue.drain q)
 
 let test_heap_ordering () =
-  let h = int_heap () in
-  List.iter (Dsim.Heap.push h) [ 5; 3; 8; 1; 9; 2 ];
-  check (Alcotest.list Alcotest.int) "sorted drain" [ 1; 2; 3; 5; 8; 9 ] (Dsim.Heap.drain h);
-  checkb "empty after drain" true (Dsim.Heap.is_empty h)
+  let h = Dsim.Event_queue.create () in
+  List.iter (push_int h) [ 5; 3; 8; 1; 9; 2 ];
+  check (Alcotest.list Alcotest.int) "sorted drain" [ 1; 2; 3; 5; 8; 9 ] (drain_values h);
+  checkb "empty after drain" true (Dsim.Event_queue.is_empty h)
 
 let test_heap_fifo_ties () =
-  (* Elements comparing equal must pop in insertion order. *)
-  let h = Dsim.Heap.create ~cmp:(fun (a, _) (b, _) -> Int.compare a b) in
-  List.iter (Dsim.Heap.push h) [ (1, "a"); (1, "b"); (0, "z"); (1, "c") ];
+  (* Elements with equal keys must pop in insertion order. *)
+  let h = Dsim.Event_queue.create () in
+  List.iter
+    (fun (k, v) -> Dsim.Event_queue.push h (float_of_int k) v)
+    [ (1, "a"); (1, "b"); (0, "z"); (1, "c") ];
   check
-    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.string))
+    (Alcotest.list (Alcotest.pair (Alcotest.float 0.) Alcotest.string))
     "fifo ties"
-    [ (0, "z"); (1, "a"); (1, "b"); (1, "c") ]
-    (Dsim.Heap.drain h)
+    [ (0., "z"); (1., "a"); (1., "b"); (1., "c") ]
+    (Dsim.Event_queue.drain h)
 
 let test_heap_peek_pop () =
-  let h = int_heap () in
-  checkb "peek empty" true (Dsim.Heap.peek h = None);
-  checkb "pop empty" true (Dsim.Heap.pop h = None);
-  Dsim.Heap.push h 4;
-  checkb "peek" true (Dsim.Heap.peek h = Some 4);
-  checki "length" 1 (Dsim.Heap.length h)
+  let h = Dsim.Event_queue.create () in
+  checkb "min key of empty" true (Dsim.Event_queue.min_key h = infinity);
+  Alcotest.check_raises "pop empty" (Invalid_argument "Event_queue.pop: empty") (fun () ->
+      ignore (Dsim.Event_queue.pop h));
+  push_int h 4;
+  checkf "min key" 4. (Dsim.Event_queue.min_key h);
+  checki "length" 1 (Dsim.Event_queue.length h);
+  checki "pop" 4 (Dsim.Event_queue.pop h);
+  checkb "empty after pop" true (Dsim.Event_queue.is_empty h)
 
 let test_heap_copy_independent () =
-  let h = int_heap () in
-  List.iter (Dsim.Heap.push h) [ 3; 1; 2 ];
-  let c = Dsim.Heap.copy h in
-  ignore (Dsim.Heap.pop h);
-  checki "copy unaffected" 3 (Dsim.Heap.length c);
-  check (Alcotest.list Alcotest.int) "copy drains fully" [ 1; 2; 3 ] (Dsim.Heap.drain c)
-
-let test_heap_filter () =
-  let h = int_heap () in
-  List.iter (Dsim.Heap.push h) [ 5; 2; 7; 4; 1 ];
-  Dsim.Heap.filter_in_place h (fun x -> x mod 2 = 1);
-  check (Alcotest.list Alcotest.int) "odds survive" [ 1; 5; 7 ] (Dsim.Heap.drain h)
+  let h = Dsim.Event_queue.create () in
+  List.iter (push_int h) [ 3; 1; 2 ];
+  let c = Dsim.Event_queue.copy h in
+  ignore (Dsim.Event_queue.pop h);
+  push_int h 0;
+  checki "copy unaffected" 3 (Dsim.Event_queue.length c);
+  check (Alcotest.list Alcotest.int) "copy drains fully" [ 1; 2; 3 ] (drain_values c);
+  check (Alcotest.list Alcotest.int) "original drains its own" [ 0; 2; 3 ] (drain_values h)
 
 (* A pinned push/pop sequence with tied instants: keys take five
    values, so most pushes tie with earlier ones. The expected lists were
@@ -161,13 +164,12 @@ let test_heap_filter () =
 let pinned_key i = float_of_int (i * 7 mod 5) /. 4.
 
 let test_heap_pinned_order () =
-  let h = Dsim.Heap.create ~cmp:(fun (a, _) (b, _) -> Float.compare a b) in
+  let h = Dsim.Event_queue.create () in
   let pops = ref [] and layout = ref [] in
   for i = 0 to 59 do
-    Dsim.Heap.push h (pinned_key i, i);
-    if i mod 3 = 2 then
-      Option.iter (fun (_, v) -> pops := v :: !pops) (Dsim.Heap.pop h);
-    if i = 40 then layout := Dsim.Heap.rev_fold h ~init:[] ~f:(fun acc (_, v) -> v :: acc)
+    Dsim.Event_queue.push h (pinned_key i) i;
+    if i mod 3 = 2 then pops := Dsim.Event_queue.pop h :: !pops;
+    if i = 40 then layout := Dsim.Event_queue.rev_fold h ~init:[] ~f:(fun acc v -> v :: acc)
   done;
   let ints = Alcotest.list Alcotest.int in
   check ints "pop order"
@@ -180,27 +182,35 @@ let test_heap_pinned_order () =
   check ints "drain order"
     [ 43; 48; 53; 58; 1; 6; 11; 16; 21; 26; 31; 36; 41; 46; 51; 56; 4; 9; 14; 19; 24; 29; 34; 39;
       44; 49; 54; 59; 2; 7; 12; 17; 22; 27; 32; 37; 42; 47; 52; 57 ]
-    (List.map snd (Dsim.Heap.drain h))
+    (drain_values h)
 
 let prop_heap_sorts =
   QCheck.Test.make ~name:"heap drains any list sorted" ~count:200
     QCheck.(list int)
     (fun xs ->
-      let h = int_heap () in
-      List.iter (Dsim.Heap.push h) xs;
-      Dsim.Heap.drain h = List.sort Int.compare xs)
+      (* Large ints can share a float key; those must drain in push
+         order, which is exactly a stable sort by key. *)
+      let keyed = List.map (fun x -> (float_of_int x, x)) xs in
+      let h = Dsim.Event_queue.create () in
+      List.iter (fun (k, x) -> Dsim.Event_queue.push h k x) keyed;
+      Dsim.Event_queue.drain h
+      = List.stable_sort (fun (a, _) (b, _) -> Float.compare a b) keyed)
 
 let prop_heap_length =
   QCheck.Test.make ~name:"heap length tracks pushes and pops" ~count:200
     QCheck.(list small_int)
     (fun xs ->
-      let h = int_heap () in
+      let h = Dsim.Event_queue.create () in
+      let popped = ref 0 in
       List.iteri
         (fun i x ->
-          Dsim.Heap.push h x;
-          if i mod 3 = 2 then ignore (Dsim.Heap.pop h))
+          push_int h x;
+          if i mod 3 = 2 then begin
+            ignore (Dsim.Event_queue.pop h);
+            incr popped
+          end)
         xs;
-      Dsim.Heap.length h >= 0 && Dsim.Heap.length h <= List.length xs)
+      Dsim.Event_queue.length h = List.length xs - !popped)
 
 (* ---------- Stats ---------- *)
 
@@ -362,6 +372,45 @@ let test_trace_level_gate () =
   Dsim.Trace.set_min_level t Dsim.Trace.Debug;
   checkb "gate is dynamic" true (Dsim.Trace.enabled t Dsim.Trace.Debug)
 
+(* A print-on-read record reads back exactly as [logf] of the same
+   format and arguments would have recorded it, runs its printer once,
+   on the first read; a gated one never runs it. The reused formatter
+   gives the same text as a fresh one, boxes and breaks included. *)
+let test_trace_print_on_read () =
+  let pp_pair ppf (a, b) = Format.fprintf ppf "@[<b 2>(%d,@ %s)@]" a b in
+  let eager = Dsim.Trace.create () and lazy_ = Dsim.Trace.create () in
+  let at = Dsim.Vtime.of_seconds 1.25 in
+  let runs = ref 0 in
+  List.iter
+    (fun (cause, x) ->
+      Dsim.Trace.logf eager at Dsim.Trace.Debug ~component:"net" "drop(%s) %a->%d @[%a@]" cause
+        Dsim.Vtime.pp at x pp_pair (x, cause);
+      Dsim.Trace.logp lazy_ at Dsim.Trace.Debug ~component:"net" (fun ppf ->
+          incr runs;
+          Format.fprintf ppf "drop(%s) %a->%d @[%a@]" cause Dsim.Vtime.pp at x pp_pair
+            (x, cause)))
+    [ ("loss", 1); ("", 22); (String.make 90 'x', 333); ("invalid: bad ballot", 4) ];
+  checki "printers wait for a read" 0 !runs;
+  let text t =
+    List.map (fun r -> Format.asprintf "%a" Dsim.Trace.pp_record r) (Dsim.Trace.records t)
+  in
+  check (Alcotest.list Alcotest.string) "same records as logf" (text eager) (text lazy_);
+  checki "each printer ran once" 4 !runs;
+  ignore (Dsim.Trace.records lazy_);
+  checki "a second read reuses the text" 4 !runs;
+  (match Dsim.Trace.records eager with
+  | (first : Dsim.Trace.record) :: _ ->
+      check Alcotest.string "same as a fresh formatter"
+        (Format.asprintf "drop(%s) %a->%d @[%a@]" "loss" Dsim.Vtime.pp at 1 pp_pair (1, "loss"))
+        first.message
+  | [] -> Alcotest.fail "no records");
+  let gated = Dsim.Trace.create ~min_level:Dsim.Trace.Info () in
+  Dsim.Trace.logp gated at Dsim.Trace.Debug ~component:"net" (fun _ -> incr runs);
+  ignore (Dsim.Trace.records gated);
+  checki "gated printer never runs" 4 !runs;
+  checki "gated record suppressed" 1 (Dsim.Trace.suppressed gated);
+  checki "gated record not kept" 0 (Dsim.Trace.count gated)
+
 let test_contains_substring () =
   let c = Dsim.Trace.contains_substring in
   checkb "empty needle always matches" true (c "" "");
@@ -406,7 +455,6 @@ let () =
         :: Alcotest.test_case "fifo ties" `Quick test_heap_fifo_ties
         :: Alcotest.test_case "peek/pop" `Quick test_heap_peek_pop
         :: Alcotest.test_case "copy" `Quick test_heap_copy_independent
-        :: Alcotest.test_case "filter" `Quick test_heap_filter
         :: Alcotest.test_case "pinned order" `Quick test_heap_pinned_order
         :: qcheck [ prop_heap_sorts; prop_heap_length ] );
       ( "stats",
@@ -426,6 +474,7 @@ let () =
           Alcotest.test_case "basic" `Quick test_trace_basic;
           Alcotest.test_case "capacity" `Quick test_trace_capacity;
           Alcotest.test_case "level gate" `Quick test_trace_level_gate;
+          Alcotest.test_case "print on read" `Quick test_trace_print_on_read;
           Alcotest.test_case "contains_substring" `Quick test_contains_substring;
         ] );
     ]
