@@ -28,73 +28,77 @@ let grow t v =
   t.seqs <- seqs;
   t.vals <- vals
 
-(* Moves the hole at [i] up until (k, s) fits, then fills it — the
-   same layout as swapping the new entry up, with fewer writes. *)
-let rec sift_up t i k s v =
-  let parent = (i - 1) / 2 in
-  if i > 0 && (k < Float.Array.get t.keys parent
-               || (k = Float.Array.get t.keys parent && s < t.seqs.(parent)))
-  then begin
-    Float.Array.set t.keys i (Float.Array.get t.keys parent);
-    t.seqs.(i) <- t.seqs.(parent);
-    t.vals.(i) <- t.vals.(parent);
-    sift_up t parent k s v
-  end
-  else begin
-    Float.Array.set t.keys i k;
-    t.seqs.(i) <- s;
-    t.vals.(i) <- v
-  end
+(* Whether slot [a] orders before slot [b]: earlier key, or the same
+   key pushed first. *)
+let before keys seqs a b =
+  let ka = Float.Array.unsafe_get keys a and kb = Float.Array.unsafe_get keys b in
+  ka < kb || (ka = kb && Array.unsafe_get seqs a < Array.unsafe_get seqs b)
+
+(* Both sifts move a hole rather than swapping: the entry being placed
+   stays in locals (its key unboxed) until its slot is found, which
+   gives the layout a swapping sift would, with fewer writes. Every
+   index is below [size], so the column accesses skip bounds checks. *)
 
 let push t k v =
   if t.size = Array.length t.vals then grow t v;
   let s = t.next_seq in
   t.next_seq <- s + 1;
-  let i = t.size in
-  t.size <- i + 1;
-  sift_up t i k s v
+  let keys = t.keys and seqs = t.seqs and vals = t.vals in
+  let i = ref t.size in
+  t.size <- !i + 1;
+  let rising = ref true in
+  while !rising && !i > 0 do
+    let p = (!i - 1) / 2 in
+    let kp = Float.Array.unsafe_get keys p in
+    if k < kp || (k = kp && s < Array.unsafe_get seqs p) then begin
+      Float.Array.unsafe_set keys !i kp;
+      Array.unsafe_set seqs !i (Array.unsafe_get seqs p);
+      Array.unsafe_set vals !i (Array.unsafe_get vals p);
+      i := p
+    end
+    else rising := false
+  done;
+  Float.Array.unsafe_set keys !i k;
+  Array.unsafe_set seqs !i s;
+  Array.unsafe_set vals !i v
 
 let min_key t = if t.size = 0 then infinity else Float.Array.get t.keys 0
 
-let less t a b =
-  let ka = Float.Array.get t.keys a and kb = Float.Array.get t.keys b in
-  ka < kb || (ka = kb && t.seqs.(a) < t.seqs.(b))
-
-(* Sifts the hole at [i] down for the entry (k, s, v): the smaller
-   child moves up while it beats the entry, the left child winning
-   ties, exactly as a swapping sift-down would order them. *)
-let rec sift_down t i k s v =
-  let l = (2 * i) + 1 in
-  let c =
-    if l >= t.size then i
-    else
-      let c = if l + 1 < t.size && less t (l + 1) l then l + 1 else l in
-      let ck = Float.Array.get t.keys c in
-      if ck < k || (ck = k && t.seqs.(c) < s) then c else i
-  in
-  if c <> i then begin
-    Float.Array.set t.keys i (Float.Array.get t.keys c);
-    t.seqs.(i) <- t.seqs.(c);
-    t.vals.(i) <- t.vals.(c);
-    sift_down t c k s v
-  end
-  else begin
-    Float.Array.set t.keys i k;
-    t.seqs.(i) <- s;
-    t.vals.(i) <- v
-  end
-
 let pop t =
   if t.size = 0 then invalid_arg "Event_queue.pop: empty";
-  let top = t.vals.(0) in
-  let last = t.size - 1 in
-  t.size <- last;
-  if last > 0 then begin
-    let k = Float.Array.get t.keys last and s = t.seqs.(last) and v = t.vals.(last) in
+  let keys = t.keys and seqs = t.seqs and vals = t.vals in
+  let top = Array.unsafe_get vals 0 in
+  let size = t.size - 1 in
+  t.size <- size;
+  if size > 0 then begin
+    (* Sift the last entry down from the root: the smaller child moves
+       up while it orders before the entry, the left child winning
+       ties, exactly as a swapping sift-down would order them. *)
+    let k = Float.Array.unsafe_get keys size
+    and s = Array.unsafe_get seqs size
+    and v = Array.unsafe_get vals size in
+    let i = ref 0 and sinking = ref true in
+    while !sinking do
+      let l = (2 * !i) + 1 in
+      if l >= size then sinking := false
+      else begin
+        let c = if l + 1 < size && before keys seqs (l + 1) l then l + 1 else l in
+        let kc = Float.Array.unsafe_get keys c in
+        if kc < k || (kc = k && Array.unsafe_get seqs c < s) then begin
+          Float.Array.unsafe_set keys !i kc;
+          Array.unsafe_set seqs !i (Array.unsafe_get seqs c);
+          Array.unsafe_set vals !i (Array.unsafe_get vals c);
+          i := c
+        end
+        else sinking := false
+      end
+    done;
+    Float.Array.unsafe_set keys !i k;
+    Array.unsafe_set seqs !i s;
+    Array.unsafe_set vals !i v;
     (* The vacated slot keeps a live element rather than the moved one,
        so it pins nothing the queue no longer holds. *)
-    sift_down t 0 k s v;
-    t.vals.(last) <- t.vals.(0)
+    Array.unsafe_set vals size (Array.unsafe_get vals 0)
   end;
   top
 

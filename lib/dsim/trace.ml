@@ -50,26 +50,26 @@ let grow t =
   t.ring <- ring;
   t.first <- 0
 
-let push t level e =
-  if enabled t level then begin
-    if t.length = Array.length t.ring && t.length < t.capacity then grow t;
-    if t.length < Array.length t.ring then begin
-      t.ring.(slot t t.length) <- e;
-      t.length <- t.length + 1
-    end
-    else begin
-      (* Full: the newest record takes the oldest one's slot. *)
-      t.ring.(t.first) <- e;
-      t.first <- slot t 1
-    end;
-    t.total <- t.total + 1
+let push t e =
+  if t.length = Array.length t.ring && t.length < t.capacity then grow t;
+  if t.length < Array.length t.ring then begin
+    t.ring.(slot t t.length) <- e;
+    t.length <- t.length + 1
   end
-  else t.suppressed <- t.suppressed + 1
+  else begin
+    (* Full: the newest record takes the oldest one's slot. *)
+    t.ring.(t.first) <- e;
+    t.first <- slot t 1
+  end;
+  t.total <- t.total + 1
 
 let log t time level ~component message =
-  push t level (Text { time; level; component; message })
+  if enabled t level then push t (Text { time; level; component; message })
+  else t.suppressed <- t.suppressed + 1
 
-let logp t time level ~component print = push t level (Print { time; level; component; print })
+let logp t time level ~component print =
+  if enabled t level then push t (Print { time; level; component; print })
+  else t.suppressed <- t.suppressed + 1
 
 (* One formatter per domain, writing into one buffer. [Format.kasprintf]
    would build a fresh buffer and formatter for every record; this one

@@ -22,14 +22,18 @@ type 'msg entry = {
   tries : int;  (** retransmissions performed so far *)
 }
 
+module Itbl = Hashtbl.Make (Int)
+
 type 'msg t = {
   cfg : config;
   kinds : (string, unit) Hashtbl.t option;  (* [None] = every kind *)
   mutable next_seq : int;
-  pending : (int, 'msg entry) Hashtbl.t;  (* sender side: unacked sends *)
-  seen : (int, unit) Hashtbl.t;  (* receiver side: seqs already handled *)
+  pending : 'msg entry Itbl.t;  (* sender side: unacked sends *)
+  mutable seen : Bytes.t;
+      (* receiver side: bit [seq] is set once [seq] was handled. Seqs
+         are dense from 0, so one bit each beats a hash table entry *)
   endpoints : int;
-  pair : (int, int) Hashtbl.t;
+  pair : int Itbl.t;
       (* pending count per directed pair, keyed [src * endpoints + dst],
          for the suspect cap; kept at 0 *)
 }
@@ -53,14 +57,14 @@ let create ?kinds ~endpoints config =
     cfg = config;
     kinds;
     next_seq = 0;
-    pending = Hashtbl.create 64;
-    seen = Hashtbl.create 256;
+    pending = Itbl.create 64;
+    seen = Bytes.make 32 '\000';
     endpoints;
-    pair = Hashtbl.create 64;
+    pair = Itbl.create 64;
   }
 
 let copy r =
-  { r with pending = Hashtbl.copy r.pending; seen = Hashtbl.copy r.seen; pair = Hashtbl.copy r.pair }
+  { r with pending = Itbl.copy r.pending; seen = Bytes.copy r.seen; pair = Itbl.copy r.pair }
 
 let ack_bytes r = r.cfg.ack_bytes
 let tracked r kind = match r.kinds with None -> true | Some h -> Hashtbl.mem h kind
@@ -69,16 +73,16 @@ let pair_key r (e : _ entry) =
 (* A pair whose count falls to zero keeps its key, so the lookup on
    every tracked send and ack neither allocates nor, after the pair's
    first send, raises. *)
-let count r key = match Hashtbl.find r.pair key with n -> n | exception Not_found -> 0
+let count r key = match Itbl.find r.pair key with n -> n | exception Not_found -> 0
 let pending_on r e = count r (pair_key r e)
 
 let track r ~src ~dst msg =
   let seq = r.next_seq in
   r.next_seq <- seq + 1;
   let e = { src; dst; msg; tries = 0 } in
-  Hashtbl.replace r.pending seq e;
+  Itbl.replace r.pending seq e;
   let key = pair_key r e in
-  Hashtbl.replace r.pair key (1 + count r key);
+  Itbl.replace r.pair key (1 + count r key);
   seq
 
 (* Exponential backoff plus a random spread, so a burst of sends lost
@@ -89,14 +93,14 @@ let timeout r rng ~tries =
   let base = r.cfg.base_timeout *. (r.cfg.backoff ** float_of_int tries) in
   if r.cfg.jitter > 0. then base *. (1. +. (r.cfg.jitter *. Dsim.Rng.uniform rng)) else base
 
-let find r seq = Hashtbl.find_opt r.pending seq
+let find r seq = Itbl.find_opt r.pending seq
 
 (* Every removal path (ack, give-up, shed, dead sender) goes through
    here, keeping the per-pair count honest. *)
 let remove r seq e =
-  Hashtbl.remove r.pending seq;
+  Itbl.remove r.pending seq;
   let key = pair_key r e in
-  match count r key with 0 -> () | n -> Hashtbl.replace r.pair key (n - 1)
+  match count r key with 0 -> () | n -> Itbl.replace r.pair key (n - 1)
 
 type 'msg timeout = Shed | Give_up | Resend of 'msg entry | Refused of 'msg entry
 
@@ -132,7 +136,7 @@ let timed_out r seq e ~breaker ~suspected ~pressure ~now =
     end
     else begin
       let e = { e with tries = e.tries + 1 } in
-      Hashtbl.replace r.pending seq e;
+      Itbl.replace r.pending seq e;
       (* Consult the breaker before putting bytes on the wire. A
          refused attempt still re-arms the timer, so the pending entry
          resolves one way or the other (ack of an earlier copy, a probe
@@ -144,8 +148,16 @@ let timed_out r seq e ~breaker ~suspected ~pressure ~now =
   end
 
 let first_arrival r seq =
-  if Hashtbl.mem r.seen seq then false
+  let byte = seq lsr 3 and bit = 1 lsl (seq land 7) in
+  let len = Bytes.length r.seen in
+  if byte >= len then begin
+    let seen = Bytes.make (Int.max (2 * len) (byte + 1)) '\000' in
+    Bytes.blit r.seen 0 seen 0 len;
+    r.seen <- seen
+  end;
+  let b = Bytes.get_uint8 r.seen byte in
+  if b land bit <> 0 then false
   else begin
-    Hashtbl.replace r.seen seq ();
+    Bytes.set_uint8 r.seen byte (b lor bit);
     true
   end

@@ -1,5 +1,6 @@
 module Make (App : Proto.App_intf.APP) = struct
   module Smap = Map.Make (String)
+  module Itbl = Hashtbl.Make (Int)
 
   type node = { state : App.state; alive : bool; timer_gens : int Smap.t; incarnation : int }
 
@@ -164,7 +165,7 @@ module Make (App : Proto.App_intf.APP) = struct
     endpoints : int;  (* topology size; directed pairs key as [src * endpoints + dst] *)
     netem : Net.Netem.t;
     netmodel : Net.Netmodel.t;
-    nm_links : (int, Net.Netmodel.link) Hashtbl.t;
+    nm_links : Net.Netmodel.link Itbl.t;
         (* per-(src,dst) netmodel handles so each delivery does one
            lookup here instead of three inside the model; bound to
            [netmodel]'s cells, so forks get a fresh empty table *)
@@ -226,7 +227,7 @@ module Make (App : Proto.App_intf.APP) = struct
       endpoints = Net.Topology.size topology;
       netem = Net.Netem.create ~jitter ~rng:netem_rng topology;
       netmodel = Net.Netmodel.create ();
-      nm_links = Hashtbl.create 64;
+      nm_links = Itbl.create 64;
       fd = Net.Failure_detector.create ();
       fd_enabled = true;
       rel = None;
@@ -407,8 +408,8 @@ module Make (App : Proto.App_intf.APP) = struct
   let inflight t =
     (* A shed-while-queued delivery is a tombstone: still in the heap,
        but no longer part of the observable world. This runs once per
-       property check, so it folds over the heap's backing array
-       directly (consing in a rev_fold yields [to_list]'s order)
+       property check, so it folds over the queue's backing array
+       directly (consing in a rev_fold yields the array's order)
        rather than materialising the scheduled list first, and the
        [t.ov] dispatch is hoisted out of the per-entry loop. *)
     let keep =
@@ -475,7 +476,7 @@ module Make (App : Proto.App_intf.APP) = struct
       netmodel = Net.Netmodel.copy t.netmodel;
       (* the copy has its own cells; inherited handles would silently
          mutate the parent's model *)
-      nm_links = Hashtbl.create 16;
+      nm_links = Itbl.create 16;
       fd = Net.Failure_detector.copy t.fd;
       rel = Option.map Reliable.copy t.rel;
       ov = Option.map Overload.copy t.ov;
@@ -665,11 +666,11 @@ module Make (App : Proto.App_intf.APP) = struct
 
   let nm_link t ~se ~de =
     let key = (se * t.endpoints) + de in
-    match Hashtbl.find_opt t.nm_links key with
+    match Itbl.find_opt t.nm_links key with
     | Some l -> l
     | None ->
         let l = Net.Netmodel.link t.netmodel ~src:se ~dst:de in
-        Hashtbl.replace t.nm_links key l;
+        Itbl.replace t.nm_links key l;
         l
 
   let root_cause cause =
@@ -1521,11 +1522,8 @@ module Make (App : Proto.App_intf.APP) = struct
   and run_budgeted t ~until ~budget =
     let until_s = Dsim.Vtime.to_seconds until in
     let remaining = ref budget in
-    while
-      !remaining > 0
-      && (not (Dsim.Event_queue.is_empty t.queue))
-      && Dsim.Event_queue.min_key t.queue <= until_s
-    do
+    (* An empty queue's minimum key is infinity, past any [until]. *)
+    while !remaining > 0 && Dsim.Event_queue.min_key t.queue <= until_s do
       process_next t;
       decr remaining
     done;

@@ -22,7 +22,9 @@ type span = {
 type ring
 
 val ring : ?capacity:int -> unit -> ring
-(** Default capacity 65536. @raise Invalid_argument if not positive. *)
+(** Default capacity 65536. Storage starts small and doubles up to the
+    capacity as spans arrive. @raise Invalid_argument if not
+    positive. *)
 
 val record :
   ring ->
@@ -36,7 +38,7 @@ val record :
   unit
 
 val spans : ring -> span list
-(** Retained spans, oldest first. *)
+(** Retained spans, oldest first, rebuilt from the ring's columns. *)
 
 val recorded : ring -> int
 (** Total spans ever recorded. *)
