@@ -74,10 +74,9 @@ let logp t time level ~component print =
 (* One formatter per domain, writing into one buffer. [Format.kasprintf]
    would build a fresh buffer and formatter for every record; this one
    is flushed after each message exactly as [kasprintf] flushes its
-   own, then put back in a fresh formatter's state (a forced newline,
-   discarded, marks it at the start of a line), so the text is the
-   same. [busy] covers a printer that logs while a message is being
-   formatted: that message gets a fresh formatter. *)
+   own, which resets it, so the text is the same. [busy] covers a
+   printer that logs while a message is being formatted: that message
+   gets a fresh formatter. *)
 type scratch = { buf : Buffer.t; ppf : Format.formatter; mutable busy : bool }
 
 let scratch =
@@ -88,8 +87,6 @@ let scratch =
 let take s =
   Format.pp_print_flush s.ppf ();
   let message = Buffer.contents s.buf in
-  Format.pp_force_newline s.ppf ();
-  Format.pp_print_flush s.ppf ();
   Buffer.clear s.buf;
   s.busy <- false;
   message

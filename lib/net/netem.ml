@@ -219,14 +219,14 @@ let cut_bidirectional t a b =
   cut t ~src:b ~dst:a
 
 let heal t ~src ~dst = clear_override t ~src ~dst
-let endpoint t e = if not (in_range t e) then invalid_arg "Netem: endpoint out of range"
+let check_endpoint t e = if not (in_range t e) then invalid_arg "Netem: endpoint out of range"
 
 let isolate t e =
-  endpoint t e;
+  check_endpoint t e;
   t.isolated.(e) <- true
 
 let rejoin t e =
-  endpoint t e;
+  check_endpoint t e;
   t.isolated.(e) <- false
 
 let is_isolated t e = in_range t e && t.isolated.(e)

@@ -42,18 +42,21 @@ let ring ?(capacity = 65536) () =
 let grow r =
   let len = Array.length r.traces in
   let n = Stdlib.min r.cap (Stdlib.max 16 (2 * len)) in
-  let ints a = Array.append a (Array.make (n - len) 0) in
-  let strs a = Array.append a (Array.make (n - len) "") in
+  let extend a fill =
+    let b = Array.make n fill in
+    Array.blit a 0 b 0 len;
+    b
+  in
   let floats a =
     let b = Float.Array.create n in
     Float.Array.blit a 0 b 0 len;
     b
   in
-  r.traces <- ints r.traces;
-  r.srcs <- ints r.srcs;
-  r.dsts <- ints r.dsts;
-  r.kinds <- strs r.kinds;
-  r.verdicts <- strs r.verdicts;
+  r.traces <- extend r.traces 0;
+  r.srcs <- extend r.srcs 0;
+  r.dsts <- extend r.dsts 0;
+  r.kinds <- extend r.kinds "";
+  r.verdicts <- extend r.verdicts "";
   r.enqueues <- floats r.enqueues;
   r.delivers <- floats r.delivers
 

@@ -294,6 +294,20 @@ let test_netem_copy_mutators () =
   checkf "copy sees its pair faults" 1.
     (Net.Netem.faults_of c ~src:1 ~dst:0).Net.Netem.duplicate_rate
 
+(* Pair state is keyed by [src * size + dst], so an endpoint outside
+   the topology is refused rather than aliased onto another pair. *)
+let test_netem_endpoint_range () =
+  let nem = mk_netem () in
+  let out_of_range = Invalid_argument "Netem: endpoint out of range" in
+  Alcotest.check_raises "override" out_of_range (fun () -> Net.Netem.cut nem ~src:0 ~dst:4);
+  Alcotest.check_raises "pair faults" out_of_range (fun () ->
+      Net.Netem.set_pair_faults nem ~src:(-1) ~dst:1 Net.Netem.no_faults);
+  Alcotest.check_raises "isolate" out_of_range (fun () -> Net.Netem.isolate nem 4);
+  checkb "no pair aliased" true
+    ((Net.Netem.path nem ~src:1 ~dst:0).Net.Linkprop.loss = 0.
+    && Net.Netem.faults_of nem ~src:0 ~dst:4 = Net.Netem.no_faults
+    && not (Net.Netem.is_isolated nem 4))
+
 (* ---------- Netmodel ---------- *)
 
 let vt = Dsim.Vtime.of_seconds
@@ -403,6 +417,7 @@ let () =
         :: Alcotest.test_case "access serialization" `Quick test_netem_serialization
         :: Alcotest.test_case "copy" `Quick test_netem_copy_independent
         :: Alcotest.test_case "copy mutators stay on the copy" `Quick test_netem_copy_mutators
+        :: Alcotest.test_case "endpoint range" `Quick test_netem_endpoint_range
         :: qcheck [ prop_cut_degrade_heal_roundtrip ] );
       ( "netmodel",
         Alcotest.test_case "latency ewma" `Quick test_netmodel_latency_estimate
