@@ -1,7 +1,9 @@
-(* Three parallel columns indexed by heap slot. [vals] is empty until
-   the first push supplies a value to fill it with. *)
+(* Three parallel columns indexed by heap slot. [keys] is a flat float
+   array, the layout [Float.Array] has; built with [Array.make] it
+   costs the engine's set-up no extra runtime primitives. [vals] is
+   empty until the first push supplies a value to fill it with. *)
 type 'a t = {
-  mutable keys : Float.Array.t;
+  mutable keys : float array;
   mutable seqs : int array;
   mutable vals : 'a array;
   mutable size : int;
@@ -9,7 +11,7 @@ type 'a t = {
 }
 
 let create () =
-  { keys = Float.Array.create 0; seqs = [||]; vals = [||]; size = 0; next_seq = 0 }
+  { keys = [||]; seqs = [||]; vals = [||]; size = 0; next_seq = 0 }
 
 let length t = t.size
 let is_empty t = t.size = 0
@@ -17,21 +19,20 @@ let is_empty t = t.size = 0
 let grow t v =
   let cap = Array.length t.vals in
   let ncap = if cap = 0 then 16 else 2 * cap in
-  let keys = Float.Array.create ncap in
-  Float.Array.blit t.keys 0 keys 0 t.size;
-  let seqs = Array.make ncap 0 in
-  Array.blit t.seqs 0 seqs 0 t.size;
+  let extend a fill =
+    let b = Array.make ncap fill in
+    if t.size > 0 then Array.blit a 0 b 0 t.size;
+    b
+  in
+  t.keys <- extend t.keys 0.;
+  t.seqs <- extend t.seqs 0;
   (* Slots beyond [size] are never read; they hold [v] until reused. *)
-  let vals = Array.make ncap v in
-  Array.blit t.vals 0 vals 0 t.size;
-  t.keys <- keys;
-  t.seqs <- seqs;
-  t.vals <- vals
+  t.vals <- extend t.vals v
 
 (* Whether slot [a] orders before slot [b]: earlier key, or the same
    key pushed first. *)
 let before keys seqs a b =
-  let ka = Float.Array.unsafe_get keys a and kb = Float.Array.unsafe_get keys b in
+  let ka = Array.unsafe_get keys a and kb = Array.unsafe_get keys b in
   ka < kb || (ka = kb && Array.unsafe_get seqs a < Array.unsafe_get seqs b)
 
 (* Both sifts move a hole rather than swapping: the entry being placed
@@ -49,20 +50,20 @@ let push t k v =
   let rising = ref true in
   while !rising && !i > 0 do
     let p = (!i - 1) / 2 in
-    let kp = Float.Array.unsafe_get keys p in
+    let kp = Array.unsafe_get keys p in
     if k < kp || (k = kp && s < Array.unsafe_get seqs p) then begin
-      Float.Array.unsafe_set keys !i kp;
+      Array.unsafe_set keys !i kp;
       Array.unsafe_set seqs !i (Array.unsafe_get seqs p);
       Array.unsafe_set vals !i (Array.unsafe_get vals p);
       i := p
     end
     else rising := false
   done;
-  Float.Array.unsafe_set keys !i k;
+  Array.unsafe_set keys !i k;
   Array.unsafe_set seqs !i s;
   Array.unsafe_set vals !i v
 
-let min_key t = if t.size = 0 then infinity else Float.Array.get t.keys 0
+let min_key t = if t.size = 0 then infinity else t.keys.(0)
 
 let pop t =
   if t.size = 0 then invalid_arg "Event_queue.pop: empty";
@@ -74,7 +75,7 @@ let pop t =
     (* Sift the last entry down from the root: the smaller child moves
        up while it orders before the entry, the left child winning
        ties, exactly as a swapping sift-down would order them. *)
-    let k = Float.Array.unsafe_get keys size
+    let k = Array.unsafe_get keys size
     and s = Array.unsafe_get seqs size
     and v = Array.unsafe_get vals size in
     let i = ref 0 and sinking = ref true in
@@ -83,9 +84,9 @@ let pop t =
       if l >= size then sinking := false
       else begin
         let c = if l + 1 < size && before keys seqs (l + 1) l then l + 1 else l in
-        let kc = Float.Array.unsafe_get keys c in
+        let kc = Array.unsafe_get keys c in
         if kc < k || (kc = k && Array.unsafe_get seqs c < s) then begin
-          Float.Array.unsafe_set keys !i kc;
+          Array.unsafe_set keys !i kc;
           Array.unsafe_set seqs !i (Array.unsafe_get seqs c);
           Array.unsafe_set vals !i (Array.unsafe_get vals c);
           i := c
@@ -93,7 +94,7 @@ let pop t =
         else sinking := false
       end
     done;
-    Float.Array.unsafe_set keys !i k;
+    Array.unsafe_set keys !i k;
     Array.unsafe_set seqs !i s;
     Array.unsafe_set vals !i v;
     (* The vacated slot keeps a live element rather than the moved one,
@@ -105,7 +106,7 @@ let pop t =
 let copy t =
   {
     t with
-    keys = Float.Array.sub t.keys 0 t.size;
+    keys = Array.sub t.keys 0 t.size;
     seqs = Array.sub t.seqs 0 t.size;
     vals = Array.sub t.vals 0 t.size;
   }

@@ -1,8 +1,8 @@
 (** The simulator's event queue: a binary min-heap keyed by a float
     instant.
 
-    Keys live in a [Float.Array], FIFO sequence numbers in an [int
-    array] and values in a plain array, so a push allocates nothing
+    Keys live in a flat [float array], FIFO sequence numbers in an
+    [int array] and values in a plain array, so a push allocates nothing
     beyond the occasional doubling of the three columns. Keys compare
     inline. Ties are broken by insertion order (FIFO), which the
     simulator relies on for deterministic processing of simultaneous

@@ -50,8 +50,8 @@ type t = {
   rng : Dsim.Rng.t;
   overrides : (int, Linkprop.t) Hashtbl.t;
   isolated : bool array;
-  uplink_free : Float.Array.t;  (* endpoint -> time its uplink frees up *)
-  downlink_free : Float.Array.t;
+  uplink_free : float array;  (* endpoint -> time its uplink frees up *)
+  downlink_free : float array;
   mutable faults : faults;  (* default for every pair *)
   pair_faults : (int, faults) Hashtbl.t;  (* directed-pair overrides *)
   mutable reorders : int;  (* messages held back by the reorder fault *)
@@ -69,8 +69,8 @@ let create ?(jitter = 0.05) ?(serialize_access = true) ~rng topo =
     overrides = Hashtbl.create 64;
     isolated = Array.make size false;
     (* never busy: [Float.max now neg_infinity = now] *)
-    uplink_free = Float.Array.make size neg_infinity;
-    downlink_free = Float.Array.make size neg_infinity;
+    uplink_free = Array.make size neg_infinity;
+    downlink_free = Array.make size neg_infinity;
     faults = no_faults;
     pair_faults = Hashtbl.create 16;
     reorders = 0;
@@ -84,8 +84,8 @@ let copy t =
     rng = Dsim.Rng.copy t.rng;
     overrides = Hashtbl.copy t.overrides;
     isolated = Array.copy t.isolated;
-    uplink_free = Float.Array.copy t.uplink_free;
-    downlink_free = Float.Array.copy t.downlink_free;
+    uplink_free = Array.copy t.uplink_free;
+    downlink_free = Array.copy t.downlink_free;
     pair_faults = Hashtbl.copy t.pair_faults;
   }
 
@@ -133,8 +133,8 @@ let path t ~src ~dst =
 (* Occupies [endpoint]'s link (up or down) for [tx] seconds starting no
    earlier than [now]; returns the extra queueing delay incurred. *)
 let enqueue table endpoint ~now ~tx =
-  let start = Float.max now (Float.Array.get table endpoint) in
-  Float.Array.set table endpoint (start +. tx);
+  let start = Float.max now table.(endpoint) in
+  table.(endpoint) <- start +. tx;
   start -. now
 
 let judge t ~now ~src ~dst ~bytes =

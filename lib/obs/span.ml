@@ -20,8 +20,8 @@ type ring = {
   mutable dsts : int array;
   mutable kinds : string array;
   mutable verdicts : string array;
-  mutable enqueues : Float.Array.t;
-  mutable delivers : Float.Array.t;
+  mutable enqueues : float array;
+  mutable delivers : float array;
   mutable next : int;
 }
 
@@ -34,8 +34,8 @@ let ring ?(capacity = 65536) () =
     dsts = [||];
     kinds = [||];
     verdicts = [||];
-    enqueues = Float.Array.create 0;
-    delivers = Float.Array.create 0;
+    enqueues = [||];
+    delivers = [||];
     next = 0;
   }
 
@@ -47,18 +47,13 @@ let grow r =
     Array.blit a 0 b 0 len;
     b
   in
-  let floats a =
-    let b = Float.Array.create n in
-    Float.Array.blit a 0 b 0 len;
-    b
-  in
   r.traces <- extend r.traces 0;
   r.srcs <- extend r.srcs 0;
   r.dsts <- extend r.dsts 0;
   r.kinds <- extend r.kinds "";
   r.verdicts <- extend r.verdicts "";
-  r.enqueues <- floats r.enqueues;
-  r.delivers <- floats r.delivers
+  r.enqueues <- extend r.enqueues 0.;
+  r.delivers <- extend r.delivers 0.
 
 let record r ~trace ~src ~dst ~kind ~enqueue ~deliver ~verdict =
   let seq = r.next in
@@ -69,8 +64,8 @@ let record r ~trace ~src ~dst ~kind ~enqueue ~deliver ~verdict =
   r.dsts.(i) <- dst;
   r.kinds.(i) <- kind;
   r.verdicts.(i) <- verdict;
-  Float.Array.set r.enqueues i enqueue;
-  Float.Array.set r.delivers i deliver;
+  r.enqueues.(i) <- enqueue;
+  r.delivers.(i) <- deliver;
   r.next <- seq + 1
 
 let recorded r = r.next
@@ -87,8 +82,8 @@ let spans r =
         src = r.srcs.(i);
         dst = r.dsts.(i);
         kind = r.kinds.(i);
-        enqueue = Float.Array.get r.enqueues i;
-        deliver = Float.Array.get r.delivers i;
+        enqueue = r.enqueues.(i);
+        deliver = r.delivers.(i);
         verdict = r.verdicts.(i);
       })
 
