@@ -898,8 +898,10 @@ let ex () =
    rung's late cost exceeds twice its early cost, or a rung's late
    words per delivery rise more than 1% above the checked-in
    BENCH_layers.json. Allocation is exact where wall time is not: the
-   seed fixes the work, so the word counts repeat across reps, runs and
-   machines, and the fast mode's counts equal the full mode's.
+   seed fixes the work, so the word counts repeat across reps and runs,
+   and the fast mode's counts equal the full mode's. They do depend on
+   the build profile; the checked-in file comes from dune's dev
+   profile, which CI builds.
 
    Rungs run whole, never interleaved slice by slice with another
    engine: the paxos agreement memo is per domain, so alternating two
@@ -1039,7 +1041,11 @@ let layer_baseline () =
   | exception Sys_error _ -> []
   | text -> (
       let open Obs.Json in
-      let num = function Some (Float f) -> Some f | Some (Int i) -> Some (float_of_int i) | _ -> None in
+      let num = function
+        | Some (Float f) -> Some f
+        | Some (Int i) -> Some (float_of_int i)
+        | _ -> None
+      in
       match of_string (String.trim text) with
       | Error _ -> []
       | Ok doc -> (
@@ -1047,7 +1053,8 @@ let layer_baseline () =
           | Some (Arr rungs) ->
               List.filter_map
                 (fun r ->
-                  match (member "name" r, Option.bind (member "late" r) (member "words_per_delivery")) with
+                  let late = Option.bind (member "late" r) (member "words_per_delivery") in
+                  match (member "name" r, late) with
                   | Some (Str name), w -> Option.map (fun w -> (name, w)) (num w)
                   | _ -> None)
                 rungs

@@ -31,7 +31,7 @@ let grow t v =
 
 (* Whether slot [a] orders before slot [b]: earlier key, or the same
    key pushed first. *)
-let before (keys : float array) seqs a b =
+let before (keys : float array) (seqs : int array) a b =
   let ka = Array.unsafe_get keys a and kb = Array.unsafe_get keys b in
   ka < kb || (ka = kb && Array.unsafe_get seqs a < Array.unsafe_get seqs b)
 
