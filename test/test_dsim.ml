@@ -64,6 +64,72 @@ let test_rng_split_independent () =
   let ys = List.init 32 (fun _ -> Dsim.Rng.bits64 child) in
   checkb "streams differ" false (xs = ys)
 
+(* The first 64 outputs of each draw, from a fresh generator, from a
+   copy taken after three draws (which must replay the original), and
+   from both sides of a split, digested per (seed, draw). [int] cycles
+   through bounds that reject often (just above 2^61) and never
+   (max_int). Recorded from the boxed-state generator, so a change of
+   representation must keep every stream. *)
+let rng_draws =
+  let ints = [| 7; 1000; (1 lsl 61) + 3; max_int |] in
+  [
+    ("bits64", fun g i -> ignore i; Printf.sprintf "%Lx" (Dsim.Rng.bits64 g));
+    ("int", fun g i -> string_of_int (Dsim.Rng.int g ints.(i mod 4)));
+    ("uniform", fun g _ -> Printf.sprintf "%h" (Dsim.Rng.uniform g));
+    ("float", fun g _ -> Printf.sprintf "%h" (Dsim.Rng.float g 10.));
+    ("bool", fun g _ -> string_of_bool (Dsim.Rng.bool g));
+  ]
+
+let rng_pins =
+  [
+    ( 1,
+      [
+        ("bits64", "23dd76a6662d9b0633c7f9528671c76a");
+        ("int", "926844e8f855a2865357e3cb4b3080b7");
+        ("uniform", "f6e8ec93f34f83ecec71d3a93ce95cb2");
+        ("float", "135fe3d0c4ebb8f1e872de2ad437eba7");
+        ("bool", "02ea0a2c6a5c10ec32bf72a3d701db77");
+      ] );
+    ( 42,
+      [
+        ("bits64", "1e8a8f703b302dc6f3e0828a1a3f000a");
+        ("int", "57022c7d058369378ba98ca649f185f7");
+        ("uniform", "f2947d3636de1954e4df35ef0d9b0a24");
+        ("float", "cab2c9ddf5b72a3a590f793ad984e178");
+        ("bool", "364764575da19e576b10068b7bcf043b");
+      ] );
+    ( 1_000_003,
+      [
+        ("bits64", "9668bcd640359e5dc7e9afcc7ba51628");
+        ("int", "97f6dc7b72bf7f355c401dd03aa6488d");
+        ("uniform", "4258673e8eb63473a3ba9b4f9775a2c5");
+        ("float", "0e63eaad7f7494143b741fed7909c94e");
+        ("bool", "6000e1e05b116d41dd77b7e7738cbfdd");
+      ] );
+  ]
+
+let test_rng_streams_pinned () =
+  let first64 draw g = String.concat " " (List.init 64 (draw g)) in
+  List.iter
+    (fun (seed, pins) ->
+      List.iter
+        (fun (name, draw) ->
+          let fresh = first64 draw (Dsim.Rng.create seed) in
+          let orig = Dsim.Rng.create seed in
+          for _ = 1 to 3 do
+            ignore (Dsim.Rng.bits64 orig)
+          done;
+          let copy = first64 draw (Dsim.Rng.copy orig) in
+          Alcotest.check Alcotest.string "copy replays the original" copy (first64 draw orig);
+          let parent = Dsim.Rng.create seed in
+          let child = first64 draw (Dsim.Rng.split parent) in
+          let rest = first64 draw parent in
+          let got = Digest.to_hex (Digest.string (String.concat "|" [ fresh; copy; child; rest ])) in
+          Alcotest.check Alcotest.string (Printf.sprintf "seed %d %s" seed name)
+            (List.assoc name pins) got)
+        rng_draws)
+    rng_pins
+
 let test_rng_int_bounds () =
   let rng = Dsim.Rng.create 5 in
   for _ = 1 to 1000 do
@@ -444,6 +510,7 @@ let () =
           Alcotest.test_case "seed sensitivity" `Quick test_rng_seed_sensitivity;
           Alcotest.test_case "copy" `Quick test_rng_copy_independent;
           Alcotest.test_case "split" `Quick test_rng_split_independent;
+          Alcotest.test_case "streams pinned" `Quick test_rng_streams_pinned;
           Alcotest.test_case "int bounds" `Quick test_rng_int_bounds;
           Alcotest.test_case "uniform range" `Quick test_rng_uniform_range;
           Alcotest.test_case "pick/shuffle" `Quick test_rng_pick_and_shuffle;

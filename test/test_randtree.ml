@@ -108,6 +108,101 @@ let prop_measures_match_reference =
       && C.Measure.max_depth ~parent v = max_d
       && Float.equal (C.Measure.mean_depth ~parent v) mean_d)
 
+(* The [no-cycle] property against the full check, over edit sequences
+   on 1–40 nodes: parent moves that make and break cycles, self-loops,
+   roots, links out of the view, joins, leaves, duplicate ids and
+   reordered views. Two view streams start from one tree and are
+   edited in turn, checked by one property in one domain, as a
+   lookahead fork and its parent engine are. *)
+type edit =
+  | Move of int * int  (** position [i] takes position [j]'s id as parent; [i = j] is a self-loop *)
+  | Root of int
+  | Away of int * int  (** parent outside the view *)
+  | Join of int * int  (** a fresh id, in id order, under position [j] *)
+  | Leave of int
+  | Dup of int  (** a second binding of position [i]'s id, right after it *)
+  | Swap of int  (** positions [i] and [i + 1] trade places *)
+
+let pp_edit = function
+  | Move (i, j) -> Printf.sprintf "move %d->%d" i j
+  | Root i -> Printf.sprintf "root %d" i
+  | Away (i, k) -> Printf.sprintf "away %d->%d" i (100 + k)
+  | Join (id, j) -> Printf.sprintf "join %d under %d" id j
+  | Leave i -> Printf.sprintf "leave %d" i
+  | Dup i -> Printf.sprintf "dup %d" i
+  | Swap i -> Printf.sprintf "swap %d" i
+
+let apply_edit nodes edit =
+  let len = List.length nodes in
+  let id_at j = fst (List.nth nodes (j mod len)) in
+  let set i p = List.mapi (fun k (id, q) -> if k = i mod len then (id, p) else (id, q)) nodes in
+  if len = 0 then match edit with Join (id, _) -> [ (id, None) ] | _ -> nodes
+  else
+    match edit with
+    | Move (i, j) -> set i (Some (id_at j))
+    | Root i -> set i None
+    | Away (i, k) -> set i (Some (100 + k))
+    | Join (id, j) ->
+        if List.mem_assoc id nodes then nodes
+        else
+          let below, above = List.partition (fun (i, _) -> i < id) nodes in
+          below @ ((id, Some (id_at j)) :: above)
+    | Leave i -> List.filteri (fun k _ -> k <> i mod len) nodes
+    | Dup i ->
+        List.concat (List.mapi (fun k n -> if k = i mod len then [ n; (fst n, None) ] else [ n ]) nodes)
+    | Swap i ->
+        let a = Array.of_list nodes in
+        let i = i mod len and j = (i + 1) mod len in
+        let x = a.(i) in
+        a.(i) <- a.(j);
+        a.(j) <- x;
+        Array.to_list a
+
+let edit_script =
+  let open QCheck.Gen in
+  let pos = int_bound 63 in
+  let edit =
+    frequency
+      [
+        (8, map2 (fun i j -> Move (i, j)) pos pos);
+        (2, map (fun i -> Root i) pos);
+        (1, map2 (fun i k -> Away (i, k)) pos (int_bound 3));
+        (2, map2 (fun id j -> Join (id, j)) (int_bound 39) pos);
+        (2, map (fun i -> Leave i) pos);
+        (1, map (fun i -> Dup i) pos);
+        (1, map (fun i -> Swap i) pos);
+      ]
+  in
+  let tree =
+    int_range 1 40 >>= fun n ->
+    flatten_l
+      (List.init n (fun i ->
+           if i = 0 then return (0, None) else map (fun p -> (i, Some p)) (int_bound (i - 1))))
+  in
+  QCheck.make
+    (pair tree (list_size (int_range 1 150) (pair bool edit)))
+    ~print:(fun (tree, steps) ->
+      Printf.sprintf "%d nodes; %s" (List.length tree)
+        (String.concat ", "
+           (List.map (fun (b, e) -> (if b then "B " else "A ") ^ pp_edit e) steps)))
+
+let no_cycle =
+  List.find
+    (fun (p : _ Core.Property.t) -> p.name = "no-cycle")
+    (C.properties ~parent ~joined)
+
+let prop_no_cycle_matches_full =
+  QCheck.Test.make ~name:"no-cycle = not has_cycle, edit by edit, two streams" ~count:500
+    edit_script (fun (tree, steps) ->
+      let streams = [| tree; tree |] in
+      List.for_all
+        (fun (b, e) ->
+          let s = if b then 1 else 0 in
+          streams.(s) <- apply_edit streams.(s) e;
+          let v = toy_view (List.map (fun (i, p) -> (i, p, true)) streams.(s)) in
+          no_cycle.holds v = not (C.Measure.has_cycle ~parent v))
+        steps)
+
 (* ---------- engine-level joins ---------- *)
 
 let topology n = Net.Topology.uniform ~n (Net.Linkprop.v ~latency:0.01 ~bandwidth:1_000_000. ~loss:0.)
@@ -194,6 +289,60 @@ let test_no_cycle_property_enforced_live () =
   let eng = join_run_choice Core.Resolver.random 10 in
   checki "no property violations during churnless join" 0 (List.length (CE.violations eng))
 
+(* The choice variant whose [no-cycle] check also runs the full
+   [Measure.has_cycle] on every view it is handed, by the engine and by
+   every lookahead fork, and counts any disagreement. *)
+module Checked = struct
+  include Choice
+
+  let checks = ref 0
+  let mismatches = ref 0
+
+  let properties =
+    List.map
+      (fun (p : _ Core.Property.t) ->
+        if p.name <> "no-cycle" then p
+        else
+          {
+            p with
+            holds =
+              (fun view ->
+                let verdict = p.holds view in
+                incr checks;
+                if verdict = C.Measure.has_cycle ~parent:parent_of view then incr mismatches;
+                verdict);
+          })
+      properties
+end
+
+module KE = Engine.Sim.Make (Checked)
+
+let test_no_cycle_after_every_event () =
+  Checked.checks := 0;
+  Checked.mismatches := 0;
+  let n = 15 in
+  let eng = KE.create ~seed:11 ~jitter:0. ~topology:(topology n) () in
+  KE.set_lookahead eng { KE.default_lookahead with horizon = 3.0; max_events = 600 };
+  for i = 0 to n - 1 do
+    KE.spawn eng ~after:(0.3 *. float_of_int i) (nid i)
+  done;
+  KE.run_for eng 8.;
+  let churn = Dsim.Rng.create 3 in
+  for _ = 1 to 6 do
+    let a = nid (1 + Dsim.Rng.int churn (n - 1)) and b = nid (1 + Dsim.Rng.int churn (n - 1)) in
+    KE.kill eng a;
+    KE.run_for eng 1.;
+    KE.kill eng b;
+    KE.run_for eng 2.;
+    KE.restart eng a;
+    KE.restart eng b;
+    KE.run_for eng 3.
+  done;
+  let s = KE.stats eng in
+  checkb "lookahead forks ran" true (s.lookahead_forks > 0);
+  checkb "forks checked views too" true (!Checked.checks > s.events_processed);
+  checki "incremental and full verdicts agree" 0 !Checked.mismatches
+
 (* ---------- experiment-level ---------- *)
 
 let test_experiment_shapes () =
@@ -228,6 +377,7 @@ let () =
           Alcotest.test_case "left view" `Quick test_measure_left_view_is_not_cycle;
           Alcotest.test_case "joined count" `Quick test_measure_joined_count;
           QCheck_alcotest.to_alcotest prop_measures_match_reference;
+          QCheck_alcotest.to_alcotest prop_no_cycle_matches_full;
         ] );
       ( "protocol",
         [
@@ -237,6 +387,8 @@ let () =
           Alcotest.test_case "baseline has no choices" `Quick test_baseline_makes_no_choices;
           Alcotest.test_case "failure rejoin" `Slow test_parent_failure_triggers_rejoin;
           Alcotest.test_case "live property check" `Quick test_no_cycle_property_enforced_live;
+          Alcotest.test_case "no-cycle = full check per event" `Quick
+            test_no_cycle_after_every_event;
         ] );
       ( "experiment",
         [
