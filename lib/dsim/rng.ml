@@ -2,43 +2,49 @@
    tiny state, good statistical quality, and a well-defined split
    operation, which lets us hand independent streams to every node. *)
 
-type t = { mutable state : int64 }
+(* The state is one int64 kept unboxed in 8 bytes: a mutable int64
+   field would box a fresh value on every draw. *)
+type t = Bytes.t
+
+external get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = mix64 (Int64.of_int seed) }
-let copy t = { state = t.state }
+let of_state s =
+  let t = Bytes.create 8 in
+  set t 0 s;
+  t
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let create seed = of_state (mix64 (Int64.of_int seed))
+let copy = Bytes.copy
 
-let split t =
-  let s = bits64 t in
-  { state = mix64 s }
+let[@inline] bits64 t =
+  let s = Int64.add (get t 0) golden_gamma in
+  set t 0 s;
+  mix64 s
+
+let split t = of_state (mix64 (bits64 t))
+
+(* Rejection sampling on the low 62 bits to avoid modulo bias. *)
+let rec below t n =
+  let v = Int64.to_int (Int64.logand (bits64 t) 0x3FFFFFFFFFFFFFFFL) in
+  let r = v mod n in
+  if v - r > max_int - n + 1 then below t n else r
 
 let int t n =
   if n <= 0 then invalid_arg "Rng.int: bound must be positive";
-  (* Rejection sampling on the low 62 bits to avoid modulo bias. *)
-  let mask = max_int in
-  let rec loop () =
-    let v = Int64.to_int (Int64.logand (bits64 t) 0x3FFFFFFFFFFFFFFFL) in
-    let r = v mod n in
-    if v - r > mask - n + 1 then loop () else r
-  in
-  loop ()
+  below t n
 
-let uniform t =
-  (* 53 random bits into [0,1). *)
-  let v = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
-  v *. 0x1p-53
+(* 53 random bits into [0,1). *)
+let[@inline] uniform t = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) *. 0x1p-53
 
-let float t x = uniform t *. x
+let[@inline] float t x = uniform t *. x
 let bool t = Int64.logand (bits64 t) 1L = 1L
 
 let exponential t mean =
