@@ -2,7 +2,7 @@ module Make (App : Proto.App_intf.APP) = struct
   module Smap = Map.Make (String)
   module Itbl = Hashtbl.Make (Int)
 
-  type node = { state : App.state; alive : bool; timer_gens : int Smap.t; incarnation : int }
+  type node = { state : App.state; alive : bool; incarnation : int }
 
   (* Every event carries the trace id of the causal chain it belongs
      to: minted at each root (a boot, an injected message), inherited by
@@ -178,6 +178,13 @@ module Make (App : Proto.App_intf.APP) = struct
         (* when off (default) the breaker is never consulted nor fed, so
            existing reliable-delivery runs stay byte-identical *)
     clocks : Clocks.t;
+    ctxs : Proto.Ctx.t option array;
+        (* one handler context per endpoint, built on its node's first
+           handler call; a fork starts empty, since the closures capture
+           the engine *)
+    timer_gens : int Smap.t array;
+        (* per endpoint, each timer id's current generation: a
+           [Timer_fire] of an older one is stale *)
     trace : Dsim.Trace.t;
     check_properties : bool;
     mutable mode : mode;
@@ -217,6 +224,7 @@ module Make (App : Proto.App_intf.APP) = struct
       ?(fsync_latency = 0.0005) ?(disk_bandwidth = 50_000_000.) ~topology () =
     let rng = Dsim.Rng.create seed in
     let netem_rng = Dsim.Rng.split rng in
+    let endpoints = Net.Topology.size topology in
     {
       now = Dsim.Vtime.zero;
       queue = Dsim.Event_queue.create ();
@@ -224,7 +232,7 @@ module Make (App : Proto.App_intf.APP) = struct
       live = [];
       live_of = Proto.Node_id.Map.empty;
       rng;
-      endpoints = Net.Topology.size topology;
+      endpoints;
       netem = Net.Netem.create ~jitter ~rng:netem_rng topology;
       netmodel = Net.Netmodel.create ();
       nm_links = Itbl.create 64;
@@ -235,6 +243,8 @@ module Make (App : Proto.App_intf.APP) = struct
       cb = Net.Circuit_breaker.create ();
       breaker_enabled = false;
       clocks = Clocks.create ();
+      ctxs = Array.make endpoints None;
+      timer_gens = Array.make endpoints Smap.empty;
       trace = Dsim.Trace.create ~capacity:trace_capacity ();
       check_properties;
       mode = Plain Core.Resolver.first;
@@ -371,6 +381,8 @@ module Make (App : Proto.App_intf.APP) = struct
 
   let enable_breaker ?failure_threshold ?cooldown ?half_open_probes t =
     t.cb <- Net.Circuit_breaker.create ?failure_threshold ?cooldown ?half_open_probes ();
+    (* the contexts built so far hold the old breaker *)
+    Array.fill t.ctxs 0 (Array.length t.ctxs) None;
     t.breaker_enabled <- true
 
   let circuit_breaker t = t.cb
@@ -391,9 +403,9 @@ module Make (App : Proto.App_intf.APP) = struct
     | Some n when n.alive -> Some n.state
     | Some _ | None -> None
 
-  (* Every event builds a property view, but most (acks, drops, stale
-     timers) leave [t.nodes] untouched: the list is rebuilt only when
-     the map changed. *)
+  (* Every event builds a property view, but most (acks, drops, timer
+     arming, stale timers) leave [t.nodes] untouched: the list is
+     rebuilt only when the map changed. *)
   let live_nodes t =
     if t.live_of != t.nodes then begin
       t.live <-
@@ -482,6 +494,8 @@ module Make (App : Proto.App_intf.APP) = struct
       ov = Option.map Overload.copy t.ov;
       cb = Net.Circuit_breaker.copy t.cb;
       clocks = Clocks.copy t.clocks;
+      ctxs = Array.make t.endpoints None;
+      timer_gens = Array.copy t.timer_gens;
       stats = stats t;
       trace = Dsim.Trace.create ~capacity:16 ();
       message_log = None;
@@ -802,19 +816,15 @@ module Make (App : Proto.App_intf.APP) = struct
               (Deliver { src; dst; msg; sent_at; trace; rel; did; byz })
         | None -> ())
 
+  (* The span of one Netem verdict on a send, while a sink is attached. *)
+  let send_span o ~trace ~se ~de msg ~enqueue ~deliver verdict =
+    Obs.Span.record o.o_sink.Obs.Sink.spans ~trace ~src:se ~dst:de ~kind:(App.msg_kind msg) ~enqueue
+      ~deliver ~verdict
+
   let transmit t ~src ~dst ~rel msg =
     let se = Proto.Node_id.to_int src and de = Proto.Node_id.to_int dst in
     let trace = t.current_trace in
     let now_s = Dsim.Vtime.to_seconds t.now in
-    let span verdict ~deliver_at =
-      match t.obs with
-      | None -> ()
-      | Some o ->
-          Obs.Span.record o.o_sink.Obs.Sink.spans ~trace ~src:se ~dst:de
-            ~kind:(App.msg_kind msg) ~enqueue:now_s ~deliver:deliver_at ~verdict
-    in
-    let deliver delay = push_deliver t ~src ~dst ~sent_at:t.now ~trace ~rel ~delay msg in
-    let dropped cause = refuse t ~src ~dst ~sent_at:t.now ~trace msg (Dropped cause) in
     let s = t.stats in
     (* A reorder verdict is invisible in [judge]'s return value — it
        only inflates the delivery delay and bumps the netem counter, so
@@ -823,21 +833,26 @@ module Make (App : Proto.App_intf.APP) = struct
     match
       Net.Netem.judge t.netem ~now:now_s ~src:se ~dst:de ~bytes:(App.msg_bytes msg)
     with
-    | Net.Netem.Drop cause -> dropped cause
-    | Net.Netem.Deliver delay ->
-        deliver delay;
-        let verdict = if Net.Netem.reorders t.netem > reorders0 then "reorder" else "deliver" in
-        span verdict ~deliver_at:(now_s +. delay)
+    | Net.Netem.Drop cause -> refuse t ~src ~dst ~sent_at:t.now ~trace msg (Dropped cause)
+    | Net.Netem.Deliver delay -> (
+        push_deliver t ~src ~dst ~sent_at:t.now ~trace ~rel ~delay msg;
+        match t.obs with
+        | None -> ()
+        | Some o ->
+            send_span o ~trace ~se ~de msg ~enqueue:now_s ~deliver:(now_s +. delay)
+              (if Net.Netem.reorders t.netem > reorders0 then "reorder" else "deliver"))
     | Net.Netem.Duplicate delays ->
         (* Count, schedule and trace the copies in one walk of [delays]. *)
         let reordered = Net.Netem.reorders t.netem > reorders0 in
         List.iteri
           (fun i d ->
             if i > 0 then s.messages_duplicated <- s.messages_duplicated + 1;
-            deliver d;
-            span
-              (if i > 0 then "duplicate" else if reordered then "reorder" else "deliver")
-              ~deliver_at:(now_s +. d))
+            push_deliver t ~src ~dst ~sent_at:t.now ~trace ~rel ~delay:d msg;
+            match t.obs with
+            | None -> ()
+            | Some o ->
+                send_span o ~trace ~se ~de msg ~enqueue:now_s ~deliver:(now_s +. d)
+                  (if i > 0 then "duplicate" else if reordered then "reorder" else "deliver"))
           delays
     | Net.Netem.Corrupt { delay = _; flip } -> (
         s.messages_corrupted <- s.messages_corrupted + 1;
@@ -847,6 +862,7 @@ module Make (App : Proto.App_intf.APP) = struct
            caught by the transport checksum every real deployment runs
            under, so it too surfaces as a drop — handlers never see a
            garbled payload, and nothing escapes the engine. *)
+        let dropped cause = refuse t ~src ~dst ~sent_at:t.now ~trace msg (Dropped cause) in
         match App.msg_codec with
         | None -> dropped "corrupt"
         | Some codec -> (
@@ -857,32 +873,31 @@ module Make (App : Proto.App_intf.APP) = struct
                 dropped ("corrupt: " ^ e)
             | Ok _ -> dropped "corrupt: checksum mismatch"))
     | Net.Netem.Mutate delay -> (
-        match App.msg_codec with
-        | None ->
-            (* No wire form to mutate — the message sails through clean. *)
-            deliver delay;
-            span "deliver" ~deliver_at:(now_s +. delay)
-        | Some codec -> (
-            let node_ids =
-              List.init (Net.Topology.size (Net.Netem.topology t.netem)) Fun.id
-            in
-            match
-              Wire.Mutator.mutate ~rng:t.rng ~node_ids codec (Wire.Codec.encode codec msg)
-            with
-            | Some (mutant, _bytes) ->
-                (* The mutant decodes cleanly by construction — it is
-                   delivered as a well-formed message and flagged so the
-                   receive side can attribute the validator's verdict. *)
-                s.byz_emitted <- s.byz_emitted + 1;
-                push_deliver t ~byz:true ~src ~dst ~sent_at:t.now ~trace ~rel ~delay mutant;
-                span "mutate" ~deliver_at:(now_s +. delay)
-            | None ->
-                (* No candidate survived the re-decode guarantee:
-                   counted, and the original travels unharmed — a
-                   mutation fault never degenerates into loss. *)
-                s.byz_discarded <- s.byz_discarded + 1;
-                deliver delay;
-                span "deliver" ~deliver_at:(now_s +. delay)))
+        (* A mutant decodes cleanly by construction — it is delivered
+           as a well-formed message and flagged so the receive side can
+           attribute the validator's verdict. With no wire form to
+           mutate, or no candidate surviving the re-decode guarantee
+           (counted), the original travels unharmed: a mutation fault
+           never degenerates into loss. The span names the original. *)
+        let sent, byz, verdict =
+          match App.msg_codec with
+          | None -> (msg, false, "deliver")
+          | Some codec -> (
+              let node_ids = List.init (Net.Topology.size (Net.Netem.topology t.netem)) Fun.id in
+              match
+                Wire.Mutator.mutate ~rng:t.rng ~node_ids codec (Wire.Codec.encode codec msg)
+              with
+              | Some (mutant, _bytes) ->
+                  s.byz_emitted <- s.byz_emitted + 1;
+                  (mutant, true, "mutate")
+              | None ->
+                  s.byz_discarded <- s.byz_discarded + 1;
+                  (msg, false, "deliver"))
+        in
+        push_deliver t ~byz ~src ~dst ~sent_at:t.now ~trace ~rel ~delay sent;
+        match t.obs with
+        | None -> ()
+        | Some o -> send_span o ~trace ~se ~de msg ~enqueue:now_s ~deliver:(now_s +. delay) verdict)
 
   (* A send: when reliable delivery covers this message kind, register
      it as pending and arm the first retransmit timer before handing the
@@ -905,22 +920,22 @@ module Make (App : Proto.App_intf.APP) = struct
      payload's direction or the reverse one breaks the handshake
      realistically. A lost ack is recovered by the retransmit timer and
      absorbed by the receiver's seen-set. *)
+  let push_ack t ~seq delay =
+    push_at t (Dsim.Vtime.add t.now delay) (Rel_ack { seq; trace = t.current_trace })
+
   let send_ack t r ~receiver ~sender ~seq =
     let se = Proto.Node_id.to_int receiver and de = Proto.Node_id.to_int sender in
-    let push delay =
-      push_at t (Dsim.Vtime.add t.now delay) (Rel_ack { seq; trace = t.current_trace })
-    in
     match
       Net.Netem.judge t.netem ~now:(Dsim.Vtime.to_seconds t.now) ~src:se ~dst:de
         ~bytes:(Reliable.ack_bytes r)
     with
     | Net.Netem.Drop _ -> ()
-    | Net.Netem.Deliver delay -> push delay
-    | Net.Netem.Duplicate delays -> List.iter push delays
+    | Net.Netem.Deliver delay -> push_ack t ~seq delay
+    | Net.Netem.Duplicate delays -> List.iter (push_ack t ~seq) delays
     | Net.Netem.Corrupt _ -> ()
     (* An ack carries no application payload to mutate; it arrives
        intact. *)
-    | Net.Netem.Mutate delay -> push delay
+    | Net.Netem.Mutate delay -> push_ack t ~seq delay
 
   let inject t ?(after = 0.) ~src ~dst msg =
     (* same guard (and message) the pre-overload [schedule] path gave *)
@@ -998,6 +1013,46 @@ module Make (App : Proto.App_intf.APP) = struct
        | Error _ -> t.stats.byz_rejected <- t.stats.byz_rejected + 1
        | Ok () -> t.stats.byz_accepted <- t.stats.byz_accepted + 1);
     verdict
+
+  (* ---------- timer generations ---------- *)
+
+  (* Arming or cancelling a timer moves its id to a fresh generation,
+     which leaves any pending fire of the id stale. *)
+  let next_timer_gen t node id =
+    let e = Proto.Node_id.to_int node in
+    let gens = t.timer_gens.(e) in
+    let gen = 1 + match Smap.find_opt id gens with Some g -> g | None -> 0 in
+    t.timer_gens.(e) <- Smap.add id gen gens;
+    gen
+
+  let timer_current t node id gen =
+    match Smap.find_opt id t.timer_gens.(Proto.Node_id.to_int node) with
+    | Some g -> g = gen
+    | None -> false
+
+  (* ---------- property checks ---------- *)
+
+  (* The properties the engine checks after every event. *)
+  let safety =
+    List.filter (fun (p : _ Core.Property.t) -> p.kind = Core.Property.Safety) App.properties
+
+  (* The names of the properties [view] violates, in list order. *)
+  let rec violated view = function
+    | [] -> []
+    | (p : _ Core.Property.t) :: rest ->
+        if p.holds view then violated view rest else p.name :: violated view rest
+
+  (* Edge-detect: one recorded violation per incident, not one per
+     event while the bad state persists. *)
+  let rec record_violations t = function
+    | [] -> ()
+    | name :: rest ->
+        if not (List.mem name t.violated_now) then begin
+          t.violations <- (t.now, name) :: t.violations;
+          t.violation_count <- t.violation_count + 1;
+          Dsim.Trace.logf t.trace t.now Dsim.Trace.Error ~component:"property" "violated: %s" name
+        end;
+        record_violations t rest
 
   (* ---------- choice resolution ---------- *)
 
@@ -1106,24 +1161,34 @@ module Make (App : Proto.App_intf.APP) = struct
     end;
     index
 
-  and make_ctx t node : Proto.Ctx.t =
-    {
-      self = node;
-      (* node-local: a skewed node's handlers see their own clock, so
-         every ctx-driven timeout comparison (failure-detector
-         suspicion, breaker cooldown, app timestamps) runs in the
-         node's frame of reference *)
-      now = local_now t node;
-      rng = t.rng;
-      net = t.netmodel;
-      fd = t.fd;
-      cb = t.cb;
-      pressure = (fun () -> pressure t node);
-      choose =
-        (fun choice ->
-          let i = resolve_index t node choice in
-          Core.Choice.nth choice i);
-    }
+  (* The node's one context in this engine, stamped with its local
+     reading of the current instant: a skewed node's handlers see their
+     own clock, so every ctx-driven timeout comparison
+     (failure-detector suspicion, breaker cooldown, app timestamps)
+     runs in the node's frame of reference. *)
+  and ctx_for t node : Proto.Ctx.t =
+    let e = Proto.Node_id.to_int node in
+    let ctx =
+      match t.ctxs.(e) with
+      | Some ctx -> ctx
+      | None ->
+          let ctx : Proto.Ctx.t =
+            {
+              self = node;
+              now = t.now;
+              rng = t.rng;
+              net = t.netmodel;
+              fd = t.fd;
+              cb = t.cb;
+              pressure = (fun () -> pressure t node);
+              choose = (fun choice -> Core.Choice.nth choice (resolve_index t node choice));
+            }
+          in
+          t.ctxs.(e) <- Some ctx;
+          ctx
+    in
+    ctx.now <- local_now t node;
+    ctx
 
   (* ---------- actions ---------- *)
 
@@ -1133,10 +1198,7 @@ module Make (App : Proto.App_intf.APP) = struct
         match action with
         | Proto.Action.Send { dst; msg } -> route t ~src:node ~dst msg
         | Proto.Action.Set_timer { id; after } -> (
-            let n = Proto.Node_id.Map.find node t.nodes in
-            let gen = 1 + Option.value ~default:0 (Smap.find_opt id n.timer_gens) in
-            t.nodes <-
-              Proto.Node_id.Map.add node { n with timer_gens = Smap.add id gen n.timer_gens } t.nodes;
+            let gen = next_timer_gen t node id in
             (* same guard (and message) [schedule] gives *)
             if after < 0. then invalid_arg "Sim.schedule: negative delay";
             match Clocks.find t.clocks node with
@@ -1151,11 +1213,7 @@ module Make (App : Proto.App_intf.APP) = struct
                 let deadline = Dsim.Vtime.add (Dsim.Clock.read ck ~global:t.now) after in
                 let at = global_of_deadline t node ck deadline in
                 push_at t at (Timer_fire { node; id; gen; deadline; trace = t.current_trace }))
-        | Proto.Action.Cancel_timer id ->
-            let n = Proto.Node_id.Map.find node t.nodes in
-            let gen = 1 + Option.value ~default:0 (Smap.find_opt id n.timer_gens) in
-            t.nodes <-
-              Proto.Node_id.Map.add node { n with timer_gens = Smap.add id gen n.timer_gens } t.nodes
+        | Proto.Action.Cancel_timer id -> ignore (next_timer_gen t node id : int)
         | Proto.Action.Note s ->
             Dsim.Trace.logf t.trace t.now Dsim.Trace.Debug ~component:App.name "%a: %s"
               Proto.Node_id.pp node s)
@@ -1268,11 +1326,11 @@ module Make (App : Proto.App_intf.APP) = struct
         Dsim.Trace.logf t.trace t.now Dsim.Trace.Debug ~component:App.name "%a: no handler for %a"
           Proto.Node_id.pp dst App.pp_msg msg
     | [ h ] ->
-        let ctx = make_ctx t dst in
+        let ctx = ctx_for t dst in
         apply_handler_result t dst (h.handle ctx n.state ~src msg)
     | several ->
         (* NFA ambiguity: which handler runs is itself a choice. *)
-        let ctx = make_ctx t dst in
+        let ctx = ctx_for t dst in
         let choice =
           Core.Choice.make ~label:("handler:" ^ kind)
             (List.map (fun (h : _ Proto.Handler.t) -> Core.Choice.alt ~describe:h.name h) several)
@@ -1310,7 +1368,7 @@ module Make (App : Proto.App_intf.APP) = struct
                breaker cooldowns are judged on its own clock. *)
             let now = local_now t e.src in
             let notify id =
-              let ctx = make_ctx t e.src in
+              let ctx = ctx_for t e.src in
               apply_handler_result t e.src (App.on_timer ctx n.state (id ^ kind))
             in
             let rearm (e : _ Reliable.entry) =
@@ -1398,23 +1456,23 @@ module Make (App : Proto.App_intf.APP) = struct
             Dsim.Trace.logf t.trace t.now Dsim.Trace.Debug ~component:"engine"
               "%a already alive, ignoring boot" Proto.Node_id.pp id
         | prev ->
-            let ctx = make_ctx t id in
+            let ctx = ctx_for t id in
             let boot, actions = App.init ctx in
             (* Bump every inherited timer generation so timers armed by a
                previous incarnation of this node can no longer fire, while
                generations the new incarnation hands out stay distinct from
                the old ones. *)
-            let timer_gens =
-              match prev with
-              | Some p -> Smap.map (fun g -> g + 1) p.timer_gens
-              | None -> Smap.empty
-            in
+            let e = Proto.Node_id.to_int id in
+            t.timer_gens.(e) <-
+              (match prev with
+              | Some _ -> Smap.map (fun g -> g + 1) t.timer_gens.(e)
+              | None -> Smap.empty);
             let incarnation = match prev with Some p -> p.incarnation + 1 | None -> 0 in
             let state, delay =
               match App.durable with None -> (boot, 0.) | Some d -> recover t id d boot
             in
             note_degraded t id ~prev:(Option.map (fun (p : node) -> p.state) prev) ~next:state;
-            t.nodes <- Proto.Node_id.Map.add id { state; alive = true; timer_gens; incarnation } t.nodes;
+            t.nodes <- Proto.Node_id.Map.add id { state; alive = true; incarnation } t.nodes;
             defer_sends t id ~delay actions;
             Dsim.Trace.logf t.trace t.now Dsim.Trace.Info ~component:"engine" "%a booted"
               Proto.Node_id.pp id)
@@ -1446,7 +1504,7 @@ module Make (App : Proto.App_intf.APP) = struct
           | Some _ | None -> refuse t ~src ~dst ~sent_at ~trace msg Dead)
     | Timer_fire { node; id; gen; deadline = _; trace } -> (
         match Proto.Node_id.Map.find_opt node t.nodes with
-        | Some n when n.alive && Smap.find_opt id n.timer_gens = Some gen ->
+        | Some n when n.alive && timer_current t node id gen ->
             (match t.obs with
             | None -> ()
             | Some o ->
@@ -1455,7 +1513,7 @@ module Make (App : Proto.App_intf.APP) = struct
                 let at = Dsim.Vtime.to_seconds t.now in
                 Obs.Span.record o.o_sink.Obs.Sink.spans ~trace ~src:ni ~dst:ni
                   ~kind:("timer:" ^ id) ~enqueue:at ~deliver:at ~verdict:"fire");
-            let ctx = make_ctx t node in
+            let ctx = ctx_for t node in
             apply_handler_result t node (App.on_timer ctx n.state id)
         | Some _ | None -> ())
     | Outbound { node; incarnation; actions; trace = _ } -> (
@@ -1476,23 +1534,12 @@ module Make (App : Proto.App_intf.APP) = struct
         | Some _ | None -> ()));
     t.processing <- saved_processing;
     t.event_decisions <- saved_decisions;
-    if t.check_properties then begin
-      let view = transient_view t in
-      let now_violated =
-        List.map (fun (p : _ Core.Property.t) -> p.name) (Core.Property.check App.properties view)
-      in
-      (* Edge-detect: one recorded violation per incident, not one per
-         event while the bad state persists. *)
-      List.iter
-        (fun name ->
-          if not (List.mem name t.violated_now) then begin
-            t.violations <- (t.now, name) :: t.violations;
-            t.violation_count <- t.violation_count + 1;
-            Dsim.Trace.logf t.trace t.now Dsim.Trace.Error ~component:"property" "violated: %s"
-              name
-          end)
-        now_violated;
-      t.violated_now <- now_violated
+    if t.check_properties && safety <> [] then begin
+      let now_violated = violated (transient_view t) safety in
+      if now_violated <> [] || t.violated_now <> [] then begin
+        record_violations t now_violated;
+        t.violated_now <- now_violated
+      end
     end;
     if not t.speculative then settle_rewards t
   and settle_rewards t =

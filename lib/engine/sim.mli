@@ -407,6 +407,8 @@ module Make (App : Proto.App_intf.APP) : sig
       fresh trace of capacity 16 at the default [Debug] level, so it
       still formats and keeps its last 16 records (read them through
       {!trace}), while the original's trace sees nothing of the fork.
-      The copy has no obs sink and no message log. The model checker
-      and the runtime build consequence prediction on this. *)
+      The copy has no obs sink and no message log, and builds its own
+      handler contexts (over its own RNG and resolver) as its nodes
+      run. The model checker and the runtime build consequence
+      prediction on this. *)
 end

@@ -1,15 +1,24 @@
-(** Per-invocation handler context.
+(** Handler context.
 
     The context is the only channel through which a handler touches the
     runtime: the current virtual time, a deterministic random stream,
     the shared network model (read-only, for building features), and —
     centrally — [choose], which submits a {!Core.Choice.t} to the
     installed resolver. The [choose] field is polymorphic so one
-    context serves choices over any value type. *)
+    context serves choices over any value type.
+
+    An engine builds one context per node, on the node's first handler
+    call, and hands that same record to every later call on the node:
+    it sets [now] on each entry. So a context and everything read
+    through it are valid only during the call it was passed to. A
+    handler must not keep one in its state or in a closure it returns;
+    a kept context would read another instant's time. A speculative
+    fork builds its own contexts, over its own random stream and
+    resolver. *)
 
 type t = {
   self : Node_id.t;
-  now : Dsim.Vtime.t;
+  mutable now : Dsim.Vtime.t;  (** the node's local reading of the current instant *)
   rng : Dsim.Rng.t;
   net : Net.Netmodel.t;
   fd : Net.Failure_detector.t;

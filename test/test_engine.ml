@@ -535,6 +535,84 @@ let test_resolver_name () =
    [global_view] is a snapshot; the view the per-event check and
    lookahead scoring see builds its in-flight list only when read. *)
 
+(* Handlers that stamp what their context reads: [ctx.now] on every
+   call, and around the two lookahead choices a kick makes. The engine
+   hands each node one context and sets its [now] on each entry, so
+   these pin the contract that a call sees its own instant and its own
+   engine's resolver. *)
+module Stamp = struct
+  type msg = Kick
+  type state = { stamps : (string * float) list  (** newest first *) }
+
+  let name = "stamp"
+  let equal_state (a : state) b = a = b
+  let msg_kind Kick = "kick"
+  let msg_bytes Kick = 16
+  let msg_codec = None
+  let validate = None
+  let fingerprint = None
+  let durable = None
+  let degraded = None
+  let priority = None
+  let pp_msg ppf Kick = Format.fprintf ppf "kick"
+  let pp_state ppf st = Format.fprintf ppf "{%d stamps}" (List.length st.stamps)
+  let stamp (ctx : Proto.Ctx.t) label st = { stamps = (label, Dsim.Vtime.to_seconds ctx.now) :: st.stamps }
+  let tick = Proto.Action.set_timer ~id:"tick" ~after:1.0
+  let init ctx = (stamp ctx "init" { stamps = [] }, [ tick ])
+  let pick label = Core.Choice.make ~label [ Core.Choice.alt 0; Core.Choice.alt 1 ]
+
+  let receive =
+    [
+      Proto.Handler.v ~name:"kick" (fun ctx st ~src:_ Kick ->
+          let st = stamp ctx "before" st in
+          ignore (ctx.choose (pick "first") : int);
+          let st = stamp ctx "between" st in
+          ignore (ctx.choose (pick "second") : int);
+          (stamp ctx "after" st, []));
+    ]
+
+  let on_timer ctx st id : state * msg Proto.Action.t list = (stamp ctx id st, [ tick ])
+  let properties : (state, msg) Proto.View.t Core.Property.t list = []
+  let objectives : (state, msg) Proto.View.t Core.Objective.t list = []
+  let generic_msgs _ : (Proto.Node_id.t * msg) list = []
+end
+
+module SE = Engine.Sim.Make (Stamp)
+
+let test_ctx_now_per_call () =
+  let eng = SE.create ~seed:3 ~jitter:0. ~topology () in
+  SE.set_lookahead eng { SE.default_lookahead with horizon = 2.0 };
+  (* node 1 runs 5 s ahead from its boot on *)
+  SE.clock_step eng (nid 1) ~offset:5.;
+  SE.spawn eng (nid 0);
+  SE.spawn eng (nid 1);
+  SE.run_for eng 2.5;
+  SE.inject eng ~src:(nid 1) ~dst:(nid 0) Stamp.Kick;
+  SE.run_for eng 0.1;
+  let stamps id =
+    match SE.state_of eng (nid id) with
+    | Some st -> List.rev st.Stamp.stamps
+    | None -> Alcotest.fail "node down"
+  in
+  let show = Alcotest.(list (pair string (float 1e-9))) in
+  Alcotest.check show "skewed node reads its local clock"
+    [ ("init", 5.); ("tick", 6.); ("tick", 7.) ]
+    (stamps 1);
+  (match stamps 0 with
+  | [ ("init", 0.); ("tick", 1.); ("tick", 2.); ("before", b); ("between", m); ("after", a) ] ->
+      checkb "kick delivered after the ticks" true (b > 2.5 && b < 3.);
+      (* both choices forked futures that fired this node's timers up
+         to 2 s later; the parent's context kept the parent's instant *)
+      Alcotest.(check (float 0.)) "now after the first lookahead" b m;
+      Alcotest.(check (float 0.)) "now after the second lookahead" b a
+  | l ->
+      Alcotest.failf "unexpected stamps: %s"
+        (String.concat " " (List.map (fun (l, t) -> Printf.sprintf "%s@%g" l t) l)));
+  checki "each choice forked both alternatives" 4 (SE.stats eng).lookahead_forks;
+  Alcotest.(check (list string))
+    "both choices resolved and logged by the parent's lookahead" [ "second"; "first" ]
+    (List.map (fun (_, site, _) -> site.Core.Choice.site_label) (SE.decision_sites eng))
+
 module Px = Apps.Paxos.Default
 
 (* Paxos plus a safety property that reads the in-flight list at every
@@ -676,6 +754,7 @@ let () =
           Alcotest.test_case "fork independence" `Quick test_fork_independence;
           Alcotest.test_case "view + objective" `Quick test_global_view_and_objective;
           Alcotest.test_case "quiescence" `Quick test_run_until_quiescent;
+          Alcotest.test_case "ctx now per call" `Quick test_ctx_now_per_call;
         ] );
       ( "inflight",
         [
