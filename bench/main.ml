@@ -561,6 +561,44 @@ let micro () =
   let rng_test =
     Test.make ~name:"rng bits64" (Staged.stage (fun () -> ignore (Dsim.Rng.bits64 rng)))
   in
+  let rng_uniform_test =
+    Test.make ~name:"rng uniform" (Staged.stage (fun () -> ignore (Dsim.Rng.uniform rng)))
+  in
+  let rng_int_test =
+    Test.make ~name:"rng int" (Staged.stage (fun () -> ignore (Dsim.Rng.int rng 1000)))
+  in
+  (* A 31-node binary tree, and the same tree with one leaf moved under
+     another parent; each run checks the other one, as the engine does
+     after an event that moved one link. *)
+  let no_cycle_tests =
+    let parent = Fun.id and nid = Proto.Node_id.of_int in
+    let tree moved =
+      Proto.View.v ~time:Dsim.Vtime.zero ~inflight:[]
+        ~nodes:
+          (List.init 31 (fun i ->
+               ( nid i,
+                 if i = 0 then None
+                 else if i = 30 && moved then Some (nid 3)
+                 else Some (nid ((i - 1) / 2)) )))
+    in
+    let views = [| tree false; tree true |] in
+    let flip = ref 0 in
+    let next () =
+      flip := 1 - !flip;
+      views.(!flip)
+    in
+    let no_cycle =
+      List.find
+        (fun (p : _ Core.Property.t) -> p.name = "no-cycle")
+        (Apps.Randtree_common.properties ~parent ~joined:(fun _ -> true))
+    in
+    [
+      Test.make ~name:"randtree no-cycle, 31 nodes, one link moved: full"
+        (Staged.stage (fun () -> ignore (Apps.Randtree_common.Measure.has_cycle ~parent (next ()))));
+      Test.make ~name:"randtree no-cycle, 31 nodes, one link moved: incremental"
+        (Staged.stage (fun () -> ignore (no_cycle.holds (next ()))));
+    ]
+  in
   let choice =
     Core.Choice.of_values ~label:"bench"
       ~feature:(fun v -> [ ("v", float_of_int v) ])
@@ -597,6 +635,8 @@ let micro () =
     [
       heap_test;
       rng_test;
+      rng_uniform_test;
+      rng_int_test;
       resolver_test "random" Core.Resolver.random;
       resolver_test "greedy" (Core.Resolver.greedy ~feature:"v" ());
       resolver_test "bandit" (Core.Bandit.to_resolver bandit);
@@ -604,11 +644,12 @@ let micro () =
       logf_test "logf debug, trace=debug" Dsim.Trace.Debug;
       logf_test "logf debug, trace=info" Dsim.Trace.Info;
     ]
+    @ no_cycle_tests
   in
   List.iter
     (fun t ->
       List.iter
-        (fun (name, ns) -> Printf.printf "  %-24s %12.1f ns/op\n" name ns)
+        (fun (name, ns) -> Printf.printf "  %-58s %12.1f ns/op\n" name ns)
         (ns_per_run t))
     tests
 
