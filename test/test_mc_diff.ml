@@ -322,7 +322,7 @@ module PApp = P.Make (Paxos_params)
 module PE = Engine.Sim.Make (PApp)
 module DP = Diff (PApp)
 
-let paxos_world ~seed =
+let paxos_view ~seed =
   let topology =
     Net.Topology.uniform ~n:3 (Net.Linkprop.v ~latency:0.01 ~bandwidth:1_000_000. ~loss:0.)
   in
@@ -335,8 +335,9 @@ let paxos_world ~seed =
   PE.inject eng ~src:(nid 1) ~dst:(nid 0) (P.Submit { cmd = { P.origin = 1; seq = 0; born = 0. } });
   PE.inject eng ~src:(nid 2) ~dst:(nid 1) (P.Submit { cmd = { P.origin = 2; seq = 1; born = 0. } });
   PE.run_for eng 0.015;
-  let view = PE.global_view eng in
-  DP.Ex.world_of_view view
+  PE.global_view eng
+
+let paxos_world ~seed = DP.Ex.world_of_view (paxos_view ~seed)
 
 let test_paxos_differential () =
   List.iter
@@ -532,6 +533,110 @@ let test_pin_table () =
     check_strings "explorer pin table" expected_pin_rows actual
   end
 
+(* ---------- shared-cache sequence pins ----------
+
+   One cache carried through a sequence of explores, as the steering
+   runtime carries it across rounds: the same world value again, an
+   equal world rebuilt from the same view, the same root under
+   changed parameters, [iterative] after [explore], other roots in
+   between, and steering decisions that re-explore their vetoes.
+   Recorded before the cache learned to remember explored roots, so
+   every row (outcomes_cached included) is what a full explore over
+   the shared handler tables reports. *)
+
+let decide_row name verdict render (s : DL.Sn.stats) =
+  Printf.sprintf "%s verdict=%s explored=%d deduped=%d cached=%d collisions=%d" name
+    (render verdict) s.DL.Sn.worlds_explored s.DL.Sn.worlds_deduped s.DL.Sn.outcomes_cached
+    s.DL.Sn.fingerprint_collisions
+
+let render_lock_verdict = function
+  | DL.Sn.No_violation -> "none"
+  | DL.Sn.Steer vetoes ->
+      "steer:" ^ String.concat "," (List.map (Format.asprintf "%a" DL.Sn.pp_veto) vetoes)
+  | DL.Sn.Cannot_steer props -> "cannot:" ^ String.concat "," props
+
+let sequence_rows () =
+  let iter_row row name (d, r) = row (Printf.sprintf "%s@stop%d" name d) r in
+  let view3 = paxos_view ~seed:3 in
+  let p3 = DP.Ex.world_of_view view3 in
+  let mutant = mutant_world () in
+  let c = DP.Ex.create_cache () in
+  let ex ?(include_drops = true) ?max_worlds ?(depth = 3) w =
+    DP.Ex.explore ~include_drops ?max_worlds ~cache:c ~depth w
+  in
+  let paxos =
+    (* Sequenced with [let]s: list elements evaluate in no fixed order. *)
+    let first = ex p3 in
+    let same_value = ex p3 in
+    let rebuilt = ex (DP.Ex.world_of_view view3) in
+    let depth2 = ex ~depth:2 p3 in
+    let budget = ex ~max_worlds:60 p3 in
+    let no_drops = ex ~include_drops:false p3 in
+    let iterative = DP.Ex.iterative ~include_drops:true ~cache:c ~max_depth:3 p3 in
+    let other = ex mutant in
+    let back = ex p3 in
+    let depth2_again = ex ~depth:2 p3 in
+    [
+      DP.pin_row "seq/paxos3/first" first;
+      DP.pin_row "seq/paxos3/same-value" same_value;
+      DP.pin_row "seq/paxos3/equal-rebuilt" rebuilt;
+      DP.pin_row "seq/paxos3/depth2" depth2;
+      DP.pin_row "seq/paxos3/max-worlds60" budget;
+      DP.pin_row "seq/paxos3/no-drops" no_drops;
+      iter_row DP.pin_row "seq/paxos3/iterative" iterative;
+      DP.pin_row "seq/paxos-mutant/between" other;
+      DP.pin_row "seq/paxos3/back" back;
+      DP.pin_row "seq/paxos3/depth2-again" depth2_again;
+    ]
+  in
+  let lc = DL.Ex.create_cache () in
+  let grant2 = List.assoc "double-grant" lock_worlds in
+  let timers = List.assoc "timer-and-msgs" lock_worlds in
+  let decide w = DL.Sn.decide_with_stats ~include_drops:true ~cache:lc ~depth:3 w in
+  let lock =
+    let d1, s1 = decide grant2 in
+    let d2, s2 = decide grant2 in
+    let between = DL.Ex.explore ~include_drops:true ~cache:lc ~depth:3 timers in
+    let d3, s3 =
+      decide (lock_world [ (0, false); (1, false) ] [ (0, 1, Lock.Grant); (1, 0, Lock.Grant) ])
+    in
+    let ex_grant2 = DL.Ex.explore ~include_drops:true ~cache:lc ~depth:3 grant2 in
+    [
+      decide_row "seq/lock/decide-first" d1 render_lock_verdict s1;
+      decide_row "seq/lock/decide-again" d2 render_lock_verdict s2;
+      DL.pin_row "seq/lock/timers-between" between;
+      decide_row "seq/lock/decide-rebuilt" d3 render_lock_verdict s3;
+      DL.pin_row "seq/lock/explore-after-decide" ex_grant2;
+    ]
+  in
+  paxos @ lock
+
+let expected_sequence_rows =
+  [
+    "seq/paxos3/first explored=157 deduped=140 collisions=0 truncated=false unmet=[] cached=124 sig=d41d8cd98f00b204e9800998ecf8427e";
+    "seq/paxos3/same-value explored=157 deduped=140 collisions=0 truncated=false unmet=[] cached=148 sig=d41d8cd98f00b204e9800998ecf8427e";
+    "seq/paxos3/equal-rebuilt explored=157 deduped=140 collisions=0 truncated=false unmet=[] cached=148 sig=d41d8cd98f00b204e9800998ecf8427e";
+    "seq/paxos3/depth2 explored=43 deduped=22 collisions=0 truncated=false unmet=[] cached=32 sig=d41d8cd98f00b204e9800998ecf8427e";
+    "seq/paxos3/max-worlds60 explored=60 deduped=30 collisions=0 truncated=true unmet=[] cached=148 sig=d41d8cd98f00b204e9800998ecf8427e";
+    "seq/paxos3/no-drops explored=77 deduped=12 collisions=0 truncated=false unmet=[] cached=88 sig=d41d8cd98f00b204e9800998ecf8427e";
+    "seq/paxos3/iterative@stop3 explored=157 deduped=140 collisions=0 truncated=false unmet=[] cached=148 sig=d41d8cd98f00b204e9800998ecf8427e";
+    "seq/paxos-mutant/between explored=274 deduped=287 collisions=0 truncated=false unmet=[] cached=269 sig=d41d8cd98f00b204e9800998ecf8427e";
+    "seq/paxos3/back explored=157 deduped=140 collisions=0 truncated=false unmet=[] cached=148 sig=d41d8cd98f00b204e9800998ecf8427e";
+    "seq/paxos3/depth2-again explored=43 deduped=22 collisions=0 truncated=false unmet=[] cached=32 sig=d41d8cd98f00b204e9800998ecf8427e";
+    "seq/lock/decide-first verdict=steer:veto(grant n0->n1) explored=12 deduped=4 cached=5 collisions=0";
+    "seq/lock/decide-again verdict=steer:veto(grant n0->n1) explored=12 deduped=4 cached=7 collisions=0";
+    "seq/lock/timers-between explored=12 deduped=39 collisions=0 truncated=false unmet=[] cached=27 sig=be0b0cd6f5ca20d155813f8e15b7031c";
+    "seq/lock/decide-rebuilt verdict=steer:veto(grant n0->n1) explored=12 deduped=4 cached=7 collisions=0";
+    "seq/lock/explore-after-decide explored=9 deduped=4 collisions=0 truncated=false unmet=[] cached=6 sig=38ecf8a092e065dc395919a0c7b18a88";
+  ]
+
+let test_sequence_pins () =
+  let actual = sequence_rows () in
+  if actual <> expected_sequence_rows then begin
+    List.iter (Printf.printf "%S;\n") actual;
+    check_strings "shared-cache sequence pins" expected_sequence_rows actual
+  end
+
 let () =
   Alcotest.run "mc-diff"
     [
@@ -551,5 +656,6 @@ let () =
           Alcotest.test_case "domains iterative" `Quick test_domains_iterative;
           Alcotest.test_case "cache reuse" `Quick test_cache_reuse;
           Alcotest.test_case "explorer pin table" `Quick test_pin_table;
+          Alcotest.test_case "shared-cache sequence pins" `Quick test_sequence_pins;
         ] );
     ]

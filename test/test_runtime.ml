@@ -164,6 +164,73 @@ let test_seeded_steering_pinned () =
   checki "events" 277 (S.E.stats eng).events_processed;
   checki "violations" 0 (List.length (S.E.violations eng))
 
+(* The same seeded lease run under clock faults: node 1's clock drifts
+   from 15s, node 2's steps forward at 30s, and node 1 heals at 45s.
+   Every change of the clock fingerprints reaches the explored worlds,
+   so the report and verdict log pin how steering follows them. *)
+let steer_config =
+  {
+    Runtime.Config.default with
+    Runtime.Config.checkpoint_period = 0.1;
+    checkpoint_delay = 0.05;
+    steer_period = 0.1;
+    steer_depth = 2;
+    filter_ttl = 0.5;
+  }
+
+let lease_engine ~seed =
+  let eng = S.E.create ~seed ~jitter:0. ~topology:S.topology () in
+  S.E.set_resolver eng Core.Resolver.random;
+  for i = 0 to S.population - 1 do
+    S.E.spawn eng (nid i)
+  done;
+  eng
+
+let run_summary eng cry =
+  let r = S.R.report cry in
+  let log = S.R.verdict_log cry in
+  Printf.sprintf
+    "checkpoints=%d rounds=%d vetoes=%d cannot=%d worlds=%d cached=%d collisions=%d bytes=%d \
+     verdicts=%d log=%s filtered=%d events=%d violations=%d"
+    r.S.R.checkpoints_taken r.S.R.steering_rounds r.S.R.vetoes_installed r.S.R.cannot_steer
+    r.S.R.worlds_explored r.S.R.outcomes_cached r.S.R.fingerprint_collisions
+    r.S.R.checkpoint_bytes (List.length log)
+    (Digest.to_hex (Digest.string (render_verdicts log)))
+    (S.E.stats eng).messages_filtered (S.E.stats eng).events_processed
+    (List.length (S.E.violations eng))
+
+let test_clock_faults_pinned () =
+  let eng = lease_engine ~seed:11 in
+  let cry = S.R.attach ~config:steer_config ~neighbors:S.neighbors eng in
+  S.R.run_for cry 15.;
+  S.E.set_clock_rate eng (nid 1) ~rate:1.3;
+  S.R.run_for cry 15.;
+  S.E.clock_step eng (nid 2) ~offset:0.4;
+  S.R.run_for cry 15.;
+  S.E.heal_clock eng (nid 1);
+  S.R.run_for cry 15.;
+  Alcotest.check Alcotest.string "clock-fault run"
+    "checkpoints=500 rounds=499 vetoes=23 cannot=0 worlds=5315 cached=3197 collisions=0 bytes=0 verdicts=185 log=8ef9b981b7f2a6e1b3566fbf8c0aa016 filtered=23 events=278 violations=0"
+    (run_summary eng cry)
+
+(* With a state codec every checkpoint charges its bytes to the access
+   links, so collection contends with the lease traffic. The lease
+   state is abstract here; its printed form stands in for the wire
+   bytes (the runtime only ever sizes checkpoints). *)
+let test_codec_run_pinned () =
+  let eng = lease_engine ~seed:5 in
+  let codec =
+    Wire.Codec.conv
+      (Format.asprintf "%a" S.App.pp_state)
+      (fun _ -> invalid_arg "checkpoint codec: encode only")
+      Wire.Codec.string
+  in
+  let cry = S.R.attach ~config:steer_config ~codec ~neighbors:S.neighbors eng in
+  S.R.run_for cry 60.;
+  Alcotest.check Alcotest.string "codec run"
+    "checkpoints=500 rounds=499 vetoes=20 cannot=0 worlds=5435 cached=3420 collisions=0 bytes=393796 verdicts=147 log=cd66574fce88e30f881a29fc1999488a filtered=20 events=273 violations=0"
+    (run_summary eng cry)
+
 let test_config_validation () =
   Alcotest.check_raises "bad period" (Invalid_argument "Config: checkpoint_period must be positive")
     (fun () ->
@@ -189,6 +256,8 @@ let () =
           Alcotest.test_case "filters expire" `Quick test_filters_expire;
           Alcotest.test_case "quiet when safe" `Quick test_no_violation_no_vetoes;
           Alcotest.test_case "seeded run pinned" `Quick test_seeded_steering_pinned;
+          Alcotest.test_case "clock faults pinned" `Quick test_clock_faults_pinned;
+          Alcotest.test_case "codec run pinned" `Quick test_codec_run_pinned;
         ] );
       ( "plumbing",
         [
