@@ -159,8 +159,9 @@ module Make (App : Proto.App_intf.APP) = struct
     mutable nodes : node Proto.Node_id.Map.t;
     mutable live : (Proto.Node_id.t * App.state) list;
     mutable live_of : node Proto.Node_id.Map.t;
-        (* [live] is the live nodes of [live_of]; rebuilt when [nodes] is
-           no longer physically that map *)
+        (* [live] is the live nodes of [live_of]; a handler result
+           patches it in place, and anything else that changes [nodes]
+           (boot, kill, restart) leaves it to be rebuilt *)
     rng : Dsim.Rng.t;
     endpoints : int;  (* topology size; directed pairs key as [src * endpoints + dst] *)
     netem : Net.Netem.t;
@@ -416,6 +417,13 @@ module Make (App : Proto.App_intf.APP) = struct
       t.live_of <- t.nodes
     end;
     t.live
+
+  (* [live] with [id]'s state replaced; the entries after it are shared. *)
+  let rec replace_live id state = function
+    | [] -> []
+    | ((id', _) as entry) :: rest ->
+        if Proto.Node_id.equal id id' then (id, state) :: rest
+        else entry :: replace_live id state rest
 
   let inflight t =
     (* A shed-while-queued delivery is a tombstone: still in the heap,
@@ -1269,7 +1277,14 @@ module Make (App : Proto.App_intf.APP) = struct
           | None -> 0.
           | Some d -> persist t node ~prev:n.state ~next:state d
         in
-        t.nodes <- Proto.Node_id.Map.add node { n with state } t.nodes;
+        let nodes = Proto.Node_id.Map.add node { n with state } t.nodes in
+        (* A handler changes one live node's state: patch its entry and
+           share the rest of the list rather than rebuilding it. *)
+        if n.alive && t.live_of == t.nodes then begin
+          t.live <- replace_live node state t.live;
+          t.live_of <- nodes
+        end;
+        t.nodes <- nodes;
         defer_sends t node ~delay actions
 
   and recover t id d boot =

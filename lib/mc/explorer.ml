@@ -239,7 +239,7 @@ module Make (App : Proto.App_intf.APP) = struct
     dk_seed : int;
   }
 
-  module Dcache = Hashtbl.Make (struct
+  module Dkey = struct
     type t = dkey
 
     let equal a b =
@@ -248,11 +248,13 @@ module Make (App : Proto.App_intf.APP) = struct
       && a.dk_msg = b.dk_msg
 
     let hash k = Hashtbl.hash (k.dk_sfp, k.dk_src, k.dk_mh, k.dk_seed)
-  end)
+  end
+
+  module Dcache = Hashtbl.Make (Dkey)
 
   type tkey = { tk_state : App.state; tk_sfp : int; tk_id : string; tk_seed : int }
 
-  module Tcache = Hashtbl.Make (struct
+  module Tkey = struct
     type t = tkey
 
     let equal a b =
@@ -260,24 +262,118 @@ module Make (App : Proto.App_intf.APP) = struct
       && App.equal_state a.tk_state b.tk_state
 
     let hash k = Hashtbl.hash (k.tk_sfp, k.tk_id, k.tk_seed)
-  end)
+  end
+
+  module Tcache = Hashtbl.Make (Tkey)
+
+  (* ---------- Root memo ----------
+
+     Steering explores the same neighbourhood round after round, so
+     the cache also remembers whole explores, keyed on the root world
+     and every parameter that shapes the search. Replaying one is
+     exact: an explore whose handler lookups all went into the tables
+     finds every one of them there again, as long as no table has been
+     reset since, so a real re-explore would return the same result
+     with [outcomes_cached] equal to its lookup count. *)
+
+  type params = {
+    max_worlds : int;
+    include_drops : bool;
+    generic_node : bool;
+    seed : int;
+    depth : int;
+    early_stop : bool;
+  }
+
+  let same_params a b =
+    Int.equal a.max_worlds b.max_worlds
+    && Bool.equal a.include_drops b.include_drops
+    && Bool.equal a.generic_node b.generic_node
+    && Int.equal a.seed b.seed && Int.equal a.depth b.depth
+    && Bool.equal a.early_stop b.early_stop
+
+  type memo = {
+    m_root : iworld;
+    m_k1 : int;
+    m_k2 : int;
+    m_params : params;
+    m_level : int;  (* the level the search stopped at, for [iterative] *)
+    m_result : result;
+    m_lookups : int;  (* handler-table lookups the explore made *)
+  }
+
+  (* The same equalities the handler tables use: a root that matches
+     makes exactly the lookups, and reaches exactly the worlds, the
+     remembered one did. *)
+  let same_root a b =
+    Nm.equal App.equal_state a.i_states b.i_states
+    && List.equal
+         (fun p q ->
+           Proto.Node_id.equal p.p_src q.p_src
+           && Proto.Node_id.equal p.p_dst q.p_dst
+           && p.p_msg = q.p_msg)
+         a.i_pending b.i_pending
+    && List.equal
+         (fun (n, id) (n', id') -> Proto.Node_id.equal n n' && String.equal id id')
+         a.i_timers b.i_timers
+    && List.equal
+         (fun (n, fp) (n', fp') -> Proto.Node_id.equal n n' && Int.equal fp fp')
+         a.i_clocks b.i_clocks
 
   type cache = {
     c_deliver : outcome list Dcache.t;  (* [] encodes "no applicable handler" *)
     c_timer : outcome list Tcache.t;
     mutable c_hits : int;
     mutable c_lookups : int;  (* hits + misses, for hit-rate profiling *)
+    mutable c_spoiled : int;
+        (* bumped whenever a lookup can no longer be found again: a
+           table reset, or a key not equal to itself (a NaN inside a
+           state or message); an explore during which it moved is not
+           remembered *)
+    c_memo : memo option array;  (* direct-mapped on the root's first key lane *)
+    c_recent : (world * memo) option array;
+        (* the last roots served, by the caller's value: a runtime that
+           hands back the same world skips keying it *)
+    mutable c_recent_next : int;
   }
+
+  let memo_slots = 64
+  let recent_slots = 16
+
+  let tables () =
+    {
+      c_deliver = Dcache.create 16;
+      c_timer = Tcache.create 16;
+      c_hits = 0;
+      c_lookups = 0;
+      c_spoiled = 0;
+      c_memo = [||];
+      c_recent = [||];
+      c_recent_next = 0;
+    }
 
   (* Small to start, like the visited table: a cache made for one
      explore serves a handful of lookups, and a persistent one grows
      once to its working set. *)
   let create_cache () =
-    { c_deliver = Dcache.create 16; c_timer = Tcache.create 16; c_hits = 0; c_lookups = 0 }
+    {
+      (tables ()) with
+      c_memo = Array.make memo_slots None;
+      c_recent = Array.make recent_slots None;
+    }
 
   (* Bound memory on pathological workloads; steering neighbourhoods
      stay far below this. *)
   let cache_cap = 200_000
+
+  let spoil cache = cache.c_spoiled <- cache.c_spoiled + 1
+
+  (* A reset table no longer holds the lookups remembered explores
+     made, so their replays would overstate [outcomes_cached]. *)
+  let forget cache =
+    Array.fill cache.c_memo 0 (Array.length cache.c_memo) None;
+    Array.fill cache.c_recent 0 (Array.length cache.c_recent) None;
+    spoil cache
 
   let precompute (state', actions) =
     let o_acts =
@@ -327,7 +423,11 @@ module Make (App : Proto.App_intf.APP) = struct
                       |> List.map precompute)
                     handlers
             in
-            if Dcache.length cache.c_deliver >= cache_cap then Dcache.reset cache.c_deliver;
+            if Dcache.length cache.c_deliver >= cache_cap then begin
+              Dcache.reset cache.c_deliver;
+              forget cache
+            end;
+            if not (Dkey.equal key key) then spoil cache;
             Dcache.add cache.c_deliver key outs;
             if outs = [] then `Unchanged else `Outcomes (dst, outs))
 
@@ -347,7 +447,11 @@ module Make (App : Proto.App_intf.APP) = struct
               all_outcomes ~seed ~self:node (fun ctx -> App.on_timer ctx state id)
               |> List.map precompute
             in
-            if Tcache.length cache.c_timer >= cache_cap then Tcache.reset cache.c_timer;
+            if Tcache.length cache.c_timer >= cache_cap then begin
+              Tcache.reset cache.c_timer;
+              forget cache
+            end;
+            if not (Tkey.equal key key) then spoil cache;
             Tcache.add cache.c_timer key outs;
             `Outcomes (node, outs))
 
@@ -425,11 +529,8 @@ module Make (App : Proto.App_intf.APP) = struct
      and expanded, before the next item is looked at. Truncation is a
      one-way latch, so once the budget is spent no later item of any
      level is keyed or expanded. *)
-  let explore_levels ~max_worlds ~include_drops ~generic_node ~seed ~cache ~depth ~early_stop
+  let explore_levels { max_worlds; include_drops; generic_node; seed; depth; early_stop } cache
       root =
-    if depth < 0 then invalid_arg "Explorer.explore: negative depth";
-    if max_worlds < 0 then invalid_arg "Explorer.explore: negative max_worlds";
-    let cache = match cache with Some c -> c | None -> create_cache () in
     let hits0 = cache.c_hits and lookups0 = cache.c_lookups in
     (* Keyed by first lane, holding every second lane seen under it.
        Small to start and grown on demand: a steering explore visits a
@@ -457,7 +558,7 @@ module Make (App : Proto.App_intf.APP) = struct
           Hashtbl.add visited k1 (ref [ k2 ]);
           true
     in
-    let frontier = ref [ { fw = iworld_of_world root; fpath = [] } ] in
+    let frontier = ref [ { fw = root; fpath = [] } ] in
     let level = ref 0 in
     let continue = ref true in
     while !continue do
@@ -509,6 +610,65 @@ module Make (App : Proto.App_intf.APP) = struct
       },
       cache.c_lookups - lookups0 )
 
+  let remember_recent cache root m =
+    cache.c_recent.(cache.c_recent_next) <- Some (root, m);
+    cache.c_recent_next <- (cache.c_recent_next + 1) mod recent_slots
+
+  (* A remembered explore, replayed as a real re-explore would run it:
+     every lookup hits. *)
+  let replay cache m =
+    cache.c_hits <- cache.c_hits + m.m_lookups;
+    cache.c_lookups <- cache.c_lookups + m.m_lookups;
+    (m.m_level, { m.m_result with outcomes_cached = m.m_lookups }, m.m_lookups)
+
+  (* The memo sits in front of the one search: a caller's world value
+     seen lately, else an equal root under the same parameters, else
+     a real explore, remembered unless a lookup it made was lost. *)
+  let run params cache root =
+    if params.depth < 0 then invalid_arg "Explorer.explore: negative depth";
+    if params.max_worlds < 0 then invalid_arg "Explorer.explore: negative max_worlds";
+    match cache with
+    | None -> explore_levels params (tables ()) (iworld_of_world root)
+    | Some cache -> (
+        let recent =
+          Array.find_map
+            (function
+              | Some (w, m) when w == root && same_params m.m_params params -> Some m
+              | Some _ | None -> None)
+            cache.c_recent
+        in
+        match recent with
+        | Some m -> replay cache m
+        | None -> (
+            let iw = iworld_of_world root in
+            let k1, k2 = world_key iw in
+            let slot = k1 land (memo_slots - 1) in
+            match cache.c_memo.(slot) with
+            | Some m
+              when Int.equal m.m_k1 k1 && Int.equal m.m_k2 k2 && same_params m.m_params params
+                   && same_root m.m_root iw ->
+                remember_recent cache root m;
+                replay cache m
+            | Some _ | None ->
+                let spoiled0 = cache.c_spoiled in
+                let ((level, result, lookups) as explored) = explore_levels params cache iw in
+                if Int.equal cache.c_spoiled spoiled0 then begin
+                  let m =
+                    {
+                      m_root = iw;
+                      m_k1 = k1;
+                      m_k2 = k2;
+                      m_params = params;
+                      m_level = level;
+                      m_result = result;
+                      m_lookups = lookups;
+                    }
+                  in
+                  cache.c_memo.(slot) <- Some m;
+                  remember_recent cache root m
+                end;
+                explored))
+
   (* Per-call profiling into a metrics registry.  Counters are
      deterministic per seed; anything derived from the wall clock
      (phase timing, worlds/s) is registered volatile so it never leaks
@@ -538,8 +698,7 @@ module Make (App : Proto.App_intf.APP) = struct
       ?cache ?obs ?(obs_phase = "explore") ~depth root =
     let t0 = if obs = None then 0. else Unix.gettimeofday () in
     let _, result, lookups =
-      explore_levels ~max_worlds ~include_drops ~generic_node ~seed ~cache ~depth ~early_stop:false
-        root
+      run { max_worlds; include_drops; generic_node; seed; depth; early_stop = false } cache root
     in
     (match obs with
     | None -> ()
@@ -556,8 +715,9 @@ module Make (App : Proto.App_intf.APP) = struct
     if max_depth < 1 then invalid_arg "Explorer.iterative: max_depth must be >= 1";
     let t0 = if obs = None then 0. else Unix.gettimeofday () in
     let stop_level, result, lookups =
-      explore_levels ~max_worlds ~include_drops ~generic_node ~seed ~cache ~depth:max_depth
-        ~early_stop:true world
+      run
+        { max_worlds; include_drops; generic_node; seed; depth = max_depth; early_stop = true }
+        cache world
     in
     (match obs with
     | None -> ()

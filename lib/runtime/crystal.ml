@@ -3,7 +3,21 @@ module Make (App : Proto.App_intf.APP) = struct
   module Ex = Mc.Explorer.Make (App)
   module St = Mc.Steering.Make (App)
 
-  type checkpoint = { taken_at : Dsim.Vtime.t; view : (App.state, App.msg) Proto.View.t }
+  type checkpoint = {
+    taken_at : Dsim.Vtime.t;
+    view : (App.state, App.msg) Proto.View.t;
+    content : int;
+        (* equal to the previous checkpoint's iff this one holds the
+           same node list and the same in-flight messages *)
+  }
+
+  (* A node's last explored world and what it was built from. *)
+  type node_world = {
+    own : App.state;
+    built_from : int;  (* the checkpoint's content number *)
+    clocks : (Proto.Node_id.t * int) list;  (* every skewed clock's fingerprint *)
+    world : Ex.world;
+  }
 
   type live_veto = { veto : St.veto; name : string; expires : Dsim.Vtime.t }
 
@@ -40,6 +54,9 @@ module Make (App : Proto.App_intf.APP) = struct
        near-identical neighbourhoods, which is the transposition
        cache's best case. *)
     cache : St.Ex.cache;
+    worlds : (int, node_world) Hashtbl.t;
+        (* per node: handing the explorer the same world value again
+           lets its root memo answer without keying the world *)
     obs : Obs.Registry.t option;
   }
 
@@ -63,9 +80,24 @@ module Make (App : Proto.App_intf.APP) = struct
         g "crystal_live_vetoes" (List.length t.vetoes);
         g "crystal_degraded_nodes" (E.degraded_nodes t.eng)
 
+  (* The engine hands out the same node list while no node changed,
+     and an in-flight message keeps its value while queued, so
+     physical equality spots an unchanged snapshot cheaply. *)
+  let same_content (a : (App.state, App.msg) Proto.View.t) (b : _ Proto.View.t) =
+    a.nodes == b.nodes
+    && List.equal
+         (fun (s, d, m) (s', d', m') ->
+           Proto.Node_id.equal s s' && Proto.Node_id.equal d d' && m == m')
+         (Proto.View.inflight a) (Proto.View.inflight b)
+
   let collect_checkpoint t =
     let view = E.global_view t.eng in
-    t.checkpoints <- { taken_at = E.now t.eng; view } :: t.checkpoints;
+    let content =
+      match t.checkpoints with
+      | prev :: _ -> if same_content prev.view view then prev.content else prev.content + 1
+      | [] -> 0
+    in
+    t.checkpoints <- { taken_at = E.now t.eng; view; content } :: t.checkpoints;
     t.n_checkpoints <- t.n_checkpoints + 1;
     (* When the app provides a state codec, checkpoint dissemination is
        charged to the emulated network: each node ships its serialized
@@ -122,6 +154,7 @@ module Make (App : Proto.App_intf.APP) = struct
         n_cached = 0;
         n_collisions = 0;
         cache = St.Ex.create_cache ();
+        worlds = Hashtbl.create 16;
         obs;
       }
     in
@@ -135,34 +168,57 @@ module Make (App : Proto.App_intf.APP) = struct
 
   (* A checkpoint is usable once the emulated collection delay has
      elapsed — until then the controller is still gathering it. *)
-  let usable_checkpoints t =
+  let latest_checkpoint t =
     let now = E.now t.eng in
-    List.filter
+    List.find_opt
       (fun c -> Dsim.Vtime.diff now c.taken_at >= t.cfg.checkpoint_delay)
       t.checkpoints
 
-  let latest_view t =
-    match usable_checkpoints t with [] -> None | c :: _ -> Some c.view
+  let latest_view t = Option.map (fun c -> c.view) (latest_checkpoint t)
+
+  let hood_view t (stale : (App.state, App.msg) Proto.View.t) ~of_node own_state =
+    let hood = Proto.Node_id.Set.of_list (t.neighbors own_state) in
+    let stale_neighbors = Proto.View.restrict stale hood in
+    {
+      stale_neighbors with
+      Proto.View.time = E.now t.eng;
+      nodes =
+        (of_node, own_state)
+        :: List.filter
+             (fun (id, _) -> not (Proto.Node_id.equal id of_node))
+             stale_neighbors.Proto.View.nodes;
+    }
 
   let neighborhood_view t ~of_node =
-    match E.state_of t.eng of_node with
-    | None -> None
-    | Some own_state -> (
-        match latest_view t with
-        | None -> None
-        | Some stale ->
-            let hood = Proto.Node_id.Set.of_list (t.neighbors own_state) in
-            let stale_neighbors = Proto.View.restrict stale hood in
-            Some
-              {
-                stale_neighbors with
-                Proto.View.time = E.now t.eng;
-                nodes =
-                  (of_node, own_state)
-                  :: List.filter
-                       (fun (id, _) -> not (Proto.Node_id.equal id of_node))
-                       stale_neighbors.Proto.View.nodes;
-              })
+    match (E.state_of t.eng of_node, latest_checkpoint t) with
+    | Some own_state, Some c -> Some (hood_view t c.view ~of_node own_state)
+    | None, _ | _, None -> None
+
+  (* The world node [id] explores this round. It depends only on the
+     node's own state (through [neighbors]), the checkpoint's content
+     and the clock fingerprints, so while those stay put the last one
+     is handed out again. *)
+  let node_world t (c : checkpoint) ~clocks id own =
+    let key = Proto.Node_id.to_int id in
+    match Hashtbl.find_opt t.worlds key with
+    | Some nw
+      when nw.own == own && Int.equal nw.built_from c.content
+           && List.equal
+                (fun (n, fp) (n', fp') -> Proto.Node_id.equal n n' && Int.equal fp fp')
+                nw.clocks clocks ->
+        nw.world
+    | Some _ | None ->
+        let view = hood_view t c.view ~of_node:id own in
+        (* Clock fingerprints of the nodes in the snapshot: a world
+           explored while a neighbour's clock was skewed must not
+           share a dedup class with the same states seen in sync. *)
+        let world =
+          Ex.world_of_view
+            ~clocks:(List.filter (fun (n, _) -> List.mem_assoc n view.Proto.View.nodes) clocks)
+            view
+        in
+        Hashtbl.replace t.worlds key { own; built_from = c.content; clocks; world };
+        world
 
   let add_filter t lv =
     let v = lv.veto in
@@ -202,24 +258,17 @@ module Make (App : Proto.App_intf.APP) = struct
     end
 
   (* One steering round: run consequence prediction from each live
-     node's neighbourhood snapshot; install every veto judged safe. *)
+     node's neighbourhood snapshot, all cut from the one latest usable
+     checkpoint; install every veto judged safe. *)
   let steer t =
     t.n_rounds <- t.n_rounds + 1;
-    let nodes = E.live_nodes t.eng in
-    List.iter
-      (fun (id, _) ->
-        match neighborhood_view t ~of_node:id with
-        | None -> ()
-        | Some view ->
-            (* Clock fingerprints of the nodes in the snapshot: a world
-               explored while a neighbour's clock was skewed must not
-               share a dedup class with the same states seen in sync. *)
-            let clocks =
-              List.filter
-                (fun (n, _) -> List.mem_assoc n view.Proto.View.nodes)
-                (E.clock_fingerprints t.eng)
-            in
-            let world = Ex.world_of_view ~clocks view in
+    (match latest_checkpoint t with
+    | None -> ()
+    | Some c ->
+        let clocks = E.clock_fingerprints t.eng in
+        List.iter
+          (fun (id, own) ->
+            let world = node_world t c ~clocks id own in
             let verdict, stats =
               St.decide_with_stats ~max_worlds:t.cfg.max_worlds
                 ~include_drops:t.cfg.include_drops ~generic_node:t.cfg.generic_node
@@ -236,7 +285,7 @@ module Make (App : Proto.App_intf.APP) = struct
             | St.Cannot_steer _ ->
                 t.verdicts <- (E.now t.eng, verdict) :: t.verdicts;
                 t.n_cannot <- t.n_cannot + 1))
-      nodes;
+          (E.live_nodes t.eng));
     refresh_filters t;
     publish_obs t
 
