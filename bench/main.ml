@@ -662,8 +662,12 @@ let micro () =
    fingerprinted worklist engine, on snapshots frozen out of live paxos
    and randtree runs at the steering defaults (depth 3, max_worlds
    5000). Also times a full steering round (base explore plus one
-   re-explore per candidate veto) both cold and with the runtime's
-   persistent transposition cache. Results go to stdout and to
+   re-explore per candidate veto) three ways: cold, with a fresh
+   cache per round; against the runtime's persistent cache, handed an
+   equal world rebuilt from the snapshot each round (the cache's root
+   memo matches it by equality); and handed the same world value each
+   round, as Crystal does while a node's inputs are unchanged (the
+   memo matches it physically). Results go to stdout and to
    BENCH_explorer.json in the working directory. *)
 
 type ex_measure = {
@@ -681,7 +685,8 @@ type ex_row = {
   after : ex_measure;
   steer_before_ms : float;
   steer_after_ms : float;
-  steer_warm_ms : float;
+  steer_equal_ms : float;  (* warm cache, an equal world rebuilt each round *)
+  steer_same_ms : float;  (* warm cache, the same world value each round *)
   deduped : int;
   cached_warm : int;
   collisions : int;
@@ -752,8 +757,9 @@ module Ex_bench (App : Proto.App_intf.APP) = struct
             ignore (List.for_all (fun p -> List.mem p doomed) (pset (explore steered))))
           candidates
 
-  let run ~scenario ?(include_drops = false) ~depth ~max_worlds (w : Ex.world) =
+  let run ~scenario ?(include_drops = false) ~depth ~max_worlds view =
     let min_time = if fast then 0.2 else 1.0 in
+    let w = Ex.world_of_view view in
     let refw = ref_world_of w in
     (* Worlds-per-run may legitimately differ between engines in drop
        mode (the worklist search covers length-divergent paths the
@@ -773,7 +779,11 @@ module Ex_bench (App : Proto.App_intf.APP) = struct
       time_ms ~min_time (fun () -> St.decide ~include_drops ~max_worlds ~depth w)
     in
     let cache = St.Ex.create_cache () in
-    let steer_warm_ms =
+    let steer_equal_ms =
+      time_ms ~min_time (fun () ->
+          St.decide ~include_drops ~cache ~max_worlds ~depth (Ex.world_of_view view))
+    in
+    let steer_same_ms =
       time_ms ~min_time (fun () -> St.decide ~include_drops ~cache ~max_worlds ~depth w)
     in
     let r_warm = Ex.explore ~include_drops ~cache ~max_worlds ~depth w in
@@ -786,7 +796,8 @@ module Ex_bench (App : Proto.App_intf.APP) = struct
       after = measure r_new.Ex.worlds_explored ms_new;
       steer_before_ms;
       steer_after_ms;
-      steer_warm_ms;
+      steer_equal_ms;
+      steer_same_ms;
       deduped = r_new.Ex.worlds_deduped;
       cached_warm = r_warm.Ex.outcomes_cached;
       collisions = r_new.Ex.fingerprint_collisions;
@@ -803,7 +814,7 @@ module Ex_papp = Apps.Paxos.Make (Ex_paxos_params)
 module Ex_pe = Engine.Sim.Make (Ex_papp)
 module Ex_pb = Ex_bench (Ex_papp)
 
-let ex_paxos_world ~seed =
+let ex_paxos_view ~seed =
   let topology =
     Net.Topology.uniform ~n:3 (Net.Linkprop.v ~latency:0.01 ~bandwidth:1_000_000. ~loss:0.)
   in
@@ -822,13 +833,13 @@ let ex_paxos_world ~seed =
   submit 1 0;
   submit 2 1;
   Ex_pe.run_for eng 0.015;
-  Ex_pb.Ex.world_of_view (Ex_pe.global_view eng)
+  Ex_pe.global_view eng
 
 module Ex_rapp = Apps.Randtree_choice.Default
 module Ex_re = Engine.Sim.Make (Ex_rapp)
 module Ex_rb = Ex_bench (Ex_rapp)
 
-let ex_randtree_world ~seed =
+let ex_randtree_view ~seed =
   let n = 6 in
   let topology =
     Net.Topology.uniform ~n (Net.Linkprop.v ~latency:0.01 ~bandwidth:1_000_000. ~loss:0.)
@@ -839,7 +850,7 @@ let ex_randtree_world ~seed =
   done;
   (* Freeze mid-join so the snapshot still has joins in flight. *)
   Ex_re.run_for eng 0.26;
-  Ex_rb.Ex.world_of_view (Ex_re.global_view eng)
+  Ex_re.global_view eng
 
 let ex_json_path = "BENCH_explorer.json"
 
@@ -867,7 +878,8 @@ let ex_emit_json rows =
         ( "steering_round",
           Obj [ ("before_ms", json_num 4 r.steer_before_ms);
                 ("after_ms", json_num 4 r.steer_after_ms);
-                ("after_warm_cache_ms", json_num 4 r.steer_warm_ms);
+                ("after_memo_equal_root_ms", json_num 6 r.steer_equal_ms);
+                ("after_memo_same_world_ms", json_num 6 r.steer_same_ms);
                 ("speedup", ratio r.steer_before_ms r.steer_after_ms) ] );
         ( "counters",
           Obj [ ("worlds_deduped", Int r.deduped); ("outcomes_cached_warm", Int r.cached_warm);
@@ -887,10 +899,10 @@ let ex () =
   let depth = 3 and max_worlds = 5_000 in
   let rows =
     [
-      Ex_pb.run ~scenario:"paxos" ~depth ~max_worlds (ex_paxos_world ~seed:3);
+      Ex_pb.run ~scenario:"paxos" ~depth ~max_worlds (ex_paxos_view ~seed:3);
       Ex_pb.run ~scenario:"paxos-drops" ~include_drops:true ~depth ~max_worlds
-        (ex_paxos_world ~seed:3);
-      Ex_rb.run ~scenario:"randtree" ~depth ~max_worlds (ex_randtree_world ~seed:5);
+        (ex_paxos_view ~seed:3);
+      Ex_rb.run ~scenario:"randtree" ~depth ~max_worlds (ex_randtree_view ~seed:5);
     ]
   in
   Metrics.Report.print ~title:"consequence-prediction throughput (same worlds both engines)"
@@ -906,14 +918,16 @@ let ex () =
          ])
        rows);
   Metrics.Report.print ~title:"steering-round latency (base explore + per-veto re-explores)"
-    ~header:[ "scenario"; "before (ms)"; "after (ms)"; "warm cache (ms)"; "speedup" ]
+    ~header:
+      [ "scenario"; "before (ms)"; "cold (ms)"; "equal root (us)"; "same world (us)"; "speedup" ]
     (List.map
        (fun r ->
          [
            r.scenario;
            Printf.sprintf "%.3f" r.steer_before_ms;
            Printf.sprintf "%.3f" r.steer_after_ms;
-           Printf.sprintf "%.3f" r.steer_warm_ms;
+           Printf.sprintf "%.2f" (r.steer_equal_ms *. 1000.);
+           Printf.sprintf "%.3f" (r.steer_same_ms *. 1000.);
            Printf.sprintf "%.1fx" (r.steer_before_ms /. r.steer_after_ms);
          ])
        rows);

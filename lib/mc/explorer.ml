@@ -340,26 +340,19 @@ module Make (App : Proto.App_intf.APP) = struct
   let memo_slots = 64
   let recent_slots = 16
 
-  let tables () =
+  (* Small to start, like the visited table: a cache made for one
+     explore serves a handful of lookups, and a persistent one grows
+     once to its working set. *)
+  let create_cache () =
     {
       c_deliver = Dcache.create 16;
       c_timer = Tcache.create 16;
       c_hits = 0;
       c_lookups = 0;
       c_spoiled = 0;
-      c_memo = [||];
-      c_recent = [||];
-      c_recent_next = 0;
-    }
-
-  (* Small to start, like the visited table: a cache made for one
-     explore serves a handful of lookups, and a persistent one grows
-     once to its working set. *)
-  let create_cache () =
-    {
-      (tables ()) with
       c_memo = Array.make memo_slots None;
       c_recent = Array.make recent_slots None;
+      c_recent_next = 0;
     }
 
   (* Bound memory on pathological workloads; steering neighbourhoods
@@ -628,7 +621,7 @@ module Make (App : Proto.App_intf.APP) = struct
     if params.depth < 0 then invalid_arg "Explorer.explore: negative depth";
     if params.max_worlds < 0 then invalid_arg "Explorer.explore: negative max_worlds";
     match cache with
-    | None -> explore_levels params (tables ()) (iworld_of_world root)
+    | None -> explore_levels params (create_cache ()) (iworld_of_world root)
     | Some cache -> (
         let recent =
           Array.find_map

@@ -16,8 +16,8 @@
     (first-lane collisions are detected via the second lane and the
     worlds kept apart); the search runs level-synchronously over an
     explicit worklist, one in-order pass per level, and memoizes
-    handler outcomes in a transposition cache. See DESIGN.md §"The
-    exploration engine". *)
+    handler outcomes, and whole explores, in a transposition cache.
+    See DESIGN.md §"The exploration engine". *)
 
 module Make (App : Proto.App_intf.APP) : sig
   type world = {
@@ -63,7 +63,25 @@ module Make (App : Proto.App_intf.APP) : sig
       neighbourhoods every round). Entries are exact — keyed on real
       state/message equality — so sharing one never changes verdicts,
       only [outcomes_cached]. Share one cache with at most one explore
-      at a time. *)
+      at a time.
+
+      The cache also remembers whole explores (its {e root memo}): the
+      root world, every parameter ([max_worlds], [include_drops],
+      [generic_node], [seed], [depth], and whether the call is
+      {!iterative}), the stopping level, the result, and how many
+      handler lookups the search made. A later call with the same
+      parameters is answered from the memo when handed the same world
+      value again (one of the last 16 served), or a world with the same
+      key whose states are [App.equal_state], whose pending messages
+      are [=] with equal endpoints, and whose timers and clock
+      fingerprints are equal. A hit returns the stored result with
+      [outcomes_cached] equal to the stored lookup count, and counts
+      that many hits and lookups: a real re-explore reports exactly
+      that, because every lookup of an explore already made hits the
+      tables. The memo holds at most 64 roots plus the 16 recent world
+      values. A handler table reaching its size cap is reset and
+      empties the memo, and an explore during which a lookup was lost
+      (a reset, or a key not equal to itself) is not remembered. *)
   type cache
 
   val create_cache : unit -> cache
@@ -90,7 +108,8 @@ module Make (App : Proto.App_intf.APP) : sig
       [generic_node] (default false) injects [App.generic_msgs].
       [seed] feeds the context RNG handlers see (default 7) — handler
       randomness is explored as-is, not branched. [cache] carries
-      memoized handler outcomes across calls. [obs] records
+      memoized handler outcomes and explored roots across calls;
+      without one, every call is a fresh search. [obs] records
       per-call profiling (worlds explored/deduped, cache hit rate, wall
       time and worlds/s — the latter two volatile) labelled with
       [obs_phase] (default ["explore"]). *)

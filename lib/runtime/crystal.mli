@@ -11,7 +11,19 @@
 
     Drive it with {!run_for}, which slices the engine's execution into
     runtime periods — the simulation analogue of the controller thread
-    running beside the service. *)
+    running beside the service.
+
+    Each round steers only what changed. Every checkpoint carries a
+    content number: it equals the previous checkpoint's when the new
+    global view's node list is physically the previous one (the engine
+    hands out the same list while no node changed) and its in-flight
+    messages have equal endpoints and are physically the same, and is
+    one higher otherwise. A round finds the latest usable checkpoint
+    once. Each node keeps the world it last explored and is handed it
+    again while its own state (physically), the content number and the
+    clock fingerprints are unchanged; the explorer cache's root memo
+    then answers without keying the world. Verdicts, reports and
+    metrics are those of rebuilding every world every round. *)
 
 module Make (App : Proto.App_intf.APP) : sig
   module E : module type of Engine.Sim.Make (App)
@@ -54,7 +66,10 @@ module Make (App : Proto.App_intf.APP) : sig
 
       [neighbors] extracts a node's protocol neighbourhood from its
       state (e.g. parent and children for a tree) — the set whose
-      checkpoints the controller collects. When [codec] is given, every
+      checkpoints the controller collects. It must be a function of
+      the state alone: a node's world is reused while its state is
+      unchanged, so a [neighbors] that read anything else could see a
+      stale neighbourhood explored. When [codec] is given, every
       collection serializes each node's state and charges
       [size * |neighbors|] bytes of control traffic to that node's
       access links, so checkpointing contends with the application

@@ -198,6 +198,102 @@ let test_warm_cache_across_rounds () =
           (warm.Ex.outcomes_cached > cold.Ex.outcomes_cached))
     [ a; b; a; b ]
 
+(* ---------- Root memo and table resets ---------- *)
+
+(* One node that adds whatever it is sent: a root with [m] distinct
+   pending additions makes [m] distinct handler lookups at depth 1, and
+   changing the explore seed makes [m] fresh ones. *)
+module Counter = struct
+  type state = int
+  type msg = Add of int
+
+  let name = "counter"
+  let equal_state = Int.equal
+  let pp_state ppf n = Format.fprintf ppf "%d" n
+  let pp_msg ppf (Add k) = Format.fprintf ppf "add%d" k
+  let msg_kind _ = "add"
+  let msg_bytes _ = 8
+  let msg_codec = None
+  let validate = None
+  let durable = None
+  let degraded = None
+  let priority = None
+  let fingerprint = None
+  let init _ = (0, [])
+
+  let receive =
+    [
+      Proto.Handler.v ~name:"add"
+        ~guard:(fun _ ~src:_ _ -> true)
+        (fun _ n ~src:_ (Add k) -> (n + k, []));
+    ]
+
+  let on_timer _ n _ = (n, [])
+  let properties = []
+  let objectives = []
+  let generic_msgs _ = []
+end
+
+module Cx = Mc.Explorer.Make (Counter)
+
+let counter_world m : Cx.world =
+  {
+    states = Proto.Node_id.Map.singleton (nid 0) 0;
+    pending = List.init m (fun k -> (nid 0, nid 0, Counter.Add (k + 1)));
+    timers = [];
+    clocks = [];
+  }
+
+let check_same_result name (a : Cx.result) (b : Cx.result) =
+  checki (name ^ ": worlds") a.Cx.worlds_explored b.Cx.worlds_explored;
+  checki (name ^ ": dedups") a.Cx.worlds_deduped b.Cx.worlds_deduped;
+  checki (name ^ ": outcomes cached") a.Cx.outcomes_cached b.Cx.outcomes_cached
+
+(* Without a cache every explore is a real one: exploring the same
+   world value twice reports the cold count twice, never a replay. *)
+let test_no_cache_no_memo () =
+  let w = counter_world 9 in
+  let first = Cx.explore ~depth:1 w in
+  let second = Cx.explore ~depth:1 w in
+  checki "cold explore caches nothing" 0 first.Cx.outcomes_cached;
+  check_same_result "second uncached explore" first second;
+  let cache = Cx.create_cache () in
+  ignore (Cx.explore ~cache ~depth:1 w);
+  checki "a shared cache replays every lookup" 9
+    (Cx.explore ~cache ~depth:1 w).Cx.outcomes_cached
+
+(* The handler tables hold at most 200_000 entries each. With 99
+   distinct lookups per explore, the reset lands inside one explore,
+   which therefore must not be remembered: re-exploring it finds only
+   the lookups made after the reset. And no root remembered before the
+   reset (the probe, under the default seed 7 the fill never uses) may be
+   replayed after it: its lookups are gone, so a real explore of it is
+   a cold one. *)
+let test_memo_forgets_across_reset () =
+  let m = 99 in
+  let w = counter_world m and probe = counter_world 5 in
+  let cache = Cx.create_cache () in
+  checki "probe: cold" 0 (Cx.explore ~cache ~depth:1 probe).Cx.outcomes_cached;
+  checki "probe: remembered" 5 (Cx.explore ~cache ~depth:1 probe).Cx.outcomes_cached;
+  let rec fill seed =
+    if seed > 10_000 then Alcotest.fail "no reset inside an explore observed"
+    else begin
+      let first = Cx.explore ~seed ~cache ~depth:1 w in
+      checki "fill explore: cold" 0 first.Cx.outcomes_cached;
+      let again = Cx.explore ~seed ~cache ~depth:1 w in
+      if again.Cx.outcomes_cached = m then fill (seed + 1) else (seed, again)
+    end
+  in
+  let seed, again = fill 1_000 in
+  checkb "re-explore after a mid-explore reset finds some lookups" true
+    (again.Cx.outcomes_cached > 0 && again.Cx.outcomes_cached < m);
+  checki "same worlds as a cold explore" (Cx.explore ~seed ~depth:1 w).Cx.worlds_explored
+    again.Cx.worlds_explored;
+  checki "third explore: every lookup present" m
+    (Cx.explore ~seed ~cache ~depth:1 w).Cx.outcomes_cached;
+  check_same_result "probe after the reset" (Cx.explore ~depth:1 probe)
+    (Cx.explore ~cache ~depth:1 probe)
+
 let () =
   Alcotest.run "mc"
     [
@@ -217,6 +313,8 @@ let () =
           Alcotest.test_case "iterative deepening" `Quick test_iterative_deepening;
           Alcotest.test_case "world_of_view" `Quick test_world_of_view;
           Alcotest.test_case "warm cache across rounds" `Quick test_warm_cache_across_rounds;
+          Alcotest.test_case "no cache, no memo" `Quick test_no_cache_no_memo;
+          Alcotest.test_case "memo forgets across a reset" `Slow test_memo_forgets_across_reset;
         ] );
       ( "steering",
         [

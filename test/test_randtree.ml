@@ -343,6 +343,50 @@ let test_no_cycle_after_every_event () =
   checkb "forks checked views too" true (!Checked.checks > s.events_processed);
   checki "incremental and full verdicts agree" 0 !Checked.mismatches
 
+(* The engine patches its live-node list after each handler and
+   rebuilds it after boots, kills and restarts. Under lookahead and
+   churn, after every single event the list must be the one rebuilt
+   from [state_of] over ascending ids, holding the very state values.
+   Each kill lands between two events, so the next handler runs with
+   the list out of date. *)
+let test_live_list_after_every_step () =
+  let n = 12 in
+  let eng = CE.create ~seed:5 ~jitter:0. ~topology:(topology n) () in
+  CE.set_lookahead eng { CE.default_lookahead with horizon = 3.0; max_events = 600 };
+  for i = 0 to n - 1 do
+    CE.spawn eng ~after:(0.3 *. float_of_int i) (nid i)
+  done;
+  let steps = ref 0 and mismatches = ref 0 in
+  let rebuilt () =
+    List.filter_map
+      (fun i -> Option.map (fun st -> (nid i, st)) (CE.state_of eng (nid i)))
+      (List.init n Fun.id)
+  in
+  let same (a, st) (b, st') = Proto.Node_id.equal a b && st == st' in
+  let run_until t =
+    while Dsim.Vtime.to_seconds (CE.now eng) < t && CE.step eng do
+      incr steps;
+      if not (List.equal same (rebuilt ()) (CE.live_nodes eng)) then incr mismatches
+    done
+  in
+  run_until 5.;
+  CE.kill eng (nid 3);
+  run_until 6.;
+  CE.kill eng (nid 7);
+  CE.kill eng (nid 11);
+  run_until 8.;
+  CE.restart eng (nid 3);
+  run_until 10.;
+  CE.kill eng (nid 3);
+  CE.restart eng (nid 7);
+  run_until 12.;
+  CE.restart eng (nid 3);
+  CE.restart eng (nid 11);
+  run_until 16.;
+  checkb "events ran" true (!steps > 200);
+  checkb "lookahead forks ran" true ((CE.stats eng).lookahead_forks > 0);
+  checki "live list = rebuilt list after every event" 0 !mismatches
+
 (* ---------- experiment-level ---------- *)
 
 let test_experiment_shapes () =
@@ -389,6 +433,7 @@ let () =
           Alcotest.test_case "live property check" `Quick test_no_cycle_property_enforced_live;
           Alcotest.test_case "no-cycle = full check per event" `Quick
             test_no_cycle_after_every_event;
+          Alcotest.test_case "live list after every event" `Quick test_live_list_after_every_step;
         ] );
       ( "experiment",
         [
