@@ -541,32 +541,80 @@ let ns_per_run test =
       | Some [] | None -> (name, Float.nan) :: acc)
     analyzed []
 
-(* One Bechamel test per core runtime mechanism; each prints ns/op. *)
+(* Minor-heap words one call of [f] allocates, averaged over a loop
+   after one warm-up call. *)
+let words_per_run f =
+  let n = if fast then 1_000 else 10_000 in
+  f ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+module Micro_tree = Engine.Sim.Make (Apps.Randtree_choice.Default)
+
+(* A 31-node RandTree under the lookahead resolver, run through its
+   join phase so that its network model and failure detector hold an
+   estimate for every pair that has exchanged a message. *)
+let micro_tree () =
+  let seed = 42 and nodes = Experiments.Randtree_exp.default_nodes in
+  let e = Micro_tree.create ~seed ~topology:(Experiments.Randtree_exp.topology ~seed ~nodes) () in
+  Micro_tree.set_lookahead e { Micro_tree.default_lookahead with horizon = 3.0; max_events = 600 };
+  Micro_tree.spawn e (Proto.Node_id.of_int 0);
+  for i = 1 to nodes - 1 do
+    Micro_tree.spawn e ~after:(0.5 +. (0.25 *. float_of_int i)) (Proto.Node_id.of_int i)
+  done;
+  Micro_tree.run_for e 40.;
+  e
+
+(* A handler context over a model that has seen latency, bandwidth and
+   loss on every pair of 31 endpoints. *)
+let micro_ctx () =
+  let n = 31 and at = Dsim.Vtime.of_seconds 1. in
+  let net = Net.Netmodel.create () in
+  for src = 0 to n - 1 do
+    for dst = 0 to n - 1 do
+      if src <> dst then begin
+        Net.Netmodel.observe_latency net ~src ~dst at 0.01;
+        Net.Netmodel.observe_bandwidth net ~src ~dst at 1e6;
+        Net.Netmodel.observe_loss net ~src ~dst at ~delivered:true
+      end
+    done
+  done;
+  let choose : type a. a Core.Choice.t -> a = fun c -> Core.Choice.nth c 0 in
+  ( n,
+    {
+      Proto.Ctx.self = Proto.Node_id.of_int 0;
+      now = Dsim.Vtime.of_seconds 2.;
+      rng = Dsim.Rng.create 1;
+      net;
+      fd = Net.Failure_detector.create ();
+      cb = Net.Circuit_breaker.create ();
+      pressure = (fun () -> 0.);
+      choose;
+    } )
+
+(* One Bechamel test per core runtime mechanism; each prints ns/op and
+   minor words/op. *)
 let micro () =
-  section "Micro-benchmarks (Bechamel, ns/op)";
-  let open Bechamel in
+  section "Micro-benchmarks (Bechamel ns/op, minor words/op)";
   let heap_test =
-    Test.make ~name:"event queue push+pop x100"
-      (Staged.stage (fun () ->
-           let h = Dsim.Event_queue.create () in
-           for i = 0 to 99 do
-             let x = i * 7919 mod 100 in
-             Dsim.Event_queue.push h (float_of_int x) x
-           done;
-           while not (Dsim.Event_queue.is_empty h) do
-             ignore (Dsim.Event_queue.pop h)
-           done))
+    ( "event queue push+pop x100",
+      fun () ->
+        let h = Dsim.Event_queue.create () in
+        for i = 0 to 99 do
+          let x = i * 7919 mod 100 in
+          Dsim.Event_queue.push h (float_of_int x) x
+        done;
+        while not (Dsim.Event_queue.is_empty h) do
+          ignore (Dsim.Event_queue.pop h)
+        done )
   in
   let rng = Dsim.Rng.create 1 in
-  let rng_test =
-    Test.make ~name:"rng bits64" (Staged.stage (fun () -> ignore (Dsim.Rng.bits64 rng)))
-  in
-  let rng_uniform_test =
-    Test.make ~name:"rng uniform" (Staged.stage (fun () -> ignore (Dsim.Rng.uniform rng)))
-  in
-  let rng_int_test =
-    Test.make ~name:"rng int" (Staged.stage (fun () -> ignore (Dsim.Rng.int rng 1000)))
-  in
+  let rng_test = ("rng bits64", fun () -> ignore (Dsim.Rng.bits64 rng)) in
+  let rng_uniform_test = ("rng uniform", fun () -> ignore (Dsim.Rng.uniform rng)) in
+  let rng_int_test = ("rng int", fun () -> ignore (Dsim.Rng.int rng 1000)) in
   (* A 31-node binary tree, and the same tree with one leaf moved under
      another parent; each run checks the other one, as the engine does
      after an event that moved one link. *)
@@ -593,10 +641,10 @@ let micro () =
         (Apps.Randtree_common.properties ~parent ~joined:(fun _ -> true))
     in
     [
-      Test.make ~name:"randtree no-cycle, 31 nodes, one link moved: full"
-        (Staged.stage (fun () -> ignore (Apps.Randtree_common.Measure.has_cycle ~parent (next ()))));
-      Test.make ~name:"randtree no-cycle, 31 nodes, one link moved: incremental"
-        (Staged.stage (fun () -> ignore (no_cycle.holds (next ()))));
+      ( "randtree no-cycle, 31 nodes, one link moved: full",
+        fun () -> ignore (Apps.Randtree_common.Measure.has_cycle ~parent (next ())) );
+      ( "randtree no-cycle, 31 nodes, one link moved: incremental",
+        fun () -> ignore (no_cycle.holds (next ())) );
     ]
   in
   let choice =
@@ -605,8 +653,7 @@ let micro () =
       [ 1; 2; 3; 4; 5; 6; 7; 8 ]
   in
   let resolver_test name r =
-    Test.make ~name:("resolve " ^ name)
-      (Staged.stage (fun () -> ignore (Core.Resolver.apply r rng choice ~node:0 ~occurrence:0)))
+    ("resolve " ^ name, fun () -> ignore (Core.Resolver.apply r rng choice ~node:0 ~occurrence:0))
   in
   let bandit = Core.Bandit.create () in
   let netmodel =
@@ -615,21 +662,35 @@ let micro () =
     m
   in
   let netmodel_test =
-    Test.make ~name:"netmodel predict"
-      (Staged.stage (fun () ->
-           ignore
-             (Net.Netmodel.predict_transfer_time netmodel ~src:0 ~dst:1
-                ~now:(Dsim.Vtime.of_seconds 1.) ~bytes:512)))
+    ( "netmodel predict",
+      fun () ->
+        ignore
+          (Net.Netmodel.predict_transfer_time netmodel ~src:0 ~dst:1
+             ~now:(Dsim.Vtime.of_seconds 1.) ~bytes:512) )
   in
   (* One [logf] at a Debug site: formatted into the ring with the trace
      at Debug; with the trace at Info the gate skips the formatting and
      only counts the call. *)
   let logf_test name level =
     let tr = Dsim.Trace.create ~capacity:64 ~min_level:level () in
-    Test.make ~name
-      (Staged.stage (fun () ->
-           Dsim.Trace.logf tr Dsim.Vtime.zero Dsim.Trace.Debug ~component:"bench"
-             "event %d on node %d payload %s" 42 3 "0123456789abcdef"))
+    ( name,
+      fun () ->
+        Dsim.Trace.logf tr Dsim.Vtime.zero Dsim.Trace.Debug ~component:"bench"
+          "event %d on node %d payload %s" 42 3 "0123456789abcdef" )
+  in
+  (* The feature a choice-exposing handler builds per candidate: one
+     prediction per call, cycling through the 30 peers. *)
+  let predicted_ms_test =
+    let n, ctx = micro_ctx () in
+    let dst = ref 0 in
+    ( "Ctx.predicted_ms, warm 31-endpoint model",
+      fun () ->
+        dst := if !dst = n - 1 then 1 else !dst + 1;
+        ignore (Proto.Ctx.predicted_ms ctx (Proto.Node_id.of_int !dst)) )
+  in
+  let fork_test =
+    let e = micro_tree () in
+    ("Sim.fork, 31-node RandTree lookahead engine", fun () -> ignore (Micro_tree.fork e))
   in
   let tests =
     [
@@ -643,14 +704,17 @@ let micro () =
       netmodel_test;
       logf_test "logf debug, trace=debug" Dsim.Trace.Debug;
       logf_test "logf debug, trace=info" Dsim.Trace.Info;
+      predicted_ms_test;
+      fork_test;
     ]
     @ no_cycle_tests
   in
   List.iter
-    (fun t ->
+    (fun (name, f) ->
+      let words = words_per_run f in
       List.iter
-        (fun (name, ns) -> Printf.printf "  %-58s %12.1f ns/op\n" name ns)
-        (ns_per_run t))
+        (fun (name, ns) -> Printf.printf "  %-58s %12.1f ns/op %10.1f words/op\n" name ns words)
+        (ns_per_run (Bechamel.Test.make ~name (Bechamel.Staged.stage f))))
     tests
 
 (* ------------------------------------------------------------------ *)

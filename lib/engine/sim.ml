@@ -1,5 +1,6 @@
 module Make (App : Proto.App_intf.APP) = struct
   module Smap = Map.Make (String)
+  module Stbl = Hashtbl.Make (String)
   module Itbl = Hashtbl.Make (Int)
 
   type node = { state : App.state; alive : bool; incarnation : int }
@@ -137,7 +138,7 @@ module Make (App : Proto.App_intf.APP) = struct
   type obs = {
     o_sink : Obs.Sink.t;
     o_queue_depth : Obs.Registry.gauge;
-    o_deliver : (int, link_obs) Hashtbl.t;
+    o_deliver : link_obs Itbl.t;
     o_drops : (string * int * int, Obs.Registry.counter) Hashtbl.t;
     o_timer_fires : (int, Obs.Registry.counter) Hashtbl.t;
     o_degraded : (int * string, Obs.Registry.counter) Hashtbl.t;
@@ -166,10 +167,6 @@ module Make (App : Proto.App_intf.APP) = struct
     endpoints : int;  (* topology size; directed pairs key as [src * endpoints + dst] *)
     netem : Net.Netem.t;
     netmodel : Net.Netmodel.t;
-    nm_links : Net.Netmodel.link Itbl.t;
-        (* per-(src,dst) netmodel handles so each delivery does one
-           lookup here instead of three inside the model; bound to
-           [netmodel]'s cells, so forks get a fresh empty table *)
     fd : Net.Failure_detector.t;
     mutable fd_enabled : bool;
     mutable rel : App.msg Reliable.t option;  (* [None] = reliable delivery off (default) *)
@@ -207,7 +204,7 @@ module Make (App : Proto.App_intf.APP) = struct
     mutable spawned : Proto.Node_id.Set.t;
     mutable reward_window : float option;
     mutable pending_rewards : pending_reward list;
-    kind_counts : (string, int) Hashtbl.t;
+    kind_counts : int ref Stbl.t;  (* deliveries per message kind *)
     mutable message_log : (Dsim.Vtime.t * Proto.Node_id.t * Proto.Node_id.t * string) list option;
         (* newest first when enabled; [None] = disabled (the default) *)
     mutable log_capacity : int;  (* 0 = unbounded *)
@@ -236,7 +233,6 @@ module Make (App : Proto.App_intf.APP) = struct
       endpoints;
       netem = Net.Netem.create ~jitter ~rng:netem_rng topology;
       netmodel = Net.Netmodel.create ();
-      nm_links = Itbl.create 64;
       fd = Net.Failure_detector.create ();
       fd_enabled = true;
       rel = None;
@@ -261,7 +257,7 @@ module Make (App : Proto.App_intf.APP) = struct
       spawned = Proto.Node_id.Set.empty;
       reward_window = None;
       pending_rewards = [];
-      kind_counts = Hashtbl.create 16;
+      kind_counts = Stbl.create 16;
       message_log = None;
       log_capacity = 0;
       log_length = 0;
@@ -293,7 +289,7 @@ module Make (App : Proto.App_intf.APP) = struct
           {
             o_sink;
             o_queue_depth = Obs.Registry.gauge reg ~name:"engine_queue_depth" ~labels:[];
-            o_deliver = Hashtbl.create 64;
+            o_deliver = Itbl.create 64;
             o_drops = Hashtbl.create 32;
             o_timer_fires = Hashtbl.create 32;
             o_degraded = Hashtbl.create 16;
@@ -315,6 +311,27 @@ module Make (App : Proto.App_intf.APP) = struct
       (obs_handle tbl ni (fun () ->
            Obs.Registry.counter o.o_sink.Obs.Sink.registry ~name
              ~labels:[ ("node", string_of_int ni) ]))
+
+  (* The delivery handles of the directed pair [se -> de]. *)
+  let obs_link t o ~se ~de =
+    let key = (se * t.endpoints) + de in
+    match Itbl.find o.o_deliver key with
+    | h -> h
+    | exception Not_found ->
+        let reg = o.o_sink.Obs.Sink.registry in
+        let link = [ ("src", string_of_int se); ("dst", string_of_int de) ] in
+        let h =
+          {
+            lo_node_deliveries =
+              Obs.Registry.counter reg ~name:"engine_deliveries" ~labels:[ ("node", string_of_int de) ];
+            lo_link_deliveries = Obs.Registry.counter reg ~name:"engine_link_deliveries" ~labels:link;
+            lo_link_latency =
+              Obs.Registry.histogram reg ~name:"engine_delivery_latency_ms" ~labels:link ~lo:0.
+                ~hi:2000. ~buckets:20;
+          }
+        in
+        Itbl.add o.o_deliver key h;
+        h
 
   let mint_trace t =
     let id = t.next_trace in
@@ -456,7 +473,8 @@ module Make (App : Proto.App_intf.APP) = struct
 
   let objective_score t = Core.Objective.total App.objectives (transient_view t)
 
-  let delivered_of_kind t kind = Option.value ~default:0 (Hashtbl.find_opt t.kind_counts kind)
+  let delivered_of_kind t kind =
+    match Stbl.find t.kind_counts kind with r -> !r | exception Not_found -> 0
 
   let store t id = Disks.find t.disks id
 
@@ -490,13 +508,13 @@ module Make (App : Proto.App_intf.APP) = struct
     {
       t with
       queue = Dsim.Event_queue.copy t.queue;
-      kind_counts = Hashtbl.copy t.kind_counts;
+      kind_counts =
+        (let c = Stbl.copy t.kind_counts in
+         Stbl.filter_map_inplace (fun _ r -> Some (ref !r)) c;
+         c);
       rng = Dsim.Rng.copy t.rng;
       netem = Net.Netem.copy t.netem;
       netmodel = Net.Netmodel.copy t.netmodel;
-      (* the copy has its own cells; inherited handles would silently
-         mutate the parent's model *)
-      nm_links = Itbl.create 16;
       fd = Net.Failure_detector.copy t.fd;
       rel = Option.map Reliable.copy t.rel;
       ov = Option.map Overload.copy t.ov;
@@ -686,15 +704,6 @@ module Make (App : Proto.App_intf.APP) = struct
     if (not !flipped) && len > 0 then flip_at (Dsim.Rng.int t.rng len);
     Bytes.to_string b
 
-  let nm_link t ~se ~de =
-    let key = (se * t.endpoints) + de in
-    match Itbl.find_opt t.nm_links key with
-    | Some l -> l
-    | None ->
-        let l = Net.Netmodel.link t.netmodel ~src:se ~dst:de in
-        Itbl.replace t.nm_links key l;
-        l
-
   let root_cause cause =
     match String.index_opt cause ':' with
     | Some i -> String.sub cause 0 i
@@ -727,7 +736,7 @@ module Make (App : Proto.App_intf.APP) = struct
           "filtered"
       | Dropped cause ->
           s.messages_dropped <- s.messages_dropped + 1;
-          Net.Netmodel.observe_link_loss t.netmodel (nm_link t ~se ~de) t.now ~delivered:false;
+          Net.Netmodel.observe_loss t.netmodel ~src:se ~dst:de t.now ~delivered:false;
           Dsim.Trace.logp t.trace t.now Dsim.Trace.Debug ~component:"net" (fun ppf ->
               Format.fprintf ppf "drop(%s) %a->%a %a" cause Proto.Node_id.pp src Proto.Node_id.pp
                 dst App.pp_msg msg);
@@ -1307,32 +1316,21 @@ module Make (App : Proto.App_intf.APP) = struct
   and accept t (n : node) ~src ~dst ~sent_at ~kind msg =
     let se = Proto.Node_id.to_int src and de = Proto.Node_id.to_int dst in
     let latency = Dsim.Vtime.diff t.now sent_at in
-    let nml = nm_link t ~se ~de in
+    let nml = Net.Netmodel.link t.netmodel ~src:se ~dst:de in
     Net.Netmodel.observe_link_latency t.netmodel nml t.now latency;
     Net.Netmodel.observe_link_loss t.netmodel nml t.now ~delivered:true;
     if latency > 0. then
       Net.Netmodel.observe_link_bandwidth t.netmodel nml t.now
         (float_of_int (App.msg_bytes msg) /. latency);
     t.stats.messages_delivered <- t.stats.messages_delivered + 1;
-    Hashtbl.replace t.kind_counts kind (1 + Option.value ~default:0 (Hashtbl.find_opt t.kind_counts kind));
+    (match Stbl.find t.kind_counts kind with
+    | r -> incr r
+    | exception Not_found -> Stbl.add t.kind_counts kind (ref 1));
     log_message t ~src ~dst kind;
     (match t.obs with
     | None -> ()
     | Some o ->
-        let lh =
-          obs_handle o.o_deliver ((se * t.endpoints) + de) (fun () ->
-              let reg = o.o_sink.Obs.Sink.registry in
-              let link = [ ("src", string_of_int se); ("dst", string_of_int de) ] in
-              {
-                lo_node_deliveries =
-                  Obs.Registry.counter reg ~name:"engine_deliveries"
-                    ~labels:[ ("node", string_of_int de) ];
-                lo_link_deliveries = Obs.Registry.counter reg ~name:"engine_link_deliveries" ~labels:link;
-                lo_link_latency =
-                  Obs.Registry.histogram reg ~name:"engine_delivery_latency_ms" ~labels:link ~lo:0.
-                    ~hi:2000. ~buckets:20;
-              })
-        in
+        let lh = obs_link t o ~se ~de in
         Obs.Registry.incr lh.lo_node_deliveries;
         Obs.Registry.incr lh.lo_link_deliveries;
         Obs.Registry.observe lh.lo_link_latency (latency *. 1000.));

@@ -18,13 +18,19 @@ type cell = {
   mutable at : Dsim.Vtime.t;  (* last arrival *)
 }
 
+(* [cells] holds the pair [(observer, peer)] at row [observer], column
+   [peer]. An unwritten slot holds [absent], which no write path
+   reaches, so its [n] stays 0: under every [min_samples], silent, and
+   no peer. *)
 type t = {
   alpha : float;
   threshold : float;
   bootstrap_interval : float;
   min_samples : int;
-  cells : (int * int, cell) Hashtbl.t;  (* (observer, peer) *)
+  cells : cell Pair_rows.t;
 }
+
+let absent = { mean = 0.; n = 0; at = Dsim.Vtime.zero }
 
 let create ?(alpha = 0.25) ?(threshold = 8.) ?(bootstrap_interval = 1.) ?(min_samples = 3) () =
   if alpha <= 0. || alpha > 1. then invalid_arg "Failure_detector.create: alpha out of (0,1]";
@@ -32,12 +38,12 @@ let create ?(alpha = 0.25) ?(threshold = 8.) ?(bootstrap_interval = 1.) ?(min_sa
   if bootstrap_interval <= 0. then
     invalid_arg "Failure_detector.create: non-positive bootstrap interval";
   if min_samples < 1 then invalid_arg "Failure_detector.create: min_samples < 1";
-  { alpha; threshold; bootstrap_interval; min_samples; cells = Hashtbl.create 64 }
+  { alpha; threshold; bootstrap_interval; min_samples; cells = Pair_rows.create ~absent }
 
-let copy t =
-  let cells = Hashtbl.create (Hashtbl.length t.cells) in
-  Hashtbl.iter (fun k (c : cell) -> Hashtbl.replace cells k { c with mean = c.mean }) t.cells;
-  { t with cells }
+let copy t = { t with cells = Pair_rows.copy t.cells (fun c -> { c with mean = c.mean }) }
+
+(* Out of range, negative included, reads as never heard. *)
+let find t ~observer ~peer = Pair_rows.find t.cells observer peer
 
 let threshold t = t.threshold
 
@@ -68,40 +74,34 @@ let phi_of t c ~now =
    returns [true] when the pair was suspected just before this arrival —
    the recovery edge the engine counts. *)
 let heartbeat t ~observer ~peer ~now =
-  let key = (observer, peer) in
-  match Hashtbl.find_opt t.cells key with
-  | None ->
-      Hashtbl.replace t.cells key { mean = 0.; n = 1; at = now };
-      false
-  | Some c ->
-      let was_suspected = phi_of t c ~now >= t.threshold in
-      let sample = Float.max 0. (Dsim.Vtime.diff now c.at) in
-      (* Cap the sample so one long outage does not poison the learned
-         interval: a 30 s partition must not teach the detector that
-         30 s silences are normal, or it would take another outage to
-         re-suspect the peer. *)
-      let sample =
-        if c.n >= 2 then Float.min sample (3. *. interval_of t c) else sample
-      in
-      if c.n = 1 then c.mean <- sample
-      else c.mean <- ((1. -. t.alpha) *. c.mean) +. (t.alpha *. sample);
-      c.n <- c.n + 1;
-      c.at <- now;
-      was_suspected
+  let c = find t ~observer ~peer in
+  if c == absent then begin
+    Pair_rows.set t.cells observer peer { mean = 0.; n = 1; at = now };
+    false
+  end
+  else begin
+    let was_suspected = phi_of t c ~now >= t.threshold in
+    let sample = Float.max 0. (Dsim.Vtime.diff now c.at) in
+    (* Cap the sample so one long outage does not poison the learned
+       interval: a 30 s partition must not teach the detector that
+       30 s silences are normal, or it would take another outage to
+       re-suspect the peer. *)
+    let sample = if c.n >= 2 then Float.min sample (3. *. interval_of t c) else sample in
+    if c.n = 1 then c.mean <- sample
+    else c.mean <- ((1. -. t.alpha) *. c.mean) +. (t.alpha *. sample);
+    c.n <- c.n + 1;
+    c.at <- now;
+    was_suspected
+  end
 
-let phi t ~observer ~peer ~now =
-  match Hashtbl.find_opt t.cells (observer, peer) with
-  | None -> 0.
-  | Some c -> phi_of t c ~now
+let phi t ~observer ~peer ~now = phi_of t (find t ~observer ~peer) ~now
 
 let suspicion t ~observer ~peer ~now =
   Float.min 1. (phi t ~observer ~peer ~now /. t.threshold)
 
 let suspected t ~observer ~peer ~now = phi t ~observer ~peer ~now >= t.threshold
 
-let samples t ~observer ~peer =
-  match Hashtbl.find_opt t.cells (observer, peer) with None -> 0 | Some c -> c.n
+let samples t ~observer ~peer = (find t ~observer ~peer).n
 
 let known_peers t ~observer =
-  Hashtbl.fold (fun (o, p) _ acc -> if o = observer then p :: acc else acc) t.cells []
-  |> List.sort_uniq compare
+  Pair_rows.fold_row_rev t.cells observer (fun _ peer acc -> peer :: acc) []

@@ -10,7 +10,15 @@
 
     The detector is deterministic — pure arithmetic over virtual-time
     observations, no RNG — so attaching it never perturbs a seeded
-    simulation. *)
+    simulation.
+
+    Layout: cells sit in rows indexed by endpoint, the pair
+    [(observer, peer)] at [rows.(observer).(peer)] (see {!Pair_rows}),
+    so a heartbeat or a read hashes nothing and allocates nothing once
+    the pair has a cell. A row is allocated on the observer's first
+    heartbeat and grown as later ones need; nothing is sized to
+    [endpoints²] up front. Reads of a pair outside every row,
+    negative endpoints included, see a pair never heard from. *)
 
 type t
 
@@ -31,7 +39,8 @@ val create :
     @raise Invalid_argument on out-of-range parameters. *)
 
 val copy : t -> t
-(** Independent deep copy, used when forking a simulation. *)
+(** Independent deep copy, used when forking a simulation: the
+    allocated rows and the cells in them, never an [n²] array. *)
 
 val threshold : t -> float
 
@@ -40,7 +49,9 @@ val heartbeat : t -> observer:int -> peer:int -> now:Dsim.Vtime.t -> bool
     [true] when the pair was suspected immediately before this arrival
     (a recovery edge). Interval samples are capped at 3x the learned
     mean so an outage cannot teach the detector that silence is
-    normal. *)
+    normal.
+    @raise Invalid_argument on a negative endpoint, which no node id
+    can be and no row can be indexed by. *)
 
 val phi : t -> observer:int -> peer:int -> now:Dsim.Vtime.t -> float
 (** Raw suspicion accrual; 0 for unknown or under-sampled pairs. *)

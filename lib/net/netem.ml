@@ -39,21 +39,23 @@ let validate_faults f =
   if f.duplicate_copies < 1 then invalid_arg "Netem: duplicate_copies < 1";
   if f.reorder_window < 0. then invalid_arg "Netem: negative reorder_window"
 
-(* Directed pairs are keyed [src * size + dst] and endpoints index
-   arrays directly, so a lookup hashes no tuple and a queue update
-   boxes no float. *)
+(* Directed pairs are keyed [src * size + dst] in int-specialised
+   tables and endpoints index arrays directly, so a lookup hashes no
+   tuple and a queue update boxes no float. *)
+module Itbl = Hashtbl.Make (Int)
+
 type t = {
   topo : Topology.t;
   size : int;  (* endpoints: [Topology.size topo] *)
   jitter : float;
   serialize_access : bool;
   rng : Dsim.Rng.t;
-  overrides : (int, Linkprop.t) Hashtbl.t;
+  overrides : Linkprop.t Itbl.t;
   isolated : bool array;
   uplink_free : float array;  (* endpoint -> time its uplink frees up *)
   downlink_free : float array;
   mutable faults : faults;  (* default for every pair *)
-  pair_faults : (int, faults) Hashtbl.t;  (* directed-pair overrides *)
+  pair_faults : faults Itbl.t;  (* directed-pair overrides *)
   mutable reorders : int;  (* messages held back by the reorder fault *)
 }
 
@@ -66,13 +68,13 @@ let create ?(jitter = 0.05) ?(serialize_access = true) ~rng topo =
     jitter;
     serialize_access;
     rng;
-    overrides = Hashtbl.create 64;
+    overrides = Itbl.create 64;
     isolated = Array.make size false;
     (* never busy: [Float.max now neg_infinity = now] *)
     uplink_free = Array.make size neg_infinity;
     downlink_free = Array.make size neg_infinity;
     faults = no_faults;
-    pair_faults = Hashtbl.create 16;
+    pair_faults = Itbl.create 16;
     reorders = 0;
   }
 
@@ -82,11 +84,11 @@ let copy t =
   {
     t with
     rng = Dsim.Rng.copy t.rng;
-    overrides = Hashtbl.copy t.overrides;
+    overrides = Itbl.copy t.overrides;
     isolated = Array.copy t.isolated;
     uplink_free = Array.copy t.uplink_free;
     downlink_free = Array.copy t.downlink_free;
-    pair_faults = Hashtbl.copy t.pair_faults;
+    pair_faults = Itbl.copy t.pair_faults;
   }
 
 let in_range t e = e >= 0 && e < t.size
@@ -97,7 +99,7 @@ let pair t ~src ~dst =
 
 (* The tables are empty on every fault-free path: skip the hash. *)
 let find_pair tbl t ~src ~dst =
-  if Hashtbl.length tbl = 0 then None else Hashtbl.find_opt tbl ((src * t.size) + dst)
+  if Itbl.length tbl = 0 then None else Itbl.find_opt tbl ((src * t.size) + dst)
 
 let reorders t = t.reorders
 let global_faults t = t.faults
@@ -108,9 +110,9 @@ let set_faults t f =
 
 let set_pair_faults t ~src ~dst f =
   validate_faults f;
-  Hashtbl.replace t.pair_faults (pair t ~src ~dst) f
+  Itbl.replace t.pair_faults (pair t ~src ~dst) f
 
-let clear_pair_faults t ~src ~dst = Hashtbl.remove t.pair_faults (pair t ~src ~dst)
+let clear_pair_faults t ~src ~dst = Itbl.remove t.pair_faults (pair t ~src ~dst)
 
 let pair_faults_of t ~src ~dst =
   match find_pair t.pair_faults t ~src ~dst with Some f -> f | None -> t.faults
@@ -210,8 +212,8 @@ let occupy_access t ~endpoint ~now ~bytes =
     ignore (enqueue t.downlink_free endpoint ~now ~tx)
   end
 
-let set_override t ~src ~dst p = Hashtbl.replace t.overrides (pair t ~src ~dst) p
-let clear_override t ~src ~dst = Hashtbl.remove t.overrides (pair t ~src ~dst)
+let set_override t ~src ~dst p = Itbl.replace t.overrides (pair t ~src ~dst) p
+let clear_override t ~src ~dst = Itbl.remove t.overrides (pair t ~src ~dst)
 let cut t ~src ~dst = set_override t ~src ~dst blackhole
 
 let cut_bidirectional t a b =

@@ -7,42 +7,44 @@ type estimate = {
 
 type cell = { mutable ewma : float; mutable n : int; mutable at : Dsim.Vtime.t }
 
-type t = {
-  alpha : float;
-  half_life : float;
-  latencies : (int * int, cell) Hashtbl.t;
-  bandwidths : (int * int, cell) Hashtbl.t;
-  losses : (int * int, cell) Hashtbl.t;
-}
+(* A cell with [n = 0] is blank: every reader treats it exactly like a
+   pair that was never observed. *)
+type link = { lat : cell; bw : cell; loss : cell }
+
+(* [links] holds the pair [(src, dst)] at row [src], column [dst].
+   An unwritten slot holds [absent], whose cells stay blank because no
+   write path ever reaches it. *)
+type t = { alpha : float; half_life : float; links : link Pair_rows.t }
+
+let blank_cell () = { ewma = 0.; n = 0; at = Dsim.Vtime.zero }
+let blank_link () = { lat = blank_cell (); bw = blank_cell (); loss = blank_cell () }
+let absent = blank_link ()
 
 let create ?(alpha = 0.3) ?(half_life = 30.) () =
   if alpha <= 0. || alpha > 1. then invalid_arg "Netmodel.create: alpha out of (0,1]";
   if half_life <= 0. then invalid_arg "Netmodel.create: half_life must be positive";
-  {
-    alpha;
-    half_life;
-    latencies = Hashtbl.create 64;
-    bandwidths = Hashtbl.create 64;
-    losses = Hashtbl.create 64;
-  }
+  { alpha; half_life; links = Pair_rows.create ~absent }
+
+let copy_cell (c : cell) = { c with ewma = c.ewma }
 
 let copy t =
-  let deep table =
-    let fresh = Hashtbl.create (Hashtbl.length table) in
-    Hashtbl.iter (fun k (c : cell) -> Hashtbl.replace fresh k { c with ewma = c.ewma }) table;
-    fresh
-  in
   {
     t with
-    latencies = deep t.latencies;
-    bandwidths = deep t.bandwidths;
-    losses = deep t.losses;
+    links =
+      Pair_rows.copy t.links (fun l ->
+          { lat = copy_cell l.lat; bw = copy_cell l.bw; loss = copy_cell l.loss });
   }
 
-(* A cell with [n = 0] is a pre-created blank (see {!link}): every
-   reader below treats it exactly like an absent key, so blanks are
-   observationally invisible. *)
-let blank_cell () = { ewma = 0.; n = 0; at = Dsim.Vtime.zero }
+let link t ~src ~dst =
+  let l = Pair_rows.find t.links src dst in
+  if l != absent then l
+  else
+    let l = blank_link () in
+    Pair_rows.set t.links src dst l;
+    l
+
+(* Out of range, negative included, reads as never observed. *)
+let find t ~src ~dst = Pair_rows.find t.links src dst
 
 let observe_cell t (c : cell) now x =
   if c.n = 0 then begin
@@ -56,66 +58,37 @@ let observe_cell t (c : cell) now x =
     c.at <- now
   end
 
-let cell_of table key =
-  match Hashtbl.find_opt table key with
-  | Some c -> c
-  | None ->
-      let c = blank_cell () in
-      Hashtbl.replace table key c;
-      c
-
-let observe t table ~src ~dst now x = observe_cell t (cell_of table (src, dst)) now x
-
-let observe_latency t ~src ~dst now x = observe t t.latencies ~src ~dst now x
-let observe_bandwidth t ~src ~dst now x = observe t t.bandwidths ~src ~dst now x
+let indicator ~delivered = if delivered then 0. else 1.
+let observe_link_latency t l now x = observe_cell t l.lat now x
+let observe_link_bandwidth t l now x = observe_cell t l.bw now x
+let observe_link_loss t l now ~delivered = observe_cell t l.loss now (indicator ~delivered)
+let observe_latency t ~src ~dst now x = observe_link_latency t (link t ~src ~dst) now x
+let observe_bandwidth t ~src ~dst now x = observe_link_bandwidth t (link t ~src ~dst) now x
 
 let observe_loss t ~src ~dst now ~delivered =
-  observe t t.losses ~src ~dst now (if delivered then 0. else 1.)
-
-type link = { l_latency : cell; l_bandwidth : cell; l_loss : cell }
-
-let link t ~src ~dst =
-  let key = (src, dst) in
-  {
-    l_latency = cell_of t.latencies key;
-    l_bandwidth = cell_of t.bandwidths key;
-    l_loss = cell_of t.losses key;
-  }
-
-let observe_link_latency t l now x = observe_cell t l.l_latency now x
-let observe_link_bandwidth t l now x = observe_cell t l.l_bandwidth now x
-
-let observe_link_loss t l now ~delivered =
-  observe_cell t l.l_loss now (if delivered then 0. else 1.)
+  observe_link_loss t (link t ~src ~dst) now ~delivered
 
 let no_estimate = { value = 0.; confidence = 0.; samples = 0; last_update = None }
 
-let read t table ~src ~dst ~now =
-  match Hashtbl.find_opt table (src, dst) with
-  | None -> no_estimate
-  | Some c when c.n = 0 -> no_estimate
-  | Some c ->
-      let age = Float.max 0. (Dsim.Vtime.diff now c.at) in
-      let confidence = exp (-.age *. log 2. /. t.half_life) in
-      { value = c.ewma; confidence; samples = c.n; last_update = Some c.at }
+let confidence t (c : cell) ~now =
+  let age = Float.max 0. (Dsim.Vtime.diff now c.at) in
+  exp (-.age *. log 2. /. t.half_life)
 
-let latency t ~src ~dst ~now = read t t.latencies ~src ~dst ~now
-let bandwidth t ~src ~dst ~now = read t t.bandwidths ~src ~dst ~now
-let loss t ~src ~dst ~now = read t t.losses ~src ~dst ~now
+let read t (c : cell) ~now =
+  if c.n = 0 then no_estimate
+  else { value = c.ewma; confidence = confidence t c ~now; samples = c.n; last_update = Some c.at }
 
-let predict_path t ~src ~dst ~now =
-  let l = latency t ~src ~dst ~now in
-  if l.samples = 0 then None
+let latency t ~src ~dst ~now = read t (find t ~src ~dst).lat ~now
+let bandwidth t ~src ~dst ~now = read t (find t ~src ~dst).bw ~now
+let loss t ~src ~dst ~now = read t (find t ~src ~dst).loss ~now
+
+let predict_path t ~src ~dst ~now:_ =
+  let l = find t ~src ~dst in
+  if l.lat.n = 0 then None
   else
-    let bw =
-      let b = bandwidth t ~src ~dst ~now in
-      if b.samples = 0 then 1_048_576. else Float.max 1. b.value
-    in
-    let p =
-      let x = loss t ~src ~dst ~now in
-      if x.samples = 0 then 0. else Float.min 1. (Float.max 0. x.value)
-    in
-    Some (Linkprop.v ~latency:(Float.max 0. l.value) ~bandwidth:bw ~loss:p)
+    let bw = if l.bw.n = 0 then 1_048_576. else Float.max 1. l.bw.ewma in
+    let p = if l.loss.n = 0 then 0. else Float.min 1. (Float.max 0. l.loss.ewma) in
+    Some (Linkprop.v ~latency:(Float.max 0. l.lat.ewma) ~bandwidth:bw ~loss:p)
 
 let predict_transfer_time t ~src ~dst ~now ~bytes =
   match predict_path t ~src ~dst ~now with
@@ -126,51 +99,44 @@ let predict_transfer_time t ~src ~dst ~now ~bytes =
       let retries = if p.Linkprop.loss >= 0.999 then 1000. else 1. /. (1. -. p.Linkprop.loss) in
       Some (once *. retries)
 
+let observed l = l.lat.n > 0 || l.bw.n > 0 || l.loss.n > 0
+
+(* [Pair_rows.iter] walks sources, then destinations, ascending. *)
 let known_pairs t =
-  let keys table = Hashtbl.fold (fun k c acc -> if c.n > 0 then k :: acc else acc) table [] in
-  List.sort_uniq compare (keys t.latencies @ keys t.bandwidths @ keys t.losses)
+  let acc = ref [] in
+  Pair_rows.iter t.links (fun src dst l -> if observed l then acc := (src, dst) :: !acc);
+  List.rev !acc
 
 let forget_before t cutoff =
-  (* Reset in place rather than remove: a removed key and a blank cell
-     are indistinguishable to every reader, and resetting keeps
-     outstanding {!link} handles wired to the cell the table holds. *)
-  let prune table =
-    Hashtbl.iter
-      (fun _ c ->
-        if c.n > 0 && Dsim.Vtime.(c.at < cutoff) then begin
-          c.ewma <- 0.;
-          c.n <- 0;
-          c.at <- Dsim.Vtime.zero
-        end)
-      table
+  (* Reset in place rather than unlink: a blank cell reads as never
+     observed, and resetting keeps outstanding {!link} handles wired to
+     the cells the model holds. *)
+  let prune c =
+    if c.n > 0 && Dsim.Vtime.(c.at < cutoff) then begin
+      c.ewma <- 0.;
+      c.n <- 0;
+      c.at <- Dsim.Vtime.zero
+    end
   in
-  prune t.latencies;
-  prune t.bandwidths;
-  prune t.losses
+  Pair_rows.iter t.links (fun _ _ l ->
+      prune l.lat;
+      prune l.bw;
+      prune l.loss)
 
 let merge_from dst src ~now =
-  let merge_table mine theirs =
-    Hashtbl.iter
-      (fun key (c : cell) ->
-        if c.n > 0 then
-          (* Imports overwrite the existing cell in place (when there is
-             one) so [dst]'s link handles stay valid. *)
-          let import (d : cell) =
-            d.ewma <- c.ewma;
-            d.n <- c.n;
-            d.at <- c.at
-          in
-          match Hashtbl.find_opt mine key with
-          | None -> Hashtbl.replace mine key { ewma = c.ewma; n = c.n; at = c.at }
-          | Some existing when existing.n = 0 -> import existing
-          | Some existing ->
-              let conf (cell : cell) =
-                let age = Float.max 0. (Dsim.Vtime.diff now cell.at) in
-                exp (-.age *. log 2. /. dst.half_life)
-              in
-              if conf c > conf existing then import existing)
-      theirs
+  (* Imports overwrite [dst]'s cells in place, so its link handles stay
+     valid. *)
+  let import (mine : cell) (c : cell) =
+    if c.n > 0 && (mine.n = 0 || confidence dst c ~now > confidence dst mine ~now) then begin
+      mine.ewma <- c.ewma;
+      mine.n <- c.n;
+      mine.at <- c.at
+    end
   in
-  merge_table dst.latencies src.latencies;
-  merge_table dst.bandwidths src.bandwidths;
-  merge_table dst.losses src.losses
+  Pair_rows.iter src.links (fun s d l ->
+      if observed l then begin
+        let mine = link dst ~src:s ~dst:d in
+        import mine.lat l.lat;
+        import mine.bw l.bw;
+        import mine.loss l.loss
+      end)

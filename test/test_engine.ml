@@ -331,6 +331,84 @@ let test_fork_independence () =
   checki "original untouched" 0 (state_exn eng 1).Toy.pings;
   checkb "times diverged" true Dsim.Vtime.(E.now eng < E.now fork)
 
+(* Everything the network model and the failure detector hold about
+   pairs among [n] endpoints, as comparable data. *)
+let net_snapshot ?(n = 4) ~model ~fd ~now () =
+  let pairs = List.concat_map (fun s -> List.init n (fun d -> (s, d))) (List.init n Fun.id) in
+  ( Net.Netmodel.known_pairs model,
+    List.map
+      (fun (src, dst) ->
+        ( Net.Netmodel.latency model ~src ~dst ~now,
+          Net.Netmodel.bandwidth model ~src ~dst ~now,
+          Net.Netmodel.loss model ~src ~dst ~now,
+          Net.Failure_detector.samples fd ~observer:src ~peer:dst,
+          Net.Failure_detector.phi fd ~observer:src ~peer:dst ~now ))
+      pairs )
+
+let test_fork_isolates_network_state () =
+  let eng = make () in
+  spawn_all eng 3;
+  E.run_for eng 0.1;
+  E.inject eng ~src:(nid 0) ~dst:(nid 1) (Toy.Ping 1);
+  E.run_for eng 1.0;
+  let snap e =
+    net_snapshot ~model:(E.netmodel e) ~fd:(E.failure_detector e) ~now:(Dsim.Vtime.of_seconds 50.) ()
+  in
+  let pings e = E.delivered_of_kind e "ping" in
+  let before = snap eng in
+  let fork = E.fork eng in
+  checkb "fork starts from the parent's model" true (snap fork = before);
+  E.inject fork ~src:(nid 0) ~dst:(nid 2) (Toy.Ping 2);
+  E.inject fork ~src:(nid 2) ~dst:(nid 1) (Toy.Ping 3);
+  E.run_for fork 2.0;
+  checkb "fork observed new pairs" true (snap fork <> before);
+  checkb "parent model and detector untouched" true (snap eng = before);
+  checki "parent kind count untouched" 1 (pings eng);
+  checki "fork kind count" 3 (pings fork);
+  let fork_after = snap fork in
+  E.inject eng ~src:(nid 1) ~dst:(nid 0) (Toy.Ping 4);
+  E.inject eng ~src:(nid 1) ~dst:(nid 2) (Toy.Ping 5);
+  E.run_for eng 2.0;
+  checkb "parent observed" true (snap eng <> before);
+  checkb "fork untouched by the parent" true (snap fork = fork_after);
+  checki "fork kind count untouched" 3 (pings fork);
+  checki "parent kind count" 3 (pings eng)
+
+(* A fault-free RandTree joining under lookahead: every branch runs
+   hundreds of deliveries on a fork, yet the parent's model and
+   detector hold exactly one latency, one loss and one heartbeat sample
+   per delivery the parent itself made. *)
+let test_lookahead_branches_leave_models_alone () =
+  let module Tree = Apps.Randtree_choice.Default in
+  let module TE = Engine.Sim.Make (Tree) in
+  let n = 12 in
+  let topology =
+    Net.Topology.uniform ~n (Net.Linkprop.v ~latency:0.01 ~bandwidth:1_000_000. ~loss:0.)
+  in
+  let t = TE.create ~seed:8 ~jitter:0. ~topology () in
+  TE.set_lookahead t { TE.default_lookahead with horizon = 3.0; max_events = 600 };
+  for i = 0 to n - 1 do
+    TE.spawn t ~after:(0.3 *. float_of_int i) (nid i)
+  done;
+  TE.run_for t 15.;
+  let st = TE.stats t in
+  checkb "lookahead forked" true (st.lookahead_forks > 0);
+  let now = TE.now t and model = TE.netmodel t and fd = TE.failure_detector t in
+  let sum f =
+    List.fold_left (fun acc (src, dst) -> acc + f ~src ~dst) 0 (Net.Netmodel.known_pairs model)
+  in
+  checki "latency samples = deliveries" st.messages_delivered
+    (sum (fun ~src ~dst -> (Net.Netmodel.latency model ~src ~dst ~now).samples));
+  checki "loss samples = deliveries" st.messages_delivered
+    (sum (fun ~src ~dst -> (Net.Netmodel.loss model ~src ~dst ~now).samples));
+  checki "heartbeats = deliveries" st.messages_delivered
+    (sum (fun ~src ~dst -> Net.Failure_detector.samples fd ~observer:dst ~peer:src));
+  checki "kind counts = deliveries" st.messages_delivered
+    (List.fold_left
+       (fun acc k -> acc + TE.delivered_of_kind t k)
+       0
+       [ "join"; "join_reply"; "ping"; "ping_ack" ])
+
 let test_global_view_and_objective () =
   let eng = make () in
   spawn_all eng 3;
@@ -752,6 +830,10 @@ let () =
       ( "introspection",
         [
           Alcotest.test_case "fork independence" `Quick test_fork_independence;
+          Alcotest.test_case "fork isolates model and detector" `Quick
+            test_fork_isolates_network_state;
+          Alcotest.test_case "lookahead leaves models alone" `Quick
+            test_lookahead_branches_leave_models_alone;
           Alcotest.test_case "view + objective" `Quick test_global_view_and_objective;
           Alcotest.test_case "quiescence" `Quick test_run_until_quiescent;
           Alcotest.test_case "ctx now per call" `Quick test_ctx_now_per_call;

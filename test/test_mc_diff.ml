@@ -322,11 +322,13 @@ module PApp = P.Make (Paxos_params)
 module PE = Engine.Sim.Make (PApp)
 module DP = Diff (PApp)
 
-let paxos_view ~seed =
+(* With no jitter the seed draws nothing that reaches the world: every
+   seed freezes the same one. *)
+let paxos_view ?(jitter = 0.) ~seed () =
   let topology =
     Net.Topology.uniform ~n:3 (Net.Linkprop.v ~latency:0.01 ~bandwidth:1_000_000. ~loss:0.)
   in
-  let eng = PE.create ~seed ~jitter:0. ~topology () in
+  let eng = PE.create ~seed ~jitter ~topology () in
   PE.set_resolver eng P.self_resolver;
   for i = 0 to 2 do
     PE.spawn eng (nid i)
@@ -337,12 +339,37 @@ let paxos_view ~seed =
   PE.run_for eng 0.015;
   PE.global_view eng
 
-let paxos_world ~seed = DP.Ex.world_of_view (paxos_view ~seed)
+let paxos_world ?jitter ~seed () = DP.Ex.world_of_view (paxos_view ?jitter ~seed ())
+
+(* A world as text, in-flight messages and timers sorted: two worlds
+   that differ only in the order of their in-flight lists are the same
+   world to the explorer. *)
+let render_paxos_world (w : DP.Ex.world) =
+  let node = Format.asprintf "%a" Proto.Node_id.pp in
+  String.concat "\n"
+    (List.map
+       (fun (id, st) -> Format.asprintf "%s %a" (node id) PApp.pp_state st)
+       (Proto.Node_id.Map.bindings w.states)
+    @ List.sort compare
+        (List.map
+           (fun (src, dst, m) -> Format.asprintf "%s->%s %a" (node src) (node dst) PApp.pp_msg m)
+           w.pending
+        @ List.map (fun (id, timer) -> node id ^ " timer " ^ timer) w.timers))
+
+(* Two genuinely different worlds: the seed-3 world without jitter, and
+   a seed-13 world under heavy jitter, frozen after one replica has
+   already processed an accept. Small jitter only reorders the same
+   in-flight messages at this instant. *)
+let paxos_differential_worlds () =
+  [ (3, paxos_world ~seed:3 ()); (13, paxos_world ~jitter:0.5 ~seed:13 ()) ]
 
 let test_paxos_differential () =
+  (match paxos_differential_worlds () with
+  | [ (_, a); (_, b) ] ->
+      checkb "the two paxos worlds differ" true (render_paxos_world a <> render_paxos_world b)
+  | _ -> assert false);
   List.iter
-    (fun seed ->
-      let w = paxos_world ~seed in
+    (fun (seed, w) ->
       let name = Printf.sprintf "paxos/seed%d" seed in
       DP.check_same (name ^ "/plain") ~depth:3 w;
       DP.check_verdict (name ^ "/drops") ~include_drops:true ~depth:3 w;
@@ -350,10 +377,10 @@ let test_paxos_differential () =
         w;
       DP.check_steering (name ^ "/steer") ~depth:3 w;
       DP.check_steering (name ^ "/steer+drops") ~include_drops:true ~depth:3 w)
-    [ 3; 11 ]
+    (paxos_differential_worlds ())
 
 let test_paxos_iterative () =
-  let w = paxos_world ~seed:3 in
+  let w = paxos_world ~seed:3 () in
   DP.check_iterative "paxos/iter" ~max_depth:3 w;
   DP.check_iterative ~strict:false "paxos/iter+drops" ~include_drops:true ~max_depth:2 w
 
@@ -402,14 +429,14 @@ let mutant_of m =
 (* The frozen paxos world with a mutant copy of its first pending
    message queued ahead of the honest one. *)
 let mutant_world () =
-  let w = paxos_world ~seed:3 in
+  let w = paxos_world ~seed:3 () in
   match w.DP.Ex.pending with
   | [] -> Alcotest.fail "frozen world has no pending messages"
   | (src, dst, m) :: rest ->
       { w with DP.Ex.pending = (src, dst, mutant_of m) :: (src, dst, m) :: rest }
 
 let test_mutant_worlds_never_alias () =
-  let w = paxos_world ~seed:3 in
+  let w = paxos_world ~seed:3 () in
   match w.DP.Ex.pending with
   | [] -> Alcotest.fail "frozen world has no pending messages"
   | (src, dst, m) :: rest ->
@@ -435,11 +462,11 @@ let test_domains_determinism () =
     (fun (name, w) ->
       DL.check_domains (name ^ "/domains") ~include_drops:true ~generic_node:true ~depth:4 w)
     lock_worlds;
-  DP.check_domains "paxos/domains" ~include_drops:true ~depth:3 (paxos_world ~seed:3);
+  DP.check_domains "paxos/domains" ~include_drops:true ~depth:3 (paxos_world ~seed:3 ());
   DR.check_domains "randtree/domains" ~depth:2 (randtree_world ~seed:5 ~n:6 ~horizon:0.4)
 
 let test_domains_iterative () =
-  let w = paxos_world ~seed:3 in
+  let w = paxos_world ~seed:3 () in
   let run () = DP.Ex.iterative ~include_drops:true ~max_depth:3 w in
   let d1, r1 = run () in
   List.iter
@@ -454,7 +481,7 @@ let test_cache_reuse () =
   DL.check_cache_reuse "lock/cache"
     ~include_drops:true ~depth:3
     (lock_world [ (0, false); (1, false) ] [ (0, 1, Lock.Grant); (1, 0, Lock.Grant) ]);
-  DP.check_cache_reuse "paxos/cache" ~depth:3 (paxos_world ~seed:3)
+  DP.check_cache_reuse "paxos/cache" ~depth:3 (paxos_world ~seed:3 ())
 
 (* ---------- explorer pin table ----------
 
@@ -474,7 +501,7 @@ let skewed_lock_world () =
 let pin_rows () =
   let iter_row row name (d, r) = row (Printf.sprintf "%s@stop%d" name d) r
   in
-  let paxos3 = paxos_world ~seed:3 in
+  let paxos3 = paxos_world ~seed:3 () in
   let rt = randtree_world ~seed:5 ~n:6 ~horizon:0.4 in
   let cache = DP.Ex.create_cache () in
   let warm1 = DP.Ex.explore ~include_drops:true ~cache ~depth:3 paxos3 in
@@ -489,7 +516,9 @@ let pin_rows () =
       iter_row DL.pin_row "lock/double-grant/iterative"
         (DL.Ex.iterative ~include_drops:true ~max_depth:3 (List.assoc "double-grant" lock_worlds));
       DP.pin_row "paxos/seed3/drops" (DP.Ex.explore ~include_drops:true ~depth:3 paxos3);
-      DP.pin_row "paxos/seed11/plain" (DP.Ex.explore ~depth:3 (paxos_world ~seed:11));
+      (* Without jitter, seed 11 freezes the seed-3 world: this row
+         explores that world, under its historical name. *)
+      DP.pin_row "paxos/seed11/plain" (DP.Ex.explore ~depth:3 (paxos_world ~seed:11 ()));
       DP.pin_row "paxos/seed3/generic"
         (DP.Ex.explore ~include_drops:true ~generic_node:true ~depth:2 paxos3);
       DP.pin_row "paxos/seed3/truncated"
@@ -557,7 +586,7 @@ let render_lock_verdict = function
 
 let sequence_rows () =
   let iter_row row name (d, r) = row (Printf.sprintf "%s@stop%d" name d) r in
-  let view3 = paxos_view ~seed:3 in
+  let view3 = paxos_view ~seed:3 () in
   let p3 = DP.Ex.world_of_view view3 in
   let mutant = mutant_world () in
   let c = DP.Ex.create_cache () in
