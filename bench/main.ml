@@ -15,6 +15,9 @@ let explorer_only = Array.exists (String.equal "--explorer-only") Sys.argv
 (* Run only the per-layer cost ladder (and emit BENCH_layers.json) *)
 let layers_only = Array.exists (String.equal "--layers-only") Sys.argv
 
+(* Run only the Bechamel micro-benchmarks *)
+let micro_only = Array.exists (String.equal "--micro-only") Sys.argv
+
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
 
@@ -595,6 +598,93 @@ let micro_ctx () =
       choose;
     } )
 
+(* [cycle xs] returns the elements of [xs] in turn, then starts over;
+   it allocates nothing, so a micro that takes its times from it counts
+   only the words of the call it measures. *)
+let cycle xs =
+  let rest = ref xs in
+  fun () ->
+    match !rest with
+    | x :: tl ->
+        rest := tl;
+        x
+    | [] ->
+        rest := List.tl xs;
+        List.hd xs
+
+(* The per-delivery layers of a kv-storm run, one call each: a tracked
+   send's ring and pair-count work, the session read choice, a
+   fault-free Netem verdict, the failure detector's heartbeat and the
+   network model's three observations. *)
+let delivery_path_micros () =
+  let nid = Proto.Node_id.of_int in
+  let rel : int Engine.Reliable.t =
+    Engine.Reliable.create ~endpoints:5 Engine.Reliable.default
+  in
+  let reliable_test =
+    ( "Reliable track+ack+lookup",
+      fun () ->
+        let seq = Engine.Reliable.track rel ~src:(nid 0) ~dst:(nid 1) 7 in
+        (match Engine.Reliable.find rel seq with
+        | Some e -> Engine.Reliable.remove rel seq e
+        | None -> ());
+        ignore (Engine.Reliable.find rel seq) )
+  in
+  (* A read site as kvstore builds it: four replicas, five features. *)
+  let site =
+    let alternative (rid, primary, rtt, known) =
+      Core.Choice.alt
+        ~features:
+          [
+            ("replica_id", float_of_int rid);
+            ("is_primary", if primary then 1. else 0.);
+            ("rtt_ms", rtt);
+            ("known_seq", known);
+            ("floor", 5.);
+          ]
+        rid
+    in
+    Core.Choice.site ~node:2 ~occurrence:0
+      (Core.Choice.make ~label:Apps.Kvstore.read_label
+         (List.map alternative
+            [ (0, true, 80., 9.); (1, false, 12., 5.); (2, false, 3., 4.); (3, false, 7., 6.) ]))
+  in
+  let rng = Dsim.Rng.create 1 in
+  let session_test =
+    ( "kvstore session resolve (4x5)",
+      fun () -> ignore (Apps.Kvstore.session_resolver.Core.Resolver.choose rng site) )
+  in
+  let seconds = List.init 1000 (fun i -> 1. +. (0.01 *. float_of_int i)) in
+  let netem =
+    Net.Netem.create ~rng:(Dsim.Rng.create 2)
+      (Net.Topology.uniform ~n:5 (Net.Linkprop.v ~latency:0.02 ~bandwidth:1_000_000. ~loss:0.))
+  in
+  let judge_now = cycle seconds in
+  let judge_test =
+    ( "Netem.judge fault-free",
+      fun () -> ignore (Net.Netem.judge netem ~now:(judge_now ()) ~src:0 ~dst:1 ~bytes:64) )
+  in
+  let times = List.map Dsim.Vtime.of_seconds seconds in
+  let fd = Net.Failure_detector.create () in
+  ignore (Net.Failure_detector.heartbeat fd ~observer:0 ~peer:1 ~now:(List.hd times));
+  let fd_now = cycle times in
+  let heartbeat_test =
+    ( "Failure_detector.heartbeat known pair",
+      fun () -> ignore (Net.Failure_detector.heartbeat fd ~observer:0 ~peer:1 ~now:(fd_now ())) )
+  in
+  let nm = Net.Netmodel.create () in
+  let link = Net.Netmodel.link nm ~src:0 ~dst:1 in
+  let nm_now = cycle times in
+  let observe_test =
+    ( "Netmodel observe x3",
+      fun () ->
+        let now = nm_now () in
+        Net.Netmodel.observe_link_latency nm link now 0.02;
+        Net.Netmodel.observe_link_loss nm link now ~delivered:true;
+        Net.Netmodel.observe_link_bandwidth nm link now 3200. )
+  in
+  [ reliable_test; session_test; judge_test; heartbeat_test; observe_test ]
+
 (* One Bechamel test per core runtime mechanism; each prints ns/op and
    minor words/op. *)
 let micro () =
@@ -707,7 +797,7 @@ let micro () =
       predicted_ms_test;
       fork_test;
     ]
-    @ no_cycle_tests
+    @ no_cycle_tests @ delivery_path_micros ()
   in
   List.iter
     (fun (name, f) ->
@@ -1307,6 +1397,7 @@ let () =
   if fast then print_endline "(--fast: single seed, reduced sweeps)";
   if explorer_only then ex ()
   else if layers_only then layers ()
+  else if micro_only then micro ()
   else begin
     List.iter
       (fun f -> f ())

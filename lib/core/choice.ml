@@ -43,9 +43,16 @@ let site ~node ~occurrence t =
     site_features = feature_matrix t;
   }
 
+(* [String.equal], not [List.assoc_opt]'s polymorphic [compare]:
+   resolvers look features up on every decision. The first binding of
+   a name wins, as with [List.assoc_opt]. *)
+let rec assoc_string name = function
+  | [] -> None
+  | (k, v) :: rest -> if String.equal k name then Some v else assoc_string name rest
+
 let feature s ~alt name =
   if alt < 0 || alt >= Array.length s.site_features then None
-  else List.assoc_opt name s.site_features.(alt)
+  else assoc_string name s.site_features.(alt)
 
 let pp_site ppf s =
   Format.fprintf ppf "%s@node%d#%d(%d alts)" s.site_label s.site_node s.site_occurrence

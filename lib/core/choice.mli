@@ -53,6 +53,9 @@ type site = {
 val site : node:int -> occurrence:int -> 'a t -> site
 
 val feature : site -> alt:int -> string -> float option
-(** Looks up one named feature of one alternative. *)
+(** Looks up one named feature of one alternative: [None] when [alt]
+    is out of range or the alternative has no feature of that name.
+    Names match by [String.equal], and when a name is bound more than
+    once the first binding wins. *)
 
 val pp_site : Format.formatter -> site -> unit

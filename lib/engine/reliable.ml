@@ -22,23 +22,31 @@ type 'msg entry = {
   tries : int;  (** retransmissions performed so far *)
 }
 
-module Itbl = Hashtbl.Make (Int)
-
+(* Sequence numbers are dense from 0, so the sender's pending sends
+   live in a ring indexed by [seq land (Array.length slots - 1)]: the
+   ring holds every seq in [[base, next_seq)], acked ones as [None].
+   [base] is the oldest seq still pending (or [next_seq] when none is),
+   so the ring spans from the oldest pending send to the newest and
+   doubles when a send would wrap onto [base]. *)
 type 'msg t = {
   cfg : config;
   kinds : (string, unit) Hashtbl.t option;  (* [None] = every kind *)
+  timeouts : float array;
+      (* [base_timeout *. backoff ** tries] for [tries = 0 .. max_retries] *)
   mutable next_seq : int;
-  pending : 'msg entry Itbl.t;  (* sender side: unacked sends *)
+  mutable base : int;
+  mutable slots : 'msg entry option array;  (* length a power of two *)
   mutable seen : Bytes.t;
       (* receiver side: bit [seq] is set once [seq] was handled. Seqs
          are dense from 0, so one bit each beats a hash table entry *)
-  endpoints : int;
-  pair : int Itbl.t;
-      (* pending count per directed pair, keyed [src * endpoints + dst],
-         for the suspect cap; kept at 0 *)
+  pair : int Net.Pair_rows.t;
+      (* pending count per directed pair, row [src], column [dst], for
+         the suspect cap; 0 when none *)
 }
 
-let create ?kinds ~endpoints config =
+let backoff_timeout cfg ~tries = cfg.base_timeout *. (cfg.backoff ** float_of_int tries)
+
+let create ?kinds ~endpoints:_ config =
   if config.base_timeout <= 0. then invalid_arg "Sim.enable_reliable: base_timeout must be positive";
   if config.backoff < 1. then invalid_arg "Sim.enable_reliable: backoff must be >= 1";
   if config.max_retries < 0 then invalid_arg "Sim.enable_reliable: negative max_retries";
@@ -56,33 +64,44 @@ let create ?kinds ~endpoints config =
   {
     cfg = config;
     kinds;
+    timeouts = Array.init (config.max_retries + 1) (fun tries -> backoff_timeout config ~tries);
     next_seq = 0;
-    pending = Itbl.create 64;
+    base = 0;
+    slots = Array.make 64 None;
     seen = Bytes.make 32 '\000';
-    endpoints;
-    pair = Itbl.create 64;
+    pair = Net.Pair_rows.create ~absent:0;
   }
 
 let copy r =
-  { r with pending = Itbl.copy r.pending; seen = Bytes.copy r.seen; pair = Itbl.copy r.pair }
+  { r with slots = Array.copy r.slots; seen = Bytes.copy r.seen; pair = Net.Pair_rows.copy r.pair Fun.id }
 
 let ack_bytes r = r.cfg.ack_bytes
 let tracked r kind = match r.kinds with None -> true | Some h -> Hashtbl.mem h kind
-let pair_key r (e : _ entry) =
-  (Proto.Node_id.to_int e.src * r.endpoints) + Proto.Node_id.to_int e.dst
-(* A pair whose count falls to zero keeps its key, so the lookup on
-   every tracked send and ack neither allocates nor, after the pair's
-   first send, raises. *)
-let count r key = match Itbl.find r.pair key with n -> n | exception Not_found -> 0
-let pending_on r e = count r (pair_key r e)
+let pending_on r (e : _ entry) =
+  Net.Pair_rows.find r.pair (Proto.Node_id.to_int e.src) (Proto.Node_id.to_int e.dst)
+
+let add_pending r (e : _ entry) d =
+  let src = Proto.Node_id.to_int e.src and dst = Proto.Node_id.to_int e.dst in
+  Net.Pair_rows.set r.pair src dst (Net.Pair_rows.find r.pair src dst + d)
+
+(* A full ring (every slot in [[base, next_seq)]) doubles, each pending
+   send moving to its slot under the wider mask. *)
+let grow r =
+  let old = r.slots in
+  let cap = 2 * Array.length old in
+  let slots = Array.make cap None in
+  for seq = r.base to r.next_seq - 1 do
+    slots.(seq land (cap - 1)) <- old.(seq land (Array.length old - 1))
+  done;
+  r.slots <- slots
 
 let track r ~src ~dst msg =
   let seq = r.next_seq in
+  if seq - r.base = Array.length r.slots then grow r;
   r.next_seq <- seq + 1;
   let e = { src; dst; msg; tries = 0 } in
-  Itbl.replace r.pending seq e;
-  let key = pair_key r e in
-  Itbl.replace r.pair key (1 + count r key);
+  r.slots.(seq land (Array.length r.slots - 1)) <- Some e;
+  add_pending r e 1;
   seq
 
 (* Exponential backoff plus a random spread, so a burst of sends lost
@@ -90,17 +109,29 @@ let track r ~src ~dst msg =
    only while the layer is on — off, the engine's RNG stream is
    untouched. *)
 let timeout r rng ~tries =
-  let base = r.cfg.base_timeout *. (r.cfg.backoff ** float_of_int tries) in
+  let base =
+    if tries >= 0 && tries < Array.length r.timeouts then r.timeouts.(tries)
+    else backoff_timeout r.cfg ~tries
+  in
   if r.cfg.jitter > 0. then base *. (1. +. (r.cfg.jitter *. Dsim.Rng.uniform rng)) else base
 
-let find r seq = Itbl.find_opt r.pending seq
+let capacity r = Array.length r.slots
+let in_ring r seq = seq >= r.base && seq < r.next_seq
+let find r seq = if in_ring r seq then r.slots.(seq land (Array.length r.slots - 1)) else None
 
 (* Every removal path (ack, give-up, shed, dead sender) goes through
-   here, keeping the per-pair count honest. *)
+   here, keeping the per-pair count honest. Removing the oldest pending
+   send moves [base] past every acked slot behind it. *)
 let remove r seq e =
-  Itbl.remove r.pending seq;
-  let key = pair_key r e in
-  match count r key with 0 -> () | n -> Itbl.replace r.pair key (n - 1)
+  (match find r seq with
+  | None -> ()
+  | Some _ ->
+      let mask = Array.length r.slots - 1 in
+      r.slots.(seq land mask) <- None;
+      while r.base < r.next_seq && Option.is_none r.slots.(r.base land mask) do
+        r.base <- r.base + 1
+      done);
+  if pending_on r e > 0 then add_pending r e (-1)
 
 type 'msg timeout = Shed | Give_up | Resend of 'msg entry | Refused of 'msg entry
 
@@ -136,7 +167,7 @@ let timed_out r seq e ~breaker ~suspected ~pressure ~now =
     end
     else begin
       let e = { e with tries = e.tries + 1 } in
-      Itbl.replace r.pending seq e;
+      if in_ring r seq then r.slots.(seq land (Array.length r.slots - 1)) <- Some e;
       (* Consult the breaker before putting bytes on the wire. A
          refused attempt still re-arms the timer, so the pending entry
          resolves one way or the other (ack of an earlier copy, a probe

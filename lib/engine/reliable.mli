@@ -1,7 +1,18 @@
 (** The engine's reliable-delivery layer: sequence numbers, the
-    sender's pending table, the receiver's seen-set and the per-pair
+    sender's pending sends, the receiver's seen-set and the per-pair
     pending counts, for any message type. {!Sim} schedules the
-    retransmit timers and acks; this module owns the tables. *)
+    retransmit timers and acks; this module owns the tables.
+
+    Sequence numbers are dense from 0, so no table here hashes. The
+    pending sends sit in a ring indexed by [seq] modulo its capacity (a
+    power of two), which holds every seq from the oldest still pending
+    to the newest issued: acking the oldest moves the ring's start past
+    every acked seq behind it, and a send that would wrap onto the
+    oldest doubles the ring. Its memory is therefore bounded by the span
+    from the oldest pending seq to the newest, not by the number
+    pending: one send left unacked while 10,000 later ones come and go
+    holds a ring of 16,384 slots until it resolves. The seen-set is one
+    bit per seq, and the per-pair counts are {!Net.Pair_rows} rows. *)
 
 type config = {
   base_timeout : float;
@@ -46,7 +57,9 @@ val track : 'msg t -> src:Proto.Node_id.t -> dst:Proto.Node_id.t -> 'msg -> int
 val timeout : 'msg t -> Dsim.Rng.t -> tries:int -> float
 (** Retransmission timeout on the [tries]-th retry: exponential
     backoff plus up to [jitter] random spread (one draw when
-    [jitter > 0]). *)
+    [jitter > 0]). The backoff for [tries = 0 .. max_retries] is
+    computed once, at {!create}; other values compute it on the call,
+    to the same float. *)
 
 val find : 'msg t -> int -> 'msg entry option
 (** The pending send with this sequence number, if still unacked. *)
@@ -79,9 +92,14 @@ val timed_out :
     timeout recorded as failure evidence — tripping the pair when the
     destination is [suspected] — and the retry budget, halved while
     the breaker refuses the pair or the sender's [pressure] is at
-    least 0.5. [now] is the sender's local time. *)
+    least 0.5. [now] is the sender's local time. The entry must be the
+    one {!find} returns for the seq: a resend replaces it in place. *)
 
 val ack_bytes : 'msg t -> int
+
+val capacity : 'msg t -> int
+(** Slots in the pending ring: 64 at {!create}, then at most twice the
+    widest span, oldest pending seq to newest, the table has held. *)
 
 val first_arrival : 'msg t -> int -> bool
 (** Records a sequence number at the receiver; [false] when it was

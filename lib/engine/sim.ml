@@ -1,7 +1,6 @@
 module Make (App : Proto.App_intf.APP) = struct
   module Smap = Map.Make (String)
   module Stbl = Hashtbl.Make (String)
-  module Itbl = Hashtbl.Make (Int)
 
   type node = { state : App.state; alive : bool; incarnation : int }
 
@@ -138,12 +137,16 @@ module Make (App : Proto.App_intf.APP) = struct
   type obs = {
     o_sink : Obs.Sink.t;
     o_queue_depth : Obs.Registry.gauge;
-    o_deliver : link_obs Itbl.t;
-    o_drops : (string * int * int, Obs.Registry.counter) Hashtbl.t;
-    o_timer_fires : (int, Obs.Registry.counter) Hashtbl.t;
-    o_degraded : (int * string, Obs.Registry.counter) Hashtbl.t;
-    o_fd_recoveries : (int, Obs.Registry.counter) Hashtbl.t;
-    o_mailbox_depth : (int, Obs.Registry.gauge) Hashtbl.t;
+    (* Handles are made on first use, which fixes the export's series
+       order; the hot ones sit in endpoint-indexed arrays and rows, so
+       finding one hashes nothing. *)
+    o_deliver : link_obs option Net.Pair_rows.t;
+    mutable o_drops : (string * Obs.Registry.counter option Net.Pair_rows.t) list;
+        (* per root cause, rows [src], columns [dst] *)
+    o_timer_fires : Obs.Registry.counter option array;
+    o_degraded : Obs.Registry.counter option array;  (* [2 * node], + 1 for exits *)
+    o_fd_recoveries : Obs.Registry.counter option array;
+    o_mailbox_depth : Obs.Registry.gauge option array;
   }
 
   type pending_reward = {
@@ -289,35 +292,52 @@ module Make (App : Proto.App_intf.APP) = struct
           {
             o_sink;
             o_queue_depth = Obs.Registry.gauge reg ~name:"engine_queue_depth" ~labels:[];
-            o_deliver = Itbl.create 64;
-            o_drops = Hashtbl.create 32;
-            o_timer_fires = Hashtbl.create 32;
-            o_degraded = Hashtbl.create 16;
-            o_fd_recoveries = Hashtbl.create 16;
-            o_mailbox_depth = Hashtbl.create 16;
+            o_deliver = Net.Pair_rows.create ~absent:None;
+            o_drops = [];
+            o_timer_fires = Array.make t.endpoints None;
+            o_degraded = Array.make (2 * t.endpoints) None;
+            o_fd_recoveries = Array.make t.endpoints None;
+            o_mailbox_depth = Array.make t.endpoints None;
           })
         sink
 
-  let obs_handle tbl key mk =
-    match Hashtbl.find_opt tbl key with
-    | Some h -> h
-    | None ->
-        let h = mk () in
-        Hashtbl.add tbl key h;
-        h
-
-  let obs_node_counter o tbl ~name ni =
+  let obs_node_counter o handles ~name ni =
     Obs.Registry.incr
-      (obs_handle tbl ni (fun () ->
-           Obs.Registry.counter o.o_sink.Obs.Sink.registry ~name
-             ~labels:[ ("node", string_of_int ni) ]))
+      (match handles.(ni) with
+      | Some c -> c
+      | None ->
+          let c =
+            Obs.Registry.counter o.o_sink.Obs.Sink.registry ~name
+              ~labels:[ ("node", string_of_int ni) ]
+          in
+          handles.(ni) <- Some c;
+          c)
+
+  (* The drop counter of [cause] on the directed pair [se -> de]. *)
+  let obs_drop o ~cause ~se ~de =
+    let rows =
+      match List.find_opt (fun (c, _) -> String.equal c cause) o.o_drops with
+      | Some (_, rows) -> rows
+      | None ->
+          let rows = Net.Pair_rows.create ~absent:None in
+          o.o_drops <- (cause, rows) :: o.o_drops;
+          rows
+    in
+    match Net.Pair_rows.find rows se de with
+    | Some c -> c
+    | None ->
+        let c =
+          Obs.Registry.counter o.o_sink.Obs.Sink.registry ~name:"engine_drops"
+            ~labels:[ ("cause", cause); ("src", string_of_int se); ("dst", string_of_int de) ]
+        in
+        Net.Pair_rows.set rows se de (Some c);
+        c
 
   (* The delivery handles of the directed pair [se -> de]. *)
-  let obs_link t o ~se ~de =
-    let key = (se * t.endpoints) + de in
-    match Itbl.find o.o_deliver key with
-    | h -> h
-    | exception Not_found ->
+  let obs_link o ~se ~de =
+    match Net.Pair_rows.find o.o_deliver se de with
+    | Some h -> h
+    | None ->
         let reg = o.o_sink.Obs.Sink.registry in
         let link = [ ("src", string_of_int se); ("dst", string_of_int de) ] in
         let h =
@@ -330,7 +350,7 @@ module Make (App : Proto.App_intf.APP) = struct
                 ~hi:2000. ~buckets:20;
           }
         in
-        Itbl.add o.o_deliver key h;
+        Net.Pair_rows.set o.o_deliver se de (Some h);
         h
 
   let mint_trace t =
@@ -745,10 +765,7 @@ module Make (App : Proto.App_intf.APP) = struct
     match t.obs with
     | None -> ()
     | Some o ->
-        Obs.Registry.incr
-          (obs_handle o.o_drops (cause, se, de) (fun () ->
-               Obs.Registry.counter o.o_sink.Obs.Sink.registry ~name:"engine_drops"
-                 ~labels:[ ("cause", cause); ("src", string_of_int se); ("dst", string_of_int de) ]));
+        Obs.Registry.incr (obs_drop o ~cause ~se ~de);
         Obs.Span.record o.o_sink.Obs.Sink.spans ~trace ~src:se ~dst:de ~kind:(App.msg_kind msg)
           ~enqueue:(Dsim.Vtime.to_seconds sent_at) ~deliver:(Dsim.Vtime.to_seconds t.now)
           ~verdict:("drop:" ^ cause)
@@ -770,11 +787,18 @@ module Make (App : Proto.App_intf.APP) = struct
           | None -> ()
           | Some o ->
               let ni = Proto.Node_id.to_int node in
+              let slot = (2 * ni) + if is_now then 0 else 1 in
               Obs.Registry.incr
-                (obs_handle o.o_degraded (ni, dir) (fun () ->
-                     Obs.Registry.counter o.o_sink.Obs.Sink.registry
-                       ~name:"engine_degraded_transitions"
-                       ~labels:[ ("node", string_of_int ni); ("dir", dir) ])));
+                (match o.o_degraded.(slot) with
+                | Some c -> c
+                | None ->
+                    let c =
+                      Obs.Registry.counter o.o_sink.Obs.Sink.registry
+                        ~name:"engine_degraded_transitions"
+                        ~labels:[ ("node", string_of_int ni); ("dir", dir) ]
+                    in
+                    o.o_degraded.(slot) <- Some c;
+                    c));
           Dsim.Trace.logf t.trace t.now Dsim.Trace.Info ~component:"engine"
             "%a %s degraded mode" Proto.Node_id.pp node
             (if is_now then "entered" else "exited")
@@ -801,9 +825,15 @@ module Make (App : Proto.App_intf.APP) = struct
     | None -> ()
     | Some o ->
         Obs.Registry.set
-          (obs_handle o.o_mailbox_depth de (fun () ->
-               Obs.Registry.gauge o.o_sink.Obs.Sink.registry ~name:"engine_mailbox_depth"
-                 ~labels:[ ("node", string_of_int de) ]))
+          (match o.o_mailbox_depth.(de) with
+          | Some g -> g
+          | None ->
+              let g =
+                Obs.Registry.gauge o.o_sink.Obs.Sink.registry ~name:"engine_mailbox_depth"
+                  ~labels:[ ("node", string_of_int de) ]
+              in
+              o.o_mailbox_depth.(de) <- Some g;
+              g)
           (float_of_int (Overload.depth ov de))
 
   let enqueue t ov ~se ~de ~prio =
@@ -851,7 +881,8 @@ module Make (App : Proto.App_intf.APP) = struct
       Net.Netem.judge t.netem ~now:now_s ~src:se ~dst:de ~bytes:(App.msg_bytes msg)
     with
     | Net.Netem.Drop cause -> refuse t ~src ~dst ~sent_at:t.now ~trace msg (Dropped cause)
-    | Net.Netem.Deliver delay -> (
+    | Net.Netem.Deliver -> (
+        let delay = Net.Netem.delay t.netem in
         push_deliver t ~src ~dst ~sent_at:t.now ~trace ~rel ~delay msg;
         match t.obs with
         | None -> ()
@@ -871,7 +902,7 @@ module Make (App : Proto.App_intf.APP) = struct
                 send_span o ~trace ~se ~de msg ~enqueue:now_s ~deliver:(now_s +. d)
                   (if i > 0 then "duplicate" else if reordered then "reorder" else "deliver"))
           delays
-    | Net.Netem.Corrupt { delay = _; flip } -> (
+    | Net.Netem.Corrupt { flip } -> (
         s.messages_corrupted <- s.messages_corrupted + 1;
         (* The fault acts on the wire form: encode, flip bytes, try to
            decode what a receiver would see. A decode failure surfaces
@@ -889,7 +920,8 @@ module Make (App : Proto.App_intf.APP) = struct
                 s.decode_failures <- s.decode_failures + 1;
                 dropped ("corrupt: " ^ e)
             | Ok _ -> dropped "corrupt: checksum mismatch"))
-    | Net.Netem.Mutate delay -> (
+    | Net.Netem.Mutate -> (
+        let delay = Net.Netem.delay t.netem in
         (* A mutant decodes cleanly by construction — it is delivered
            as a well-formed message and flagged so the receive side can
            attribute the validator's verdict. With no wire form to
@@ -947,12 +979,12 @@ module Make (App : Proto.App_intf.APP) = struct
         ~bytes:(Reliable.ack_bytes r)
     with
     | Net.Netem.Drop _ -> ()
-    | Net.Netem.Deliver delay -> push_ack t ~seq delay
+    | Net.Netem.Deliver -> push_ack t ~seq (Net.Netem.delay t.netem)
     | Net.Netem.Duplicate delays -> List.iter (push_ack t ~seq) delays
     | Net.Netem.Corrupt _ -> ()
     (* An ack carries no application payload to mutate; it arrives
        intact. *)
-    | Net.Netem.Mutate delay -> push_ack t ~seq delay
+    | Net.Netem.Mutate -> push_ack t ~seq (Net.Netem.delay t.netem)
 
   let inject t ?(after = 0.) ~src ~dst msg =
     (* same guard (and message) the pre-overload [schedule] path gave *)
@@ -1330,7 +1362,7 @@ module Make (App : Proto.App_intf.APP) = struct
     (match t.obs with
     | None -> ()
     | Some o ->
-        let lh = obs_link t o ~se ~de in
+        let lh = obs_link o ~se ~de in
         Obs.Registry.incr lh.lo_node_deliveries;
         Obs.Registry.incr lh.lo_link_deliveries;
         Obs.Registry.observe lh.lo_link_latency (latency *. 1000.));

@@ -12,10 +12,12 @@
    arrival observations.  It owns no RNG and draws nothing, so
    attaching it to an engine changes no seeded run. *)
 
+(* Float fields only, so the record is stored flat and a heartbeat
+   writes it without boxing anything. *)
 type cell = {
   mutable mean : float;  (* EWMA of inter-arrival seconds *)
-  mutable n : int;  (* arrivals observed *)
-  mutable at : Dsim.Vtime.t;  (* last arrival *)
+  mutable n : float;  (* arrivals observed, exact up to 2^53 *)
+  mutable at : float;  (* last arrival, virtual seconds *)
 }
 
 (* [cells] holds the pair [(observer, peer)] at row [observer], column
@@ -30,7 +32,7 @@ type t = {
   cells : cell Pair_rows.t;
 }
 
-let absent = { mean = 0.; n = 0; at = Dsim.Vtime.zero }
+let absent = { mean = 0.; n = 0.; at = 0. }
 
 let create ?(alpha = 0.25) ?(threshold = 8.) ?(bootstrap_interval = 1.) ?(min_samples = 3) () =
   if alpha <= 0. || alpha > 1. then invalid_arg "Failure_detector.create: alpha out of (0,1]";
@@ -61,13 +63,13 @@ let log10_e = 0.4342944819032518
    demand at least [threshold / log10_e ~= 18x] bootstrap intervals of
    *absolute* silence — so it reacts to partitions and crashes, not to
    the duty cycle of a healthy protocol. *)
-let interval_of t c =
-  if c.n < 2 then t.bootstrap_interval else Float.max t.bootstrap_interval c.mean
+let[@inline] interval_of t c =
+  if c.n < 2. then t.bootstrap_interval else Float.max t.bootstrap_interval c.mean
 
-let phi_of t c ~now =
-  if c.n < t.min_samples then 0.
+let[@inline] phi_of t c ~now =
+  if c.n < float_of_int t.min_samples then 0.
   else
-    let elapsed = Float.max 0. (Dsim.Vtime.diff now c.at) in
+    let elapsed = Float.max 0. (Dsim.Vtime.to_seconds now -. c.at) in
     elapsed /. interval_of t c *. log10_e
 
 (* [heartbeat] records an arrival from [peer] as seen by [observer] and
@@ -76,21 +78,21 @@ let phi_of t c ~now =
 let heartbeat t ~observer ~peer ~now =
   let c = find t ~observer ~peer in
   if c == absent then begin
-    Pair_rows.set t.cells observer peer { mean = 0.; n = 1; at = now };
+    Pair_rows.set t.cells observer peer { mean = 0.; n = 1.; at = Dsim.Vtime.to_seconds now };
     false
   end
   else begin
     let was_suspected = phi_of t c ~now >= t.threshold in
-    let sample = Float.max 0. (Dsim.Vtime.diff now c.at) in
+    let sample = Float.max 0. (Dsim.Vtime.to_seconds now -. c.at) in
     (* Cap the sample so one long outage does not poison the learned
        interval: a 30 s partition must not teach the detector that
        30 s silences are normal, or it would take another outage to
        re-suspect the peer. *)
-    let sample = if c.n >= 2 then Float.min sample (3. *. interval_of t c) else sample in
-    if c.n = 1 then c.mean <- sample
+    let sample = if c.n >= 2. then Float.min sample (3. *. interval_of t c) else sample in
+    if c.n = 1. then c.mean <- sample
     else c.mean <- ((1. -. t.alpha) *. c.mean) +. (t.alpha *. sample);
-    c.n <- c.n + 1;
-    c.at <- now;
+    c.n <- c.n +. 1.;
+    c.at <- Dsim.Vtime.to_seconds now;
     was_suspected
   end
 
@@ -101,7 +103,7 @@ let suspicion t ~observer ~peer ~now =
 
 let suspected t ~observer ~peer ~now = phi t ~observer ~peer ~now >= t.threshold
 
-let samples t ~observer ~peer = (find t ~observer ~peer).n
+let samples t ~observer ~peer = int_of_float (find t ~observer ~peer).n
 
 let known_peers t ~observer =
   Pair_rows.fold_row_rev t.cells observer (fun _ peer acc -> peer :: acc) []

@@ -1,9 +1,9 @@
 type verdict =
-  | Deliver of float
+  | Deliver
   | Drop of string
   | Duplicate of float list
-  | Corrupt of { delay : float; flip : float }
-  | Mutate of float
+  | Corrupt of { flip : float }
+  | Mutate
 
 type faults = {
   duplicate_rate : float;
@@ -39,25 +39,33 @@ let validate_faults f =
   if f.duplicate_copies < 1 then invalid_arg "Netem: duplicate_copies < 1";
   if f.reorder_window < 0. then invalid_arg "Netem: negative reorder_window"
 
-(* Directed pairs are keyed [src * size + dst] in int-specialised
-   tables and endpoints index arrays directly, so a lookup hashes no
-   tuple and a queue update boxes no float. *)
-module Itbl = Hashtbl.Make (Int)
+(* The delay of the latest delivering verdict. A float-only record is
+   stored flat, so [judge] writes it without boxing. *)
+type out = { mutable delay : float }
 
+(* Directed pairs live in {!Pair_rows} (row [src], column [dst]) and
+   endpoints index arrays directly, so a lookup hashes nothing and a
+   queue update boxes no float. The two [absent] values below are
+   private to this module, so no caller can store them: a slot holding
+   one has no override. *)
 type t = {
   topo : Topology.t;
   size : int;  (* endpoints: [Topology.size topo] *)
   jitter : float;
   serialize_access : bool;
   rng : Dsim.Rng.t;
-  overrides : Linkprop.t Itbl.t;
+  overrides : Linkprop.t Pair_rows.t;
   isolated : bool array;
   uplink_free : float array;  (* endpoint -> time its uplink frees up *)
   downlink_free : float array;
   mutable faults : faults;  (* default for every pair *)
-  pair_faults : faults Itbl.t;  (* directed-pair overrides *)
+  pair_faults : faults Pair_rows.t;  (* directed-pair overrides *)
   mutable reorders : int;  (* messages held back by the reorder fault *)
+  out : out;
 }
+
+let no_override : Linkprop.t = { latency = 0.; bandwidth = 1.; loss = 0. }
+let no_pair_faults = { no_faults with duplicate_copies = 1 }
 
 let create ?(jitter = 0.05) ?(serialize_access = true) ~rng topo =
   if jitter < 0. then invalid_arg "Netem.create: negative jitter";
@@ -68,14 +76,15 @@ let create ?(jitter = 0.05) ?(serialize_access = true) ~rng topo =
     jitter;
     serialize_access;
     rng;
-    overrides = Itbl.create 64;
+    overrides = Pair_rows.create ~absent:no_override;
     isolated = Array.make size false;
     (* never busy: [Float.max now neg_infinity = now] *)
     uplink_free = Array.make size neg_infinity;
     downlink_free = Array.make size neg_infinity;
     faults = no_faults;
-    pair_faults = Itbl.create 16;
+    pair_faults = Pair_rows.create ~absent:no_pair_faults;
     reorders = 0;
+    out = { delay = 0. };
   }
 
 let topology t = t.topo
@@ -84,22 +93,18 @@ let copy t =
   {
     t with
     rng = Dsim.Rng.copy t.rng;
-    overrides = Itbl.copy t.overrides;
+    overrides = Pair_rows.copy t.overrides Fun.id;
     isolated = Array.copy t.isolated;
     uplink_free = Array.copy t.uplink_free;
     downlink_free = Array.copy t.downlink_free;
-    pair_faults = Itbl.copy t.pair_faults;
+    pair_faults = Pair_rows.copy t.pair_faults Fun.id;
+    out = { delay = t.out.delay };
   }
 
 let in_range t e = e >= 0 && e < t.size
 
-let pair t ~src ~dst =
-  if not (in_range t src && in_range t dst) then invalid_arg "Netem: endpoint out of range";
-  (src * t.size) + dst
-
-(* The tables are empty on every fault-free path: skip the hash. *)
-let find_pair tbl t ~src ~dst =
-  if Itbl.length tbl = 0 then None else Itbl.find_opt tbl ((src * t.size) + dst)
+let check_pair t ~src ~dst =
+  if not (in_range t src && in_range t dst) then invalid_arg "Netem: endpoint out of range"
 
 let reorders t = t.reorders
 let global_faults t = t.faults
@@ -110,12 +115,16 @@ let set_faults t f =
 
 let set_pair_faults t ~src ~dst f =
   validate_faults f;
-  Itbl.replace t.pair_faults (pair t ~src ~dst) f
+  check_pair t ~src ~dst;
+  Pair_rows.set t.pair_faults src dst f
 
-let clear_pair_faults t ~src ~dst = Itbl.remove t.pair_faults (pair t ~src ~dst)
+let clear_pair_faults t ~src ~dst =
+  check_pair t ~src ~dst;
+  Pair_rows.set t.pair_faults src dst no_pair_faults
 
 let pair_faults_of t ~src ~dst =
-  match find_pair t.pair_faults t ~src ~dst with Some f -> f | None -> t.faults
+  let f = Pair_rows.find t.pair_faults src dst in
+  if f == no_pair_faults then t.faults else f
 
 (* An out-of-range pair can have no entry. *)
 let faults_of t ~src ~dst =
@@ -128,17 +137,29 @@ let path t ~src ~dst =
   if not (in_range t src && in_range t dst) then Topology.path t.topo src dst
   else if t.isolated.(src) || t.isolated.(dst) then blackhole
   else
-    match find_pair t.overrides t ~src ~dst with
-    | Some p -> p
-    | None -> Topology.path t.topo src dst
+    let p = Pair_rows.find t.overrides src dst in
+    if p == no_override then Topology.path t.topo src dst else p
 
 (* Occupies [endpoint]'s link (up or down) for [tx] seconds starting no
    earlier than [now]; returns the extra queueing delay incurred. *)
-let enqueue table endpoint ~now ~tx =
+let[@inline] enqueue table endpoint ~now ~tx =
   let start = Float.max now table.(endpoint) in
   table.(endpoint) <- start +. tx;
   start -. now
 
+let delay t = t.out.delay
+
+(* Ghost copies trail the original by up to a few RTTs (or the reorder
+   window when one is configured), like retransmission storms do. The
+   original's delay is read from [t.out], so [judge] passes no float. *)
+let duplicates t f (p : Linkprop.t) =
+  let delay = t.out.delay in
+  let spread = Float.max f.reorder_window ((4. *. p.latency) +. 0.01) in
+  let extras = List.init f.duplicate_copies (fun _ -> delay +. Dsim.Rng.float t.rng spread) in
+  Duplicate (delay :: extras)
+
+(* A fault-free verdict allocates nothing: [Deliver] is a constant and
+   its delay goes to [t.out]. *)
 let judge t ~now ~src ~dst ~bytes =
   let p = path t ~src ~dst in
   if Dsim.Rng.uniform t.rng < p.Linkprop.loss then Drop "loss"
@@ -174,24 +195,17 @@ let judge t ~now ~src ~dst ~bytes =
       end
       else delay
     in
+    t.out.delay <- delay;
     if f.corrupt_rate > 0. && Dsim.Rng.uniform t.rng < f.corrupt_rate then
-      Corrupt { delay; flip = f.corrupt_flip }
-    else if f.duplicate_rate > 0. && Dsim.Rng.uniform t.rng < f.duplicate_rate then begin
-      (* Ghost copies trail the original by up to a few RTTs (or the
-         reorder window when one is configured), like retransmission
-         storms do. *)
-      let spread = Float.max f.reorder_window ((4. *. p.Linkprop.latency) +. 0.01) in
-      let extras =
-        List.init f.duplicate_copies (fun _ -> delay +. Dsim.Rng.float t.rng spread)
-      in
-      Duplicate (delay :: extras)
-    end
+      Corrupt { flip = f.corrupt_flip }
+    else if f.duplicate_rate > 0. && Dsim.Rng.uniform t.rng < f.duplicate_rate then
+      duplicates t f p
     (* The byzantine draw comes after every pre-existing fault so a
        plan with mutation off consumes exactly the historical RNG
        stream — and a message already claimed by corruption or
        duplication is never also mutated. *)
-    else if f.mutate_rate > 0. && Dsim.Rng.uniform t.rng < f.mutate_rate then Mutate delay
-    else Deliver delay
+    else if f.mutate_rate > 0. && Dsim.Rng.uniform t.rng < f.mutate_rate then Mutate
+    else Deliver
   end
 
 let occupy_access t ~endpoint ~now ~bytes =
@@ -212,8 +226,13 @@ let occupy_access t ~endpoint ~now ~bytes =
     ignore (enqueue t.downlink_free endpoint ~now ~tx)
   end
 
-let set_override t ~src ~dst p = Itbl.replace t.overrides (pair t ~src ~dst) p
-let clear_override t ~src ~dst = Itbl.remove t.overrides (pair t ~src ~dst)
+let set_override t ~src ~dst p =
+  check_pair t ~src ~dst;
+  Pair_rows.set t.overrides src dst p
+
+let clear_override t ~src ~dst =
+  check_pair t ~src ~dst;
+  Pair_rows.set t.overrides src dst no_override
 let cut t ~src ~dst = set_override t ~src ~dst blackhole
 
 let cut_bidirectional t a b =

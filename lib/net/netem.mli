@@ -11,20 +11,24 @@
 
 type t
 
+(** A verdict that delivers one copy ([Deliver], [Corrupt], [Mutate])
+    carries no delay: it is {!delay}, read before the next {!judge}. So
+    the fault-free verdict is a constant and judging it allocates
+    nothing. *)
 type verdict =
-  | Deliver of float  (** arrives after this many seconds *)
+  | Deliver  (** arrives after {!delay} seconds *)
   | Drop of string  (** lost; the string names the cause *)
   | Duplicate of float list
       (** arrives more than once; one delivery per listed delay, the
           first being the original copy *)
-  | Corrupt of { delay : float; flip : float }
-      (** arrives after [delay] but garbled: each payload byte is
+  | Corrupt of { flip : float }
+      (** arrives after {!delay} seconds but garbled: each payload byte is
           flipped with probability [flip] (at least one bit always
           flips). The engine applies the flips to the wire encoding,
           so a corrupted message manifests as a decode failure or a
           checksum drop — never as a clean payload. *)
-  | Mutate of float
-      (** arrives after this many seconds, byzantine-mutated: the
+  | Mutate
+      (** arrives after {!delay} seconds, byzantine-mutated: the
           engine runs the wire encoding through {!Wire.Mutator} and
           delivers a typed, decodes-clean perturbation of the payload
           to the receiving handler (falling back to the clean message
@@ -70,6 +74,10 @@ val judge : t -> now:float -> src:int -> dst:int -> bytes:int -> verdict
 (** Delivery decision for one message sent at time [now] (seconds).
     Consults overrides, then the topology path, then queues the
     transmission on both access links, then samples loss and jitter. *)
+
+val delay : t -> float
+(** The delay in seconds of the latest verdict {!judge} returned that
+    delivers one copy: [Deliver], [Corrupt] or [Mutate]. *)
 
 val path : t -> src:int -> dst:int -> Linkprop.t
 (** Effective path after overrides — what a measurement would see. *)

@@ -5,10 +5,13 @@ type estimate = {
   last_update : Dsim.Vtime.t option;
 }
 
-type cell = { mutable ewma : float; mutable n : int; mutable at : Dsim.Vtime.t }
+(* Every field is a float, so the record is stored flat and an
+   observation writes its new EWMA without boxing it: [n] counts samples
+   (exactly, up to 2^53) and [at] is the last update in virtual
+   seconds. A cell with [n = 0] is blank: every reader treats it
+   exactly like a pair that was never observed. *)
+type cell = { mutable ewma : float; mutable n : float; mutable at : float }
 
-(* A cell with [n = 0] is blank: every reader treats it exactly like a
-   pair that was never observed. *)
 type link = { lat : cell; bw : cell; loss : cell }
 
 (* [links] holds the pair [(src, dst)] at row [src], column [dst].
@@ -16,7 +19,7 @@ type link = { lat : cell; bw : cell; loss : cell }
    write path ever reaches it. *)
 type t = { alpha : float; half_life : float; links : link Pair_rows.t }
 
-let blank_cell () = { ewma = 0.; n = 0; at = Dsim.Vtime.zero }
+let blank_cell () = { ewma = 0.; n = 0.; at = 0. }
 let blank_link () = { lat = blank_cell (); bw = blank_cell (); loss = blank_cell () }
 let absent = blank_link ()
 
@@ -46,17 +49,10 @@ let link t ~src ~dst =
 (* Out of range, negative included, reads as never observed. *)
 let find t ~src ~dst = Pair_rows.find t.links src dst
 
-let observe_cell t (c : cell) now x =
-  if c.n = 0 then begin
-    c.ewma <- x;
-    c.n <- 1;
-    c.at <- now
-  end
-  else begin
-    c.ewma <- ((1. -. t.alpha) *. c.ewma) +. (t.alpha *. x);
-    c.n <- c.n + 1;
-    c.at <- now
-  end
+let[@inline] observe_cell t (c : cell) now x =
+  if c.n = 0. then c.ewma <- x else c.ewma <- ((1. -. t.alpha) *. c.ewma) +. (t.alpha *. x);
+  c.n <- c.n +. 1.;
+  c.at <- Dsim.Vtime.to_seconds now
 
 let indicator ~delivered = if delivered then 0. else 1.
 let observe_link_latency t l now x = observe_cell t l.lat now x
@@ -71,12 +67,18 @@ let observe_loss t ~src ~dst now ~delivered =
 let no_estimate = { value = 0.; confidence = 0.; samples = 0; last_update = None }
 
 let confidence t (c : cell) ~now =
-  let age = Float.max 0. (Dsim.Vtime.diff now c.at) in
+  let age = Float.max 0. (Dsim.Vtime.to_seconds now -. c.at) in
   exp (-.age *. log 2. /. t.half_life)
 
 let read t (c : cell) ~now =
-  if c.n = 0 then no_estimate
-  else { value = c.ewma; confidence = confidence t c ~now; samples = c.n; last_update = Some c.at }
+  if c.n = 0. then no_estimate
+  else
+    {
+      value = c.ewma;
+      confidence = confidence t c ~now;
+      samples = int_of_float c.n;
+      last_update = Some (Dsim.Vtime.of_seconds c.at);
+    }
 
 let latency t ~src ~dst ~now = read t (find t ~src ~dst).lat ~now
 let bandwidth t ~src ~dst ~now = read t (find t ~src ~dst).bw ~now
@@ -84,10 +86,10 @@ let loss t ~src ~dst ~now = read t (find t ~src ~dst).loss ~now
 
 let predict_path t ~src ~dst ~now:_ =
   let l = find t ~src ~dst in
-  if l.lat.n = 0 then None
+  if l.lat.n = 0. then None
   else
-    let bw = if l.bw.n = 0 then 1_048_576. else Float.max 1. l.bw.ewma in
-    let p = if l.loss.n = 0 then 0. else Float.min 1. (Float.max 0. l.loss.ewma) in
+    let bw = if l.bw.n = 0. then 1_048_576. else Float.max 1. l.bw.ewma in
+    let p = if l.loss.n = 0. then 0. else Float.min 1. (Float.max 0. l.loss.ewma) in
     Some (Linkprop.v ~latency:(Float.max 0. l.lat.ewma) ~bandwidth:bw ~loss:p)
 
 let predict_transfer_time t ~src ~dst ~now ~bytes =
@@ -99,7 +101,7 @@ let predict_transfer_time t ~src ~dst ~now ~bytes =
       let retries = if p.Linkprop.loss >= 0.999 then 1000. else 1. /. (1. -. p.Linkprop.loss) in
       Some (once *. retries)
 
-let observed l = l.lat.n > 0 || l.bw.n > 0 || l.loss.n > 0
+let observed l = l.lat.n > 0. || l.bw.n > 0. || l.loss.n > 0.
 
 (* [Pair_rows.iter] walks sources, then destinations, ascending. *)
 let known_pairs t =
@@ -111,11 +113,12 @@ let forget_before t cutoff =
   (* Reset in place rather than unlink: a blank cell reads as never
      observed, and resetting keeps outstanding {!link} handles wired to
      the cells the model holds. *)
+  let cutoff = Dsim.Vtime.to_seconds cutoff in
   let prune c =
-    if c.n > 0 && Dsim.Vtime.(c.at < cutoff) then begin
+    if c.n > 0. && Float.compare c.at cutoff < 0 then begin
       c.ewma <- 0.;
-      c.n <- 0;
-      c.at <- Dsim.Vtime.zero
+      c.n <- 0.;
+      c.at <- 0.
     end
   in
   Pair_rows.iter t.links (fun _ _ l ->
@@ -127,7 +130,7 @@ let merge_from dst src ~now =
   (* Imports overwrite [dst]'s cells in place, so its link handles stay
      valid. *)
   let import (mine : cell) (c : cell) =
-    if c.n > 0 && (mine.n = 0 || confidence dst c ~now > confidence dst mine ~now) then begin
+    if c.n > 0. && (mine.n = 0. || confidence dst c ~now > confidence dst mine ~now) then begin
       mine.ewma <- c.ewma;
       mine.n <- c.n;
       mine.at <- c.at

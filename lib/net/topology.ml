@@ -111,6 +111,9 @@ let stub_of p endpoint =
 
 let transit_of p endpoint = stub_of p endpoint / p.stubs_per_transit
 
+(* The memo's empty slot: private, so no computed path is this value. *)
+let unknown_path : Linkprop.t = { latency = 0.; bandwidth = 1.; loss = 1. }
+
 let transit_stub ?jitter_rng p =
   if p.transits <= 0 || p.stubs_per_transit <= 0 || p.clients_per_stub <= 0 then
     invalid_arg "Topology.transit_stub: all counts must be positive";
@@ -157,6 +160,19 @@ let transit_stub ?jitter_rng p =
         Linkprop.v ~latency:(jitter p.client_stub_latency (key + 5)) ~bandwidth:p.client_bandwidth ~loss:p.loss
       in
       List.fold_left Linkprop.compose access [ up; backbone; down; access_b ]
+  in
+  (* Each pair's answer is computed on its first use and kept: a send
+     asks for its path, and building one draws six jitter generators.
+     Nothing is computed up front, as many set-ups build a topology and
+     use a few of its pairs. *)
+  let memo = Pair_rows.create ~absent:unknown_path in
+  let path a b =
+    let p = Pair_rows.find memo a b in
+    if p != unknown_path then p
+    else
+      let p = path a b in
+      Pair_rows.set memo a b p;
+      p
   in
   { size = n; path }
 

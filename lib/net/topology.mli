@@ -58,7 +58,9 @@ val transit_stub : ?jitter_rng:Dsim.Rng.t -> transit_stub_params -> t
 (** Builds a transit–stub topology with
     [transits * stubs_per_transit * clients_per_stub] endpoints. When
     [jitter_rng] is given, each latency component is perturbed by up to
-    ±20% so distinct pairs differ, as on a real WAN. *)
+    ±20% so distinct pairs differ, as on a real WAN. Each pair's path
+    is computed on its first use and kept, in rows allocated as pairs
+    are used; nothing is computed for pairs never asked for. *)
 
 val stub_of : transit_stub_params -> int -> int
 (** [stub_of params endpoint] is the index of the stub domain the

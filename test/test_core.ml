@@ -45,6 +45,45 @@ let test_choice_of_values_feature_fn () =
   let site = Core.Choice.site ~node:0 ~occurrence:0 c in
   checkb "derived feature" true (Core.Choice.feature site ~alt:1 "v" = Some 9.)
 
+(* [feature] against [List.assoc_opt] on feature lists with repeated
+   and missing names, at alternatives in and out of range. Every bound
+   value is distinct, so returning any binding but the first shows. *)
+let prop_feature_matches_assoc =
+  let names = [ "rtt_ms"; "is_primary"; "known_seq"; "floor"; ""; "rtt" ] in
+  let gen =
+    QCheck.Gen.(
+      pair
+        (list_size (1 -- 4) (list_size (0 -- 6) (oneofl names)))
+        (list_size (1 -- 20) (pair (-2 -- 5) (oneofl ("missing" :: names)))))
+  in
+  let print (alts, queries) =
+    Printf.sprintf "alts=[%s] queries=[%s]"
+      (String.concat " | " (List.map (String.concat ",") alts))
+      (String.concat "; " (List.map (fun (a, n) -> Printf.sprintf "%d:%S" a n) queries))
+  in
+  QCheck.Test.make ~name:"feature = List.assoc_opt" ~count:500 (QCheck.make ~print gen)
+    (fun (alts, queries) ->
+      let next = ref 0. in
+      let features =
+        List.map
+          (List.map (fun name ->
+               next := !next +. 1.;
+               (name, !next)))
+          alts
+      in
+      let c =
+        Core.Choice.make ~label:"f" (List.mapi (fun i fs -> Core.Choice.alt ~features:fs i) features)
+      in
+      let site = Core.Choice.site ~node:0 ~occurrence:0 c in
+      let table = Array.of_list features in
+      List.for_all
+        (fun (alt, name) ->
+          let expected =
+            if alt < 0 || alt >= Array.length table then None else List.assoc_opt name table.(alt)
+          in
+          Option.equal Float.equal expected (Core.Choice.feature site ~alt name))
+        queries)
+
 (* ---------- Resolver ---------- *)
 
 let apply r c = fst (Core.Resolver.apply r (rng ()) c ~node:0 ~occurrence:0)
@@ -298,6 +337,7 @@ let () =
           Alcotest.test_case "invalid" `Quick test_choice_invalid;
           Alcotest.test_case "features" `Quick test_choice_features;
           Alcotest.test_case "of_values feature fn" `Quick test_choice_of_values_feature_fn;
+          QCheck_alcotest.to_alcotest prop_feature_matches_assoc;
         ] );
       ( "resolver",
         [

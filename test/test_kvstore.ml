@@ -112,6 +112,81 @@ let test_session_resolver () =
   let site = read_site ~floor:50. ~known:[ (0, true, 80., 10.); (3, false, 3., 7.) ] in
   checki "primary fallback" 0 (K.session_resolver.Core.Resolver.choose g site)
 
+(* The session resolver's answers on a fixed table of sites, each
+   alternative's features given raw: read sites as the app builds them
+   (replica_id, is_primary, rtt_ms, known_seq, floor), plus missing and
+   repeated names, where a missing feature reads 0 and the first
+   binding of a repeated one wins. *)
+let session_table =
+  let read (rid, primary, rtt, known, floor) =
+    [
+      ("replica_id", float_of_int rid);
+      ("is_primary", if primary then 1. else 0.);
+      ("rtt_ms", rtt);
+      ("known_seq", known);
+      ("floor", floor);
+    ]
+  in
+  [
+    ("one replica", [ read (0, true, 80., 3., 3.) ], 0);
+    ( "cheapest fresh of four",
+      [
+        read (0, true, 80., 9., 5.);
+        read (1, false, 12., 5., 5.);
+        read (2, false, 3., 4., 5.);
+        read (3, false, 7., 6., 5.);
+      ],
+      3 );
+    ( "all fresh, cheapest wins",
+      [ read (0, true, 30., 6., 5.); read (1, false, 10., 5., 5.); read (2, false, 3., 7., 5.) ],
+      2 );
+    ("rtt tie keeps the first", [ read (0, false, 5., 0., 0.); read (1, false, 5., 0., 0.) ], 0);
+    ( "primary is fresh at any seq",
+      [ read (0, false, 1., 2., 9.); read (1, true, 40., 0., 9.); read (2, false, 2., 8., 9.) ],
+      1 );
+    ( "nobody fresh and no primary: alternative 0",
+      [ read (0, false, 9., 1., 10.); read (1, false, 1., 2., 10.) ],
+      0 );
+    ( "missing rtt reads 0",
+      [ read (0, true, 4., 2., 2.); [ ("known_seq", 3.); ("is_primary", 0.) ] ],
+      1 );
+    ( "missing floor reads 0",
+      [ [ ("rtt_ms", 9.); ("known_seq", 0.) ]; [ ("rtt_ms", 2.) ]; [ ("rtt_ms", 5.) ] ],
+      1 );
+    ( "first rtt binding wins",
+      [
+        read (0, true, 9., 1., 1.);
+        [ ("rtt_ms", 2.); ("known_seq", 4.); ("rtt_ms", 100.) ];
+        [ ("rtt_ms", 3.); ("known_seq", 9.) ];
+      ],
+      1 );
+    ( "first known_seq binding wins",
+      [
+        read (0, true, 9., 1., 1.);
+        [ ("known_seq", 0.); ("known_seq", 5.); ("rtt_ms", 1.) ];
+      ],
+      0 );
+    ( "first is_primary binding wins",
+      [
+        [ ("floor", 7.); ("known_seq", 0.); ("rtt_ms", 50.) ];
+        [ ("is_primary", 0.); ("is_primary", 1.); ("rtt_ms", 1.) ];
+        [ ("is_primary", 1.); ("is_primary", 0.); ("rtt_ms", 20.) ];
+      ],
+      2 );
+  ]
+
+let test_session_resolver_table () =
+  let g = Dsim.Rng.create 1 in
+  List.iter
+    (fun (what, alts, expected) ->
+      let site =
+        Core.Choice.site ~node:2 ~occurrence:0
+          (Core.Choice.make ~label:K.read_label
+             (List.mapi (fun i features -> Core.Choice.alt ~features i) alts))
+      in
+      checki what expected (K.session_resolver.Core.Resolver.choose g site))
+    session_table
+
 let test_experiment_tradeoff () =
   let nearest = Experiments.Kvstore_exp.run ~seed:4 ~duration:30. Experiments.Kvstore_exp.Nearest in
   let primary =
@@ -138,6 +213,7 @@ let () =
           Alcotest.test_case "primary" `Quick test_primary_resolver;
           Alcotest.test_case "nearest" `Quick test_nearest_resolver;
           Alcotest.test_case "session" `Quick test_session_resolver;
+          Alcotest.test_case "session pinned table" `Quick test_session_resolver_table;
         ] );
       ("experiment", [ Alcotest.test_case "tradeoff" `Slow test_experiment_tradeoff ]);
     ]

@@ -90,6 +90,83 @@ let test_transit_stub_jitter_deterministic () =
     ((Net.Topology.path a 0 5).Net.Linkprop.latency
     <> (Net.Topology.path c 0 5).Net.Linkprop.latency)
 
+(* The transit-stub path as computed before pairs were memoised, kept
+   verbatim apart from names: the oracle for the memo. *)
+let direct_transit_stub_path ?jitter_rng (p : Net.Topology.transit_stub_params) =
+  let open Net.Topology in
+  let stub_of p endpoint =
+    let per_stub = p.clients_per_stub in
+    endpoint / per_stub
+  in
+  let transit_of p endpoint = stub_of p endpoint / p.stubs_per_transit in
+  let salt =
+    match jitter_rng with
+    | None -> 0
+    | Some rng -> Int64.to_int (Int64.logand (Dsim.Rng.bits64 rng) 0x3FFFFFFFL)
+  in
+  let jitter base key =
+    match jitter_rng with
+    | None -> base
+    | Some _ ->
+        let local = Dsim.Rng.create (key + salt) in
+        base *. (0.8 +. (0.4 *. Dsim.Rng.uniform local))
+  in
+  let ring_hops a b =
+    let d = abs (a - b) in
+    min d (p.transits - d)
+  in
+  let module Linkprop = Net.Linkprop in
+  let path a b =
+    let sa = stub_of p a and sb = stub_of p b in
+    let ta = transit_of p a and tb = transit_of p b in
+    let key = (a * 1_000_003) + b in
+    let access = Linkprop.v ~latency:(jitter p.client_stub_latency key) ~bandwidth:p.client_bandwidth ~loss:p.loss in
+    if sa = sb then
+      Linkprop.compose access
+        (Linkprop.v ~latency:(jitter p.client_stub_latency (key + 1)) ~bandwidth:p.client_bandwidth ~loss:p.loss)
+    else
+      let up = Linkprop.v ~latency:(jitter p.stub_transit_latency (key + 2)) ~bandwidth:p.core_bandwidth ~loss:0. in
+      let hops = if ta = tb then 0 else ring_hops ta tb in
+      let backbone =
+        Linkprop.v
+          ~latency:(jitter (float_of_int (max hops 1) *. p.transit_transit_latency) (key + 3))
+          ~bandwidth:p.core_bandwidth ~loss:0.
+      in
+      let backbone = if ta = tb then Linkprop.v ~latency:0.0005 ~bandwidth:p.core_bandwidth ~loss:0. else backbone in
+      let down = Linkprop.v ~latency:(jitter p.stub_transit_latency (key + 4)) ~bandwidth:p.core_bandwidth ~loss:0. in
+      let access_b =
+        Linkprop.v ~latency:(jitter p.client_stub_latency (key + 5)) ~bandwidth:p.client_bandwidth ~loss:p.loss
+      in
+      List.fold_left Linkprop.compose access [ up; backbone; down; access_b ]
+  in
+  path
+
+(* Every pair, asked in three orders (so each answer is computed once
+   and then served from the memo twice), equals the direct computation,
+   for several salts and without jitter. *)
+let test_transit_stub_memo () =
+  let lossy = { ts_params with Net.Topology.loss = 0.01 } in
+  List.iter
+    (fun (what, params) ->
+      List.iter
+        (fun seed ->
+          let rng () = Option.map Dsim.Rng.create seed in
+          let t = Net.Topology.transit_stub ?jitter_rng:(rng ()) params in
+          let direct = direct_transit_stub_path ?jitter_rng:(rng ()) params in
+          let n = Net.Topology.size t in
+          let pairs = List.concat_map (fun a -> List.init n (fun b -> (a, b))) (List.init n Fun.id) in
+          let shuffled = Dsim.Rng.shuffle (Dsim.Rng.create 7) pairs in
+          List.iter
+            (fun (a, b) ->
+              let expected = if a = b then Net.Linkprop.ideal else direct a b in
+              if not (Net.Linkprop.equal expected (Net.Topology.path t a b)) then
+                Alcotest.failf "%s, seed %s: path %d->%d differs" what
+                  (match seed with None -> "none" | Some s -> string_of_int s)
+                  a b)
+            (shuffled @ pairs @ List.rev pairs))
+        [ None; Some 1; Some 2; Some 42; Some 1_000_003 ])
+    [ ("12 endpoints", ts_params); ("12 lossy endpoints", lossy); ("default", Net.Topology.default_transit_stub) ]
+
 let test_topology_degrade () =
   let t = Net.Topology.uniform ~n:3 (prop ~latency:0.01 ~bandwidth:100. ~loss:0.) in
   let slow =
@@ -128,7 +205,7 @@ let mk_netem ?(jitter = 0.) ?(serialize_access = false) () =
 let test_netem_deliver () =
   let nem = mk_netem () in
   (match Net.Netem.judge nem ~now:0. ~src:0 ~dst:1 ~bytes:1000 with
-  | Net.Netem.Deliver d -> checkf "prop + tx" 1.01 d
+  | Net.Netem.Deliver -> checkf "prop + tx" 1.01 (Net.Netem.delay nem)
   | _ -> Alcotest.fail "unexpected verdict");
   ()
 
@@ -148,11 +225,11 @@ let test_netem_cut_heal () =
   | Net.Netem.Drop _ -> ()
   | _ -> Alcotest.fail "cut link delivered");
   (match Net.Netem.judge nem ~now:0. ~src:1 ~dst:0 ~bytes:10 with
-  | Net.Netem.Deliver _ -> ()
+  | Net.Netem.Deliver -> ()
   | _ -> Alcotest.fail "reverse direction should work");
   Net.Netem.heal nem ~src:0 ~dst:1;
   match Net.Netem.judge nem ~now:0. ~src:0 ~dst:1 ~bytes:10 with
-  | Net.Netem.Deliver _ -> ()
+  | Net.Netem.Deliver -> ()
   | _ -> Alcotest.fail "healed link dropped"
 
 let test_netem_isolate () =
@@ -210,9 +287,9 @@ let test_netem_corrupt_verdict () =
   Net.Netem.set_faults nem
     { Net.Netem.no_faults with Net.Netem.corrupt_rate = 1.; corrupt_flip = 0.5 };
   match Net.Netem.judge nem ~now:0. ~src:0 ~dst:1 ~bytes:10 with
-  | Net.Netem.Corrupt { flip; delay } ->
+  | Net.Netem.Corrupt { flip } ->
       checkf "flip rate carried" 0.5 flip;
-      checkb "positive delay" true (delay > 0.)
+      checkb "positive delay" true (Net.Netem.delay nem > 0.)
   | _ -> Alcotest.fail "expected corrupt verdict"
 
 let test_netem_pair_faults () =
@@ -223,11 +300,11 @@ let test_netem_pair_faults () =
   | Net.Netem.Corrupt _ -> ()
   | _ -> Alcotest.fail "pair fault ignored");
   (match Net.Netem.judge nem ~now:0. ~src:2 ~dst:3 ~bytes:10 with
-  | Net.Netem.Deliver _ -> ()
+  | Net.Netem.Deliver -> ()
   | _ -> Alcotest.fail "pair fault leaked to other pairs");
   Net.Netem.clear_pair_faults nem ~src:0 ~dst:1;
   match Net.Netem.judge nem ~now:0. ~src:0 ~dst:1 ~bytes:10 with
-  | Net.Netem.Deliver _ -> ()
+  | Net.Netem.Deliver -> ()
   | _ -> Alcotest.fail "cleared pair fault still active"
 
 let test_netem_faults_validated () =
@@ -242,12 +319,12 @@ let test_netem_serialization () =
      second queues behind the first. *)
   let d1 =
     match Net.Netem.judge nem ~now:0. ~src:0 ~dst:1 ~bytes:1000 with
-    | Net.Netem.Deliver d -> d
+    | Net.Netem.Deliver -> Net.Netem.delay nem
     | _ -> Alcotest.fail "drop"
   in
   let d2 =
     match Net.Netem.judge nem ~now:0. ~src:0 ~dst:2 ~bytes:1000 with
-    | Net.Netem.Deliver d -> d
+    | Net.Netem.Deliver -> Net.Netem.delay nem
     | _ -> Alcotest.fail "drop"
   in
   checkf "first unqueued" 1.01 d1;
@@ -258,7 +335,7 @@ let test_netem_copy_independent () =
   let c = Net.Netem.copy nem in
   Net.Netem.cut nem ~src:0 ~dst:1;
   match Net.Netem.judge c ~now:0. ~src:0 ~dst:1 ~bytes:10 with
-  | Net.Netem.Deliver _ -> ()
+  | Net.Netem.Deliver -> ()
   | _ -> Alcotest.fail "copy shares override table"
 
 (* Every mutator on a copy stays on the copy, both ways round: the
@@ -285,7 +362,7 @@ let test_netem_copy_mutators () =
   (* 5000 bytes at 1000 B/s hold the copy's 0 -> 3 uplink for 5 s; the
      original's link is still free. *)
   (match Net.Netem.judge nem ~now:0. ~src:0 ~dst:1 ~bytes:10 with
-  | Net.Netem.Deliver d -> checkf "original access links unqueued" 0.02 d
+  | Net.Netem.Deliver -> checkf "original access links unqueued" 0.02 (Net.Netem.delay nem)
   | _ -> Alcotest.fail "original judged the pair faulty");
   checkb "copy sees its own isolation" true (Net.Netem.is_isolated c 2);
   checkb "copy sees its own rejoin" false (Net.Netem.is_isolated c 3);
@@ -401,6 +478,7 @@ let () =
         :: Alcotest.test_case "matrix" `Quick test_topology_matrix
         :: Alcotest.test_case "transit-stub structure" `Quick test_transit_stub_structure
         :: Alcotest.test_case "jitter determinism" `Quick test_transit_stub_jitter_deterministic
+        :: Alcotest.test_case "transit-stub memo = direct path" `Quick test_transit_stub_memo
         :: Alcotest.test_case "degrade" `Quick test_topology_degrade
         :: Alcotest.test_case "waxman total" `Quick test_waxman_total
         :: qcheck [ prop_transit_stub_symmetric_locality ] );

@@ -198,7 +198,9 @@ let prop_netem_fifo =
         | [] -> true
         | bytes :: rest -> (
             match Net.Netem.judge nem ~now:0. ~src:0 ~dst:1 ~bytes with
-            | Net.Netem.Deliver d -> d >= last && ordered d rest
+            | Net.Netem.Deliver ->
+                let d = Net.Netem.delay nem in
+                d >= last && ordered d rest
             | _ -> false)
       in
       ordered 0. sizes)
@@ -218,7 +220,7 @@ let prop_netem_queueing_slower_than_parallel =
             ( Net.Netem.judge q ~now:0. ~src:0 ~dst:1 ~bytes:500,
               Net.Netem.judge p ~now:0. ~src:0 ~dst:1 ~bytes:500 )
           with
-          | Net.Netem.Deliver dq, Net.Netem.Deliver dp -> dq >= dp -. 1e-9
+          | Net.Netem.Deliver, Net.Netem.Deliver -> Net.Netem.delay q >= Net.Netem.delay p -. 1e-9
           | _ -> false)
         (List.init n Fun.id))
 
