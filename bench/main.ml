@@ -15,9 +15,6 @@ let explorer_only = Array.exists (String.equal "--explorer-only") Sys.argv
 (* Run only the per-layer cost ladder (and emit BENCH_layers.json) *)
 let layers_only = Array.exists (String.equal "--layers-only") Sys.argv
 
-(* Run only the Bechamel micro-benchmarks *)
-let micro_only = Array.exists (String.equal "--micro-only") Sys.argv
-
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
 
@@ -1397,7 +1394,6 @@ let () =
   if fast then print_endline "(--fast: single seed, reduced sweeps)";
   if explorer_only then ex ()
   else if layers_only then layers ()
-  else if micro_only then micro ()
   else begin
     List.iter
       (fun f -> f ())

@@ -64,8 +64,12 @@ type t = {
   out : out;
 }
 
-let no_override : Linkprop.t = { latency = 0.; bandwidth = 1.; loss = 0. }
-let no_pair_faults = { no_faults with duplicate_copies = 1 }
+(* The two sentinels are compared by [==], so each must be a block of
+   its own: [Sys.opaque_identity] keeps the compiler from turning them
+   into constants it may share with an equal one, such as [no_faults]
+   itself, which a caller may pin a pair to. *)
+let no_override : Linkprop.t = { latency = Sys.opaque_identity 0.; bandwidth = 1.; loss = 0. }
+let no_pair_faults = { no_faults with duplicate_copies = Sys.opaque_identity 1 }
 
 let create ?(jitter = 0.05) ?(serialize_access = true) ~rng topo =
   if jitter < 0. then invalid_arg "Netem.create: negative jitter";

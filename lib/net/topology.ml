@@ -111,8 +111,9 @@ let stub_of p endpoint =
 
 let transit_of p endpoint = stub_of p endpoint / p.stubs_per_transit
 
-(* The memo's empty slot: private, so no computed path is this value. *)
-let unknown_path : Linkprop.t = { latency = 0.; bandwidth = 1.; loss = 1. }
+(* The memo's empty slot, compared by [==]: [Sys.opaque_identity]
+   makes it a block of its own, which no computed path can be. *)
+let unknown_path : Linkprop.t = { latency = Sys.opaque_identity 0.; bandwidth = 1.; loss = 1. }
 
 let transit_stub ?jitter_rng p =
   if p.transits <= 0 || p.stubs_per_transit <= 0 || p.clients_per_stub <= 0 then

@@ -303,9 +303,19 @@ let test_netem_pair_faults () =
   | Net.Netem.Deliver -> ()
   | _ -> Alcotest.fail "pair fault leaked to other pairs");
   Net.Netem.clear_pair_faults nem ~src:0 ~dst:1;
-  match Net.Netem.judge nem ~now:0. ~src:0 ~dst:1 ~bytes:10 with
+  (match Net.Netem.judge nem ~now:0. ~src:0 ~dst:1 ~bytes:10 with
   | Net.Netem.Deliver -> ()
-  | _ -> Alcotest.fail "cleared pair fault still active"
+  | _ -> Alcotest.fail "cleared pair fault still active");
+  (* A pair pinned to [no_faults] itself keeps it under a faulty
+     global profile. *)
+  Net.Netem.set_faults nem { Net.Netem.no_faults with Net.Netem.corrupt_rate = 1. };
+  Net.Netem.set_pair_faults nem ~src:0 ~dst:1 Net.Netem.no_faults;
+  (match Net.Netem.judge nem ~now:0. ~src:0 ~dst:1 ~bytes:10 with
+  | Net.Netem.Deliver -> ()
+  | _ -> Alcotest.fail "pair pinned to no_faults took the global profile");
+  match Net.Netem.judge nem ~now:0. ~src:1 ~dst:0 ~bytes:10 with
+  | Net.Netem.Corrupt _ -> ()
+  | _ -> Alcotest.fail "global profile ignored"
 
 let test_netem_faults_validated () =
   Alcotest.check_raises "rate outside [0,1]"
