@@ -313,12 +313,16 @@ module Make (App : Proto.App_intf.APP) = struct
           handles.(ni) <- Some c;
           c)
 
+  let rec drop_rows cause = function
+    | [] -> raise Not_found
+    | (c, rows) :: rest -> if String.equal c cause then rows else drop_rows cause rest
+
   (* The drop counter of [cause] on the directed pair [se -> de]. *)
   let obs_drop o ~cause ~se ~de =
     let rows =
-      match List.find_opt (fun (c, _) -> String.equal c cause) o.o_drops with
-      | Some (_, rows) -> rows
-      | None ->
+      match drop_rows cause o.o_drops with
+      | rows -> rows
+      | exception Not_found ->
           let rows = Net.Pair_rows.create ~absent:None in
           o.o_drops <- (cause, rows) :: o.o_drops;
           rows

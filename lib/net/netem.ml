@@ -45,9 +45,7 @@ type out = { mutable delay : float }
 
 (* Directed pairs live in {!Pair_rows} (row [src], column [dst]) and
    endpoints index arrays directly, so a lookup hashes nothing and a
-   queue update boxes no float. The two [absent] values below are
-   private to this module, so no caller can store them: a slot holding
-   one has no override. *)
+   queue update boxes no float. *)
 type t = {
   topo : Topology.t;
   size : int;  (* endpoints: [Topology.size topo] *)
@@ -64,10 +62,11 @@ type t = {
   out : out;
 }
 
-(* The two sentinels are compared by [==], so each must be a block of
-   its own: [Sys.opaque_identity] keeps the compiler from turning them
-   into constants it may share with an equal one, such as [no_faults]
-   itself, which a caller may pin a pair to. *)
+(* The pair tables' empty slots. They are private and compared by
+   [==], so each must be a block of its own: [Sys.opaque_identity]
+   keeps the compiler from turning them into constants it may share
+   with an equal one, such as [no_faults] itself, which a caller may
+   pin a pair to. *)
 let no_override : Linkprop.t = { latency = Sys.opaque_identity 0.; bandwidth = 1.; loss = 0. }
 let no_pair_faults = { no_faults with duplicate_copies = Sys.opaque_identity 1 }
 
@@ -237,6 +236,7 @@ let set_override t ~src ~dst p =
 let clear_override t ~src ~dst =
   check_pair t ~src ~dst;
   Pair_rows.set t.overrides src dst no_override
+
 let cut t ~src ~dst = set_override t ~src ~dst blackhole
 
 let cut_bidirectional t a b =

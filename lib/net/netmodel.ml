@@ -90,7 +90,10 @@ let predict_path t ~src ~dst ~now:_ =
   else
     let bw = if l.bw.n = 0. then 1_048_576. else Float.max 1. l.bw.ewma in
     let p = if l.loss.n = 0. then 0. else Float.min 1. (Float.max 0. l.loss.ewma) in
-    Some (Linkprop.v ~latency:(Float.max 0. l.lat.ewma) ~bandwidth:bw ~loss:p)
+    (* Built directly rather than through [Linkprop.v], which would box
+       each unboxed cell value to pass it: the clamps above already
+       keep the fields in [Linkprop.v]'s ranges. *)
+    Some { Linkprop.latency = Float.max 0. l.lat.ewma; bandwidth = bw; loss = p }
 
 let predict_transfer_time t ~src ~dst ~now ~bytes =
   match predict_path t ~src ~dst ~now with
