@@ -4,6 +4,16 @@
    asks for median, p99 and max back to back, which used to cost three
    full sorts per call. *)
 
+(* The running moments, in a record of floats only so that OCaml stores
+   it flat and [add] writes them without boxing: an obs histogram
+   observes every delivery. *)
+type moments = {
+  mutable total : float;
+  mutable total_sq : float;
+  mutable lo : float;
+  mutable hi : float;
+}
+
 type t = {
   mutable samples : float array;
   mutable len : int;  (** live prefix of [samples] *)
@@ -12,10 +22,7 @@ type t = {
   capacity : int option;  (** reservoir bound; [None] = unbounded *)
   rng : Rng.t option;  (** reservoir coin-flips; only with [capacity] *)
   mutable n : int;
-  mutable total : float;
-  mutable total_sq : float;
-  mutable lo : float;
-  mutable hi : float;
+  m : moments;
 }
 
 let create ?capacity ?(seed = 0x5157) () =
@@ -30,10 +37,7 @@ let create ?capacity ?(seed = 0x5157) () =
     capacity;
     rng = Option.map (fun _ -> Rng.create seed) capacity;
     n = 0;
-    total = 0.;
-    total_sq = 0.;
-    lo = infinity;
-    hi = neg_infinity;
+    m = { total = 0.; total_sq = 0.; lo = infinity; hi = neg_infinity };
   }
 
 let ensure_room t =
@@ -48,10 +52,11 @@ let ensure_room t =
 
 let add t x =
   t.n <- t.n + 1;
-  t.total <- t.total +. x;
-  t.total_sq <- t.total_sq +. (x *. x);
-  if x < t.lo then t.lo <- x;
-  if x > t.hi then t.hi <- x;
+  let m = t.m in
+  m.total <- m.total +. x;
+  m.total_sq <- m.total_sq +. (x *. x);
+  if x < m.lo then m.lo <- x;
+  if x > m.hi then m.hi <- x;
   match t.capacity with
   | None ->
       ensure_room t;
@@ -77,19 +82,19 @@ let add t x =
 
 let count t = t.n
 let retained t = t.len
-let sum t = t.total
-let mean t = if t.n = 0 then 0. else t.total /. float_of_int t.n
+let sum t = t.m.total
+let mean t = if t.n = 0 then 0. else t.m.total /. float_of_int t.n
 
 let variance t =
   if t.n < 2 then 0.
   else
     let m = mean t in
-    Float.max 0. ((t.total_sq /. float_of_int t.n) -. (m *. m))
+    Float.max 0. ((t.m.total_sq /. float_of_int t.n) -. (m *. m))
 
 let stddev t = sqrt (variance t)
 
-let min t = if t.n = 0 then invalid_arg "Stats.min: empty" else t.lo
-let max t = if t.n = 0 then invalid_arg "Stats.max: empty" else t.hi
+let min t = if t.n = 0 then invalid_arg "Stats.min: empty" else t.m.lo
+let max t = if t.n = 0 then invalid_arg "Stats.max: empty" else t.m.hi
 
 let sorted_samples t =
   match t.sorted with
