@@ -361,14 +361,17 @@ let ack s seq oe ne =
 let run ((cfg, kinds), breaker, ops) =
   let main = ref (new_side ?kinds cfg ~breaker) and other = ref (new_side ?kinds cfg ~breaker) in
   let now = ref 0. in
+  let side o = if o then !other else !main in
   List.iter
     (fun op ->
       (match op with
-      | Track { other = o; src; dst } -> ignore (track (if o then !other else !main) ~src ~dst)
-      | Ack { other = o; pick } -> with_pending (if o then !other else !main) pick (ack (if o then !other else !main))
+      | Track { other = o; src; dst } -> ignore (track (side o) ~src ~dst)
+      | Ack { other = o; pick } ->
+          let s = side o in
+          with_pending s pick (ack s)
       | Timed_out { other = o; pick; suspected; pressure; dt } ->
           now := !now +. dt;
-          let s = if o then !other else !main in
+          let s = side o in
           let at = Dsim.Vtime.of_seconds !now in
           with_pending s pick (fun seq oe ne ->
               let a =
@@ -384,17 +387,17 @@ let run ((cfg, kinds), breaker, ops) =
       | Copy { other = true } -> other := copy_side !main
       | Copy { other = false } -> main := copy_side !other
       | Arrive { other = o; seq } ->
-          let s = if o then !other else !main in
+          let s = side o in
           let a = Oracle.first_arrival s.o seq and b = R.first_arrival s.n seq in
           if a <> b then QCheck.Test.fail_reportf "first_arrival %d: oracle %b, ring %b" seq a b
       | Timeout { other = o; tries; seed } ->
-          let s = if o then !other else !main in
+          let s = side o in
           let a = Oracle.timeout s.o (Dsim.Rng.create seed) ~tries
           and b = R.timeout s.n (Dsim.Rng.create seed) ~tries in
           if Int64.bits_of_float a <> Int64.bits_of_float b then
             QCheck.Test.fail_reportf "timeout tries=%d: oracle %h, ring %h" tries a b
       | Churn { other = o; src; dst; sends } ->
-          let s = if o then !other else !main in
+          let s = side o in
           for _ = 1 to sends do
             let seq = track s ~src ~dst in
             with_pending s seq (ack s)
