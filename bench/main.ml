@@ -616,7 +616,7 @@ let cycle xs =
 let delivery_path_micros () =
   let nid = Proto.Node_id.of_int in
   let rel : int Engine.Reliable.t =
-    Engine.Reliable.create ~endpoints:5 Engine.Reliable.default
+    Engine.Reliable.create Engine.Reliable.default
   in
   let reliable_test =
     ( "Reliable track+ack+lookup",

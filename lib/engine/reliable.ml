@@ -46,7 +46,7 @@ type 'msg t = {
 
 let backoff_timeout cfg ~tries = cfg.base_timeout *. (cfg.backoff ** float_of_int tries)
 
-let create ?kinds ~endpoints:_ config =
+let create ?kinds config =
   if config.base_timeout <= 0. then invalid_arg "Sim.enable_reliable: base_timeout must be positive";
   if config.backoff < 1. then invalid_arg "Sim.enable_reliable: backoff must be >= 1";
   if config.max_retries < 0 then invalid_arg "Sim.enable_reliable: negative max_retries";

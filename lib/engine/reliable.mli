@@ -38,9 +38,8 @@ type 'msg entry = {
 
 type 'msg t
 
-val create : ?kinds:string list -> endpoints:int -> config -> 'msg t
+val create : ?kinds:string list -> config -> 'msg t
 (** [kinds] restricts tracking to those message kinds (default: all).
-    Node ids must lie in [0 .. endpoints - 1].
     @raise Invalid_argument on non-positive [base_timeout] or
     [ack_bytes], [backoff < 1], or negative
     [max_retries]/[jitter]/[suspect_cap]. *)

@@ -402,7 +402,7 @@ module Make (App : Proto.App_intf.APP) = struct
   let failure_detector t = t.fd
   let set_fd_enabled t on = t.fd_enabled <- on
   let enable_reliable ?(config = default_reliable) ?kinds t =
-    t.rel <- Some (Reliable.create ?kinds ~endpoints:t.endpoints config)
+    t.rel <- Some (Reliable.create ?kinds config)
 
   (* ---------- overload API ---------- *)
 

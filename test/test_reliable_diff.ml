@@ -198,7 +198,7 @@ let new_side ?kinds cfg ~breaker =
   let cb () = if breaker then Some (Net.Circuit_breaker.create ~failure_threshold:2 ()) else None in
   {
     o = Oracle.create ?kinds ~endpoints cfg;
-    n = R.create ?kinds ~endpoints cfg;
+    n = R.create ?kinds cfg;
     ob = cb ();
     nb = cb ();
     next = 0;
