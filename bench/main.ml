@@ -12,7 +12,8 @@ let fast = Array.exists (String.equal "--fast") Sys.argv
    without regenerating every experiment table. *)
 let explorer_only = Array.exists (String.equal "--explorer-only") Sys.argv
 
-(* Run only the per-layer cost ladder (and emit BENCH_layers.json) *)
+(* Run only the per-layer cost ladder (and emit BENCH_layers.json) and
+   the interleaved-engines section *)
 let layers_only = Array.exists (String.equal "--layers-only") Sys.argv
 
 let section title =
@@ -704,7 +705,8 @@ let micro () =
   let rng_int_test = ("rng int", fun () -> ignore (Dsim.Rng.int rng 1000)) in
   (* A 31-node binary tree, and the same tree with one leaf moved under
      another parent; each run checks the other one, as the engine does
-     after an event that moved one link. *)
+     after an event that moved one link: in full, or through the
+     property's tracker told which node changed. *)
   let no_cycle_tests =
     let parent = Fun.id and nid = Proto.Node_id.of_int in
     let tree moved =
@@ -727,11 +729,14 @@ let micro () =
         (fun (p : _ Core.Property.t) -> p.name = "no-cycle")
         (Apps.Randtree_common.properties ~parent ~joined:(fun _ -> true))
     in
+    let tracker = Core.Property.start no_cycle views.(0) in
     [
       ( "randtree no-cycle, 31 nodes, one link moved: full",
         fun () -> ignore (Apps.Randtree_common.Measure.has_cycle ~parent (next ())) );
-      ( "randtree no-cycle, 31 nodes, one link moved: incremental",
-        fun () -> ignore (no_cycle.holds (next ())) );
+      ( "randtree no-cycle, 31 nodes, one link moved: tracked",
+        fun () ->
+          tracker.touch 30;
+          ignore (tracker.holds (next ())) );
     ]
   in
   let choice =
@@ -1109,12 +1114,8 @@ let ex () =
    the build profile; the checked-in file comes from dune's dev
    profile, which CI builds.
 
-   Rungs run whole, never interleaved slice by slice with another
-   engine: the paxos agreement memo is per domain, so alternating two
-   paxos engines in one domain rebuilds it from scratch, in O(history),
-   on every switch — which once read as a 5x cost for [+properties].
-   Machine drift is spread instead by rotating the rung order each rep
-   after one unrecorded warm-up cycle; each rung reports its median. *)
+   Machine drift is spread by rotating the rung order each rep after
+   one unrecorded warm-up cycle; each rung reports its median. *)
 
 module Layer_paxos = Apps.Paxos.Make (struct
   let population = 5
@@ -1388,16 +1389,93 @@ let layers () =
     exit 1
   end
 
+(* ------------------------------------------------------------------ *)
+(* INTERLEAVE: engines that take turns in one domain                   *)
+(* ------------------------------------------------------------------ *)
+
+(* 5-replica [Paxos.Default] engines with their safety checks on,
+   advanced in turn 10 ms of virtual time at a time: one engine alone,
+   two engines with different seeds, and an engine with a fork taken at
+   1 s. A lookahead branch, a sampled predictor or a test running two
+   worlds steps engines this way. Each case reports wall ns per event
+   (both engines' events together) over the 10 virtual seconds before
+   20 s and before 60 s, as the median of its reps; a check whose cost
+   grows with the decided log, or that redoes work when the engine
+   switches, shows as a rising 60 s column. *)
+module Il = Engine.Sim.Make (Apps.Paxos.Default)
+
+let il_engine seed =
+  let topology =
+    Net.Topology.uniform ~n:5 (Net.Linkprop.v ~latency:0.02 ~bandwidth:1_000_000. ~loss:0.)
+  in
+  let eng = Il.create ~seed ~topology () in
+  Dsim.Trace.set_min_level (Il.trace eng) Dsim.Trace.Info;
+  Il.set_resolver eng Apps.Paxos.self_resolver;
+  each_replica (fun node -> Il.spawn eng node);
+  eng
+
+(* Wall ns per event over the 10 virtual seconds before 20 s and
+   before 60 s. *)
+let il_run engines =
+  let events () = List.fold_left (fun acc e -> acc + (Il.stats e).events_processed) 0 engines in
+  let advance_to until =
+    while Dsim.Vtime.to_seconds (Il.now (List.hd engines)) < until -. 0.005 do
+      List.iter (fun e -> Il.run_for e 0.01) engines
+    done
+  in
+  let window until =
+    advance_to (until -. 10.);
+    let ev0 = events () and t0 = Monotonic_clock.now () in
+    advance_to until;
+    Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. float_of_int (events () - ev0)
+  in
+  let at_20 = window 20. in
+  (at_20, window 60.)
+
+let il_cases =
+  [
+    ("one engine", fun () -> [ il_engine 3 ]);
+    ("two engines in turn", fun () -> [ il_engine 3; il_engine 7 ]);
+    ( "parent + fork in turn",
+      fun () ->
+        let parent = il_engine 3 in
+        Il.run_for parent 1.;
+        [ parent; Il.fork parent ] );
+  ]
+
+let interleave () =
+  section "INTERLEAVE  Engines stepped in turn: 5-replica paxos, checks on, 10 ms slices";
+  let reps = if fast then 3 else 5 in
+  let rows =
+    List.map
+      (fun (name, build) ->
+        let runs = List.init reps (fun _ -> il_run (build ())) in
+        (name, median (List.map fst runs), median (List.map snd runs)))
+      il_cases
+  in
+  let _, _, alone = List.hd rows in
+  Metrics.Report.print
+    ~title:(Printf.sprintf "wall ns per event over the 10 s before each mark, median of %d" reps)
+    ~header:[ "case"; "ns/ev at 20 s"; "ns/ev at 60 s"; "vs one engine at 60 s" ]
+    (List.map
+       (fun (name, at_20, at_60) ->
+         [ name; Printf.sprintf "%.0f" at_20; Printf.sprintf "%.0f" at_60;
+           Printf.sprintf "%.2fx" (at_60 /. alone) ])
+       rows)
+
 let () =
   Printf.printf
     "Reproduction benches: Yabandeh et al., Simplifying Distributed System Development (HotOS 2009)\n";
   if fast then print_endline "(--fast: single seed, reduced sweeps)";
   if explorer_only then ex ()
-  else if layers_only then layers ()
+  else if layers_only then begin
+    layers ();
+    interleave ()
+  end
   else begin
     List.iter
       (fun f -> f ())
-      [ e1; e23; e3b; e4; e5; e6; e7; e8; s1; a1; a2; a3; a4; a5; ex; layers; micro ];
+      [ e1; e23; e3b; e4; e5; e6; e7; e8; s1; a1; a2; a3; a4; a5; ex; layers; interleave; micro ];
     print_endline
       "\nAll experiment tables regenerated. See EXPERIMENTS.md for the paper-vs-measured record."
   end

@@ -126,11 +126,6 @@ module Make (P : PARAMS) : sig
 
   val decided : state -> cmd Int_map.t
 
-  val agreement_uncached : (state, msg) Proto.View.t -> bool
-  (** The agreement property folded over every decision in the view:
-      the reference the incremental check behind {!properties} must
-      agree with. *)
-
   val latencies : state -> float list
   (** Commit latencies (seconds) of commands born at this replica,
       newest first. *)
@@ -669,7 +664,7 @@ end = struct
 
   (* Agreement: no two replicas decide different commands for one
      instance — the safety property Paxos exists to provide. *)
-  let agreement_uncached view =
+  let agreement view =
     let decisions = Hashtbl.create 64 in
     Proto.View.fold
       (fun ok _ st ->
@@ -683,67 +678,62 @@ end = struct
           st.decided.map ok)
       true view
 
-  (* The engine checks agreement after every event and the explorer
-     after every expanded world. Between two checks of one run, each
-     [decided] map is either the same map or the previous one plus the
-     few decisions that just landed, and its write window says which
-     ones. So the memo keeps every decision of the last checked view in
-     an [inst -> cmd] table, with the verdict, and advances it by the
-     fresh inserts alone. Anything else rebuilds the table from
-     scratch: a changed node set, a window that does not reach the
-     memoised map (an amnesia reboot, a recovered state, the explorer
-     switching branches), or a write over a decision already counted.
-     Decisions are only ever added between rebuilds, so a violation
-     stays one until then, exactly as the full fold would find it. One
-     memo per domain (DLS): a program checking properties from several
-     domains never shares a table between them. *)
-  type agreement_memo = {
-    mutable seen : (Proto.Node_id.t * cmd Tracked.t) list;  (* the last view checked *)
-    decisions : (int, cmd) Hashtbl.t;  (* first decision seen per instance *)
-    mutable agree : bool;
-  }
+  (* Agreement kept node by node, for the engine: each live node's
+     [decided] map as last seen, and the instances two of them decide
+     differently. When a node's map changes, only the instances it
+     wrote can change side. Its write window names them, or else every
+     instance of its old and new map does. Each is rechecked against
+     all the maps, so the verdict is the fold's by construction. A copy
+     copies one pointer per endpoint. *)
+  module Agreement = struct
+    module Int_set = Set.Make (Int)
 
-  let agreement_memo =
-    Domain.DLS.new_key (fun () -> { seen = []; decisions = Hashtbl.create 64; agree = true })
+    type t = {
+      mutable seen : cmd Tracked.t array;  (* endpoint -> decided; [absent] when not live *)
+      mutable disputed : Int_set.t;
+    }
 
-  let learn memo inst cmd =
-    match Hashtbl.find_opt memo.decisions inst with
-    | None -> Hashtbl.replace memo.decisions inst cmd
-    | Some cmd' -> if cmd <> cmd' then memo.agree <- false
+    let absent = Tracked.empty decided_entry
 
-  (* Fold the decisions [next] has beyond [prev] into the memo; [false]
-     when they are not a set of fresh inserts. *)
-  let advance memo (prev : cmd Tracked.t) (next : cmd Tracked.t) =
-    prev == next
-    ||
-    match Tracked.written ~prev ~next with
-    | Some insts when not (List.exists (fun inst -> Int_map.mem inst prev.map) insts) ->
-        List.iter (fun inst -> learn memo inst (Int_map.find inst next.map)) insts;
-        true
-    | Some _ | None -> false
+    (* Does a map from endpoint [e] on decide [inst] other than [first],
+       or than the first map that decides it? *)
+    let rec split t inst first e =
+      e < Array.length t.seen
+      &&
+      match Int_map.find inst t.seen.(e).map with
+      | exception Not_found -> split t inst first (e + 1)
+      | cmd -> (
+          match first with
+          | None -> split t inst (Some cmd) (e + 1)
+          | Some c -> c <> cmd || split t inst first (e + 1))
 
-  let agreement view =
-    let memo = Domain.DLS.get agreement_memo in
-    let current = List.map (fun (id, st) -> (id, st.decided)) view.Proto.View.nodes in
-    let advanced =
-      List.compare_lengths memo.seen current = 0
-      && List.for_all2
-           (fun (id, prev) (id', next) -> Proto.Node_id.equal id id' && advance memo prev next)
-           memo.seen current
-    in
-    if not advanced then begin
-      Hashtbl.reset memo.decisions;
-      memo.agree <- true;
-      List.iter
-        (fun (_, (d : cmd Tracked.t)) -> Int_map.iter (learn memo) d.map)
-        current
-    end;
-    memo.seen <- current;
-    memo.agree
+    let recheck t inst =
+      t.disputed <- (if split t inst None 0 then Int_set.add else Int_set.remove) inst t.disputed
+
+    let update t e st =
+      let n = Array.length t.seen in
+      if e >= n then t.seen <- Array.append t.seen (Array.make (e + 1 - n) absent);
+      let prev = t.seen.(e) and next = match st with Some st -> st.decided | None -> absent in
+      if prev != next then begin
+        t.seen.(e) <- next;
+        match Tracked.written ~prev ~next with
+        | Some insts -> List.iter (recheck t) insts
+        | None ->
+            Int_map.iter (fun inst _ -> recheck t inst) prev.map;
+            Int_map.iter (fun inst _ -> recheck t inst) next.map
+      end
+
+    let start view =
+      Proto.View.tracker ~update
+        ~verdict:(fun t -> Int_set.is_empty t.disputed)
+        ~copy:(fun t -> { t with seen = Array.copy t.seen })
+        { seen = [||]; disputed = Int_set.empty }
+        view
+  end
 
   let properties =
     [
-      Core.Property.safety ~name:"agreement" agreement;
+      Core.Property.safety ~name:"agreement" ~track:Agreement.start agreement;
       Core.Property.liveness ~name:"all-committed" (fun view ->
           Proto.View.fold
             (fun ok _ st -> ok && List.length st.latencies = st.born)

@@ -160,126 +160,54 @@ module Measure = struct
     if !count = 0 then 0. else float_of_int !total /. float_of_int !count
 end
 
-(** The [no-cycle] property, checked incrementally.
-
-    The engine checks it after every event and every lookahead fork
-    after each of its events, and between two checks a few parent
-    links move at most. So the memo keeps the last checked view's ids
-    in view order, each one's parent link as an int, an id -> position
-    index, and the verdict. A view with the same ids after an acyclic
-    verdict only walks parents from the nodes whose link changed, at
-    most n hops each: any new cycle runs through a changed link, and
-    the view has one iff such a walk returns to its start. Any other
-    view (new or reordered ids, duplicate or sparse ids, a cyclic last
-    verdict) takes the full {!Measure.has_cycle}, which stays the
-    reference, and refills the memo.
-
-    The memo holds ints only, never the view (a deferred view must not
-    be kept), and assumes nothing but "the last view checked", so a
-    lookahead fork and its parent engine may take turns on one memo.
-    One memo per domain (DLS) and per {!properties} call. *)
+(** The [no-cycle] property kept node by node, for the engine: one
+    parent link per endpoint (-1 for a root or an absent node) and the
+    verdict. While the tree is acyclic, any new cycle runs through a
+    link that just moved, so only walks from those nodes, at most n
+    hops each, can find one. Once it is cyclic, the next moves
+    recompute the verdict from all the links. *)
 module No_cycle = struct
-  type memo = {
-    mutable count : int;  (** nodes in the last view checked; -1 = nothing to reuse *)
-    mutable ids : int array;  (** their ids, in view order *)
-    mutable links : int array;  (** each one's parent id; -1 for a root *)
-    mutable index : int array;  (** id -> position; -1 when absent *)
-    mutable changed : int array;  (** positions whose link moved in this check *)
-    mutable moved : int;  (** how many of [changed] are set *)
+  type t = {
+    mutable links : int array;  (** endpoint -> parent endpoint *)
+    mutable moved : int list;  (** endpoints whose link moved since the last verdict *)
     mutable acyclic : bool;
   }
 
-  let create () =
-    {
-      count = -1;
-      ids = [||];
-      links = [||];
-      index = [||];
-      changed = [||];
-      moved = 0;
-      acyclic = false;
-    }
-
-  let link ~parent st = match parent st with None -> -1 | Some p -> Proto.Node_id.to_int p
-
-  (* Does [nodes] carry the memo's ids, from position [i] on? Updates
-     each link on the way and records the positions that moved. *)
-  let rec same_ids m ~parent i = function
-    | [] -> i = m.count
-    | (id, st) :: rest ->
-        i < m.count
-        && m.ids.(i) = Proto.Node_id.to_int id
-        &&
-        let l = link ~parent st in
-        if l <> m.links.(i) then begin
-          m.links.(i) <- l;
-          m.changed.(m.moved) <- i;
-          m.moved <- m.moved + 1
-        end;
-        same_ids m ~parent (i + 1) rest
-
-  (* Do the parent links from position [j] lead back to [start] within
-     [count - hops] more hops? *)
-  let rec returns m ~start j hops =
-    let l = m.links.(j) in
-    if l < 0 || l >= Array.length m.index then false
-    else
-      let k = m.index.(l) in
-      if k < 0 then false
-      else if k = start then true
-      else hops < m.count && returns m ~start k (hops + 1)
-
-  let rec any_returns m k =
-    k < m.moved
-    &&
-    let i = m.changed.(k) in
-    returns m ~start:i i 0 || any_returns m (k + 1)
-
-  (* Refill the memo from [nodes]. Leaves [count = -1] when the ids are
-     duplicate or sparse (the largest far above the node count), which
-     the index does not serve. *)
-  let refill m ~parent nodes =
-    let n = List.length nodes in
-    if Array.length m.ids < n then begin
-      let cap = max n (2 * Array.length m.ids) in
-      m.ids <- Array.make cap 0;
-      m.links <- Array.make cap 0;
-      m.changed <- Array.make cap 0
-    end;
-    let top = ref (-1) in
-    List.iteri
-      (fun i (id, st) ->
-        let id = Proto.Node_id.to_int id in
-        m.ids.(i) <- id;
-        m.links.(i) <- link ~parent st;
-        top := max !top id)
-      nodes;
-    m.count <- -1;
-    if !top <= (4 * n) + 64 then begin
-      if Array.length m.index > !top then Array.fill m.index 0 (Array.length m.index) (-1)
-      else m.index <- Array.make (max (!top + 1) (2 * Array.length m.index)) (-1);
-      let rec place i =
-        i = n
-        ||
-        let id = m.ids.(i) in
-        m.index.(id) < 0
-        &&
-        (m.index.(id) <- i;
-         place (i + 1))
-      in
-      if place 0 then m.count <- n
+  let update ~parent t e st =
+    let l =
+      match Option.bind st parent with None -> -1 | Some p -> Proto.Node_id.to_int p
+    in
+    let n = Array.length t.links in
+    if e >= n then t.links <- Array.append t.links (Array.make (e + 1 - n) (-1));
+    if t.links.(e) <> l then begin
+      t.links.(e) <- l;
+      t.moved <- e :: t.moved
     end
 
-  let holds m ~parent view =
-    let nodes = view.Proto.View.nodes in
-    m.moved <- 0;
-    if m.acyclic && m.count >= 0 && same_ids m ~parent 0 nodes then
-      m.acyclic <- not (any_returns m 0)
-    else begin
-      m.acyclic <- not (Measure.has_cycle ~parent view);
-      refill m ~parent nodes
+  (* Do the parent links from [start] lead back to it? *)
+  let returns t start =
+    let n = Array.length t.links in
+    let rec climb j hops =
+      let l = t.links.(j) in
+      l >= 0 && l < n && (l = start || (hops < n && climb l (hops + 1)))
+    in
+    climb start 0
+
+  let rec any_returns t e = e < Array.length t.links && (returns t e || any_returns t (e + 1))
+
+  let verdict t =
+    if t.moved <> [] then begin
+      t.acyclic <-
+        not (if t.acyclic then List.exists (returns t) t.moved else any_returns t 0);
+      t.moved <- []
     end;
-    m.acyclic
+    t.acyclic
+
+  let start ~parent view =
+    Proto.View.tracker ~update:(update ~parent) ~verdict
+      ~copy:(fun t -> { t with links = Array.copy t.links })
+      { links = [||]; moved = []; acyclic = true }
+      view
 end
 
 (** The objectives and properties both variants expose (§3.2): keep the
@@ -296,10 +224,9 @@ let objectives ~parent ~joined =
   ]
 
 let properties ~parent ~joined =
-  let memo = Domain.DLS.new_key No_cycle.create in
   [
-    Core.Property.safety ~name:"no-cycle" (fun view ->
-        No_cycle.holds (Domain.DLS.get memo) ~parent view);
+    Core.Property.safety ~name:"no-cycle" ~track:(No_cycle.start ~parent) (fun view ->
+        not (Measure.has_cycle ~parent view));
     Core.Property.liveness ~name:"all-joined" (fun view ->
         List.for_all (fun (_, st) -> joined st) view.Proto.View.nodes);
   ]

@@ -6,7 +6,6 @@ let v ~name ?(weight = 1.0) score =
 
 let score t view = t.weight *. t.score view
 let total ts view = List.fold_left (fun acc t -> acc +. score t view) 0. ts
-let map_view f t = { t with score = (fun view -> t.score (f view)) }
 
 let constrained t ~penalty ok =
   {

@@ -17,10 +17,6 @@ val score : 'view t -> 'view -> float
 val total : 'view t list -> 'view -> float
 (** Sum of weighted scores; 0 for the empty list. *)
 
-val map_view : ('b -> 'a) -> 'a t -> 'b t
-(** Precompose with a view projection, e.g. to evaluate an engine-view
-    objective on a runtime snapshot. *)
-
 val constrained : 'view t -> penalty:float -> ('view -> bool) -> 'view t
 (** [constrained obj ~penalty ok] subtracts [penalty] whenever [ok]
     fails — a soft way to fold a safety predicate into an objective,

@@ -1,13 +1,27 @@
 type kind = Safety | Liveness
 
-type 'view t = { name : string; kind : kind; holds : 'view -> bool }
+type 'view tracker = {
+  touch : int -> unit;
+  holds : 'view -> bool;
+  copy : unit -> 'view tracker;
+}
 
-let safety ~name holds = { name; kind = Safety; holds }
-let liveness ~name holds = { name; kind = Liveness; holds }
+type 'view t = {
+  name : string;
+  kind : kind;
+  holds : 'view -> bool;
+  track : ('view -> 'view tracker) option;
+}
+
+let safety ~name ?track holds = { name; kind = Safety; holds; track }
+let liveness ~name holds = { name; kind = Liveness; holds; track = None }
 
 let check props view =
-  List.filter (fun p -> p.kind = Safety && not (p.holds view)) props
+  List.filter (fun (p : _ t) -> p.kind = Safety && not (p.holds view)) props
 
-let safety_holds props view = check props view = []
-let map_view f t = { t with holds = (fun view -> t.holds (f view)) }
-let kind_to_string = function Safety -> "safety" | Liveness -> "liveness"
+let start (p : _ t) view =
+  match p.track with
+  | Some start -> start view
+  | None ->
+      let rec full = { touch = ignore; holds = p.holds; copy = (fun () -> full) } in
+      full

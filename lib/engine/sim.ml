@@ -188,6 +188,9 @@ module Make (App : Proto.App_intf.APP) = struct
            [Timer_fire] of an older one is stale *)
     trace : Dsim.Trace.t;
     check_properties : bool;
+    mutable trackers : (App.state, App.msg) Proto.View.t Core.Property.tracker array;
+        (* one per safety property, in list order, started at the first
+           check; empty until then *)
     mutable mode : mode;
     mutable speculative : bool;
     mutable violations : (Dsim.Vtime.t * string) list;
@@ -247,6 +250,7 @@ module Make (App : Proto.App_intf.APP) = struct
       timer_gens = Array.make endpoints Smap.empty;
       trace = Dsim.Trace.create ~capacity:trace_capacity ();
       check_properties;
+      trackers = [||];
       mode = Plain Core.Resolver.first;
       speculative = false;
       violations = [];
@@ -459,6 +463,13 @@ module Make (App : Proto.App_intf.APP) = struct
     end;
     t.live
 
+  (* Every write to [t.nodes] tells the safety trackers its node. *)
+  let touch t id =
+    let e = Proto.Node_id.to_int id in
+    for i = 0 to Array.length t.trackers - 1 do
+      t.trackers.(i).Core.Property.touch e
+    done
+
   (* [live] with [id]'s state replaced; the entries after it are shared. *)
   let rec replace_live id state = function
     | [] -> []
@@ -546,6 +557,7 @@ module Make (App : Proto.App_intf.APP) = struct
       clocks = Clocks.copy t.clocks;
       ctxs = Array.make t.endpoints None;
       timer_gens = Array.copy t.timer_gens;
+      trackers = Array.map (fun (tr : _ Core.Property.tracker) -> tr.copy ()) t.trackers;
       stats = stats t;
       trace = Dsim.Trace.create ~capacity:16 ();
       message_log = None;
@@ -587,6 +599,7 @@ module Make (App : Proto.App_intf.APP) = struct
     | None -> ()
     | Some n ->
         t.nodes <- Proto.Node_id.Map.add id { n with alive = false } t.nodes;
+        touch t id;
         Dsim.Trace.logf t.trace t.now Dsim.Trace.Info ~component:"engine" "%a killed"
           Proto.Node_id.pp id
 
@@ -1087,13 +1100,15 @@ module Make (App : Proto.App_intf.APP) = struct
 
   (* The properties the engine checks after every event. *)
   let safety =
-    List.filter (fun (p : _ Core.Property.t) -> p.kind = Core.Property.Safety) App.properties
+    Array.of_list
+      (List.filter (fun (p : _ Core.Property.t) -> p.kind = Core.Property.Safety) App.properties)
 
-  (* The names of the properties [view] violates, in list order. *)
-  let rec violated view = function
-    | [] -> []
-    | (p : _ Core.Property.t) :: rest ->
-        if p.holds view then violated view rest else p.name :: violated view rest
+  (* The names of the properties whose trackers reject [view], in list
+     order. *)
+  let rec violated t view i =
+    if i = Array.length safety then []
+    else if t.trackers.(i).Core.Property.holds view then violated t view (i + 1)
+    else safety.(i).name :: violated t view (i + 1)
 
   (* Edge-detect: one recorded violation per incident, not one per
      event while the bad state persists. *)
@@ -1330,6 +1345,7 @@ module Make (App : Proto.App_intf.APP) = struct
           t.live_of <- nodes
         end;
         t.nodes <- nodes;
+        touch t node;
         defer_sends t node ~delay actions
 
   and recover t id d boot =
@@ -1522,6 +1538,7 @@ module Make (App : Proto.App_intf.APP) = struct
             in
             note_degraded t id ~prev:(Option.map (fun (p : node) -> p.state) prev) ~next:state;
             t.nodes <- Proto.Node_id.Map.add id { state; alive = true; incarnation } t.nodes;
+            touch t id;
             defer_sends t id ~delay actions;
             Dsim.Trace.logf t.trace t.now Dsim.Trace.Info ~component:"engine" "%a booted"
               Proto.Node_id.pp id)
@@ -1583,8 +1600,11 @@ module Make (App : Proto.App_intf.APP) = struct
         | Some _ | None -> ()));
     t.processing <- saved_processing;
     t.event_decisions <- saved_decisions;
-    if t.check_properties && safety <> [] then begin
-      let now_violated = violated (transient_view t) safety in
+    if t.check_properties && Array.length safety > 0 then begin
+      let view = transient_view t in
+      if Array.length t.trackers = 0 then
+        t.trackers <- Array.map (fun p -> Core.Property.start p view) safety;
+      let now_violated = violated t view 0 in
       if now_violated <> [] || t.violated_now <> [] then begin
         record_violations t now_violated;
         t.violated_now <- now_violated

@@ -64,3 +64,28 @@ let restrict t keep =
       (if Lazy.is_val t.lazy_inflight then Lazy.from_val (keep_msgs (inflight t))
        else lazy (keep_msgs (inflight t)));
   }
+
+(** A {!Core.Property.tracker} over a mutable ['s]: [update s id st]
+    brings [s] up to date with node [id] in state [st] ([None] once it
+    left the view), [verdict s] answers, [copy s] shares nothing
+    mutable with [s]. It first updates [s] with every node of [view],
+    then, at each [holds], with the nodes touched since the last one;
+    [update] must be idempotent, as a node touched twice is updated
+    twice. *)
+let tracker ~update ~verdict ~copy s view =
+  let rec make s touched =
+    let touched = ref touched in
+    {
+      Core.Property.touch = (fun e -> touched := e :: !touched);
+      holds =
+        (fun view ->
+          (match !touched with
+          | [] -> ()
+          | ids ->
+              List.iter (fun e -> update s e (find view (Node_id.of_int e))) ids;
+              touched := []);
+          verdict s);
+      copy = (fun () -> make (copy s) !touched);
+    }
+  in
+  make s (List.map (fun (id, _) -> Node_id.to_int id) view.nodes)

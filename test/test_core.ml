@@ -297,10 +297,8 @@ let test_objective_scoring () =
   checkf "weighted" 6. (Core.Objective.score o 3);
   checkf "total" 10. (Core.Objective.total [ o; Core.Objective.v ~name:"p" (fun v -> float_of_int (v + 1)) ] 3)
 
-let test_objective_map_constrained () =
+let test_objective_constrained () =
   let o = Core.Objective.v ~name:"o" (fun v -> float_of_int v) in
-  let mapped = Core.Objective.map_view String.length o in
-  checkf "mapped" 5. (Core.Objective.score mapped "hello");
   let constrained = Core.Objective.constrained o ~penalty:100. (fun v -> v >= 0) in
   checkf "ok no penalty" 3. (Core.Objective.score constrained 3);
   checkf "violating penalised" (-103.) (Core.Objective.score constrained (-3))
@@ -317,14 +315,25 @@ let test_property_check () =
   checki "safety violated" 1 (List.length violated);
   checks "name" "pos" (List.hd violated).Core.Property.name;
   checkb "liveness never reported by check" true
-    (List.for_all (fun (p : _ Core.Property.t) -> p.kind = Core.Property.Safety) violated);
-  checkb "safety_holds" false (Core.Property.safety_holds [ pos ] (-1))
+    (List.for_all (fun (p : _ Core.Property.t) -> p.kind = Core.Property.Safety) violated)
 
-let test_property_map_view () =
-  let p = Core.Property.safety ~name:"short" (fun s -> String.length s < 3) in
-  let q = Core.Property.map_view string_of_int p in
-  checkb "mapped holds" true (Core.Property.safety_holds [ q ] 42);
-  checkb "mapped fails" false (Core.Property.safety_holds [ q ] 12345)
+(* A property without a tracker starts one that answers [holds]; a
+   tracked one starts its own. *)
+let test_property_start () =
+  let pos = Core.Property.safety ~name:"pos" (fun v -> v > 0) in
+  let tr = Core.Property.start pos 5 in
+  tr.touch 0;
+  checkb "untracked holds" true (tr.holds 5);
+  checkb "untracked fails" false (tr.holds (-1));
+  checkb "its copy too" false ((tr.copy ()).holds (-1));
+  let started = ref [] in
+  let track v =
+    started := v :: !started;
+    Core.Property.start pos v
+  in
+  let tracked = Core.Property.safety ~name:"pos" ~track (fun v -> v > 0) in
+  checkb "tracked holds" true ((Core.Property.start tracked 3).holds 3);
+  Alcotest.(check (list int)) "its tracker started on the view" [ 3 ] !started
 
 let qcheck = List.map QCheck_alcotest.to_alcotest
 
@@ -365,9 +374,9 @@ let () =
       ( "objective+property",
         [
           Alcotest.test_case "scoring" `Quick test_objective_scoring;
-          Alcotest.test_case "map/constrained" `Quick test_objective_map_constrained;
+          Alcotest.test_case "constrained" `Quick test_objective_constrained;
           Alcotest.test_case "invalid weight" `Quick test_objective_invalid_weight;
           Alcotest.test_case "property check" `Quick test_property_check;
-          Alcotest.test_case "property map_view" `Quick test_property_map_view;
+          Alcotest.test_case "property start" `Quick test_property_start;
         ] );
     ]

@@ -36,36 +36,17 @@ let recording records durable =
       })
     durable
 
-(* Paxos whose agreement check also runs the full fold
-   [agreement_uncached] on every view it is handed and counts any
-   disagreement, so every storm and exploration below doubles as a
-   differential test of the incremental check. Its WAL records are
-   kept for the byte-identity pins. *)
+(* Paxos whose agreement tracker also runs the full fold on every view
+   the engine hands it and counts any disagreement, so every storm
+   below doubles as a differential test of the tracker. Its WAL records
+   are kept for the byte-identity pins. *)
 module P = struct
   include Apps.Paxos.Make (Params)
 
   let records = Buffer.create 4096
   let durable = recording records durable
-  let checks = ref 0
-  let refusals = ref 0
-  let mismatches = ref 0
-
-  let properties =
-    List.map
-      (fun (p : _ Core.Property.t) ->
-        if p.name <> "agreement" then p
-        else
-          {
-            p with
-            holds =
-              (fun view ->
-                let verdict = p.holds view in
-                incr checks;
-                if not verdict then incr refusals;
-                if verdict <> agreement_uncached view then incr mismatches;
-                verdict);
-          })
-      properties
+  let agreement = Test_support.Differential.counts ()
+  let properties = Test_support.Differential.check_named agreement "agreement" properties
 end
 
 module F = Engine.Faultplan
@@ -252,42 +233,113 @@ let test_dissem_keeps_blocks () =
 
 (* ---------- incremental agreement ----------
 
-   The agreement memo advances by the decisions each check adds and
-   rebuilds on anything else; [P] counts every check whose verdict
-   differs from the full fold. Amnesia storms reboot nodes with empty
-   maps and really violate agreement, so both verdicts and the rebuild
+   The engine checks agreement through the property's tracker; [P]
+   also runs the full fold on every view the tracker is handed and
+   counts each disagreement. Amnesia crashes reboot nodes with empty
+   maps and really violate agreement, so both verdicts and the recount
    path are covered. *)
+module Diff = Test_support.Differential
 module Ex = Mc.Explorer.Make (P)
 
-let reset_counts () = List.iter (fun c -> c := 0) [ P.checks; P.refusals; P.mismatches ]
+let counts = P.agreement
+
+let agree_with_full_fold ~checked =
+  checkb "every event was checked" true (counts.checks > checked);
+  checkb "some views violate agreement" true (counts.refusals > 0);
+  checki "tracked and full-fold verdicts agree" 0 counts.mismatches
 
 let test_agreement_matches_full_fold () =
-  reset_counts ();
+  Diff.reset counts;
   List.iter
     (fun mode -> List.iter (fun seed -> ignore (storm ~mode ~seed ())) seeds)
     modes;
-  checkb "every event was checked" true (!P.checks > 1000);
-  checkb "some views violate agreement" true (!P.refusals > 0);
-  checki "incremental and full-fold verdicts agree" 0 !P.mismatches
+  agree_with_full_fold ~checked:1000
 
-(* Explorer worlds branch from one view, so the check sees sibling
-   worlds one after another rather than one growing history. Views are
-   taken every half second through an amnesia storm, so some worlds
-   lie just before or after the violation. *)
+(* Explorer worlds are checked with the full fold, never a tracker.
+   Explores from the engine's views, taken every half second through
+   an amnesia storm, run in the same domain between the engine's own
+   tracked checks and must not disturb them. The views are taken 10 ms
+   past each half second: taken on it, every one of them held no
+   message in flight, and each explore saw one world. *)
 let test_agreement_matches_full_fold_explored () =
-  reset_counts ();
+  Diff.reset counts;
   List.iter
     (fun seed ->
-      let eng = storm ~and_then:0. ~mode:F.Amnesia ~seed () in
+      let eng = storm ~and_then:0.01 ~mode:F.Amnesia ~seed () in
       for _ = 1 to 8 do
         E.run_for eng 0.5;
         let world = Ex.world_of_view (E.global_view eng) in
         ignore (Ex.explore ~include_drops:true ~max_worlds:2_000 ~depth:3 world)
       done)
     [ 1; 2; 3 ];
-  checkb "engine and explorer views were checked" true (!P.checks > 1000);
-  checkb "some explored worlds violate agreement" true (!P.refusals > 0);
-  checki "incremental and full-fold verdicts agree" 0 !P.mismatches
+  checkb "explorer worlds were checked in full" true (counts.full > 1000);
+  agree_with_full_fold ~checked:1000
+
+(* Engines stepped one event each, in turn, until [until] virtual
+   seconds. In each, node 1 then node 0 then node 1 again loses its
+   disk at 2, 4 and 6 s and reboots half a second later; at 9 s nodes
+   0 and 1 die for good, so node 2 alone decides the verdict. *)
+let in_turn engines ~until =
+  let faults = Array.make (List.length engines) [ 2.0; 4.0; 6.0; 9.0 ] in
+  let stepped = ref true in
+  while !stepped do
+    stepped := false;
+    List.iteri
+      (fun i eng ->
+        let now = Dsim.Vtime.to_seconds (E.now eng) in
+        (match faults.(i) with
+        | [ at ] when now >= at ->
+            E.kill eng (nid 0);
+            E.kill eng (nid 1);
+            faults.(i) <- []
+        | at :: later when now >= at ->
+            let victim = nid (List.length later mod 2) in
+            E.kill_amnesia eng victim;
+            E.restart eng ~after:0.5 victim;
+            faults.(i) <- later
+        | _ -> ());
+        if now < until && E.step eng then stepped := true)
+      engines
+  done
+
+let start seed = Sp.start ~n:3 ~resolver:Apps.Paxos.self_resolver ~seed
+
+let test_agreement_engines_in_turn () =
+  Diff.reset counts;
+  List.iter (fun (a, b) -> in_turn [ start a; start b ] ~until:12.) [ (1, 2); (3, 4) ];
+  agree_with_full_fold ~checked:1000
+
+(* A fork copies its parent's tracker; the two then take turns. *)
+let test_agreement_fork_in_turn () =
+  Diff.reset counts;
+  List.iter
+    (fun seed ->
+      let parent = start seed in
+      E.run_for parent 1.5;
+      in_turn [ parent; E.fork parent ] ~until:12.)
+    [ 1; 2; 3 ];
+  agree_with_full_fold ~checked:1000
+
+(* Lookahead forks the engine once per alternative of every proposer
+   choice; each fork starts from a copy of the tracker and checks its
+   own events. *)
+let test_agreement_lookahead () =
+  Diff.reset counts;
+  let events = ref 0 and forks = ref 0 in
+  List.iter
+    (fun seed ->
+      let eng = start seed in
+      E.set_lookahead eng { E.default_lookahead with horizon = 1.0; max_events = 200 };
+      E.run_for eng 2.0;
+      Sp.Run.execute ~and_then:4.0 eng
+        (F.plan
+           [ (0., F.Crash_storm { victims = 1; period = 2.0; rounds = 2; mode = F.Amnesia }) ]);
+      let s = E.stats eng in
+      events := !events + s.events_processed;
+      forks := !forks + s.lookahead_forks)
+    [ 1; 2; 3 ];
+  checkb "lookahead forks ran" true (!forks > 0);
+  agree_with_full_fold ~checked:!events
 
 (* ---------- WAL byte identity ----------
 
@@ -462,6 +514,11 @@ let () =
           Alcotest.test_case "storms match the full fold" `Quick test_agreement_matches_full_fold;
           Alcotest.test_case "explored worlds match the full fold" `Quick
             test_agreement_matches_full_fold_explored;
+          Alcotest.test_case "engines in turn match the full fold" `Quick
+            test_agreement_engines_in_turn;
+          Alcotest.test_case "parent and fork in turn match the full fold" `Quick
+            test_agreement_fork_in_turn;
+          Alcotest.test_case "lookahead matches the full fold" `Quick test_agreement_lookahead;
         ] );
       ( "deferred compaction",
         [

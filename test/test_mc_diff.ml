@@ -221,10 +221,10 @@ module Diff (App : Proto.App_intf.APP) = struct
   (* Runs [f] on [n] fresh domains at once; results in spawn order. *)
   let on_fresh_domains n f = List.map Domain.join (List.init n (fun _ -> Domain.spawn f))
 
-  (* An explore keeps all its state in the call, and an app keeps any
-     memo per domain (Paxos's agreement memo lives in Domain.DLS), so
-     the explore run on the calling domain and the same explore run on
-     4 fresh domains at once agree on every result field. *)
+  (* An explore keeps all its state in the call, and a property's
+     verdict depends on the view alone, so the explore run on the
+     calling domain and the same explore run on 4 fresh domains at once
+     agree on every result field. *)
   let check_domains name ?max_worlds ?include_drops ?generic_node ~depth (w : Ex.world) =
     let explore () = Ex.explore ?max_worlds ?include_drops ?generic_node ~depth w in
     let base = explore () in

@@ -284,6 +284,123 @@ let prop_view_restrict_shrinks =
       Proto.View.node_count r <= Proto.View.node_count view
       && List.for_all (fun (id, _) -> Proto.Node_id.Set.mem id keep_set) r.Proto.View.nodes)
 
+(* ---------- safety verdicts do not read the view's time ----------
+
+   A safety verdict reads node states and in-flight messages only
+   (Core.Property). For each shipped app, a seeded run takes its
+   global view every quarter second while one node after another
+   crashes with its disk wiped and restarts; each view's safety
+   verdicts must stay the same when only its time moves. *)
+module Timeless (A : Proto.App_intf.APP) = struct
+  module Eng = Engine.Sim.Make (A)
+
+  let safety =
+    List.filter (fun (p : _ Core.Property.t) -> p.kind = Core.Property.Safety) A.properties
+
+  let verdicts view = List.map (fun (p : _ Core.Property.t) -> p.holds view) safety
+
+  (* (views taken, views whose verdicts moved with the time, views
+     violating some safety property) *)
+  let run ~n ~setup =
+    let eng = Eng.create ~seed:3 ~topology:(topology n) () in
+    setup eng;
+    let moved = ref 0 and violating = ref 0 in
+    let views = 80 in
+    for step = 1 to views do
+      Eng.run_for eng 0.25;
+      if step mod 10 = 0 then begin
+        let victim = nid (1 + (step / 10 mod (n - 1))) in
+        Eng.kill_amnesia eng victim;
+        Eng.restart eng ~after:1.0 victim
+      end;
+      let view = Eng.global_view eng in
+      let base = verdicts view in
+      if List.mem false base then incr violating;
+      if
+        List.exists
+          (fun time -> verdicts { view with Proto.View.time } <> base)
+          [
+            Dsim.Vtime.zero;
+            Dsim.Vtime.add view.time 0.5;
+            Dsim.Vtime.add view.time 3600.;
+            Dsim.Vtime.of_seconds 1e9;
+          ]
+      then incr moved
+    done;
+    (views, !moved, !violating)
+end
+
+let spawn_all (spawn : ?after:float -> Proto.Node_id.t -> unit) n =
+  for i = 0 to n - 1 do
+    spawn ~after:(0.2 *. float_of_int i) (nid i)
+  done
+
+module T_paxos = Timeless (Apps.Paxos.Default)
+module T_kvstore = Timeless (Apps.Kvstore.Default)
+module T_gossip = Timeless (Apps.Gossip.Default)
+module T_gossip_baseline = Timeless (Apps.Gossip_baseline.Default)
+module T_dht = Timeless (Apps.Dht.Default)
+module T_dissem = Timeless (Apps.Dissem.Default)
+module T_lease = Timeless (Apps.Lease.Default)
+module T_tree_baseline = Timeless (Apps.Randtree_baseline.Default)
+module T_tree_choice = Timeless (Apps.Randtree_choice.Default)
+
+let timeless_runs () =
+  let rumors spawn
+      (inject :
+        ?after:float -> src:Proto.Node_id.t -> dst:Proto.Node_id.t -> Apps.Gossip.msg -> unit) n =
+    spawn_all spawn n;
+    inject ~after:0.5 ~src:(nid 1) ~dst:(nid 1)
+      (Apps.Gossip.Default.seed_rumors (nid 1) [ 0; 1; 2 ])
+  in
+  [
+    ( "paxos",
+      T_paxos.run ~n:Apps.Paxos.Default_params.population ~setup:(fun e ->
+          T_paxos.Eng.set_resolver e Apps.Paxos.self_resolver;
+          spawn_all (T_paxos.Eng.spawn e) Apps.Paxos.Default_params.population) );
+    ( "kvstore",
+      T_kvstore.run ~n:Apps.Kvstore.Default_params.population ~setup:(fun e ->
+          T_kvstore.Eng.set_resolver e Apps.Kvstore.session_resolver;
+          spawn_all (T_kvstore.Eng.spawn e) Apps.Kvstore.Default_params.population) );
+    ( "gossip",
+      T_gossip.run ~n:Apps.Gossip.Default_params.population ~setup:(fun e ->
+          T_gossip.Eng.set_resolver e Core.Resolver.random;
+          rumors (T_gossip.Eng.spawn e) (T_gossip.Eng.inject e)
+            Apps.Gossip.Default_params.population) );
+    ( "gossip_baseline",
+      T_gossip_baseline.run ~n:Apps.Gossip.Default_params.population ~setup:(fun e ->
+          rumors (T_gossip_baseline.Eng.spawn e) (T_gossip_baseline.Eng.inject e)
+            Apps.Gossip.Default_params.population) );
+    ( "dht",
+      T_dht.run ~n:Apps.Dht.Default_params.population ~setup:(fun e ->
+          T_dht.Eng.set_resolver e Core.Resolver.random;
+          spawn_all (T_dht.Eng.spawn e) Apps.Dht.Default_params.population) );
+    ( "dissem",
+      T_dissem.run ~n:Apps.Dissem.Default_params.population ~setup:(fun e ->
+          T_dissem.Eng.set_resolver e Core.Resolver.random;
+          spawn_all (T_dissem.Eng.spawn e) Apps.Dissem.Default_params.population) );
+    ( "lease",
+      T_lease.run ~n:Apps.Lease.Default_params.population ~setup:(fun e ->
+          spawn_all (T_lease.Eng.spawn e) Apps.Lease.Default_params.population) );
+    ( "randtree baseline",
+      T_tree_baseline.run ~n:12 ~setup:(fun e ->
+          T_tree_baseline.Eng.set_resolver e Core.Resolver.random;
+          spawn_all (T_tree_baseline.Eng.spawn e) 12) );
+    ( "randtree choice",
+      T_tree_choice.run ~n:12 ~setup:(fun e ->
+          T_tree_choice.Eng.set_resolver e Core.Resolver.random;
+          spawn_all (T_tree_choice.Eng.spawn e) 12) );
+  ]
+
+let test_safety_ignores_view_time () =
+  let runs = timeless_runs () in
+  List.iter
+    (fun (app, (views, moved, violating)) ->
+      Printf.printf "%-18s %d views, %d violating, %d moved with the time\n" app views violating
+        moved;
+      Alcotest.(check int) (app ^ ": verdicts unchanged when the time moves") 0 moved)
+    runs
+
 let qcheck = List.map QCheck_alcotest.to_alcotest
 
 let () =
@@ -303,4 +420,9 @@ let () =
       ("metrics", qcheck [ prop_strip_idempotent; prop_comments_do_not_count ]);
       ("stats", qcheck [ prop_percentile_monotone ]);
       ("view", qcheck [ prop_view_restrict_shrinks ]);
+      ( "safety",
+        [
+          Alcotest.test_case "verdicts ignore the view's time" `Quick
+            test_safety_ignores_view_time;
+        ] );
     ]

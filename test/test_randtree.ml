@@ -108,12 +108,12 @@ let prop_measures_match_reference =
       && C.Measure.max_depth ~parent v = max_d
       && Float.equal (C.Measure.mean_depth ~parent v) mean_d)
 
-(* The [no-cycle] property against the full check, over edit sequences
+(* The [no-cycle] tracker against the full check, over edit sequences
    on 1–40 nodes: parent moves that make and break cycles, self-loops,
-   roots, links out of the view, joins, leaves, duplicate ids and
-   reordered views. Two view streams start from one tree and are
-   edited in turn, checked by one property in one domain, as a
-   lookahead fork and its parent engine are. *)
+   roots, links out of the view, joins, leaves, duplicate ids,
+   reordered views and forks. Two view streams start from one tree and
+   are edited in turn, each through its own tracker, as a lookahead
+   fork and its parent engine are. *)
 type edit =
   | Move of int * int  (** position [i] takes position [j]'s id as parent; [i = j] is a self-loop *)
   | Root of int
@@ -122,6 +122,7 @@ type edit =
   | Leave of int
   | Dup of int  (** a second binding of position [i]'s id, right after it *)
   | Swap of int  (** positions [i] and [i + 1] trade places *)
+  | Fork  (** the stream restarts as a copy of the other one *)
 
 let pp_edit = function
   | Move (i, j) -> Printf.sprintf "move %d->%d" i j
@@ -131,6 +132,7 @@ let pp_edit = function
   | Leave i -> Printf.sprintf "leave %d" i
   | Dup i -> Printf.sprintf "dup %d" i
   | Swap i -> Printf.sprintf "swap %d" i
+  | Fork -> "fork"
 
 let apply_edit nodes edit =
   let len = List.length nodes in
@@ -157,6 +159,7 @@ let apply_edit nodes edit =
         a.(i) <- a.(j);
         a.(j) <- x;
         Array.to_list a
+    | Fork -> nodes
 
 let edit_script =
   let open QCheck.Gen in
@@ -171,6 +174,7 @@ let edit_script =
         (2, map (fun i -> Leave i) pos);
         (1, map (fun i -> Dup i) pos);
         (1, map (fun i -> Swap i) pos);
+        (1, return Fork);
       ]
   in
   let tree =
@@ -191,16 +195,37 @@ let no_cycle =
     (fun (p : _ Core.Property.t) -> p.name = "no-cycle")
     (C.properties ~parent ~joined)
 
+let stream_view nodes = toy_view (List.map (fun (i, p) -> (i, p, true)) nodes)
+
+(* The ids whose first binding differs between two streams' nodes: the
+   ones an engine would touch. *)
+let changed before after =
+  List.sort_uniq compare (List.map fst before @ List.map fst after)
+  |> List.filter (fun id -> List.assoc_opt id before <> List.assoc_opt id after)
+
+(* Stream 0's tracker starts on the tree and stream 1's is its copy, as
+   a fork's is; each edit touches the ids it changed, and a fork edit
+   restarts a stream, tracker included, as a copy of the other. *)
 let prop_no_cycle_matches_full =
   QCheck.Test.make ~name:"no-cycle = not has_cycle, edit by edit, two streams" ~count:500
     edit_script (fun (tree, steps) ->
       let streams = [| tree; tree |] in
+      let first = Core.Property.start no_cycle (stream_view tree) in
+      let trackers = [| first; first.copy () |] in
       List.for_all
         (fun (b, e) ->
           let s = if b then 1 else 0 in
-          streams.(s) <- apply_edit streams.(s) e;
-          let v = toy_view (List.map (fun (i, p) -> (i, p, true)) streams.(s)) in
-          no_cycle.holds v = not (C.Measure.has_cycle ~parent v))
+          (match e with
+          | Fork ->
+              streams.(s) <- streams.(1 - s);
+              trackers.(s) <- trackers.(1 - s).copy ()
+          | _ ->
+              let before = streams.(s) in
+              streams.(s) <- apply_edit before e;
+              List.iter trackers.(s).touch (changed before streams.(s)));
+          let v = stream_view streams.(s) in
+          let full = no_cycle.holds v in
+          trackers.(s).holds v = full && full = not (C.Measure.has_cycle ~parent v))
         steps)
 
 (* ---------- engine-level joins ---------- *)
@@ -289,37 +314,20 @@ let test_no_cycle_property_enforced_live () =
   let eng = join_run_choice Core.Resolver.random 10 in
   checki "no property violations during churnless join" 0 (List.length (CE.violations eng))
 
-(* The choice variant whose [no-cycle] check also runs the full
-   [Measure.has_cycle] on every view it is handed, by the engine and by
-   every lookahead fork, and counts any disagreement. *)
+(* The choice variant whose [no-cycle] tracker also runs the full
+   [holds] on every view it is handed, by the engine and by every
+   lookahead fork, and counts any disagreement. *)
 module Checked = struct
   include Choice
 
-  let checks = ref 0
-  let mismatches = ref 0
-
-  let properties =
-    List.map
-      (fun (p : _ Core.Property.t) ->
-        if p.name <> "no-cycle" then p
-        else
-          {
-            p with
-            holds =
-              (fun view ->
-                let verdict = p.holds view in
-                incr checks;
-                if verdict = C.Measure.has_cycle ~parent:parent_of view then incr mismatches;
-                verdict);
-          })
-      properties
+  let no_cycle = Test_support.Differential.counts ()
+  let properties = Test_support.Differential.check_named no_cycle "no-cycle" properties
 end
 
 module KE = Engine.Sim.Make (Checked)
 
 let test_no_cycle_after_every_event () =
-  Checked.checks := 0;
-  Checked.mismatches := 0;
+  Test_support.Differential.reset Checked.no_cycle;
   let n = 15 in
   let eng = KE.create ~seed:11 ~jitter:0. ~topology:(topology n) () in
   KE.set_lookahead eng { KE.default_lookahead with horizon = 3.0; max_events = 600 };
@@ -340,8 +348,8 @@ let test_no_cycle_after_every_event () =
   done;
   let s = KE.stats eng in
   checkb "lookahead forks ran" true (s.lookahead_forks > 0);
-  checkb "forks checked views too" true (!Checked.checks > s.events_processed);
-  checki "incremental and full verdicts agree" 0 !Checked.mismatches
+  checkb "forks checked views too" true (Checked.no_cycle.checks > s.events_processed);
+  checki "tracked and full verdicts agree" 0 Checked.no_cycle.mismatches
 
 (* The engine patches its live-node list after each handler and
    rebuilds it after boots, kills and restarts. Under lookahead and
