@@ -611,7 +611,7 @@ let cycle xs =
         List.hd xs
 
 (* The per-delivery layers of a kv-storm run, one call each: a tracked
-   send's ring and pair-count work, the session read choice, a
+   send's ring work, the session read choice, a
    fault-free Netem verdict, the failure detector's heartbeat and the
    network model's three observations. *)
 let delivery_path_micros () =
@@ -623,9 +623,7 @@ let delivery_path_micros () =
     ( "Reliable track+ack+lookup",
       fun () ->
         let seq = Engine.Reliable.track rel ~src:(nid 0) ~dst:(nid 1) 7 in
-        (match Engine.Reliable.find rel seq with
-        | Some e -> Engine.Reliable.remove rel seq e
-        | None -> ());
+        if Option.is_some (Engine.Reliable.find rel seq) then Engine.Reliable.remove rel seq;
         ignore (Engine.Reliable.find rel seq) )
   in
   (* A read site as kvstore builds it: four replicas, five features. *)

@@ -361,7 +361,7 @@ end = struct
 
   (* Shed reads before writes: replication traffic (writes and their
      acks/apply fan-out, anti-entropy) outranks the read path, so a
-     By_priority overflow sacrifices read service, not durability. *)
+     mailbox overflow sacrifices read service, not durability. *)
   let priority =
     Some
       (function

@@ -347,9 +347,7 @@ module Soak (App : Proto.App_intf.APP) = struct
        the circuit breaker, flapping ones reliable delivery; all off
        otherwise so seeded runs stay byte-identical. *)
     if profile.overload_nodes > 0 then begin
-      E.set_overload eng
-        ~config:
-          { E.default_overload with mailbox_capacity = 64; shed = E.By_priority; service_time = 5e-4 };
+      E.set_overload eng ~config:{ mailbox_capacity = 64; service_time = 5e-4 };
       E.enable_breaker eng
     end;
     if Option.value reliable ~default:(profile.flaps > 0) then E.enable_reliable eng;

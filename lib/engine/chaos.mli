@@ -139,8 +139,8 @@ module Soak (App : Proto.App_intf.APP) : sig
     outcome
   (** [run ~setup ~recovered ~seed ~topology profile]: the soak is the
       one place that sets up a run's engine layers. A profile with
-      [overload_nodes > 0] gets capacity-64 mailboxes with
-      [By_priority] shedding, a 0.5 ms service time and the circuit
+      [overload_nodes > 0] gets capacity-64 mailboxes with priority
+      shedding, a 0.5 ms service time and the circuit
       breaker; [reliable] turns on reliable delivery (default: when
       [flaps > 0], so retransmissions carry traffic across the cuts);
       [obs] attaches a sink. [setup] then picks the resolver, spawns

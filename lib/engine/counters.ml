@@ -24,10 +24,6 @@ type t = {
   mutable degraded_entries : int;
   mutable degraded_exits : int;
   mutable sheds_mailbox : int;
-  mutable sheds_link : int;
-  mutable sheds_admission : int;
-  mutable sheds_sojourn : int;
-  mutable rel_sheds : int;
   mutable breaker_skips : int;
   mutable chaff_sent : int;
   mutable max_mailbox_depth : int;
@@ -65,10 +61,6 @@ let zero () =
     degraded_entries = 0;
     degraded_exits = 0;
     sheds_mailbox = 0;
-    sheds_link = 0;
-    sheds_admission = 0;
-    sheds_sojourn = 0;
-    rel_sheds = 0;
     breaker_skips = 0;
     chaff_sent = 0;
     max_mailbox_depth = 0;
@@ -106,10 +98,6 @@ let fields =
     ("degraded_entries", fun s -> s.degraded_entries);
     ("degraded_exits", fun s -> s.degraded_exits);
     ("sheds_mailbox", fun s -> s.sheds_mailbox);
-    ("sheds_link", fun s -> s.sheds_link);
-    ("sheds_admission", fun s -> s.sheds_admission);
-    ("sheds_sojourn", fun s -> s.sheds_sojourn);
-    ("rel_sheds", fun s -> s.rel_sheds);
     ("breaker_skips", fun s -> s.breaker_skips);
     ("chaff_sent", fun s -> s.chaff_sent);
     ("max_mailbox_depth", fun s -> s.max_mailbox_depth);

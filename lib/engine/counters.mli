@@ -40,14 +40,6 @@ type t = {
   mutable degraded_entries : int;  (** app-reported entries into degraded mode *)
   mutable degraded_exits : int;  (** app-reported exits from degraded mode *)
   mutable sheds_mailbox : int;  (** messages shed by a full bounded mailbox *)
-  mutable sheds_link : int;  (** messages shed by a full bounded link queue *)
-  mutable sheds_admission : int;  (** injects refused by the token bucket *)
-  mutable sheds_sojourn : int;
-      (** injects refused by the CoDel-style sojourn gate — the oldest
-          queued message had waited past the threshold *)
-  mutable rel_sheds : int;
-      (** pending retransmissions shed by the suspected-peer cap
-          ([Sim.Make.reliable_config.suspect_cap]) *)
   mutable breaker_skips : int;  (** retransmission attempts refused by an open breaker *)
   mutable chaff_sent : int;  (** synthetic messages injected by {!Sim.Make.overload} bursts *)
   mutable max_mailbox_depth : int;

@@ -1,7 +1,7 @@
-type t = { mutable stores : Store.t Proto.Node_id.Map.t; fsync_latency : float; bandwidth : float }
+type t = { mutable stores : Store.t Proto.Node_id.Map.t }
 
-let create ~fsync_latency ~bandwidth = { stores = Proto.Node_id.Map.empty; fsync_latency; bandwidth }
-let copy d = { d with stores = Proto.Node_id.Map.map Store.copy d.stores }
+let create () = { stores = Proto.Node_id.Map.empty }
+let copy d = { stores = Proto.Node_id.Map.map Store.copy d.stores }
 let find d id = Proto.Node_id.Map.find_opt id d.stores
 let bytes_written d = Proto.Node_id.Map.fold (fun _ s acc -> acc + Store.bytes_written s) d.stores 0
 
@@ -9,7 +9,7 @@ let store_of d node =
   match find d node with
   | Some s -> s
   | None ->
-      let s = Store.create ~fsync_latency:d.fsync_latency ~bandwidth:d.bandwidth () in
+      let s = Store.create () in
       d.stores <- Proto.Node_id.Map.add node s d.stores;
       s
 

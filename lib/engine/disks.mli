@@ -4,8 +4,9 @@
 
 type t
 
-val create : fsync_latency:float -> bandwidth:float -> t
-(** No disks yet; each one created later gets these parameters. *)
+val create : unit -> t
+(** No disks yet; each one created later is a {!Store.create} default
+    disk. *)
 
 val copy : t -> t
 (** An independent deep copy, for speculative forks. *)

@@ -1,40 +1,37 @@
-(** The engine's overload layer: bounded mailboxes and link queues
-    with pluggable shed policies, token-bucket and sojourn admission
-    at the inject boundary, and the bookkeeping of targeted chaff
-    bursts. {!Sim} owns the events; this module owns the tables.
+(** The engine's overload layer: bounded mailboxes with priority
+    eviction, the backlog's service delay, and the bookkeeping of
+    targeted chaff bursts. {!Sim} owns the events; this module owns the
+    tables.
 
     Every queued arrival takes a ticket ([did]) from {!enqueue}; its
     Deliver (or Chaff) event hands the ticket back through
     {!processed}. An arrival evicted while queued is tombstoned, and
     its event is then skipped. Nothing here draws randomness. *)
 
-type shed_policy = Drop_newest | Drop_oldest | By_priority
-
 type config = {
   mailbox_capacity : int;
-  link_capacity : int;
-  shed : shed_policy;
+      (** max in-flight deliveries per destination node; 0 = unbounded.
+          A full mailbox evicts the lowest-priority queued arrival (by
+          [App.priority], ties oldest-first, so with [priority = None]
+          the oldest), or refuses the newcomer when everything queued
+          ranks strictly above it. *)
   service_time : float;
-  admit_rate : float;
-  admit_burst : int;
-  sojourn_threshold : float;
+      (** seconds of extra delivery delay per message already queued at
+          the destination: the backlog model that makes deep queues
+          cost latency; 0 = free *)
 }
-(** Field meanings are documented on {!Sim.Make.overload_config}. *)
 
 val default : config
-(** Every knob off. *)
-
-type cause = [ `Mailbox | `Link | `Admission | `Sojourn ]
-(** Why a message was shed: a full mailbox or link queue, an empty
-    token bucket, or the sojourn gate. *)
+(** [{mailbox_capacity = 0; service_time = 0.}]: with this value the
+    layer keeps its depth counts but changes no behaviour and draws no
+    randomness, so seeded runs stay byte-identical. *)
 
 type t
 
-val create : config -> now:Dsim.Vtime.t -> t
-(** A fresh layer; the token bucket starts full at [now].
-    @raise Invalid_argument on negative capacities, negative or NaN
-    [service_time]/[admit_rate]/[sojourn_threshold], or non-positive
-    [admit_burst]. *)
+val create : config -> t
+(** A fresh layer.
+    @raise Invalid_argument on a negative [mailbox_capacity] or a
+    negative or NaN [service_time]. *)
 
 val copy : t -> t
 (** An independent deep copy, for speculative forks. *)
@@ -49,19 +46,18 @@ val chaff_prio : int
 
 val enqueue :
   t ->
-  now:Dsim.Vtime.t ->
-  on_shed:('ctx -> cause -> se:int -> de:int -> unit) ->
+  on_shed:('ctx -> se:int -> de:int -> unit) ->
   'ctx ->
   se:int ->
   de:int ->
   prio:int ->
   int option
-(** Admits an arrival from endpoint [se] to [de] through the link and
-    mailbox bounds, evicting a queued victim when the policy allows.
+(** Admits an arrival from endpoint [se] to [de] through the mailbox
+    bound, evicting a queued victim when one ranks at or below [prio].
     [Some did] is its ticket; [None] means it was shed. [on_shed ctx]
-    is called once per shed message — evicted victims first, with
-    their own endpoints. ([ctx] travels separately so that the hot
-    path builds no closure.) *)
+    is called once per shed message, with the shed message's own
+    endpoints. ([ctx] travels separately so that the hot path builds no
+    closure.) *)
 
 val service_delay : t -> int -> float
 (** The backlog delay of the arrival just queued at a node: the
@@ -73,18 +69,6 @@ val processed : t -> int -> bool
 
 val is_shed : t -> int -> bool
 (** Whether a ticket is a tombstone still waiting for its event. *)
-
-val admit :
-  t ->
-  now:Dsim.Vtime.t ->
-  on_shed:('ctx -> cause -> se:int -> de:int -> unit) ->
-  'ctx ->
-  se:int ->
-  de:int ->
-  bool
-(** Admission at the inject boundary: the token bucket, then the
-    sojourn gate. [false] (after calling [on_shed ctx]) refuses the
-    inject. *)
 
 val depth : t -> int -> int
 (** Live queued arrivals toward one node. *)

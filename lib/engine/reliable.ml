@@ -1,19 +1,12 @@
 type config = {
-  base_timeout : float;  (** first retransmit fires after this *)
-  backoff : float;  (** timeout multiplier per retry (>= 1) *)
-  max_retries : int;  (** retransmissions before giving up *)
-  jitter : float;  (** fraction of random spread added to each timeout *)
-  ack_bytes : int;  (** wire size of an ack, for Netem's delay model *)
-  suspect_cap : int;
-      (** while the failure detector suspects the destination, at most
-          this many sends may sit pending per directed pair — the
-          excess is shed (with a ["rel.shed:<kind>"] notification)
-          instead of growing an unbounded retransmit queue toward a
-          silent peer. 0 = unbounded (the historical behaviour). *)
+  base_timeout : float;
+  backoff : float;
+  max_retries : int;
+  jitter : float;
+  ack_bytes : int;
 }
 
-let default =
-  { base_timeout = 0.25; backoff = 2.0; max_retries = 5; jitter = 0.1; ack_bytes = 24; suspect_cap = 0 }
+let default = { base_timeout = 0.25; backoff = 2.0; max_retries = 5; jitter = 0.1; ack_bytes = 24 }
 
 type 'msg entry = {
   src : Proto.Node_id.t;
@@ -30,7 +23,6 @@ type 'msg entry = {
    doubles when a send would wrap onto [base]. *)
 type 'msg t = {
   cfg : config;
-  kinds : (string, unit) Hashtbl.t option;  (* [None] = every kind *)
   timeouts : float array;
       (* [base_timeout *. backoff ** tries] for [tries = 0 .. max_retries] *)
   mutable next_seq : int;
@@ -39,50 +31,27 @@ type 'msg t = {
   mutable seen : Bytes.t;
       (* receiver side: bit [seq] is set once [seq] was handled. Seqs
          are dense from 0, so one bit each beats a hash table entry *)
-  pair : int Net.Pair_rows.t;
-      (* pending count per directed pair, row [src], column [dst], for
-         the suspect cap; 0 when none *)
 }
 
 let backoff_timeout cfg ~tries = cfg.base_timeout *. (cfg.backoff ** float_of_int tries)
 
-let create ?kinds config =
+let create config =
   if config.base_timeout <= 0. then invalid_arg "Sim.enable_reliable: base_timeout must be positive";
   if config.backoff < 1. then invalid_arg "Sim.enable_reliable: backoff must be >= 1";
   if config.max_retries < 0 then invalid_arg "Sim.enable_reliable: negative max_retries";
   if config.jitter < 0. then invalid_arg "Sim.enable_reliable: negative jitter";
   if config.ack_bytes <= 0 then invalid_arg "Sim.enable_reliable: ack_bytes must be positive";
-  if config.suspect_cap < 0 then invalid_arg "Sim.enable_reliable: negative suspect_cap";
-  let kinds =
-    Option.map
-      (fun ks ->
-        let h = Hashtbl.create 8 in
-        List.iter (fun k -> Hashtbl.replace h k ()) ks;
-        h)
-      kinds
-  in
   {
     cfg = config;
-    kinds;
     timeouts = Array.init (config.max_retries + 1) (fun tries -> backoff_timeout config ~tries);
     next_seq = 0;
     base = 0;
     slots = Array.make 64 None;
     seen = Bytes.make 32 '\000';
-    pair = Net.Pair_rows.create ~absent:0;
   }
 
-let copy r =
-  { r with slots = Array.copy r.slots; seen = Bytes.copy r.seen; pair = Net.Pair_rows.copy r.pair Fun.id }
-
+let copy r = { r with slots = Array.copy r.slots; seen = Bytes.copy r.seen }
 let ack_bytes r = r.cfg.ack_bytes
-let tracked r kind = match r.kinds with None -> true | Some h -> Hashtbl.mem h kind
-let pending_on r (e : _ entry) =
-  Net.Pair_rows.find r.pair (Proto.Node_id.to_int e.src) (Proto.Node_id.to_int e.dst)
-
-let add_pending r (e : _ entry) d =
-  let src = Proto.Node_id.to_int e.src and dst = Proto.Node_id.to_int e.dst in
-  Net.Pair_rows.set r.pair src dst (Net.Pair_rows.find r.pair src dst + d)
 
 (* A full ring (every slot in [[base, next_seq)]) doubles, each pending
    send moving to its slot under the wider mask. *)
@@ -99,9 +68,7 @@ let track r ~src ~dst msg =
   let seq = r.next_seq in
   if seq - r.base = Array.length r.slots then grow r;
   r.next_seq <- seq + 1;
-  let e = { src; dst; msg; tries = 0 } in
-  r.slots.(seq land (Array.length r.slots - 1)) <- Some e;
-  add_pending r e 1;
+  r.slots.(seq land (Array.length r.slots - 1)) <- Some { src; dst; msg; tries = 0 };
   seq
 
 (* Exponential backoff plus a random spread, so a burst of sends lost
@@ -119,63 +86,52 @@ let capacity r = Array.length r.slots
 let in_ring r seq = seq >= r.base && seq < r.next_seq
 let find r seq = if in_ring r seq then r.slots.(seq land (Array.length r.slots - 1)) else None
 
-(* Every removal path (ack, give-up, shed, dead sender) goes through
-   here, keeping the per-pair count honest. Removing the oldest pending
-   send moves [base] past every acked slot behind it. *)
-let remove r seq e =
-  (match find r seq with
+(* Removing the oldest pending send moves [base] past every acked slot
+   behind it. *)
+let remove r seq =
+  match find r seq with
   | None -> ()
   | Some _ ->
       let mask = Array.length r.slots - 1 in
       r.slots.(seq land mask) <- None;
       while r.base < r.next_seq && Option.is_none r.slots.(r.base land mask) do
         r.base <- r.base + 1
-      done);
-  if pending_on r e > 0 then add_pending r e (-1)
+      done
 
-type 'msg timeout = Shed | Give_up | Resend of 'msg entry | Refused of 'msg entry
+type 'msg timeout = Give_up | Resend of 'msg entry | Refused of 'msg entry
 
 let timed_out r seq e ~breaker ~suspected ~pressure ~now =
   let src = Proto.Node_id.to_int e.src and dst = Proto.Node_id.to_int e.dst in
-  (* Bounded retransmit queue toward a suspected peer: past the cap,
-     shed instead of growing without limit — the peer is silent and
-     every pending send is already being retried. *)
-  if r.cfg.suspect_cap > 0 && pending_on r e > r.cfg.suspect_cap && suspected () then begin
-    remove r seq e;
-    Shed
+  (* The timeout itself is failure evidence; the detector's word
+     upgrades it to an instant trip. *)
+  Option.iter
+    (fun cb ->
+      Net.Circuit_breaker.record_failure cb ~src ~dst ~now;
+      if suspected () then Net.Circuit_breaker.trip cb ~src ~dst ~now)
+    breaker;
+  (* Adaptive retry budget: halve it while the breaker refuses the
+     pair or the sender's own mailbox is under pressure; it recovers
+     to the full budget the moment the breaker closes. *)
+  let halved =
+    match breaker with
+    | Some cb -> (not (Net.Circuit_breaker.allow cb ~src ~dst ~now)) || pressure () >= 0.5
+    | None -> false
+  in
+  let budget = if halved then Int.max 1 (r.cfg.max_retries / 2) else r.cfg.max_retries in
+  if e.tries >= budget then begin
+    remove r seq;
+    Give_up
   end
   else begin
-    (* The timeout itself is failure evidence; the detector's word
-       upgrades it to an instant trip. *)
-    Option.iter
-      (fun cb ->
-        Net.Circuit_breaker.record_failure cb ~src ~dst ~now;
-        if suspected () then Net.Circuit_breaker.trip cb ~src ~dst ~now)
-      breaker;
-    (* Adaptive retry budget: halve it while the breaker refuses the
-       pair or the sender's own mailbox is under pressure; it recovers
-       to the full budget the moment the breaker closes. *)
-    let halved =
-      match breaker with
-      | Some cb -> (not (Net.Circuit_breaker.allow cb ~src ~dst ~now)) || pressure () >= 0.5
-      | None -> false
-    in
-    let budget = if halved then Int.max 1 (r.cfg.max_retries / 2) else r.cfg.max_retries in
-    if e.tries >= budget then begin
-      remove r seq e;
-      Give_up
-    end
-    else begin
-      let e = { e with tries = e.tries + 1 } in
-      if in_ring r seq then r.slots.(seq land (Array.length r.slots - 1)) <- Some e;
-      (* Consult the breaker before putting bytes on the wire. A
-         refused attempt still re-arms the timer, so the pending entry
-         resolves one way or the other (ack of an earlier copy, a probe
-         getting through, or give-up). *)
-      match breaker with
-      | Some cb when not (Net.Circuit_breaker.acquire cb ~src ~dst ~now) -> Refused e
-      | Some _ | None -> Resend e
-    end
+    let e = { e with tries = e.tries + 1 } in
+    if in_ring r seq then r.slots.(seq land (Array.length r.slots - 1)) <- Some e;
+    (* Consult the breaker before putting bytes on the wire. A
+       refused attempt still re-arms the timer, so the pending entry
+       resolves one way or the other (ack of an earlier copy, a probe
+       getting through, or give-up). *)
+    match breaker with
+    | Some cb when not (Net.Circuit_breaker.acquire cb ~src ~dst ~now) -> Refused e
+    | Some _ | None -> Resend e
   end
 
 let first_arrival r seq =

@@ -1,7 +1,7 @@
 (** The engine's reliable-delivery layer: sequence numbers, the
-    sender's pending sends, the receiver's seen-set and the per-pair
-    pending counts, for any message type. {!Sim} schedules the
-    retransmit timers and acks; this module owns the tables.
+    sender's pending sends and the receiver's seen-set, for any message
+    type. {!Sim} schedules the retransmit timers and acks; this module
+    owns the tables.
 
     Sequence numbers are dense from 0, so no table here hashes. The
     pending sends sit in a ring indexed by [seq] modulo its capacity (a
@@ -12,21 +12,24 @@
     from the oldest pending seq to the newest, not by the number
     pending: one send left unacked while 10,000 later ones come and go
     holds a ring of 16,384 slots until it resolves. The seen-set is one
-    bit per seq, and the per-pair counts are {!Net.Pair_rows} rows. *)
+    bit per seq. *)
 
 type config = {
-  base_timeout : float;
-  backoff : float;
+  base_timeout : float;  (** the first retransmission fires after this many seconds *)
+  backoff : float;  (** timeout multiplier per retry (>= 1) *)
   max_retries : int;
+      (** retransmissions before the send is abandoned and the sending
+          app is notified through [on_timer] with the synthetic id
+          ["rel.giveup:<kind>"] *)
   jitter : float;
-  ack_bytes : int;
-  suspect_cap : int;
+      (** up to this fraction of random spread added to each timeout, so
+          retransmissions desynchronise *)
+  ack_bytes : int;  (** wire size of an ack, for Netem's delay model *)
 }
-(** Field meanings are documented on {!Sim.Make.reliable_config}. *)
 
 val default : config
 (** [{base_timeout = 0.25; backoff = 2.0; max_retries = 5;
-    jitter = 0.1; ack_bytes = 24; suspect_cap = 0}] *)
+    jitter = 0.1; ack_bytes = 24}] *)
 
 (** One tracked send awaiting its ack. *)
 type 'msg entry = {
@@ -38,17 +41,12 @@ type 'msg entry = {
 
 type 'msg t
 
-val create : ?kinds:string list -> config -> 'msg t
-(** [kinds] restricts tracking to those message kinds (default: all).
-    @raise Invalid_argument on non-positive [base_timeout] or
-    [ack_bytes], [backoff < 1], or negative
-    [max_retries]/[jitter]/[suspect_cap]. *)
+val create : config -> 'msg t
+(** @raise Invalid_argument on non-positive [base_timeout] or
+    [ack_bytes], [backoff < 1], or negative [max_retries]/[jitter]. *)
 
 val copy : 'msg t -> 'msg t
 (** An independent deep copy, for speculative forks. *)
-
-val tracked : 'msg t -> string -> bool
-(** Whether sends of this kind are tracked. *)
 
 val track : 'msg t -> src:Proto.Node_id.t -> dst:Proto.Node_id.t -> 'msg -> int
 (** Registers a send as pending and returns its sequence number. *)
@@ -63,15 +61,11 @@ val timeout : 'msg t -> Dsim.Rng.t -> tries:int -> float
 val find : 'msg t -> int -> 'msg entry option
 (** The pending send with this sequence number, if still unacked. *)
 
-val remove : 'msg t -> int -> 'msg entry -> unit
-(** Forgets a pending send (acked, given up, shed or orphaned). *)
-
-val pending_on : 'msg t -> 'msg entry -> int
-(** Sends pending on the entry's directed pair. *)
+val remove : 'msg t -> int -> unit
+(** Forgets a pending send (acked, given up or orphaned). *)
 
 (** What a retransmission timeout did with a pending send. *)
 type 'msg timeout =
-  | Shed  (** over [suspect_cap] toward a suspected peer: forgotten *)
   | Give_up  (** retry budget exhausted: forgotten *)
   | Resend of 'msg entry  (** counted as one more try; send it again *)
   | Refused of 'msg entry
@@ -87,9 +81,9 @@ val timed_out :
   now:Dsim.Vtime.t ->
   'msg timeout
 (** Applies the retry policy to a pending send whose timer fired while
-    its sender is alive: the suspect cap, then (with a [breaker]) the
-    timeout recorded as failure evidence — tripping the pair when the
-    destination is [suspected] — and the retry budget, halved while
+    its sender is alive: (with a [breaker]) the timeout recorded as
+    failure evidence — tripping the pair when the destination is
+    [suspected] — and the retry budget, halved while
     the breaker refuses the pair or the sender's [pressure] is at
     least 0.5. [now] is the sender's local time. The entry must be the
     one {!find} returns for the seq: a resend replaces it in place. *)

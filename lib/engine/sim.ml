@@ -64,28 +64,11 @@ module Make (App : Proto.App_intf.APP) = struct
         (* generator heartbeat of an active overload burst; a stale
            generation (the burst was healed) dies silently *)
 
-  type reliable_config = Reliable.config = {
-    base_timeout : float;
-    backoff : float;
-    max_retries : int;
-    jitter : float;
-    ack_bytes : int;
-    suspect_cap : int;
-  }
+  type reliable_config = Reliable.config
 
   let default_reliable = Reliable.default
 
-  type shed_policy = Overload.shed_policy = Drop_newest | Drop_oldest | By_priority
-
-  type overload_config = Overload.config = {
-    mailbox_capacity : int;
-    link_capacity : int;
-    shed : shed_policy;
-    service_time : float;
-    admit_rate : float;
-    admit_burst : int;
-    sojourn_threshold : float;
-  }
+  type overload_config = Overload.config
 
   let default_overload = Overload.default
 
@@ -174,7 +157,7 @@ module Make (App : Proto.App_intf.APP) = struct
     mutable fd_enabled : bool;
     mutable rel : App.msg Reliable.t option;  (* [None] = reliable delivery off (default) *)
     mutable ov : Overload.t option;  (* [None] = unbounded queues (default) *)
-    mutable cb : Net.Circuit_breaker.t;
+    cb : Net.Circuit_breaker.t;
     mutable breaker_enabled : bool;
         (* when off (default) the breaker is never consulted nor fed, so
            existing reliable-delivery runs stay byte-identical *)
@@ -225,7 +208,7 @@ module Make (App : Proto.App_intf.APP) = struct
   }
 
   let create ?(seed = 1) ?(jitter = 0.05) ?(check_properties = true) ?(trace_capacity = 100_000)
-      ?(fsync_latency = 0.0005) ?(disk_bandwidth = 50_000_000.) ~topology () =
+      ~topology () =
     let rng = Dsim.Rng.create seed in
     let netem_rng = Dsim.Rng.split rng in
     let endpoints = Net.Topology.size topology in
@@ -268,7 +251,7 @@ module Make (App : Proto.App_intf.APP) = struct
       message_log = None;
       log_capacity = 0;
       log_length = 0;
-      disks = Disks.create ~fsync_latency ~bandwidth:disk_bandwidth;
+      disks = Disks.create ();
       stats = Counters.zero ();
       obs = None;
       next_trace = 0;
@@ -405,12 +388,11 @@ module Make (App : Proto.App_intf.APP) = struct
 
   let failure_detector t = t.fd
   let set_fd_enabled t on = t.fd_enabled <- on
-  let enable_reliable ?(config = default_reliable) ?kinds t =
-    t.rel <- Some (Reliable.create ?kinds config)
+  let enable_reliable ?(config = default_reliable) t = t.rel <- Some (Reliable.create config)
 
   (* ---------- overload API ---------- *)
 
-  let set_overload ?(config = default_overload) t = t.ov <- Some (Overload.create config ~now:t.now)
+  let set_overload ?(config = default_overload) t = t.ov <- Some (Overload.create config)
 
   let overload_limits t = Option.map Overload.config t.ov
 
@@ -425,11 +407,7 @@ module Make (App : Proto.App_intf.APP) = struct
   let pressure t node =
     match t.ov with None -> 0. | Some ov -> Overload.pressure ov (Proto.Node_id.to_int node)
 
-  let enable_breaker ?failure_threshold ?cooldown ?half_open_probes t =
-    t.cb <- Net.Circuit_breaker.create ?failure_threshold ?cooldown ?half_open_probes ();
-    (* the contexts built so far hold the old breaker *)
-    Array.fill t.ctxs 0 (Array.length t.ctxs) None;
-    t.breaker_enabled <- true
+  let enable_breaker t = t.breaker_enabled <- true
 
   let circuit_breaker t = t.cb
 
@@ -828,10 +806,6 @@ module Make (App : Proto.App_intf.APP) = struct
     let label =
       match cause with
       | `Mailbox -> s.sheds_mailbox <- s.sheds_mailbox + 1; "mailbox"
-      | `Link -> s.sheds_link <- s.sheds_link + 1; "link"
-      | `Admission -> s.sheds_admission <- s.sheds_admission + 1; "admission"
-      | `Sojourn -> s.sheds_sojourn <- s.sheds_sojourn + 1; "sojourn"
-      | `Rel -> s.rel_sheds <- s.rel_sheds + 1; "rel"
       | `Breaker -> s.breaker_skips <- s.breaker_skips + 1; "breaker"
     in
     Dsim.Trace.logf t.trace t.now Dsim.Trace.Debug ~component:"engine" "shed(%s) %d->%d" label se
@@ -853,17 +827,19 @@ module Make (App : Proto.App_intf.APP) = struct
               g)
           (float_of_int (Overload.depth ov de))
 
+  let shed_mailbox t ~se ~de = note_shed t `Mailbox ~se ~de
+
   let enqueue t ov ~se ~de ~prio =
-    let ticket = Overload.enqueue ov ~now:t.now ~on_shed:note_shed t ~se ~de ~prio in
+    let ticket = Overload.enqueue ov ~on_shed:shed_mailbox t ~se ~de ~prio in
     depth_gauge t ov de;
     ticket
 
   let prio_of = match App.priority with Some f -> f | None -> fun _ -> 0
 
-  (* Every Deliver push funnels through here. Unbounded (the default):
-     one option check, then exactly the historical push. Bounded: the
-     arrival must clear the link and mailbox bounds, takes a queue
-     ticket, and pays the backlog's service delay — the model that
+  (* Every Deliver push funnels through here. Without the layer (the
+     default): one option check, then exactly the historical push. With
+     it: the arrival must clear the mailbox bound, takes a queue ticket,
+     and pays the backlog's service delay — the model that
      makes deep queues cost latency, which a discrete-event delivery
      otherwise would not. *)
   let push_deliver t ?(byz = false) ~src ~dst ~sent_at ~trace ~rel ~delay msg =
@@ -965,19 +941,18 @@ module Make (App : Proto.App_intf.APP) = struct
         | None -> ()
         | Some o -> send_span o ~trace ~se ~de msg ~enqueue:now_s ~deliver:(now_s +. delay) verdict)
 
-  (* A send: when reliable delivery covers this message kind, register
-     it as pending and arm the first retransmit timer before handing the
-     payload to Netem — the tracking must survive whatever verdict the
-     network passes. *)
+  (* A send: while reliable delivery is on, register it as pending and
+     arm the first retransmit timer before handing the payload to Netem
+     — the tracking must survive whatever verdict the network passes. *)
   let route t ~src ~dst msg =
     let rel =
       match t.rel with
-      | Some r when Reliable.tracked r (App.msg_kind msg) ->
+      | Some r ->
           let seq = Reliable.track r ~src ~dst msg in
           schedule t ~after:(Reliable.timeout r t.rng ~tries:0)
             (Rel_retransmit { seq; trace = t.current_trace });
           Some seq
-      | Some _ | None -> None
+      | None -> None
     in
     transmit t ~src ~dst ~rel msg
 
@@ -1008,22 +983,11 @@ module Make (App : Proto.App_intf.APP) = struct
     if after < 0. then invalid_arg "Sim.schedule: negative delay";
     check_endpoint t src;
     check_endpoint t dst;
-    (* An injection is a root send: it starts a fresh causal chain. It
-       is also the admission boundary — the token bucket and the
-       sojourn gate shed offered load here, before it costs anything. *)
+    (* An injection is a root send: it starts a fresh causal chain. *)
     t.current_trace <- mint_trace t;
-    let admitted =
-      match t.ov with
-      | None -> true
-      | Some ov ->
-          Overload.admit ov ~now:t.now ~on_shed:note_shed t ~se:(Proto.Node_id.to_int src)
-            ~de:(Proto.Node_id.to_int dst)
-    in
-    if admitted then
-      if after = 0. then route t ~src ~dst msg
-      else
-        push_deliver t ~src ~dst ~sent_at:t.now ~trace:t.current_trace ~rel:None ~delay:after
-          msg
+    if after = 0. then route t ~src ~dst msg
+    else
+      push_deliver t ~src ~dst ~sent_at:t.now ~trace:t.current_trace ~rel:None ~delay:after msg
 
   let add_filter t ~name drop = t.filters <- { f_name = name; drop } :: t.filters
   let clear_filters t = t.filters <- []
@@ -1407,7 +1371,7 @@ module Make (App : Proto.App_intf.APP) = struct
     match Reliable.find r seq with
     | None -> ()
     | Some e ->
-        Reliable.remove r seq e;
+        Reliable.remove r seq;
         t.stats.rel_acked <- t.stats.rel_acked + 1;
         (* an ack is the strongest health evidence the sending side
            gets: it closes the breaker toward the pair *)
@@ -1417,10 +1381,10 @@ module Make (App : Proto.App_intf.APP) = struct
 
   (* Sender-side timeout of a tracked send that may still be unacked:
      the reliable layer applies its retry policy, the engine carries it
-     out. A shed or abandoned send is reported to the sending app
-     through a synthetic timer id ("rel.shed:<kind>",
-     "rel.giveup:<kind>") so it can react — or ignore it, the default
-     catch-all timer arm makes the notification opt-in. *)
+     out. An abandoned send is reported to the sending app through the
+     synthetic timer id "rel.giveup:<kind>" so it can react — or ignore
+     it, the default catch-all timer arm makes the notification
+     opt-in. *)
   and retransmit t r seq =
     match Reliable.find r seq with
     | None -> ()  (* acked in the meantime: the common case *)
@@ -1432,10 +1396,6 @@ module Make (App : Proto.App_intf.APP) = struct
             (* The sender is the observer here: its suspicion levels and
                breaker cooldowns are judged on its own clock. *)
             let now = local_now t e.src in
-            let notify id =
-              let ctx = ctx_for t e.src in
-              apply_handler_result t e.src (App.on_timer ctx n.state (id ^ kind))
-            in
             let rearm (e : _ Reliable.entry) =
               schedule t ~after:(Reliable.timeout r t.rng ~tries:e.tries)
                 (Rel_retransmit { seq; trace = t.current_trace })
@@ -1448,18 +1408,13 @@ module Make (App : Proto.App_intf.APP) = struct
                 ~pressure:(fun () -> pressure t e.src)
                 ~now
             with
-            | Reliable.Shed ->
-                note_shed t `Rel ~se ~de;
-                Dsim.Trace.logf t.trace t.now Dsim.Trace.Info ~component:"net"
-                  "rel shed %s %a->%a (suspected peer, %d pending)" kind Proto.Node_id.pp e.src
-                  Proto.Node_id.pp e.dst (Reliable.pending_on r e);
-                notify "rel.shed:"
-            | Give_up ->
+            | Reliable.Give_up ->
                 t.stats.rel_giveups <- t.stats.rel_giveups + 1;
                 Dsim.Trace.logf t.trace t.now Dsim.Trace.Info ~component:"net"
                   "rel give-up %s %a->%a after %d retries" kind Proto.Node_id.pp e.src
                   Proto.Node_id.pp e.dst e.tries;
-                notify "rel.giveup:"
+                let ctx = ctx_for t e.src in
+                apply_handler_result t e.src (App.on_timer ctx n.state ("rel.giveup:" ^ kind))
             | Resend e ->
                 t.stats.rel_retransmits <- t.stats.rel_retransmits + 1;
                 transmit t ~src:e.src ~dst:e.dst ~rel:(Some seq) e.msg;
@@ -1470,7 +1425,7 @@ module Make (App : Proto.App_intf.APP) = struct
         | Some _ | None ->
             (* Sender died with the send outstanding — nobody is left to
                retransmit. *)
-            Reliable.remove r seq e)
+            Reliable.remove r seq)
 
   (* One tick of a running burst: a chaff arrival through the same
      bounded queues as real traffic, then the next tick. Chaff source

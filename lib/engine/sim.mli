@@ -22,35 +22,12 @@ module Make (App : Proto.App_intf.APP) : sig
       [engine_<field>]. *)
   type stats = Counters.t
 
-  (** Reliable-delivery tuning: retransmissions start after
-      [base_timeout] seconds, each retry multiplies the timeout by
-      [backoff] (plus up to [jitter] fraction of random spread so
-      retransmissions desynchronise), and after [max_retries]
-      unacknowledged attempts the send is abandoned and the sending app
-      is notified through [on_timer] with the synthetic id
-      ["rel.giveup:<kind>"]. Acks are [ack_bytes] on the emulated
-      wire.
-
-      [suspect_cap] bounds the retransmit queue toward a {e suspected}
-      peer: when the failure detector suspects the destination and more
-      than [suspect_cap] sends are already pending on that directed
-      pair, further retransmission timers shed their send instead of
-      retrying (counted in [stats.rel_sheds]) and notify the sender via
-      the synthetic timer id ["rel.shed:<kind>"]. [0] (the default)
-      disables the cap. The layer's tables and retry policy live in
-      {!Reliable}. *)
-  type reliable_config = Reliable.config = {
-    base_timeout : float;
-    backoff : float;
-    max_retries : int;
-    jitter : float;
-    ack_bytes : int;
-    suspect_cap : int;
-  }
+  type reliable_config = Reliable.config
+  (** Reliable delivery's retry tuning; the fields are documented on
+      {!Reliable.config}. *)
 
   val default_reliable : reliable_config
-  (** [{base_timeout = 0.25; backoff = 2.0; max_retries = 5;
-      jitter = 0.1; ack_bytes = 24; suspect_cap = 0}] *)
+  (** {!Reliable.default} *)
 
   (** Configuration of the predictive lookahead (paper §3.4): for each
       alternative the engine forks the simulation, forces that branch,
@@ -80,16 +57,13 @@ module Make (App : Proto.App_intf.APP) : sig
     ?jitter:float ->
     ?check_properties:bool ->
     ?trace_capacity:int ->
-    ?fsync_latency:float ->
-    ?disk_bandwidth:float ->
     topology:Net.Topology.t ->
     unit ->
     t
   (** [jitter] is forwarded to {!Net.Netem.create}; [check_properties]
       (default true) evaluates the app's safety properties after every
-      event. [fsync_latency] (default 0.5 ms) and [disk_bandwidth]
-      (default 50 MB/s) parameterise the per-node disks backing
-      {!Proto.Durability} — irrelevant when [App.durable = None]. *)
+      event. The per-node disks backing {!Proto.Durability} are
+      {!Store.create} default disks. *)
 
   (** {1 Choice policy} *)
 
@@ -131,79 +105,36 @@ module Make (App : Proto.App_intf.APP) : sig
       toggling it never changes message behaviour — only what
       [Ctx.suspicion] reports. *)
 
-  val enable_reliable : ?config:reliable_config -> ?kinds:string list -> t -> unit
+  val enable_reliable : ?config:reliable_config -> t -> unit
   (** Opt-in at-least-once delivery with receiver-side dedup: every
-      tracked send is retransmitted with exponential backoff until an
-      ack arrives or the retry budget runs out. [kinds] restricts
-      tracking to the listed [App.msg_kind]s (default: every kind).
-      Retransmissions and Netem duplicates share one sequence number,
-      so the receiver's seen-set suppresses both — apps observe
-      each logical send at most once even under the duplication fault.
+      send is retransmitted with exponential backoff until an ack
+      arrives or the retry budget runs out. Retransmissions and Netem
+      duplicates share one sequence number, so the receiver's seen-set
+      suppresses both — apps observe each logical send at most once
+      even under the duplication fault.
       Disabled (the default), the layer costs nothing and consumes no
       randomness.
       @raise Invalid_argument on non-positive [base_timeout] or
-      [ack_bytes], [backoff < 1], or negative
-      [max_retries]/[jitter]/[suspect_cap]. *)
+      [ack_bytes], [backoff < 1], or negative [max_retries]/[jitter]. *)
 
   val degraded_nodes : t -> int
   (** Live nodes currently reporting [true] through [App.degraded];
       [0] when the app has no degraded mode. The chaos soak polls this
       to assert the system healed after the last fault cleared. *)
 
-  (** {1 Overload robustness: bounded queues, shedding, admission} *)
+  (** {1 Overload robustness: bounded mailboxes and shedding} *)
 
-  (** What to evict when a bounded queue is full. [By_priority] sheds
-      the lowest [App.priority] message first (ties oldest-first, so an
-      incoming message displaces the oldest queued victim of equal rank
-      and is refused only when everything queued ranks strictly
-      higher); with [App.priority = None] it behaves as
-      [Drop_oldest]. *)
-  type shed_policy = Overload.shed_policy = Drop_newest | Drop_oldest | By_priority
-
-  (** Overload configuration, all knobs off by default:
-
-      - [mailbox_capacity]: max in-flight deliveries per destination
-        node (0 = unbounded). Overflow invokes [shed].
-      - [link_capacity]: max in-flight deliveries per directed (src,
-        dst) pair (0 = unbounded). Checked before the mailbox bound.
-      - [shed]: eviction policy for both bounds.
-      - [service_time]: per-queued-message processing delay in seconds;
-        an admitted arrival is delayed by [depth * service_time] beyond
-        its network latency, modelling a backlogged receiver (0 = free).
-      - [admit_rate] / [admit_burst]: token-bucket admission control at
-        the {!inject} boundary — at most [admit_rate] injects per
-        virtual second sustained, bursts up to [admit_burst]
-        ([admit_rate = 0.] disables the bucket).
-      - [sojourn_threshold]: CoDel-style gate, also at the inject
-        boundary — when the oldest message queued at the destination has
-        already waited longer than this many seconds, the inject is
-        shed before the queue saturates (0. disables).
-
-      Every shed is counted by cause in {!stats} ([sheds_mailbox],
-      [sheds_link], [sheds_admission], [sheds_sojourn]). The tables
-      live in {!Overload}. *)
-  type overload_config = Overload.config = {
-    mailbox_capacity : int;
-    link_capacity : int;
-    shed : shed_policy;
-    service_time : float;
-    admit_rate : float;
-    admit_burst : int;
-    sojourn_threshold : float;
-  }
+  type overload_config = Overload.config
+  (** Mailbox bound and service time; the fields are documented on
+      {!Overload.config}. Every shed is counted in [stats.sheds_mailbox]. *)
 
   val default_overload : overload_config
-  (** [{mailbox_capacity = 0; link_capacity = 0; shed = Drop_newest;
-      service_time = 0.; admit_rate = 0.; admit_burst = 1;
-      sojourn_threshold = 0.}] — everything off; with this value the
-      layer allocates bookkeeping but changes no behaviour and draws no
-      randomness, so seeded runs stay byte-identical. *)
+  (** {!Overload.default}: everything off. *)
 
   val set_overload : ?config:overload_config -> t -> unit
   (** Installs (or reconfigures) the overload layer.
-      @raise Invalid_argument on negative capacities, negative or NaN
-      [service_time]/[admit_rate]/[sojourn_threshold], or non-positive
-      [admit_burst]. *)
+      @raise Invalid_argument on a negative [mailbox_capacity] or a
+      negative or NaN [service_time]. *)
 
   val overload_limits : t -> overload_config option
   (** The installed configuration, when the layer is on. *)
@@ -236,8 +167,7 @@ module Make (App : Proto.App_intf.APP) : sig
 
   (** {1 Circuit breaker} *)
 
-  val enable_breaker :
-    ?failure_threshold:int -> ?cooldown:float -> ?half_open_probes:int -> t -> unit
+  val enable_breaker : t -> unit
   (** Turns on the per-directed-pair circuit breaker (see
       {!Net.Circuit_breaker}): retransmission timeouts record failures,
       acks record successes, and a failure-detector suspicion trips the
@@ -245,8 +175,8 @@ module Make (App : Proto.App_intf.APP) : sig
       skips the wire (counted in [stats.breaker_skips], the pending
       entry kept alive for the next timer), the retry budget halves,
       and apps can consult {!Proto.Ctx.send_allowed}. Off by default at
-      zero cost. Parameters are forwarded to
-      {!Net.Circuit_breaker.create}. *)
+      zero cost. The breaker has {!Net.Circuit_breaker.create}'s default
+      parameters. *)
 
   val circuit_breaker : t -> Net.Circuit_breaker.t
   (** The engine's breaker instance (meaningful once {!enable_breaker}

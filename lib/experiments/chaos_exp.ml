@@ -67,7 +67,7 @@ let report_of ~app ~seed (o : Engine.Chaos.outcome) =
     degraded_exits = s.degraded_exits;
     retransmits = s.rel_retransmits;
     giveups = s.rel_giveups;
-    sheds = s.sheds_mailbox + s.sheds_link + s.sheds_admission + s.sheds_sojourn;
+    sheds = s.sheds_mailbox;
     max_depth = s.max_mailbox_depth;
     shed_bounded = o.shed_bounded;
     overload_recovered = o.overload_recovered;

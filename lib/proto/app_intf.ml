@@ -80,11 +80,10 @@ module type APP = sig
 
   val priority : (msg -> int) option
   (** Relative shed priority of a message, higher = more important.
-      Consulted only by the engine's [By_priority] shed policy when a
-      bounded mailbox or link queue overflows: the lowest-priority
-      queued message is shed first (ties broken oldest-first). [None]
-      means all messages rank equal — [By_priority] then degrades to
-      [Drop_oldest]. Must be cheap and total; it runs on the delivery
+      Consulted only when a bounded mailbox overflows: the
+      lowest-priority queued message is shed first (ties broken
+      oldest-first). [None] means all messages rank equal, so the
+      oldest is shed. Must be cheap and total; it runs on the delivery
       hot path for every queued message of an overflowing node. *)
 
   val init : Ctx.t -> state * msg Action.t list

@@ -110,24 +110,14 @@ let paxos ~seed ?(setup = fun _ -> ()) ?(obs = false) ?plan duration =
   Px.E.run_until eng (Dsim.Vtime.of_seconds duration);
   Px.digest ?sink eng
 
-let kvstore ~seed ?(setup = fun _ -> ()) ?(reliable = false) ?(obs = false) ?profile run =
+let kvstore ~seed ?(reliable = false) ?(obs = false) profile =
   let eng = Kv.create ~seed (topology 5) in
   Kv.E.set_resolver eng Apps.Kvstore.session_resolver;
-  setup eng;
   if reliable then Kv.E.enable_reliable eng;
   let sink = if obs then Some (Kv.attach eng) else None in
   Kv.spawn_all eng ~seed 5;
-  (match profile with Some p -> Kv.storm eng ~seed ~nodes:5 p | None -> run eng);
+  Kv.storm eng ~seed ~nodes:5 profile;
   Kv.digest ?sink eng
-
-let bounded shed ~mailbox ~link ~service =
-  {
-    Px.E.default_overload with
-    Px.E.mailbox_capacity = mailbox;
-    link_capacity = link;
-    shed;
-    service_time = service;
-  }
 
 let rows : (string * (unit -> string * string)) list =
   [
@@ -135,58 +125,23 @@ let rows : (string * (unit -> string * string)) list =
     ( "kvstore flap-storm+reliable+obs seed=1000",
       fun () ->
         kvstore ~seed:1000 ~reliable:true ~obs:true
-          ~profile:Experiments.Chaos_exp.(with_flaps 1 kvstore_profile)
-          ignore );
+          Experiments.Chaos_exp.(with_flaps 1 kvstore_profile) );
     ( "paxos by-priority mailbox+burst seed=11",
       fun () ->
         paxos ~seed:11 ~obs:true
           ~setup:(fun eng ->
-            Px.E.set_overload eng
-              ~config:(bounded Px.E.By_priority ~mailbox:16 ~link:0 ~service:5e-4))
+            Px.E.set_overload eng ~config:{ mailbox_capacity = 16; service_time = 5e-4 })
           ~plan:
             [
               (1.0, Engine.Faultplan.Overload { node = 0; rate = 2000. });
               (2.0, Engine.Faultplan.Heal_overload { node = 0 });
             ]
           5. );
-    ( "paxos drop-oldest link_capacity+burst seed=12",
-      fun () ->
-        paxos ~seed:12 ~obs:true
-          ~setup:(fun eng ->
-            Px.E.set_overload eng
-              ~config:(bounded Px.E.Drop_oldest ~mailbox:0 ~link:2 ~service:2e-3))
-          ~plan:
-            [
-              (0.5, Engine.Faultplan.Overload { node = 1; rate = 1000. });
-              (1.5, Engine.Faultplan.Heal_overload { node = 1 });
-            ]
-          5. );
-    ( "kvstore token-bucket+sojourn injects seed=13",
-      fun () ->
-        kvstore ~seed:13 ~obs:true
-          ~setup:(fun eng ->
-            Kv.E.set_overload eng
-              ~config:
-                {
-                  Kv.E.default_overload with
-                  Kv.E.admit_rate = 50.;
-                  admit_burst = 5;
-                  sojourn_threshold = 0.05;
-                  service_time = 0.01;
-                })
-          (fun eng ->
-            Kv.E.run_for eng 1.0;
-            for i = 1 to 300 do
-              Kv.E.inject eng ~src:(nid 4) ~dst:(nid 0)
-                (Apps.Kvstore.Write { key = i mod 7; origin = nid 4 });
-              Kv.E.run_for eng 0.01
-            done;
-            Kv.E.run_for eng 2.0) );
-    ( "paxos reliable+breaker+suspect_cap partition seed=14",
+    ( "paxos reliable+breaker partition seed=14",
       fun () ->
         paxos ~seed:14
           ~setup:(fun eng ->
-            Px.E.enable_reliable eng ~config:{ Px.E.default_reliable with suspect_cap = 2 };
+            Px.E.enable_reliable eng;
             Px.E.enable_breaker eng)
           ~plan:
             [
@@ -209,24 +164,14 @@ let rows : (string * (unit -> string * string)) list =
           8. );
     ( "kvstore byz=-1 seed=42",
       fun () ->
-        kvstore ~seed:42 ~obs:true
-          ~profile:Experiments.Chaos_exp.(with_byz (-1) kvstore_profile)
-          ignore );
+        kvstore ~seed:42 ~obs:true Experiments.Chaos_exp.(with_byz (-1) kvstore_profile) );
     ( "randtree lookahead+reliable+bounded seed=16",
       fun () ->
         let eng = Tree.create ~seed:16 (Experiments.Randtree_exp.topology ~seed:16 ~nodes:16) in
         Tree.E.set_lookahead eng
           { Tree.E.default_lookahead with horizon = 1.0; max_events = 200 };
         Tree.E.enable_reliable eng;
-        Tree.E.set_overload eng
-          ~config:
-            {
-              Tree.E.default_overload with
-              Tree.E.mailbox_capacity = 3;
-              link_capacity = 1;
-              shed = Tree.E.By_priority;
-              service_time = 5e-3;
-            };
+        Tree.E.set_overload eng ~config:{ mailbox_capacity = 3; service_time = 5e-3 };
         for i = 0 to 15 do
           Tree.E.spawn eng ~after:(0.1 *. float_of_int i) (nid i)
         done;

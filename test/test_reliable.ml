@@ -11,19 +11,13 @@ let nid = Proto.Node_id.of_int
    at-most-once delivery is directly observable; give-up notifications
    land in [giveups] through the synthetic timer id. *)
 module Count_app = struct
-  type msg = Ping of int | Pong of int
+  type msg = Ping of int
 
-  type state = {
-    self : Proto.Node_id.t;
-    got : int list;
-    pongs : int list;
-    giveups : int;
-    sheds : int;
-  }
+  type state = { self : Proto.Node_id.t; got : int list; giveups : int }
 
   let name = "counter"
   let equal_state (a : state) b = a = b
-  let msg_kind = function Ping _ -> "ping" | Pong _ -> "pong"
+  let msg_kind (Ping _) = "ping"
   let msg_bytes _ = 32
   let msg_codec = None
   let validate = None
@@ -31,31 +25,21 @@ module Count_app = struct
   let degraded = None
   let priority = None
 
-  let pp_msg ppf = function
-    | Ping n -> Format.fprintf ppf "ping(%d)" n
-    | Pong n -> Format.fprintf ppf "pong(%d)" n
+  let pp_msg ppf (Ping n) = Format.fprintf ppf "ping(%d)" n
 
   let pp_state ppf st = Format.fprintf ppf "{got=%d}" (List.length st.got)
   let fingerprint = None
-  let init (ctx : Proto.Ctx.t) =
-    ({ self = ctx.self; got = []; pongs = []; giveups = 0; sheds = 0 }, [])
+  let init (ctx : Proto.Ctx.t) = ({ self = ctx.self; got = []; giveups = 0 }, [])
 
   let receive =
     [
       Proto.Handler.v ~name:"ping"
-        ~guard:(fun _ ~src:_ m -> match m with Ping _ -> true | Pong _ -> false)
-        (fun _ st ~src:_ m ->
-          match m with Ping n -> ({ st with got = n :: st.got }, []) | Pong _ -> (st, []));
-      Proto.Handler.v ~name:"pong"
-        ~guard:(fun _ ~src:_ m -> match m with Pong _ -> true | Ping _ -> false)
-        (fun _ st ~src:_ m ->
-          match m with Pong n -> ({ st with pongs = n :: st.pongs }, []) | Ping _ -> (st, []));
+        ~guard:(fun _ ~src:_ _ -> true)
+        (fun _ st ~src:_ (Ping n) -> ({ st with got = n :: st.got }, []));
     ]
 
   let on_timer _ st id : state * msg Proto.Action.t list =
-    if String.starts_with ~prefix:"rel.giveup:" id then
-      ({ st with giveups = st.giveups + 1 }, [])
-    else if String.starts_with ~prefix:"rel.shed:" id then ({ st with sheds = st.sheds + 1 }, [])
+    if String.starts_with ~prefix:"rel.giveup:" id then ({ st with giveups = st.giveups + 1 }, [])
     else (st, [])
 
   let properties : (state, msg) Proto.View.t Core.Property.t list = []
@@ -82,9 +66,6 @@ let got eng node =
 
 let giveups_of eng node =
   match E.state_of eng (nid node) with Some st -> st.Count_app.giveups | None -> 0
-
-let sheds_of eng node =
-  match E.state_of eng (nid node) with Some st -> st.Count_app.sheds | None -> 0
 
 (* ---------- recovery from loss ---------- *)
 
@@ -162,14 +143,14 @@ let test_giveup_notifies_sender () =
   E.run_for eng 25.;
   let s = E.stats eng in
   checki "gave up once" 1 s.rel_giveups;
-  checki "spent the whole budget" E.default_reliable.E.max_retries s.rel_retransmits;
+  checki "spent the whole budget" E.default_reliable.max_retries s.rel_retransmits;
   checki "sender was told" 1 (giveups_of eng 0);
   checki "nothing arrived" 0 (List.length (got eng 1))
 
 let test_custom_budget () =
   let eng = make () in
   E.enable_reliable eng
-    ~config:{ E.default_reliable with E.max_retries = 2; jitter = 0. };
+    ~config:{ E.default_reliable with max_retries = 2; jitter = 0. };
   Net.Netem.cut_bidirectional (E.netem eng) 0 1;
   E.inject eng ~src:(nid 0) ~dst:(nid 1) (Count_app.Ping 1);
   E.run_for eng 10.;
@@ -177,75 +158,17 @@ let test_custom_budget () =
   checki "two retries then give up" 2 s.rel_retransmits;
   checki "one give-up" 1 s.rel_giveups
 
-let test_kinds_filter () =
-  (* Tracking restricted to pings: pongs stay fire-and-forget. *)
-  let eng = make () in
-  E.enable_reliable eng ~kinds:[ "ping" ];
-  Net.Netem.cut_bidirectional (E.netem eng) 0 1;
-  E.inject eng ~src:(nid 0) ~dst:(nid 1) (Count_app.Pong 1);
-  E.run_for eng 25.;
-  checki "untracked kind never retransmits" 0 (E.stats eng).rel_retransmits;
-  E.inject eng ~src:(nid 0) ~dst:(nid 1) (Count_app.Ping 1);
-  E.run_for eng 25.;
-  checkb "tracked kind does" true ((E.stats eng).rel_retransmits > 0)
-
 let test_config_validation () =
   let eng = make () in
   let raises msg cfg =
     Alcotest.check_raises msg (Invalid_argument msg) (fun () -> E.enable_reliable eng ~config:cfg)
   in
   raises "Sim.enable_reliable: base_timeout must be positive"
-    { E.default_reliable with E.base_timeout = 0. };
-  raises "Sim.enable_reliable: backoff must be >= 1" { E.default_reliable with E.backoff = 0.5 };
-  raises "Sim.enable_reliable: negative max_retries" { E.default_reliable with E.max_retries = -1 };
-  raises "Sim.enable_reliable: negative jitter" { E.default_reliable with E.jitter = -0.1 };
-  raises "Sim.enable_reliable: ack_bytes must be positive"
-    { E.default_reliable with E.ack_bytes = 0 };
-  raises "Sim.enable_reliable: negative suspect_cap"
-    { E.default_reliable with E.suspect_cap = -1 }
-
-(* ---------- suspected-peer retransmit cap ---------- *)
-
-let test_suspect_cap_sheds_pending () =
-  (* A long ping exchange teaches the failure detector the peer's
-     cadence; then the link is severed and ten more sends pile up as
-     pending retransmissions. Once phi-accrual suspicion fires (~18s of
-     silence) the cap of 3 takes effect: retransmission timers past the
-     cap shed their send instead of retrying, the sender hears
-     "rel.shed:ping" for each, and exactly cap entries stay alive to
-     burn the rest of their budget. *)
-  let eng = make ~seed:7 () in
-  E.enable_reliable eng
-    ~config:{ E.default_reliable with E.max_retries = 12; jitter = 0.; suspect_cap = 3 };
-  (* The detector is fed by app deliveries (observer = receiver), so
-     node 0's picture of node 1 is built from traffic arriving 1 -> 0. *)
-  for i = 1 to 20 do
-    E.inject eng ~src:(nid 1) ~dst:(nid 0) (Count_app.Ping i);
-    E.run_for eng 0.25
-  done;
-  Net.Netem.cut_bidirectional (E.netem eng) 0 1;
-  for i = 100 to 109 do
-    E.inject eng ~src:(nid 0) ~dst:(nid 1) (Count_app.Ping i)
-  done;
-  E.run_for eng 60.;
-  let s = E.stats eng in
-  checki "pending above the cap was shed, the cap kept alive" 7 s.rel_sheds;
-  checki "each shed notified the sender" s.rel_sheds (sheds_of eng 0);
-  checki "survivors are still inside their budget, not given up" 0 s.rel_giveups
-
-let test_suspect_cap_off_by_default () =
-  (* Same scenario, default config: nothing sheds, every pending send
-     burns its full budget and gives up. *)
-  let eng = make ~seed:7 () in
-  E.enable_reliable eng ~config:{ E.default_reliable with E.jitter = 0. };
-  Net.Netem.cut_bidirectional (E.netem eng) 0 1;
-  for i = 100 to 109 do
-    E.inject eng ~src:(nid 0) ~dst:(nid 1) (Count_app.Ping i)
-  done;
-  E.run_for eng 60.;
-  let s = E.stats eng in
-  checki "no sheds without a cap" 0 s.rel_sheds;
-  checki "all ten give up instead" 10 s.rel_giveups
+    { E.default_reliable with base_timeout = 0. };
+  raises "Sim.enable_reliable: backoff must be >= 1" { E.default_reliable with backoff = 0.5 };
+  raises "Sim.enable_reliable: negative max_retries" { E.default_reliable with max_retries = -1 };
+  raises "Sim.enable_reliable: negative jitter" { E.default_reliable with jitter = -0.1 };
+  raises "Sim.enable_reliable: ack_bytes must be positive" { E.default_reliable with ack_bytes = 0 }
 
 (* ---------- crash during the retry window ---------- *)
 
@@ -255,7 +178,7 @@ let crash_mid_retry_run () =
      retrying across the outage, late retransmissions of pre-crash
      deliveries race the restart, and dedup must still hold. *)
   let eng = make ~loss:0.3 ~seed:13 () in
-  E.enable_reliable eng ~config:{ E.default_reliable with E.max_retries = 8 };
+  E.enable_reliable eng ~config:{ E.default_reliable with max_retries = 8 };
   for i = 1 to 10 do
     E.inject eng ~src:(nid 0) ~dst:(nid 1) (Count_app.Ping i)
   done;
@@ -324,14 +247,7 @@ let () =
         [
           Alcotest.test_case "give-up notifies the sender" `Quick test_giveup_notifies_sender;
           Alcotest.test_case "custom retry budget" `Quick test_custom_budget;
-          Alcotest.test_case "kinds filter" `Quick test_kinds_filter;
           Alcotest.test_case "config validation" `Quick test_config_validation;
-        ] );
-      ( "suspect cap",
-        [
-          Alcotest.test_case "sheds pending toward a suspected peer" `Quick
-            test_suspect_cap_sheds_pending;
-          Alcotest.test_case "off by default" `Quick test_suspect_cap_off_by_default;
         ] );
       ( "crash",
         [ Alcotest.test_case "crash during retransmit" `Quick test_crash_during_retransmit ] );
