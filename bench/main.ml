@@ -629,19 +629,10 @@ let delivery_path_micros () =
   (* A read site as kvstore builds it: four replicas, five features. *)
   let site =
     let alternative (rid, primary, rtt, known) =
-      Core.Choice.alt
-        ~features:
-          [
-            ("replica_id", float_of_int rid);
-            ("is_primary", if primary then 1. else 0.);
-            ("rtt_ms", rtt);
-            ("known_seq", known);
-            ("floor", 5.);
-          ]
-        rid
+      Core.Choice.alt ~features:[| float_of_int rid; (if primary then 1. else 0.); rtt; known; 5. |] rid
     in
     Core.Choice.site ~node:2 ~occurrence:0
-      (Core.Choice.make ~label:Apps.Kvstore.read_label
+      (Core.Choice.make ~label:Apps.Kvstore.read_label ~schema:Apps.Kvstore.read_schema
          (List.map alternative
             [ (0, true, 80., 9.); (1, false, 12., 5.); (2, false, 3., 4.); (3, false, 7., 6.) ]))
   in
@@ -738,8 +729,8 @@ let micro () =
     ]
   in
   let choice =
-    Core.Choice.of_values ~label:"bench"
-      ~feature:(fun v -> [ ("v", float_of_int v) ])
+    Core.Choice.of_values ~label:"bench" ~schema:(Core.Choice.schema [ "v" ])
+      ~feature:(fun v -> [| float_of_int v |])
       [ 1; 2; 3; 4; 5; 6; 7; 8 ]
   in
   let resolver_test name r =

@@ -64,6 +64,9 @@ module Work_sharing = struct
 
   let workers = List.map Proto.Node_id.of_int [ 1; 2; 3 ]
 
+  (* The offload choice's feature names, declared once. *)
+  let schema = Core.Choice.schema [ "rtt_ms" ]
+
   let on_timer (ctx : Proto.Ctx.t) st id =
     match id with
     | "dispatch" ->
@@ -71,13 +74,10 @@ module Work_sharing = struct
            features let any resolver reason about it; the protocol
            itself takes no position. *)
         let alternative w =
-          Core.Choice.alt
-            ~features:[ ("rtt_ms", Proto.Ctx.predicted_ms ctx w) ]
-            ~describe:(Format.asprintf "%a" Proto.Node_id.pp w)
-            w
+          Core.Choice.alt ~features:[| Proto.Ctx.predicted_ms ctx w |] w
         in
         let target =
-          ctx.choose (Core.Choice.make ~label:"offload" (List.map alternative workers))
+          ctx.choose (Core.Choice.make ~label:"offload" ~schema (List.map alternative workers))
         in
         ( st,
           [

@@ -48,6 +48,7 @@ let msg_codec =
       | t -> Error (Printf.sprintf "unknown dht tag %d" t))
 
 let route_label = "route.next"
+let route_schema = Core.Choice.schema [ "remaining"; "rtt_ms" ]
 
 (* Clockwise distance from [a] to [b] on the ring. *)
 let distance a b = (b - a + ring_size) mod ring_size
@@ -204,15 +205,13 @@ end = struct
         let alternative (finger, fpos) =
           Core.Choice.alt
             ~features:
-              [
-                ("remaining", float_of_int (distance fpos key));
-                ("rtt_ms", Proto.Ctx.predicted_ms ctx finger);
-              ]
-            ~describe:(Proto.Node_id.to_string finger)
+              [| float_of_int (distance fpos key); Proto.Ctx.predicted_ms ctx finger |]
             finger
         in
         let next =
-          ctx.choose (Core.Choice.make ~label:route_label (List.map alternative candidates))
+          ctx.choose
+            (Core.Choice.make ~label:route_label ~schema:route_schema
+               (List.map alternative candidates))
         in
         [ Proto.Action.send ~dst:next (Lookup { key; origin; born; hops = hops + 1 }) ]
 
@@ -291,12 +290,12 @@ module Default = Make (Default_params)
     hard-coded worlds (pure progress, pure proximity) are special cases
     the runtime can now interpolate between. *)
 let pns_resolver =
+  let remaining_c = Core.Choice.column "remaining" and rtt_c = Core.Choice.column "rtt_ms" in
   Core.Resolver.make ~name:"pns" (fun rng site ->
-      let remaining i =
-        Option.value ~default:infinity (Core.Choice.feature site ~alt:i "remaining")
-      in
-      let rtt i = Option.value ~default:infinity (Core.Choice.feature site ~alt:i "rtt_ms") in
-      let n = site.Core.Choice.site_arity in
+      let remaining_c = remaining_c site and rtt_c = rtt_c site in
+      let remaining i = Core.Choice.value site remaining_c ~alt:i ~default:infinity in
+      let rtt i = Core.Choice.value site rtt_c ~alt:i ~default:infinity in
+      let n = site.site_arity in
       let best_remaining = ref infinity in
       for i = 0 to n - 1 do
         if remaining i < !best_remaining then best_remaining := remaining i

@@ -26,6 +26,7 @@ let pp_msg ppf = function
   | Piece { block } -> Format.fprintf ppf "piece(#%d)" block
 
 let block_label = "block.select"
+let block_schema = Core.Choice.schema [ "block_id"; "rarity" ]
 
 module type PARAMS = sig
   val population : int
@@ -241,15 +242,13 @@ end = struct
               in
               let alternative block =
                 Core.Choice.alt
-                  ~features:
-                    [
-                      ("block_id", float_of_int block);
-                      ("rarity", float_of_int (rarity st block));
-                    ]
-                  ~describe:(string_of_int block) block
+                  ~features:[| float_of_int block; float_of_int (rarity st block) |]
+                  block
               in
               let block =
-                ctx.choose (Core.Choice.make ~label:block_label (List.map alternative candidates))
+                ctx.choose
+                  (Core.Choice.make ~label:block_label ~schema:block_schema
+                     (List.map alternative candidates))
               in
               ( { st with outstanding = (peer, block, now) :: st.outstanding },
                 Proto.Action.send ~dst:peer (Request { block }) :: actions )

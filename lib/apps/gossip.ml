@@ -45,6 +45,7 @@ let msg_codec =
       | t -> Error (Printf.sprintf "unknown gossip tag %d" t))
 
 let peer_label = "gossip.peer"
+let peer_schema = Core.Choice.schema [ "peer_id"; "round"; "rtt_ms"; "age_s" ]
 
 (* Byzantine admission check (see {!Proto.App_intf.APP.validate}),
    shared with the baseline variant. Honest rumor digests come out of
@@ -252,14 +253,12 @@ end = struct
           let alternative peer =
             Core.Choice.alt
               ~features:
-                [
-                  ("peer_id", float_of_int (Proto.Node_id.to_int peer));
-                  ("round", float_of_int st.round);
-                  ("rtt_ms", Proto.Ctx.predicted_ms ctx peer);
-                  ( "age_s",
-                    match last_seen st peer with Some t -> now -. t | None -> 1e6 );
-                ]
-              ~describe:(Proto.Node_id.to_string peer)
+                [|
+                  float_of_int (Proto.Node_id.to_int peer);
+                  float_of_int st.round;
+                  Proto.Ctx.predicted_ms ctx peer;
+                  (match last_seen st peer with Some t -> now -. t | None -> 1e6);
+                |]
               peer
           in
           match candidates with
@@ -267,7 +266,8 @@ end = struct
           | _ :: _ ->
               let target =
                 ctx.choose
-                  (Core.Choice.make ~label:peer_label (List.map alternative candidates))
+                  (Core.Choice.make ~label:peer_label ~schema:peer_schema
+                     (List.map alternative candidates))
               in
               ( st,
                 [
@@ -316,21 +316,19 @@ module Default = Make (Default_params)
     and the round number. Implemented as a resolver over the exposed
     choice — restriction is a policy, not a protocol change. *)
 let restricted_resolver ~population =
+  let round_c = Core.Choice.column "round" and peer_c = Core.Choice.column "peer_id" in
   Core.Resolver.make ~name:"restricted" (fun _rng site ->
-      let feature i name = Core.Choice.feature site ~alt:i name in
-      let round =
-        match feature 0 "round" with Some r -> int_of_float r | None -> 0
-      in
-      let node = site.Core.Choice.site_node in
+      let round_c = round_c site and peer_c = peer_c site in
+      let round = int_of_float (Core.Choice.value site round_c ~alt:0 ~default:0.) in
+      let node = site.site_node in
       (* The pseudo-random schedule both partners could verify. *)
       let target = (((node * 7919) + (round * 104729)) mod population + population) mod population in
       let distance i =
-        match feature i "peer_id" with
-        | Some id -> abs (int_of_float id - target)
-        | None -> max_int
+        if peer_c < 0 then max_int
+        else abs (int_of_float (Core.Choice.value site peer_c ~alt:i ~default:0.) - target)
       in
       let best = ref 0 and best_d = ref (distance 0) in
-      for i = 1 to site.Core.Choice.site_arity - 1 do
+      for i = 1 to site.site_arity - 1 do
         let d = distance i in
         if d < !best_d then begin
           best := i;

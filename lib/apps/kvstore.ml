@@ -106,6 +106,7 @@ let msg_codec =
       | t -> Error (Printf.sprintf "unknown kvstore tag %d" t))
 
 let read_label = "read.replica"
+let read_schema = Core.Choice.schema [ "replica_id"; "is_primary"; "rtt_ms"; "known_seq"; "floor" ]
 
 module type PARAMS = sig
   val population : int
@@ -655,18 +656,17 @@ end = struct
       let rid = Proto.Node_id.to_int r in
       Core.Choice.alt
         ~features:
-          [
-            ("replica_id", float_of_int rid);
-            ("is_primary", if rid = 0 then 1. else 0.);
-            ("rtt_ms", Proto.Ctx.predicted_ms ctx r);
-            ( "known_seq",
-              float_of_int (Option.value ~default:0 (List.assoc_opt r st.known_seq)) );
-            ("floor", float_of_int (max st.read_floor st.write_floor));
-          ]
-        ~describe:(Proto.Node_id.to_string r)
+          [|
+            float_of_int rid;
+            (if rid = 0 then 1. else 0.);
+            Proto.Ctx.predicted_ms ctx r;
+            float_of_int (Option.value ~default:0 (List.assoc_opt r st.known_seq));
+            float_of_int (max st.read_floor st.write_floor);
+          |]
         r
     in
-    ctx.choose (Core.Choice.make ~label:read_label (List.map alternative candidates))
+    ctx.choose
+      (Core.Choice.make ~label:read_label ~schema:read_schema (List.map alternative candidates))
 
   let on_timer (ctx : Proto.Ctx.t) st id =
     match id with
@@ -742,52 +742,52 @@ end
 
 module Default = Make (Default_params)
 
+(* Column [c] of alternative [i], or [default] where the schema lacks
+   it: [Core.Choice.value], here so that it inlines and boxes no float. *)
+let[@inline] read (site : Core.Choice.site) c i default =
+  if c < 0 then default else site.site_features.((i * Core.Choice.width site.site_schema) + c)
+
+let is_primary = Core.Choice.column "is_primary"
+let rtt_ms = Core.Choice.column "rtt_ms"
+
 (** Always read from the primary: linearizable and slow. *)
 let primary_resolver =
   Core.Resolver.make ~name:"primary" (fun _rng site ->
+      let primary = is_primary site in
       let best = ref 0 in
-      for i = 0 to site.Core.Choice.site_arity - 1 do
-        match Core.Choice.feature site ~alt:i "is_primary" with
-        | Some x when x > 0.5 -> best := i
-        | Some _ | None -> ()
+      for i = 0 to site.site_arity - 1 do
+        if read site primary i 0. > 0.5 then best := i
       done;
       !best)
 
 (** Always read locally: instant and as stale as it gets. *)
 let nearest_resolver =
   Core.Resolver.make ~name:"nearest" (fun _rng site ->
-      let rtt i =
-        Option.value ~default:infinity (Core.Choice.feature site ~alt:i "rtt_ms")
-      in
+      let rtt = rtt_ms site in
       let best = ref 0 in
-      for i = 1 to site.Core.Choice.site_arity - 1 do
-        if rtt i < rtt !best then best := i
+      for i = 1 to site.site_arity - 1 do
+        if read site rtt i infinity < read site rtt !best infinity then best := i
       done;
       !best)
 
 (** The session-aware compromise: cheapest replica not known to be
     behind this session's floor; the primary as the safe fallback. *)
 let session_resolver =
+  let floor_c = Core.Choice.column "floor" and known_c = Core.Choice.column "known_seq" in
   Core.Resolver.make ~name:"session" (fun _rng site ->
-      let feature name i =
-        Option.value ~default:0. (Core.Choice.feature site ~alt:i name)
-      in
-      let floor = feature "floor" 0 in
-      let fresh_enough i =
-        feature "known_seq" i >= floor || feature "is_primary" i > 0.5
-      in
-      let best = ref None in
-      for i = 0 to site.Core.Choice.site_arity - 1 do
-        if fresh_enough i then
-          match !best with
-          | Some j when feature "rtt_ms" j <= feature "rtt_ms" i -> ()
-          | Some _ | None -> best := Some i
+      let floor_c = floor_c site and known_c = known_c site in
+      let primary = is_primary site and rtt = rtt_ms site in
+      let floor = read site floor_c 0 0. in
+      let best = ref (-1) in
+      for i = 0 to site.site_arity - 1 do
+        let fresh = read site known_c i 0. >= floor || read site primary i 0. > 0.5 in
+        if fresh && (!best < 0 || not (read site rtt !best 0. <= read site rtt i 0.)) then best := i
       done;
-      match !best with
-      | Some i -> i
-      | None ->
-          let p = ref 0 in
-          for i = 0 to site.Core.Choice.site_arity - 1 do
-            if feature "is_primary" i > 0.5 then p := i
-          done;
-          !p)
+      if !best >= 0 then !best
+      else begin
+        let p = ref 0 in
+        for i = 0 to site.site_arity - 1 do
+          if read site primary i 0. > 0.5 then p := i
+        done;
+        !p
+      end)

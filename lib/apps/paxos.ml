@@ -102,6 +102,7 @@ let msg_codec =
       | t -> Error (Printf.sprintf "unknown paxos tag %d" t))
 
 let proposer_label = "paxos.proposer"
+let proposer_schema = Core.Choice.schema [ "replica_id"; "seq"; "is_self"; "rtt_ms" ]
 
 module type PARAMS = sig
   val population : int
@@ -561,17 +562,17 @@ end = struct
       let rid = Proto.Node_id.to_int replica in
       Core.Choice.alt
         ~features:
-          [
-            ("replica_id", float_of_int rid);
-            ("seq", float_of_int cmd.seq);
-            ("is_self", if rid = self_int st then 1. else 0.);
-            ( "rtt_ms",
-              if rid = self_int st then 0. else Proto.Ctx.predicted_ms ctx replica );
-          ]
-        ~describe:(Proto.Node_id.to_string replica)
+          [|
+            float_of_int rid;
+            float_of_int cmd.seq;
+            (if rid = self_int st then 1. else 0.);
+            (if rid = self_int st then 0. else Proto.Ctx.predicted_ms ctx replica);
+          |]
         replica
     in
-    ctx.choose (Core.Choice.make ~label:proposer_label (List.map alternative replicas))
+    ctx.choose
+      (Core.Choice.make ~label:proposer_label ~schema:proposer_schema
+         (List.map alternative replicas))
 
   (* Step-down rule: a proposer that suspects it cannot reach a
      majority (itself included) stops proposing — broadcasting prepares
@@ -776,43 +777,40 @@ end
 
 module Default = Make (Default_params)
 
+let replica_id = Core.Choice.column "replica_id"
+
+(* The last alternative whose [replica_id] is [target]; 0 when none is
+   (or the site has no [replica_id]). *)
+let replica site target =
+  let c = replica_id site in
+  let best = ref 0 in
+  if c >= 0 then
+    for i = 0 to site.site_arity - 1 do
+      if int_of_float (Core.Choice.value site c ~alt:i ~default:0.) = target then best := i
+    done;
+  !best
+
 (** Classic deployment: node 0 proposes everything. *)
 let fixed_leader_resolver ~leader =
-  Core.Resolver.make ~name:"fixed-leader" (fun _rng site ->
-      let best = ref 0 in
-      for i = 0 to site.Core.Choice.site_arity - 1 do
-        match Core.Choice.feature site ~alt:i "replica_id" with
-        | Some id when int_of_float id = leader -> best := i
-        | Some _ | None -> ()
-      done;
-      !best)
+  Core.Resolver.make ~name:"fixed-leader" (fun _rng site -> replica site leader)
 
 (** Mencius-style rotation: command [seq] born at replica [r] goes to
     replica [(r + seq) mod n] — every replica proposes in turn. *)
 let round_robin_resolver ~population =
+  let seq_c = Core.Choice.column "seq" in
   Core.Resolver.make ~name:"round-robin" (fun _rng site ->
-      let seq =
-        match Core.Choice.feature site ~alt:0 "seq" with
-        | Some s -> int_of_float s
-        | None -> 0
-      in
-      let target = ((site.Core.Choice.site_node + seq) mod population + population) mod population in
-      let best = ref 0 in
-      for i = 0 to site.Core.Choice.site_arity - 1 do
-        match Core.Choice.feature site ~alt:i "replica_id" with
-        | Some id when int_of_float id = target -> best := i
-        | Some _ | None -> ()
-      done;
-      !best)
+      let seq_c = seq_c site in
+      let seq = int_of_float (Core.Choice.value site seq_c ~alt:0 ~default:0.) in
+      replica site (((site.site_node + seq) mod population + population) mod population))
 
 (** Always propose locally — zero forwarding cost, the latency-greedy
     policy an RTT-aware resolver converges to. *)
 let self_resolver =
+  let is_self = Core.Choice.column "is_self" in
   Core.Resolver.make ~name:"self" (fun _rng site ->
+      let c = is_self site in
       let best = ref 0 in
-      for i = 0 to site.Core.Choice.site_arity - 1 do
-        match Core.Choice.feature site ~alt:i "is_self" with
-        | Some x when x > 0.5 -> best := i
-        | Some _ | None -> ()
+      for i = 0 to site.site_arity - 1 do
+        if Core.Choice.value site c ~alt:i ~default:0. > 0.5 then best := i
       done;
       !best)

@@ -22,6 +22,9 @@ module Make (P : PARAMS) : sig
   val forward_label : string
   (** The label of the exposed forwarding choice, for resolvers and
       tests. *)
+
+  val forward_schema : Core.Choice.schema
+  (** Its features: [age_s] since last heard from, predicted [rtt_ms]. *)
 end = struct
   type msg = C.msg
 
@@ -36,6 +39,8 @@ end = struct
 
   let name = "randtree-choice"
   let forward_label = "join.forward"
+  let forward_schema =
+    Core.Choice.schema [ "age_s"; "rtt_ms" ]
   let equal_state (a : state) b = a = b
   let msg_kind = C.msg_kind
   let msg_bytes = C.msg_bytes
@@ -167,16 +172,13 @@ end = struct
             let alternative (child, seen) =
               Core.Choice.alt
                 ~features:
-                  [
-                    ("age_s", now -. seen);
-                    ("rtt_ms", Proto.Ctx.predicted_ms ctx child);
-                  ]
-                ~describe:(Proto.Node_id.to_string child)
+                  [| now -. seen; Proto.Ctx.predicted_ms ctx child |]
                 child
             in
             let target =
               ctx.choose
-                (Core.Choice.make ~label:forward_label (List.map alternative st.children))
+                (Core.Choice.make ~label:forward_label ~schema:forward_schema
+                   (List.map alternative st.children))
             in
             (st, [ Proto.Action.send ~dst:target (C.Join { origin }) ])
         | None -> (st, []))

@@ -28,19 +28,19 @@ let context_key t (site : Choice.site) =
     let b = int_of_float ((squashed +. 1.) /. 2. *. float_of_int t.feature_buckets) in
     max 0 (min (t.feature_buckets - 1) b)
   in
+  let schema = site.site_schema and w = Choice.width site.site_schema in
   let buf = Buffer.create 64 in
   Buffer.add_string buf site.site_label;
-  Array.iter
-    (fun feats ->
-      Buffer.add_char buf '|';
-      List.iter
-        (fun (k, v) ->
-          Buffer.add_string buf k;
-          Buffer.add_char buf ':';
-          Buffer.add_string buf (string_of_int (bucket v));
-          Buffer.add_char buf ';')
-        (List.sort (fun (a, _) (b, _) -> String.compare a b) feats))
-    site.site_features;
+  for alt = 0 to site.site_arity - 1 do
+    Buffer.add_char buf '|';
+    Array.iter
+      (fun c ->
+        Buffer.add_string buf schema.names.(c);
+        Buffer.add_char buf ':';
+        Buffer.add_string buf (string_of_int (bucket site.site_features.((alt * w) + c)));
+        Buffer.add_char buf ';')
+      schema.by_name
+  done;
   Buffer.contents buf
 
 let context t site =

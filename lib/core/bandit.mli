@@ -17,6 +17,9 @@ val create : ?algo:algo -> ?feature_buckets:int -> unit -> t
 (** [algo] defaults to [Ucb1 (sqrt 2.)]. [feature_buckets] controls how
     coarsely features are quantised into contexts (default 4). *)
 
+val context_key : t -> Choice.site -> string
+(** The site's label, then each alternative's feature buckets by name. *)
+
 val select : t -> Dsim.Rng.t -> Choice.site -> int
 (** Picks an arm; unplayed arms are tried first (in index order). *)
 

@@ -32,11 +32,13 @@ let scripted moves =
   make ~name:"scripted" choose
 
 let greedy ~feature ?(maximize = false) () =
+  let column = Choice.column feature in
   let choose rng (site : Choice.site) =
+    let c = column site and w = Choice.width site.site_schema in
     let score i =
-      match Choice.feature site ~alt:i feature with
-      | Some v -> if maximize then -.v else v
-      | None -> infinity
+      if c < 0 then infinity
+      else if maximize then -.site.site_features.((i * w) + c)
+      else site.site_features.((i * w) + c)
     in
     let best_score = ref (score 0) in
     for i = 1 to site.site_arity - 1 do
@@ -55,12 +57,10 @@ let greedy ~feature ?(maximize = false) () =
   make ~name:(Printf.sprintf "greedy(%s%s)" (if maximize then "max " else "min ") feature) choose
 
 let weighted ~feature =
+  let column = Choice.column feature in
   let choose rng (site : Choice.site) =
-    let w i =
-      match Choice.feature site ~alt:i feature with
-      | Some v when v > 0. -> v
-      | Some _ | None -> 0.
-    in
+    let c = column site in
+    let w i = match Choice.value site c ~alt:i ~default:0. with v when v > 0. -> v | _ -> 0. in
     let total = ref 0. in
     for i = 0 to site.site_arity - 1 do
       total := !total +. w i

@@ -1,7 +1,7 @@
 (** Resolvers turn a pending {!Choice.site} into a decision.
 
     A resolver never sees application values — only the site's label,
-    arity and feature matrix — so resolvers compose freely with any
+    arity and feature columns — so resolvers compose freely with any
     protocol. Stateful resolvers (round-robin, bandits, the CrystalBall
     lookahead built in [Runtime]) close over their own state and may
     learn from {!feedback}. *)
@@ -38,12 +38,12 @@ val scripted : (string * int) list -> t
 
 val greedy : feature:string -> ?maximize:bool -> unit -> t
 (** Picks the alternative whose [feature] is smallest (or largest when
-    [maximize]); alternatives missing the feature rank last. This is
+    [maximize]), at random among ties (all, when the schema lacks it):
     the classic hand-tuned heuristic expressed as a resolver. *)
 
 val weighted : feature:string -> t
 (** Samples an alternative with probability proportional to its
-    (non-negative) value of [feature]; uniform if absent everywhere. *)
+    (positive) value of [feature]; uniform when there is none. *)
 
 val by_label : (string * t) list -> default:t -> t
 (** Routes each choice to the resolver registered for its label —

@@ -1360,11 +1360,7 @@ module Make (App : Proto.App_intf.APP) = struct
     | several ->
         (* NFA ambiguity: which handler runs is itself a choice. *)
         let ctx = ctx_for t dst in
-        let choice =
-          Core.Choice.make ~label:("handler:" ^ kind)
-            (List.map (fun (h : _ Proto.Handler.t) -> Core.Choice.alt ~describe:h.name h) several)
-        in
-        let h = ctx.choose choice in
+        let h = ctx.choose (Core.Choice.of_values ~label:("handler:" ^ kind) several) in
         apply_handler_result t dst (h.handle ctx n.state ~src msg)
 
   and acked t r seq =

@@ -11,26 +11,18 @@ type pair = {
   mutable probes : int;      (* probes handed out this half-open round *)
 }
 
-type t = {
-  failure_threshold : int;
-  cooldown : float;
-  half_open_probes : int;
-  pairs : (int * int, pair) Hashtbl.t;
-}
+type t = { pairs : (int * int, pair) Hashtbl.t }
 
-let create ?(failure_threshold = 3) ?(cooldown = 5.0) ?(half_open_probes = 1) () =
-  if failure_threshold <= 0 then
-    invalid_arg "Circuit_breaker.create: failure_threshold must be positive";
-  if not (cooldown > 0.) then
-    invalid_arg "Circuit_breaker.create: cooldown must be positive";
-  if half_open_probes <= 0 then
-    invalid_arg "Circuit_breaker.create: half_open_probes must be positive";
-  { failure_threshold; cooldown; half_open_probes; pairs = Hashtbl.create 16 }
+let failure_threshold = 3
+let cooldown = 5.0
+let half_open_probes = 1
+
+let create () = { pairs = Hashtbl.create 16 }
 
 let copy t =
   let pairs = Hashtbl.create (Hashtbl.length t.pairs) in
   Hashtbl.iter (fun k p -> Hashtbl.add pairs k { p with failures = p.failures }) t.pairs;
-  { t with pairs }
+  { pairs }
 
 let get t ~src ~dst =
   match Hashtbl.find_opt t.pairs (src, dst) with
@@ -44,15 +36,15 @@ let get t ~src ~dst =
    against an instant that precedes the trip (a backwards-stepped local
    clock, a reordered observation) must keep the pair open, not wrap
    into a huge negative that half-opens it on float quirks. *)
-let half_open t p ~now =
-  p.is_open && Float.max 0. (Dsim.Vtime.diff now p.opened_at) >= t.cooldown
+let half_open p ~now =
+  p.is_open && Float.max 0. (Dsim.Vtime.diff now p.opened_at) >= cooldown
 
 let state t ~src ~dst ~now =
   match Hashtbl.find_opt t.pairs (src, dst) with
   | None -> Closed
   | Some p ->
       if not p.is_open then Closed
-      else if half_open t p ~now then Half_open
+      else if half_open p ~now then Half_open
       else Open
 
 let do_open p ~now =
@@ -67,11 +59,11 @@ let record_failure t ~src ~dst ~now =
     (* A failure during half-open re-opens and restarts the cooldown;
        while still cooling down the trip time is left alone so the
        probe schedule stays anchored to the original trip. *)
-    if half_open t p ~now then do_open p ~now
+    if half_open p ~now then do_open p ~now
   end
   else begin
     p.failures <- p.failures + 1;
-    if p.failures >= t.failure_threshold then do_open p ~now
+    if p.failures >= failure_threshold then do_open p ~now
   end
 
 let record_success t ~src ~dst =
@@ -92,7 +84,7 @@ let allow t ~src ~dst ~now =
   | Open -> false
   | Half_open ->
       let p = get t ~src ~dst in
-      p.probes < t.half_open_probes
+      p.probes < half_open_probes
 
 let acquire t ~src ~dst ~now =
   match state t ~src ~dst ~now with
@@ -100,7 +92,7 @@ let acquire t ~src ~dst ~now =
   | Open -> false
   | Half_open ->
       let p = get t ~src ~dst in
-      if p.probes < t.half_open_probes then begin
+      if p.probes < half_open_probes then begin
         p.probes <- p.probes + 1;
         true
       end

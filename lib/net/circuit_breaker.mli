@@ -2,12 +2,11 @@
 
     A breaker guards the [src -> dst] direction of a link with the
     classic three-state machine: [Closed] (traffic flows; consecutive
-    failures are counted), [Open] (traffic is refused outright after
-    [failure_threshold] consecutive failures), and — once [cooldown]
-    seconds of virtual time have elapsed since the trip — [Half_open]
-    (up to [half_open_probes] probe sends are let through; one success
-    closes the breaker, one failure re-opens it and restarts the
-    cooldown).
+    failures are counted), [Open] (traffic is refused outright after 3
+    consecutive failures), and — once 5 seconds of virtual time have
+    elapsed since the trip — [Half_open] (one probe send per round is
+    let through; one success closes the breaker, one failure re-opens
+    it and restarts the cooldown).
 
     The module is the sending-side dual of {!Failure_detector}: the
     detector accrues suspicion from the {e absence} of inbound traffic,
@@ -21,12 +20,9 @@ type t
 
 type state = Closed | Open | Half_open
 
-val create : ?failure_threshold:int -> ?cooldown:float -> ?half_open_probes:int -> unit -> t
-(** [failure_threshold] (default 3) consecutive failures trip the
-    breaker; it stays [Open] for [cooldown] (default 5.0) seconds, then
-    admits [half_open_probes] (default 1) probes per half-open round.
-    @raise Invalid_argument on a non-positive threshold, cooldown or
-    probe budget. *)
+val create : unit -> t
+(** Three consecutive failures trip a pair's breaker; it stays [Open]
+    for 5 seconds, then admits one probe per half-open round. *)
 
 val copy : t -> t
 (** Independent deep copy, for speculative forks. *)
@@ -58,7 +54,7 @@ val allow : t -> src:int -> dst:int -> now:Dsim.Vtime.t -> bool
 val acquire : t -> src:int -> dst:int -> now:Dsim.Vtime.t -> bool
 (** Like {!allow}, but a [Half_open] admission consumes one probe from
     the round's budget — the engine calls this on the send path so at
-    most [half_open_probes] probes are in flight per cooldown round. *)
+    most one probe is in flight per cooldown round. *)
 
 val open_pairs : t -> now:Dsim.Vtime.t -> int
 (** Directed pairs currently [Open] or [Half_open], for observability. *)

@@ -1,6 +1,8 @@
+(* Every disk is the same: 0.5 ms per fsync, 50 MB/s. *)
+let fsync_latency = 0.0005
+let bandwidth = 50_000_000.
+
 type disk = {
-  fsync_latency : float;
-  bandwidth : float;
   mutable busy_until : float;
   mutable bytes_written : int;
   mutable write_seconds : float;
@@ -23,11 +25,9 @@ type t = {
   mutable last_start : int;  (* offset of the last appended frame; -1 = none *)
 }
 
-let create ?(fsync_latency = 0.0005) ?(bandwidth = 50_000_000.) () =
-  if fsync_latency < 0. then invalid_arg "Store.create: negative fsync_latency";
-  if bandwidth <= 0. then invalid_arg "Store.create: non-positive bandwidth";
+let create () =
   {
-    disk = { fsync_latency; bandwidth; busy_until = 0.; bytes_written = 0; write_seconds = 0. };
+    disk = { busy_until = 0.; bytes_written = 0; write_seconds = 0. };
     snapshot = None;
     wal = Buffer.create 256;
     entries = 0;
@@ -46,7 +46,7 @@ let is_empty t = Option.is_none t.snapshot && Buffer.length t.wal = 0
    caller's effects must wait for (write-ahead discipline). *)
 let write d ~now ~bytes =
   let start = Float.max now d.busy_until in
-  let dur = d.fsync_latency +. (float_of_int bytes /. d.bandwidth) in
+  let dur = fsync_latency +. (float_of_int bytes /. bandwidth) in
   d.busy_until <- start +. dur;
   d.bytes_written <- d.bytes_written + bytes;
   d.write_seconds <- d.write_seconds +. dur;

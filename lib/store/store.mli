@@ -26,11 +26,9 @@ type t
     corrupt tail was dropped on the way. *)
 type recovered = { snapshot : string option; entries : string list; torn : bool }
 
-val create : ?fsync_latency:float -> ?bandwidth:float -> unit -> t
-(** A fresh empty store. [fsync_latency] (default 0.5ms) is the fixed
-    cost of making one write durable; [bandwidth] (default 50 MB/s)
-    divides the written bytes. @raise Invalid_argument on a negative
-    latency or non-positive bandwidth. *)
+val create : unit -> t
+(** A fresh empty store. Making one write durable costs a fixed 0.5 ms
+    fsync plus its bytes at 50 MB/s. *)
 
 val copy : t -> t
 (** Independent deep copy — used when a simulation forks. A snapshot

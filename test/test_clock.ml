@@ -287,7 +287,7 @@ let test_nearly_safe_lease_fires_under_drift () =
    (a backwards-stepped local clock) must keep the pair open rather
    than wrap the elapsed time negative. *)
 let test_breaker_backwards_now_stays_open () =
-  let cb = Net.Circuit_breaker.create ~cooldown:5.0 () in
+  let cb = Net.Circuit_breaker.create () in
   Net.Circuit_breaker.trip cb ~src:0 ~dst:1 ~now:(vt 10.);
   checkb "open at trip time" false (Net.Circuit_breaker.allow cb ~src:0 ~dst:1 ~now:(vt 10.));
   checkb "still open when asked about the past" false

@@ -14,7 +14,7 @@ let simple_choice ?(label = "pick") values = Core.Choice.of_values ~label values
 let test_choice_build () =
   let c = simple_choice [ "a"; "b"; "c" ] in
   checki "arity" 3 (Core.Choice.arity c);
-  checks "label" "pick" (Core.Choice.label c);
+  checks "label" "pick" c.Core.Choice.label;
   checks "nth" "b" (Core.Choice.nth c 1);
   Alcotest.check_raises "nth oob" (Invalid_argument "Choice.nth: index out of range") (fun () ->
       ignore (Core.Choice.nth c 7))
@@ -23,66 +23,107 @@ let test_choice_invalid () =
   Alcotest.check_raises "empty alts" (Invalid_argument "Choice.make: no alternatives") (fun () ->
       ignore (Core.Choice.make ~label:"x" []));
   Alcotest.check_raises "empty label" (Invalid_argument "Choice.make: empty label") (fun () ->
-      ignore (Core.Choice.make ~label:"" [ Core.Choice.alt 1 ]))
+      ignore (Core.Choice.make ~label:"" [ Core.Choice.alt 1 ]));
+  Alcotest.check_raises "repeated name"
+    (Invalid_argument "Choice.schema: repeated name \"rtt\"") (fun () ->
+      ignore (Core.Choice.schema [ "rtt"; "age"; "rtt" ]));
+  let schema = Core.Choice.schema [ "rtt"; "age" ] in
+  let wants = Invalid_argument "Choice.make: x wants 2 features per alternative" in
+  Alcotest.check_raises "too few features" wants (fun () ->
+      ignore
+        (Core.Choice.make ~label:"x" ~schema
+           [ Core.Choice.alt ~features:[| 1.; 2. |] 1; Core.Choice.alt ~features:[| 1. |] 2 ]));
+  Alcotest.check_raises "too many features" wants (fun () ->
+      ignore (Core.Choice.make ~label:"x" ~schema [ Core.Choice.alt ~features:[| 1.; 2.; 3. |] 1 ]));
+  Alcotest.check_raises "features without a schema"
+    (Invalid_argument "Choice.make: x wants 0 features per alternative") (fun () ->
+      ignore (Core.Choice.make ~label:"x" [ Core.Choice.alt ~features:[| 1. |] 1 ]))
 
 let test_choice_features () =
+  let schema = Core.Choice.schema [ "rtt"; "age" ] in
   let c =
-    Core.Choice.make ~label:"x"
-      [
-        Core.Choice.alt ~features:[ ("rtt", 5.) ] 10;
-        Core.Choice.alt ~features:[ ("rtt", 7.); ("age", 1.) ] 20;
-      ]
+    Core.Choice.make ~label:"x" ~schema
+      [ Core.Choice.alt ~features:[| 5.; 2. |] 10; Core.Choice.alt ~features:[| 7.; 1. |] 20 ]
   in
   let site = Core.Choice.site ~node:3 ~occurrence:0 c in
   checki "site arity" 2 site.Core.Choice.site_arity;
   checki "site node" 3 site.Core.Choice.site_node;
-  checkb "feature" true (Core.Choice.feature site ~alt:1 "rtt" = Some 7.);
-  checkb "missing feature" true (Core.Choice.feature site ~alt:0 "age" = None);
-  checkb "oob alt" true (Core.Choice.feature site ~alt:5 "rtt" = None)
+  checkb "schema shared" true (site.site_schema == schema);
+  Alcotest.(check (array (float 0.))) "row-major" [| 5.; 2.; 7.; 1. |] site.site_features;
+  let col name = Core.Choice.column name site in
+  checki "rtt column" 0 (col "rtt");
+  checki "age column" 1 (col "age");
+  checki "missing column" (-1) (col "load");
+  checkf "value" 7. (Core.Choice.value site (col "rtt") ~alt:1 ~default:0.);
+  checkf "missing value" 3. (Core.Choice.value site (col "load") ~alt:1 ~default:3.)
 
 let test_choice_of_values_feature_fn () =
-  let c = Core.Choice.of_values ~label:"n" ~feature:(fun v -> [ ("v", float_of_int v) ]) [ 4; 9 ] in
+  let c =
+    Core.Choice.of_values ~label:"n" ~schema:(Core.Choice.schema [ "v" ])
+      ~feature:(fun v -> [| float_of_int v |])
+      [ 4; 9 ]
+  in
   let site = Core.Choice.site ~node:0 ~occurrence:0 c in
-  checkb "derived feature" true (Core.Choice.feature site ~alt:1 "v" = Some 9.)
+  checkf "derived feature" 9. site.Core.Choice.site_features.(1)
 
-(* [feature] against [List.assoc_opt] on feature lists with repeated
-   and missing names, at alternatives in and out of range. Every bound
-   value is distinct, so returning any binding but the first shows. *)
-let prop_feature_matches_assoc =
-  let names = [ "rtt_ms"; "is_primary"; "known_seq"; "floor"; ""; "rtt" ] in
-  let gen =
-    QCheck.Gen.(
-      pair
-        (list_size (1 -- 4) (list_size (0 -- 6) (oneofl names)))
-        (list_size (1 -- 20) (pair (-2 -- 5) (oneofl ("missing" :: names)))))
-  in
-  let print (alts, queries) =
-    Printf.sprintf "alts=[%s] queries=[%s]"
-      (String.concat " | " (List.map (String.concat ",") alts))
-      (String.concat "; " (List.map (fun (a, n) -> Printf.sprintf "%d:%S" a n) queries))
-  in
-  QCheck.Test.make ~name:"feature = List.assoc_opt" ~count:500 (QCheck.make ~print gen)
-    (fun (alts, queries) ->
-      let next = ref 0. in
-      let features =
-        List.map
-          (List.map (fun name ->
-               next := !next +. 1.;
-               (name, !next)))
-          alts
-      in
-      let c =
-        Core.Choice.make ~label:"f" (List.mapi (fun i fs -> Core.Choice.alt ~features:fs i) features)
-      in
-      let site = Core.Choice.site ~node:0 ~occurrence:0 c in
-      let table = Array.of_list features in
+(* Feature names for random schemas: the ones the resolvers under test
+   read, and others. *)
+let names = [ "rtt_ms"; "is_primary"; "known_seq"; "floor"; "v"; ""; "age_s"; "replica_id" ]
+
+(* Feature values, edge cases included: NaN, both zeros, both
+   infinities, and values near the session resolver's 0.5 cut. *)
+let gen_value =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, float_range (-50.) 50.);
+        (3, map float_of_int (-3 -- 12));
+        (2, oneofl [ nan; 0.; -0.; infinity; neg_infinity; 0.5; 1.; 1e300; -1e-300 ]);
+      ])
+
+(* A random schema site: arity 1-8, width 0-6, one of two labels. *)
+let gen_site =
+  QCheck.Gen.(
+    int_range 1 8 >>= fun arity ->
+    int_range 0 6 >>= fun width ->
+    shuffle_l names >>= fun shuffled ->
+    oneofl [ "a"; "b" ] >>= fun label ->
+    array_repeat (arity * width) gen_value >|= fun values ->
+    let names = List.filteri (fun i _ -> i < width) shuffled in
+    let schema = Core.Choice.schema names in
+    let alts =
+      List.init arity (fun a -> Core.Choice.alt ~features:(Array.sub values (a * width) width) a)
+    in
+    Core.Choice.site ~node:(arity + width) ~occurrence:0 (Core.Choice.make ~label ~schema alts))
+
+let print_site (s : Core.Choice.site) =
+  let o = Test_support.Choice_oracle.of_site s in
+  Printf.sprintf "%s: %s" s.site_label
+    (String.concat " | "
+       (Array.to_list
+          (Array.map
+             (fun fs -> String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%S=%h" k v) fs))
+             o.site_features)))
+
+(* [column] and [value] against the string-keyed [feature], for every
+   name at every alternative. *)
+let prop_column_matches_feature =
+  QCheck.Test.make ~name:"column = string-keyed feature" ~count:500
+    (QCheck.make ~print:print_site gen_site) (fun site ->
+      let o = Test_support.Choice_oracle.of_site site in
       List.for_all
-        (fun (alt, name) ->
-          let expected =
-            if alt < 0 || alt >= Array.length table then None else List.assoc_opt name table.(alt)
-          in
-          Option.equal Float.equal expected (Core.Choice.feature site ~alt name))
-        queries)
+        (fun name ->
+          let c = Core.Choice.column name site in
+          List.for_all
+            (fun alt ->
+              match Test_support.Choice_oracle.feature o ~alt name with
+              | None -> c = -1
+              | Some v ->
+                  c >= 0
+                  && Int64.equal (Int64.bits_of_float v)
+                       (Int64.bits_of_float (Core.Choice.value site c ~alt ~default:0.)))
+            (List.init site.site_arity Fun.id))
+        ("missing" :: names))
 
 (* ---------- Resolver ---------- *)
 
@@ -115,32 +156,35 @@ let test_resolver_scripted () =
   checks "clamped" "b" (apply r (simple_choice ~label:"other" [ "a"; "b" ]));
   checks "default 0" "a" (apply r (simple_choice ~label:"unlisted" [ "a"; "b" ]))
 
+let cost = Core.Choice.schema [ "cost" ]
+
 let test_resolver_greedy () =
   let c =
-    Core.Choice.make ~label:"g"
+    Core.Choice.make ~label:"g" ~schema:cost
       [
-        Core.Choice.alt ~features:[ ("cost", 5.) ] "five";
-        Core.Choice.alt ~features:[ ("cost", 2.) ] "two";
-        Core.Choice.alt ~features:[ ("cost", 9.) ] "nine";
+        Core.Choice.alt ~features:[| 5. |] "five";
+        Core.Choice.alt ~features:[| 2. |] "two";
+        Core.Choice.alt ~features:[| 9. |] "nine";
       ]
   in
   checks "min" "two" (apply (Core.Resolver.greedy ~feature:"cost" ()) c);
   checks "max" "nine" (apply (Core.Resolver.greedy ~feature:"cost" ~maximize:true ()) c)
 
-let test_resolver_greedy_missing_feature_ranks_last () =
+(* A schema without the feature ties every alternative. *)
+let test_resolver_greedy_missing_feature () =
   let c =
-    Core.Choice.make ~label:"g"
-      [ Core.Choice.alt "bare"; Core.Choice.alt ~features:[ ("cost", 100.) ] "costed" ]
+    Core.Choice.make ~label:"g" ~schema:(Core.Choice.schema [ "load" ])
+      [ Core.Choice.alt ~features:[| 1. |] 0; Core.Choice.alt ~features:[| 100. |] 1 ]
   in
-  checks "featureless loses" "costed" (apply (Core.Resolver.greedy ~feature:"cost" ()) c)
+  let r = Core.Resolver.greedy ~feature:"cost" () in
+  let g = rng () in
+  let picks = List.init 100 (fun _ -> fst (Core.Resolver.apply r g c ~node:0 ~occurrence:0)) in
+  checkb "both sides chosen" true (List.mem 0 picks && List.mem 1 picks)
 
 let test_resolver_greedy_random_ties () =
   let c =
-    Core.Choice.make ~label:"g"
-      [
-        Core.Choice.alt ~features:[ ("cost", 1.) ] 0;
-        Core.Choice.alt ~features:[ ("cost", 1.) ] 1;
-      ]
+    Core.Choice.make ~label:"g" ~schema:cost
+      [ Core.Choice.alt ~features:[| 1. |] 0; Core.Choice.alt ~features:[| 1. |] 1 ]
   in
   let r = Core.Resolver.greedy ~feature:"cost" () in
   let g = rng () in
@@ -149,11 +193,8 @@ let test_resolver_greedy_random_ties () =
 
 let test_resolver_weighted () =
   let c =
-    Core.Choice.make ~label:"w"
-      [
-        Core.Choice.alt ~features:[ ("w", 0.) ] 0;
-        Core.Choice.alt ~features:[ ("w", 10.) ] 1;
-      ]
+    Core.Choice.make ~label:"w" ~schema:(Core.Choice.schema [ "w" ])
+      [ Core.Choice.alt ~features:[| 0. |] 0; Core.Choice.alt ~features:[| 10. |] 1 ]
   in
   let r = Core.Resolver.weighted ~feature:"w" in
   let g = rng () in
@@ -238,12 +279,13 @@ let test_bandit_epsilon_greedy_explores () =
 
 let test_bandit_contexts_separate () =
   let b = Core.Bandit.create () in
-  let near = Core.Choice.site ~node:0 ~occurrence:0
-      (Core.Choice.make ~label:"c" [ Core.Choice.alt ~features:[ ("d", 0.1) ] 0; Core.Choice.alt ~features:[ ("d", 0.1) ] 1 ])
+  let schema = Core.Choice.schema [ "d" ] in
+  let site d =
+    Core.Choice.site ~node:0 ~occurrence:0
+      (Core.Choice.make ~label:"c" ~schema
+         [ Core.Choice.alt ~features:[| d |] 0; Core.Choice.alt ~features:[| d |] 1 ])
   in
-  let far = Core.Choice.site ~node:0 ~occurrence:0
-      (Core.Choice.make ~label:"c" [ Core.Choice.alt ~features:[ ("d", 99.) ] 0; Core.Choice.alt ~features:[ ("d", 99.) ] 1 ])
-  in
+  let near = site 0.1 and far = site 99. in
   Core.Bandit.update b near ~arm:0 ~reward:1.;
   Core.Bandit.update b far ~arm:0 ~reward:0.;
   checki "two contexts" 2 (Core.Bandit.contexts b);
@@ -335,6 +377,58 @@ let test_property_start () =
   checkb "tracked holds" true ((Core.Property.start tracked 3).holds 3);
   Alcotest.(check (list int)) "its tracker started on the view" [ 3 ] !started
 
+(* ---------- Schema resolvers against their string-keyed oracles ---------- *)
+
+module Oracle = Test_support.Choice_oracle
+
+(* One resolver per name, kept across cases, so that each column meets
+   many schemas and forgets old ones. *)
+let greedy_min = List.map (fun n -> (n, Core.Resolver.greedy ~feature:n ())) ("missing" :: names)
+
+let greedy_max =
+  List.map (fun n -> (n, Core.Resolver.greedy ~feature:n ~maximize:true ())) ("missing" :: names)
+
+let weighted = List.map (fun n -> (n, Core.Resolver.weighted ~feature:n)) ("missing" :: names)
+
+(* The index a resolver answers from a fresh seeded RNG, with the next
+   draw of that RNG (so both consumed the same randomness), or the
+   exception it raised. *)
+let outcome seed f =
+  let rng = Dsim.Rng.create seed in
+  match f rng with
+  | i -> Ok (i, Dsim.Rng.bits64 rng)
+  | exception e -> Error (Printexc.to_string e)
+
+let pp_outcome = function
+  | Ok (i, next) -> Printf.sprintf "%d (next draw %Ld)" i next
+  | Error e -> e
+
+let prop_resolvers_match_oracles =
+  let gen =
+    QCheck.Gen.(quad gen_site (oneofl ("missing" :: names)) (pair bool nat) (int_range 1 6))
+  in
+  let print (site, name, (maximize, seed), buckets) =
+    Printf.sprintf "%s; feature %S maximize=%b seed=%d buckets=%d" (print_site site) name maximize
+      seed buckets
+  in
+  QCheck.Test.make ~name:"schema resolvers = string-keyed oracles" ~count:1000
+    (QCheck.make ~print gen) (fun (site, name, (maximize, seed), buckets) ->
+      let o = Oracle.of_site site in
+      let same what (r : Core.Resolver.t) oracle =
+        let a = outcome seed (fun rng -> r.choose rng site) and b = outcome seed (fun rng -> oracle rng o) in
+        if a <> b then QCheck.Test.fail_reportf "%s: %s, oracle %s" what (pp_outcome a) (pp_outcome b)
+      in
+      same "greedy"
+        (List.assoc name (if maximize then greedy_max else greedy_min))
+        (Oracle.greedy ~feature:name ~maximize ());
+      same "weighted" (List.assoc name weighted) (Oracle.weighted ~feature:name);
+      same "session" Apps.Kvstore.session_resolver Oracle.session_resolver;
+      let key = Core.Bandit.context_key (Core.Bandit.create ~feature_buckets:buckets ()) site
+      and oracle = Oracle.context_key ~feature_buckets:buckets o in
+      if not (String.equal key oracle) then
+        QCheck.Test.fail_reportf "bandit key %S, oracle %S" key oracle;
+      true)
+
 let qcheck = List.map QCheck_alcotest.to_alcotest
 
 let () =
@@ -346,7 +440,7 @@ let () =
           Alcotest.test_case "invalid" `Quick test_choice_invalid;
           Alcotest.test_case "features" `Quick test_choice_features;
           Alcotest.test_case "of_values feature fn" `Quick test_choice_of_values_feature_fn;
-          QCheck_alcotest.to_alcotest prop_feature_matches_assoc;
+          QCheck_alcotest.to_alcotest prop_column_matches_feature;
         ] );
       ( "resolver",
         [
@@ -355,7 +449,7 @@ let () =
           Alcotest.test_case "round robin" `Quick test_resolver_round_robin;
           Alcotest.test_case "scripted" `Quick test_resolver_scripted;
           Alcotest.test_case "greedy" `Quick test_resolver_greedy;
-          Alcotest.test_case "greedy missing feature" `Quick test_resolver_greedy_missing_feature_ranks_last;
+          Alcotest.test_case "greedy missing feature" `Quick test_resolver_greedy_missing_feature;
           Alcotest.test_case "greedy random ties" `Quick test_resolver_greedy_random_ties;
           Alcotest.test_case "weighted" `Quick test_resolver_weighted;
           Alcotest.test_case "by label" `Quick test_resolver_by_label;
@@ -371,6 +465,7 @@ let () =
         :: Alcotest.test_case "invalid" `Quick test_bandit_invalid
         :: Alcotest.test_case "exploit" `Quick test_bandit_exploit
         :: qcheck [ prop_bandit_select_in_range ] );
+      ("schema", qcheck [ prop_resolvers_match_oracles ]);
       ( "objective+property",
         [
           Alcotest.test_case "scoring" `Quick test_objective_scoring;

@@ -103,11 +103,11 @@ let test_routing_choice_exposed () =
 let test_pns_prefers_near_equal_progress () =
   let site =
     Core.Choice.site ~node:0 ~occurrence:0
-      (Core.Choice.make ~label:D.route_label
+      (Core.Choice.make ~label:D.route_label ~schema:D.route_schema
          [
-           Core.Choice.alt ~features:[ ("remaining", 10.); ("rtt_ms", 80.) ] 0;
-           Core.Choice.alt ~features:[ ("remaining", 12.); ("rtt_ms", 5.) ] 1;
-           Core.Choice.alt ~features:[ ("remaining", 200.); ("rtt_ms", 1.) ] 2;
+           Core.Choice.alt ~features:[| 10.; 80. |] 0;
+           Core.Choice.alt ~features:[| 12.; 5. |] 1;
+           Core.Choice.alt ~features:[| 200.; 1. |] 2;
          ])
   in
   let g = Dsim.Rng.create 1 in

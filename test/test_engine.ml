@@ -6,6 +6,8 @@ let checki = Alcotest.check Alcotest.int
 let nid = Proto.Node_id.of_int
 
 module Toy = struct
+  let path_schema = Core.Choice.schema [ "good" ]
+
   type msg = Ping of int | Pong of int | Kick
 
   type state = { self : Proto.Node_id.t; pings : int; pongs : int list; score : int; ticks : int }
@@ -57,11 +59,8 @@ module Toy = struct
              the "first" resolver walks into the bad branch. *)
           let delta =
             ctx.choose
-              (Core.Choice.make ~label:"path"
-                 [
-                   Core.Choice.alt ~features:[ ("good", 0.) ] (-1);
-                   Core.Choice.alt ~features:[ ("good", 1.) ] 1;
-                 ])
+              (Core.Choice.make ~label:"path" ~schema:path_schema
+                 [ Core.Choice.alt ~features:[| 0. |] (-1); Core.Choice.alt ~features:[| 1. |] 1 ])
           in
           ({ st with score = st.score + delta }, []));
     ]

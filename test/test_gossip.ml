@@ -74,12 +74,11 @@ let test_restricted_resolver_deterministic () =
   let r = G.restricted_resolver ~population:Small_params.population in
   let mk_site round =
     let alternative peer =
-      Core.Choice.alt
-        ~features:[ ("peer_id", float_of_int peer); ("round", float_of_int round) ]
-        peer
+      Core.Choice.alt ~features:[| float_of_int peer; float_of_int round; 10.; 1e6 |] peer
     in
     Core.Choice.site ~node:3 ~occurrence:0
-      (Core.Choice.make ~label:G.peer_label (List.map alternative [ 0; 1; 2; 4; 5; 6; 7 ]))
+      (Core.Choice.make ~label:G.peer_label ~schema:G.peer_schema
+         (List.map alternative [ 0; 1; 2; 4; 5; 6; 7 ]))
   in
   let g = Dsim.Rng.create 1 in
   let a = r.Core.Resolver.choose g (mk_site 5) in

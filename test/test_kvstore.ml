@@ -75,18 +75,11 @@ let test_apply_out_of_order_buffered () =
 let read_site ~floor ~known =
   let alternative (rid, is_primary, rtt, known_seq) =
     Core.Choice.alt
-      ~features:
-        [
-          ("replica_id", float_of_int rid);
-          ("is_primary", if is_primary then 1. else 0.);
-          ("rtt_ms", rtt);
-          ("known_seq", known_seq);
-          ("floor", floor);
-        ]
+      ~features:[| float_of_int rid; (if is_primary then 1. else 0.); rtt; known_seq; floor |]
       rid
   in
   Core.Choice.site ~node:2 ~occurrence:0
-    (Core.Choice.make ~label:K.read_label (List.map alternative known))
+    (Core.Choice.make ~label:K.read_label ~schema:K.read_schema (List.map alternative known))
 
 let test_primary_resolver () =
   let site = read_site ~floor:5. ~known:[ (1, false, 5., 9.); (0, true, 80., 9.) ] in
@@ -112,80 +105,77 @@ let test_session_resolver () =
   let site = read_site ~floor:50. ~known:[ (0, true, 80., 10.); (3, false, 3., 7.) ] in
   checki "primary fallback" 0 (K.session_resolver.Core.Resolver.choose g site)
 
-(* The session resolver's answers on a fixed table of sites, each
-   alternative's features given raw: read sites as the app builds them
-   (replica_id, is_primary, rtt_ms, known_seq, floor), plus missing and
-   repeated names, where a missing feature reads 0 and the first
-   binding of a repeated one wins. *)
+(* The session resolver's answers on a fixed table of sites: read sites
+   as the app builds them (replica_id, is_primary, rtt_ms, known_seq,
+   floor), and sites under other schemas, where a feature the schema
+   lacks reads 0. *)
 let session_table =
   let read (rid, primary, rtt, known, floor) =
-    [
-      ("replica_id", float_of_int rid);
-      ("is_primary", if primary then 1. else 0.);
-      ("rtt_ms", rtt);
-      ("known_seq", known);
-      ("floor", floor);
-    ]
+    [| float_of_int rid; (if primary then 1. else 0.); rtt; known; floor |]
   in
+  let reads what alts expected = (what, K.read_schema, List.map read alts, expected) in
   [
-    ("one replica", [ read (0, true, 80., 3., 3.) ], 0);
-    ( "cheapest fresh of four",
+    reads "one replica" [ (0, true, 80., 3., 3.) ] 0;
+    reads "cheapest fresh of four"
       [
-        read (0, true, 80., 9., 5.);
-        read (1, false, 12., 5., 5.);
-        read (2, false, 3., 4., 5.);
-        read (3, false, 7., 6., 5.);
-      ],
-      3 );
-    ( "all fresh, cheapest wins",
-      [ read (0, true, 30., 6., 5.); read (1, false, 10., 5., 5.); read (2, false, 3., 7., 5.) ],
-      2 );
-    ("rtt tie keeps the first", [ read (0, false, 5., 0., 0.); read (1, false, 5., 0., 0.) ], 0);
-    ( "primary is fresh at any seq",
-      [ read (0, false, 1., 2., 9.); read (1, true, 40., 0., 9.); read (2, false, 2., 8., 9.) ],
-      1 );
-    ( "nobody fresh and no primary: alternative 0",
-      [ read (0, false, 9., 1., 10.); read (1, false, 1., 2., 10.) ],
-      0 );
-    ( "missing rtt reads 0",
-      [ read (0, true, 4., 2., 2.); [ ("known_seq", 3.); ("is_primary", 0.) ] ],
+        (0, true, 80., 9., 5.); (1, false, 12., 5., 5.); (2, false, 3., 4., 5.); (3, false, 7., 6., 5.);
+      ]
+      3;
+    reads "all fresh, cheapest wins"
+      [ (0, true, 30., 6., 5.); (1, false, 10., 5., 5.); (2, false, 3., 7., 5.) ]
+      2;
+    reads "rtt tie keeps the first" [ (0, false, 5., 0., 0.); (1, false, 5., 0., 0.) ] 0;
+    reads "primary is fresh at any seq"
+      [ (0, false, 1., 2., 9.); (1, true, 40., 0., 9.); (2, false, 2., 8., 9.) ]
+      1;
+    reads "nobody fresh and no primary: alternative 0"
+      [ (0, false, 9., 1., 10.); (1, false, 1., 2., 10.) ]
+      0;
+    ( "missing rtt reads 0: the first fresh wins",
+      Core.Choice.schema [ "known_seq"; "is_primary"; "floor" ],
+      [ [| 1.; 0.; 2. |]; [| 3.; 0.; 2. |]; [| 4.; 0.; 2. |] ],
       1 );
     ( "missing floor reads 0",
-      [ [ ("rtt_ms", 9.); ("known_seq", 0.) ]; [ ("rtt_ms", 2.) ]; [ ("rtt_ms", 5.) ] ],
+      Core.Choice.schema [ "rtt_ms"; "known_seq" ],
+      [ [| 9.; -1. |]; [| 2.; 0. |]; [| 5.; 0. |] ],
       1 );
-    ( "first rtt binding wins",
-      [
-        read (0, true, 9., 1., 1.);
-        [ ("rtt_ms", 2.); ("known_seq", 4.); ("rtt_ms", 100.) ];
-        [ ("rtt_ms", 3.); ("known_seq", 9.) ];
-      ],
-      1 );
-    ( "first known_seq binding wins",
-      [
-        read (0, true, 9., 1., 1.);
-        [ ("known_seq", 0.); ("known_seq", 5.); ("rtt_ms", 1.) ];
-      ],
+    ( "missing is_primary: alternative 0",
+      Core.Choice.schema [ "rtt_ms"; "known_seq"; "floor" ],
+      [ [| 9.; 0.; 5. |]; [| 2.; 1.; 5. |] ],
       0 );
-    ( "first is_primary binding wins",
-      [
-        [ ("floor", 7.); ("known_seq", 0.); ("rtt_ms", 50.) ];
-        [ ("is_primary", 0.); ("is_primary", 1.); ("rtt_ms", 1.) ];
-        [ ("is_primary", 1.); ("is_primary", 0.); ("rtt_ms", 20.) ];
-      ],
-      2 );
+    ("an empty schema: every alternative fresh and tied", Core.Choice.no_features, [ [||]; [||] ], 0);
   ]
 
 let test_session_resolver_table () =
   let g = Dsim.Rng.create 1 in
   List.iter
-    (fun (what, alts, expected) ->
+    (fun (what, schema, alts, expected) ->
       let site =
         Core.Choice.site ~node:2 ~occurrence:0
-          (Core.Choice.make ~label:K.read_label
+          (Core.Choice.make ~label:K.read_label ~schema
              (List.mapi (fun i features -> Core.Choice.alt ~features i) alts))
       in
       checki what expected (K.session_resolver.Core.Resolver.choose g site))
     session_table
+
+(* What the engine keeps per logged read decision: the time, the site
+   and the index, with the site's label, its counters and one flat
+   float array of 4 alternatives x 5 features; the schema is shared by
+   every read and not counted. *)
+let test_logged_read_size () =
+  let eng = make () in
+  E.run_for eng 5.;
+  match
+    List.find_opt
+      (fun (_, (site : Core.Choice.site), _) -> String.equal site.site_label K.read_label)
+      (E.decision_sites eng)
+  with
+  | None -> Alcotest.fail "no read decision logged"
+  | Some ((_, site, _) as entry) ->
+      checki "read site arity" 4 site.site_arity;
+      checkb "schema shared" true (site.site_schema == K.read_schema);
+      let words = Obj.reachable_words (Obj.repr entry) - Obj.reachable_words (Obj.repr K.read_schema) in
+      checkb (Printf.sprintf "%d words retained, at most 40" words) true (words <= 40)
 
 let test_experiment_tradeoff () =
   let nearest = Experiments.Kvstore_exp.run ~seed:4 ~duration:30. Experiments.Kvstore_exp.Nearest in
@@ -214,6 +204,7 @@ let () =
           Alcotest.test_case "nearest" `Quick test_nearest_resolver;
           Alcotest.test_case "session" `Quick test_session_resolver;
           Alcotest.test_case "session pinned table" `Quick test_session_resolver_table;
+          Alcotest.test_case "logged read size" `Quick test_logged_read_size;
         ] );
       ("experiment", [ Alcotest.test_case "tradeoff" `Slow test_experiment_tradeoff ]);
     ]

@@ -271,11 +271,13 @@ module Cb = Net.Circuit_breaker
 let vt = Dsim.Vtime.of_seconds
 
 let test_breaker_state_machine () =
-  let cb = Cb.create ~failure_threshold:2 ~cooldown:5.0 ~half_open_probes:1 () in
+  (* The defaults: three failures trip, a 5 s cooldown, one probe. *)
+  let cb = Cb.create () in
   let st at = Cb.state cb ~src:0 ~dst:1 ~now:(vt at) in
   checkb "unknown pairs are closed" true (st 0. = Cb.Closed);
+  Cb.record_failure cb ~src:0 ~dst:1 ~now:(vt 0.5);
   Cb.record_failure cb ~src:0 ~dst:1 ~now:(vt 1.);
-  checkb "one failure below threshold stays closed" true (st 1. = Cb.Closed);
+  checkb "two failures below threshold stay closed" true (st 1. = Cb.Closed);
   Cb.record_failure cb ~src:0 ~dst:1 ~now:(vt 2.);
   checkb "threshold trips open" true (st 2. = Cb.Open);
   checkb "open refuses sends" false (Cb.allow cb ~src:0 ~dst:1 ~now:(vt 3.));
@@ -296,15 +298,6 @@ let test_breaker_trip () =
   checkb "external evidence opens instantly" true (Cb.state cb ~src:0 ~dst:1 ~now:(vt 1.) = Cb.Open);
   Cb.trip cb ~src:0 ~dst:1 ~now:(vt 2.);
   checkb "idempotent while open" true (Cb.state cb ~src:0 ~dst:1 ~now:(vt 2.) = Cb.Open)
-
-let test_breaker_validation () =
-  let raises msg f = Alcotest.check_raises msg (Invalid_argument msg) f in
-  raises "Circuit_breaker.create: failure_threshold must be positive" (fun () ->
-      ignore (Cb.create ~failure_threshold:0 ()));
-  raises "Circuit_breaker.create: cooldown must be positive" (fun () ->
-      ignore (Cb.create ~cooldown:0. ()));
-  raises "Circuit_breaker.create: half_open_probes must be positive" (fun () ->
-      ignore (Cb.create ~half_open_probes:0 ()))
 
 let test_breaker_in_engine () =
   (* Reliable delivery into a severed link with the breaker on: the
@@ -436,7 +429,6 @@ let () =
         [
           Alcotest.test_case "state machine" `Quick test_breaker_state_machine;
           Alcotest.test_case "trip" `Quick test_breaker_trip;
-          Alcotest.test_case "validation" `Quick test_breaker_validation;
           Alcotest.test_case "engine integration" `Quick test_breaker_in_engine;
         ] );
       ( "determinism",

@@ -213,15 +213,12 @@ let proposer_site ~node ~seq =
   let alternative rid =
     Core.Choice.alt
       ~features:
-        [
-          ("replica_id", float_of_int rid);
-          ("seq", float_of_int seq);
-          ("is_self", if rid = node then 1. else 0.);
-        ]
+        [| float_of_int rid; float_of_int seq; (if rid = node then 1. else 0.); 10. |]
       rid
   in
   Core.Choice.site ~node ~occurrence:0
-    (Core.Choice.make ~label:P.proposer_label (List.map alternative [ 0; 1; 2; 3; 4 ]))
+    (Core.Choice.make ~label:P.proposer_label ~schema:P.proposer_schema
+       (List.map alternative [ 0; 1; 2; 3; 4 ]))
 
 let test_fixed_leader_resolver () =
   let r = P.fixed_leader_resolver ~leader:2 in

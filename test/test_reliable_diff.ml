@@ -203,7 +203,7 @@ type side = {
 }
 
 let new_side cfg ~breaker =
-  let cb () = if breaker then Some (Net.Circuit_breaker.create ~failure_threshold:2 ()) else None in
+  let cb () = if breaker then Some (Net.Circuit_breaker.create ()) else None in
   {
     o = Oracle.create ~endpoints (oracle_config cfg);
     n = R.create cfg;
@@ -349,6 +349,11 @@ let ack s seq oe _ =
   Oracle.remove s.o seq oe;
   R.remove s.n seq
 
+(* Breaker paths a run drove: sends an open breaker refused, and
+   timeouts that met a half-open breaker (which re-open it). *)
+let refusals = ref 0
+let half_opens = ref 0
+
 let run (cfg, breaker, ops) =
   let main = ref (new_side cfg ~breaker) and other = ref (new_side cfg ~breaker) in
   let now = ref 0. in
@@ -365,6 +370,13 @@ let run (cfg, breaker, ops) =
           let s = side o in
           let at = Dsim.Vtime.of_seconds !now in
           with_pending s pick (fun seq oe ne ->
+              let half_open =
+                match s.nb with
+                | Some cb ->
+                    let src = Proto.Node_id.to_int ne.src and dst = Proto.Node_id.to_int ne.dst in
+                    Net.Circuit_breaker.state cb ~src ~dst ~now:at = Net.Circuit_breaker.Half_open
+                | None -> false
+              in
               let a =
                 Oracle.timed_out s.o seq oe ~breaker:s.ob ~suspected:(fun () -> suspected)
                   ~pressure:(fun () -> pressure) ~now:at
@@ -374,7 +386,9 @@ let run (cfg, breaker, ops) =
               in
               if oracle_verdict a <> verdict b then
                 QCheck.Test.fail_reportf "timed_out %d: oracle %s, ring %s" seq (oracle_verdict a)
-                  (verdict b))
+                  (verdict b);
+              if half_open then incr half_opens;
+              match b with R.Refused _ -> incr refusals | R.Resend _ | R.Give_up -> ())
       | Copy { other = true } -> other := copy_side !main
       | Copy { other = false } -> main := copy_side !other
       | Arrive { other = o; seq } ->
@@ -439,9 +453,38 @@ let test_pinned_base () =
   done;
   check_side "refilled" s
 
+(* The default breaker (three failures, a 5 s cooldown, one probe)
+   through both implementations on a fixed run: a suspected timeout
+   trips the pair and the resend is refused, and a timeout 6 s later
+   meets the breaker half-open and re-opens it. The random runs reach
+   these paths too, but not in every seed. *)
+let test_breaker_paths () =
+  refusals := 0;
+  half_opens := 0;
+  let timed_out ~suspected dt =
+    Timed_out { other = false; pick = 0; suspected; pressure = 0.; dt }
+  in
+  ignore
+    (run
+       ( { R.default with jitter = 0.; max_retries = 6 },
+         true,
+         [
+           Track { other = false; src = 0; dst = 1 };
+           timed_out ~suspected:true 0.5;
+           timed_out ~suspected:false 1.;
+           timed_out ~suspected:false 6.;
+           timed_out ~suspected:false 0.5;
+         ] ));
+  Alcotest.(check int) "refusals" 3 !refusals;
+  Alcotest.(check int) "half-open timeouts" 1 !half_opens
+
 let () =
   Alcotest.run "reliable_diff"
     [
       ("qcheck", List.map QCheck_alcotest.to_alcotest [ prop_ring_matches_oracle ]);
-      ("ring", [ Alcotest.test_case "pinned base under 10k sends" `Quick test_pinned_base ]);
+      ( "ring",
+        [
+          Alcotest.test_case "pinned base under 10k sends" `Quick test_pinned_base;
+          Alcotest.test_case "default breaker paths" `Quick test_breaker_paths;
+        ] );
     ]
