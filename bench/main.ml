@@ -749,16 +749,6 @@ let micro () =
           (Net.Netmodel.predict_transfer_time netmodel ~src:0 ~dst:1
              ~now:(Dsim.Vtime.of_seconds 1.) ~bytes:512) )
   in
-  (* One [logf] at a Debug site: formatted into the ring with the trace
-     at Debug; with the trace at Info the gate skips the formatting and
-     only counts the call. *)
-  let logf_test name level =
-    let tr = Dsim.Trace.create ~capacity:64 ~min_level:level () in
-    ( name,
-      fun () ->
-        Dsim.Trace.logf tr Dsim.Vtime.zero Dsim.Trace.Debug ~component:"bench"
-          "event %d on node %d payload %s" 42 3 "0123456789abcdef" )
-  in
   (* The feature a choice-exposing handler builds per candidate: one
      prediction per call, cycling through the 30 peers. *)
   let predicted_ms_test =
@@ -783,8 +773,6 @@ let micro () =
       resolver_test "greedy" (Core.Resolver.greedy ~feature:"v" ());
       resolver_test "bandit" (Core.Bandit.to_resolver bandit);
       netmodel_test;
-      logf_test "logf debug, trace=debug" Dsim.Trace.Debug;
-      logf_test "logf debug, trace=info" Dsim.Trace.Info;
       predicted_ms_test;
       fork_test;
     ]
@@ -1088,8 +1076,8 @@ let ex () =
 (* LAYERS: what each runtime layer costs a run that leaves it on       *)
 (* ------------------------------------------------------------------ *)
 
-(* One deployment — 5-replica paxos, uniform 20 ms links, no jitter,
-   trace at Info — as a cumulative ladder of engines, each rung adding
+(* One deployment — 5-replica paxos, uniform 20 ms links, no jitter —
+   as a cumulative ladder of engines, each rung adding
    one layer to the rung above. Each rung reports wall ns and
    minor-heap words per engine event and per delivered message over the
    first and the last 20 s of a 160 s virtual run; a cost that grows with history shows as a
@@ -1132,7 +1120,6 @@ module Layer_engine (App : Proto.App_intf.APP) = struct
       Net.Topology.uniform ~n:5 (Net.Linkprop.v ~latency:0.02 ~bandwidth:1_000_000. ~loss:0.)
     in
     let eng = E.create ~seed:layer_seed ~jitter:0. ~check_properties ~topology () in
-    Dsim.Trace.set_min_level (E.trace eng) Dsim.Trace.Info;
     if not fd then E.set_fd_enabled eng false;
     E.set_resolver eng Apps.Paxos.self_resolver;
     each_replica (fun node -> E.spawn eng node);
@@ -1351,7 +1338,7 @@ let layers () =
            Obj
              [ ("app", Str "paxos"); ("replicas", Int 5); ("client_period_s", Float 0.25);
                ("retry_timeout_s", Float 2.0); ("latency_ms", Float 20.); ("jitter", Float 0.);
-               ("trace", Str "info"); ("seed", Int layer_seed) ] );
+               ("seed", Int layer_seed) ] );
          ( "timing",
            Obj
              [ ("clock", Str "monotonic wall ns"); ("alloc", Str "Gc.minor_words");
@@ -1398,7 +1385,6 @@ let il_engine seed =
     Net.Topology.uniform ~n:5 (Net.Linkprop.v ~latency:0.02 ~bandwidth:1_000_000. ~loss:0.)
   in
   let eng = Il.create ~seed ~topology () in
-  Dsim.Trace.set_min_level (Il.trace eng) Dsim.Trace.Info;
   Il.set_resolver eng Apps.Paxos.self_resolver;
   each_replica (fun node -> Il.spawn eng node);
   eng

@@ -21,13 +21,13 @@ let install_snapshot store ~now (d : _ Proto.Durability.t) st =
   Store.install_snapshot store ~now ~bytes:(Wire.Codec.size d.codec st) (fun () ->
       Wire.Codec.encode d.codec st)
 
-type 'state recovery = { state : 'state; delay : float; torn : bool; replayed : int option }
+type 'state recovery = { state : 'state; delay : float; torn : bool; restored : bool }
 
 let recover disks id ~now (d : _ Proto.Durability.t) boot =
   let store = store_of disks id in
   let now = Dsim.Vtime.to_seconds now in
-  let fresh ?(torn = false) ?replayed state =
-    { state; delay = install_snapshot store ~now d state; torn; replayed }
+  let fresh ?(torn = false) ?(restored = false) state =
+    { state; delay = install_snapshot store ~now d state; torn; restored }
   in
   if Store.is_empty store then fresh boot
   else begin
@@ -55,5 +55,5 @@ let recover disks id ~now (d : _ Proto.Durability.t) boot =
         Store.wipe store;
         fresh ~torn boot
     | Some durable ->
-        fresh ~torn ~replayed:(List.length entries) (d.restore ~boot ~durable)
+        fresh ~torn ~restored:true (d.restore ~boot ~durable)
   end

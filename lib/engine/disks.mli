@@ -1,6 +1,6 @@
 (** The engine's per-node simulated disks and the {!Proto.Durability}
     recovery contract run over them. A node's disk is created at its
-    first durable boot. {!Sim} counts and traces what these report. *)
+    first durable boot. {!Sim} counts what these report. *)
 
 type t
 
@@ -30,9 +30,9 @@ type 'state recovery = {
   state : 'state;  (** the boot state merged with what the disk remembered *)
   delay : float;  (** completion delay of the fresh snapshot every boot installs *)
   torn : bool;  (** the WAL ended in a torn record, which was dropped *)
-  replayed : int option;
-      (** [Some n] when the state was restored from the disk, [n] being
-          the WAL records read; [None] for an empty or unreadable disk *)
+  restored : bool;
+      (** the state was restored from the disk; [false] for an empty
+          or unreadable disk *)
 }
 
 val recover :

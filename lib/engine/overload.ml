@@ -2,7 +2,7 @@ type config = { mailbox_capacity : int; service_time : float }
 
 let default = { mailbox_capacity = 0; service_time = 0. }
 
-type entry = { src : int; dst : int; prio : int }
+type entry = { dst : int; prio : int }
 
 type t = {
   cfg : config;
@@ -107,7 +107,7 @@ let release ov did (e : entry) =
 (* Enforce the mailbox bound: true = the incoming message may be
    enqueued (possibly after evicting a queued victim), false = it was
    shed. A victim is tombstoned, so its Deliver dies when it fires. *)
-let admit_bounded ov ~on_shed ctx ~se ~de ~prio =
+let admit_bounded ov ~on_shed ctx ~de ~prio =
   let cap = ov.cfg.mailbox_capacity in
   if cap <= 0 || depth ov de < cap then true
   else
@@ -115,18 +115,18 @@ let admit_bounded ov ~on_shed ctx ~se ~de ~prio =
     | Some (did, v) when v.prio <= prio ->
         release ov did v;
         Hashtbl.replace ov.shed_set did ();
-        on_shed ctx ~se:v.src ~de:v.dst;
+        on_shed ctx;
         true
     (* everything queued outranks the newcomer *)
     | Some _ | None ->
-        on_shed ctx ~se ~de;
+        on_shed ctx;
         false
 
-let enqueue ov ~on_shed ctx ~se ~de ~prio =
-  if admit_bounded ov ~on_shed ctx ~se ~de ~prio then begin
+let enqueue ov ~on_shed ctx ~de ~prio =
+  if admit_bounded ov ~on_shed ctx ~de ~prio then begin
     let did = ov.next_did in
     ov.next_did <- did + 1;
-    Hashtbl.replace ov.live did { src = se; dst = de; prio };
+    Hashtbl.replace ov.live did { dst = de; prio };
     let d = depth ov de + 1 in
     Hashtbl.replace ov.mbox de d;
     (if ov.ordered then
@@ -154,10 +154,7 @@ let start_burst ov de ~rate =
   Hashtbl.replace ov.bursts de (gen, rate);
   gen
 
-let stop_burst ov de =
-  let running = Hashtbl.mem ov.bursts de in
-  Hashtbl.remove ov.bursts de;
-  running
+let stop_burst ov de = Hashtbl.remove ov.bursts de
 
 let burst_rate ov de ~gen =
   match Hashtbl.find_opt ov.bursts de with Some (g, rate) when g = gen -> Some rate | Some _ | None -> None

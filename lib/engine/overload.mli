@@ -46,18 +46,16 @@ val chaff_prio : int
 
 val enqueue :
   t ->
-  on_shed:('ctx -> se:int -> de:int -> unit) ->
+  on_shed:('ctx -> unit) ->
   'ctx ->
-  se:int ->
   de:int ->
   prio:int ->
   int option
-(** Admits an arrival from endpoint [se] to [de] through the mailbox
-    bound, evicting a queued victim when one ranks at or below [prio].
+(** Admits an arrival to endpoint [de] through the mailbox bound,
+    evicting a queued victim when one ranks at or below [prio].
     [Some did] is its ticket; [None] means it was shed. [on_shed ctx]
-    is called once per shed message, with the shed message's own
-    endpoints. ([ctx] travels separately so that the hot path builds no
-    closure.) *)
+    is called once per shed message. ([ctx] travels separately so that
+    the hot path builds no closure.) *)
 
 val service_delay : t -> int -> float
 (** The backlog delay of the arrival just queued at a node: the
@@ -87,8 +85,8 @@ val start_burst : t -> int -> rate:float -> int
 (** Records a burst toward a node, replacing any running one; returns
     the burst's generation. *)
 
-val stop_burst : t -> int -> bool
-(** Forgets the node's burst; [true] when one was running. *)
+val stop_burst : t -> int -> unit
+(** Forgets the node's burst, if one is running. *)
 
 val burst_rate : t -> int -> gen:int -> float option
 (** The rate of the node's burst while generation [gen] is still the

@@ -169,7 +169,6 @@ module Make (App : Proto.App_intf.APP) = struct
     timer_gens : int Smap.t array;
         (* per endpoint, each timer id's current generation: a
            [Timer_fire] of an older one is stale *)
-    trace : Dsim.Trace.t;
     check_properties : bool;
     mutable trackers : (App.state, App.msg) Proto.View.t Core.Property.tracker array;
         (* one per safety property, in list order, started at the first
@@ -196,8 +195,6 @@ module Make (App : Proto.App_intf.APP) = struct
     kind_counts : int ref Stbl.t;  (* deliveries per message kind *)
     mutable message_log : (Dsim.Vtime.t * Proto.Node_id.t * Proto.Node_id.t * string) list option;
         (* newest first when enabled; [None] = disabled (the default) *)
-    mutable log_capacity : int;  (* 0 = unbounded *)
-    mutable log_length : int;
     disks : Disks.t;
         (* per-node durable storage, created lazily at first boot;
            empty forever when [App.durable = None] — the zero-cost path *)
@@ -207,8 +204,7 @@ module Make (App : Proto.App_intf.APP) = struct
     mutable current_trace : int;  (** trace id of the event being processed *)
   }
 
-  let create ?(seed = 1) ?(jitter = 0.05) ?(check_properties = true) ?(trace_capacity = 100_000)
-      ~topology () =
+  let create ?(seed = 1) ?(jitter = 0.05) ?(check_properties = true) ~topology () =
     let rng = Dsim.Rng.create seed in
     let netem_rng = Dsim.Rng.split rng in
     let endpoints = Net.Topology.size topology in
@@ -231,7 +227,6 @@ module Make (App : Proto.App_intf.APP) = struct
       clocks = Clocks.create ();
       ctxs = Array.make endpoints None;
       timer_gens = Array.make endpoints Smap.empty;
-      trace = Dsim.Trace.create ~capacity:trace_capacity ();
       check_properties;
       trackers = [||];
       mode = Plain Core.Resolver.first;
@@ -249,8 +244,6 @@ module Make (App : Proto.App_intf.APP) = struct
       pending_rewards = [];
       kind_counts = Stbl.create 16;
       message_log = None;
-      log_capacity = 0;
-      log_length = 0;
       disks = Disks.create ();
       stats = Counters.zero ();
       obs = None;
@@ -350,7 +343,6 @@ module Make (App : Proto.App_intf.APP) = struct
     id
 
   let now t = t.now
-  let trace t = t.trace
   let netem t = t.netem
   let netmodel t = t.netmodel
   let violations t = List.rev t.violations
@@ -491,31 +483,13 @@ module Make (App : Proto.App_intf.APP) = struct
 
   let store t id = Disks.find t.disks id
 
-  let enable_message_log ?(capacity = 0) t =
-    if capacity < 0 then invalid_arg "Sim.enable_message_log: negative capacity";
-    t.log_capacity <- capacity;
-    if t.message_log = None then t.message_log <- Some []
-
-  let take n l = List.filteri (fun i _ -> i < n) l
-
-  let message_log t =
-    match t.message_log with
-    | None -> []
-    | Some l -> List.rev (if t.log_capacity > 0 then take t.log_capacity l else l)
+  let enable_message_log t = if t.message_log = None then t.message_log <- Some []
+  let message_log t = match t.message_log with None -> [] | Some l -> List.rev l
 
   let log_message t ~src ~dst kind =
     match t.message_log with
     | None -> ()
-    | Some log ->
-        let log = (t.now, src, dst, kind) :: log in
-        t.log_length <- t.log_length + 1;
-        (* Amortised O(1) bounding: let the list run to twice the cap,
-           then chop back to the [capacity] newest entries. *)
-        if t.log_capacity > 0 && t.log_length >= 2 * t.log_capacity then begin
-          t.message_log <- Some (take t.log_capacity log);
-          t.log_length <- t.log_capacity
-        end
-        else t.message_log <- Some log
+    | Some log -> t.message_log <- Some ((t.now, src, dst, kind) :: log)
 
   let fork_with t fallback =
     {
@@ -537,7 +511,6 @@ module Make (App : Proto.App_intf.APP) = struct
       timer_gens = Array.copy t.timer_gens;
       trackers = Array.map (fun (tr : _ Core.Property.tracker) -> tr.copy ()) t.trackers;
       stats = stats t;
-      trace = Dsim.Trace.create ~capacity:16 ();
       message_log = None;
       obs = None;
       (* speculative branches must not pollute the real world's metrics *)
@@ -577,28 +550,20 @@ module Make (App : Proto.App_intf.APP) = struct
     | None -> ()
     | Some n ->
         t.nodes <- Proto.Node_id.Map.add id { n with alive = false } t.nodes;
-        touch t id;
-        Dsim.Trace.logf t.trace t.now Dsim.Trace.Info ~component:"engine" "%a killed"
-          Proto.Node_id.pp id
+        touch t id
 
   let kill_amnesia t id =
     (match Disks.find t.disks id with
     | Some s ->
         Store.wipe s;
-        t.stats.amnesia_wipes <- t.stats.amnesia_wipes + 1;
-        Dsim.Trace.logf t.trace t.now Dsim.Trace.Info ~component:"store" "%a disk wiped"
-          Proto.Node_id.pp id
+        t.stats.amnesia_wipes <- t.stats.amnesia_wipes + 1
     | None -> ());
     kill t id
 
   let torn_write t id =
     (match Disks.find t.disks id with
     | Some s ->
-        if Store.tear s ~rng:t.rng then begin
-          t.stats.torn_writes <- t.stats.torn_writes + 1;
-          Dsim.Trace.logf t.trace t.now Dsim.Trace.Info ~component:"store" "%a WAL tail torn"
-            Proto.Node_id.pp id
-        end
+        if Store.tear s ~rng:t.rng then t.stats.torn_writes <- t.stats.torn_writes + 1
     | None -> ());
     kill t id
 
@@ -629,12 +594,10 @@ module Make (App : Proto.App_intf.APP) = struct
      the local clock over a pending deadline makes the timer fire
      immediately (counted in [clock_clamped]) instead of crashing the
      engine with [Vtime]'s negative-delta guard. *)
-  let global_of_deadline t node ck deadline =
+  let global_of_deadline t ck deadline =
     let g = Dsim.Clock.global_of_local ck deadline in
     if Dsim.Vtime.(g < t.now) then begin
       t.stats.clock_clamped <- t.stats.clock_clamped + 1;
-      Dsim.Trace.logf t.trace t.now Dsim.Trace.Debug ~component:"engine"
-        "%a timer deadline clamped to now (clock jumped past it)" Proto.Node_id.pp node;
       t.now
     end
     else g
@@ -650,7 +613,7 @@ module Make (App : Proto.App_intf.APP) = struct
       (fun (at, ev) ->
         match ev with
         | Timer_fire f when Proto.Node_id.equal f.node node ->
-            push_at t (global_of_deadline t node ck f.deadline) ev
+            push_at t (global_of_deadline t ck f.deadline) ev
         | _ -> Dsim.Event_queue.push t.queue at ev)
       entries
 
@@ -658,24 +621,17 @@ module Make (App : Proto.App_intf.APP) = struct
     check_endpoint t node;
     if not (Float.is_finite rate && rate > 0.) then
       invalid_arg "Sim.set_clock_rate: rate must be positive and finite";
-    reanchor_timers t node (Clocks.set_rate t.clocks node ~global:t.now ~rate);
-    Dsim.Trace.logf t.trace t.now Dsim.Trace.Info ~component:"engine" "%a clock rate x%g"
-      Proto.Node_id.pp node rate
+    reanchor_timers t node (Clocks.set_rate t.clocks node ~global:t.now ~rate)
 
   let clock_step t node ~offset =
     check_endpoint t node;
     if not (Float.is_finite offset) then invalid_arg "Sim.clock_step: offset not finite";
-    reanchor_timers t node (Clocks.step t.clocks node ~global:t.now ~offset);
-    Dsim.Trace.logf t.trace t.now Dsim.Trace.Info ~component:"engine" "%a clock step %+gs"
-      Proto.Node_id.pp node offset
+    reanchor_timers t node (Clocks.step t.clocks node ~global:t.now ~offset)
 
   let heal_clock t node =
     match Clocks.heal t.clocks node ~global:t.now with
     | None -> ()
-    | Some ck ->
-        reanchor_timers t node ck;
-        Dsim.Trace.logf t.trace t.now Dsim.Trace.Info ~component:"engine" "%a clock healed"
-          Proto.Node_id.pp node
+    | Some ck -> reanchor_timers t node ck
 
   (* Start an overload burst at [node]: [rate] synthetic arrivals per
      second converge on its mailbox until [heal_overload]. Creates the
@@ -687,18 +643,14 @@ module Make (App : Proto.App_intf.APP) = struct
     if Float.is_nan rate || rate <= 0. then invalid_arg "Sim.overload: rate must be positive";
     if Option.is_none t.ov then set_overload t;
     let gen = Overload.start_burst (Option.get t.ov) (Proto.Node_id.to_int node) ~rate in
-    schedule t ~after:0. (Overload_tick { dst = node; gen });
-    Dsim.Trace.logf t.trace t.now Dsim.Trace.Info ~component:"engine"
-      "%a overload burst started (%.0f/s)" Proto.Node_id.pp node rate
+    schedule t ~after:0. (Overload_tick { dst = node; gen })
 
   (* Stop the burst; a stale generator tick dies when it fires. Chaff
      already queued drains normally. Idempotent. *)
   let heal_overload t node =
     match t.ov with
-    | Some ov when Overload.stop_burst ov (Proto.Node_id.to_int node) ->
-        Dsim.Trace.logf t.trace t.now Dsim.Trace.Info ~component:"engine"
-          "%a overload burst healed" Proto.Node_id.pp node
-    | Some _ | None -> ()
+    | Some ov -> Overload.stop_burst ov (Proto.Node_id.to_int node)
+    | None -> ()
 
   (* Garbles a wire encoding: each byte has one bit flipped with
      probability [flip]; if the dice spare every byte, one byte is
@@ -729,11 +681,8 @@ module Make (App : Proto.App_intf.APP) = struct
      dead; or a steering filter caught it. *)
   type refusal = Dropped of string | Dead | Filtered
 
-  (* Every refused delivery goes through here: its counter, its obs
-     drop and span, and its trace line. Refusals are most of a faulty
-     run's trace, so their two Debug lines are printed only if the
-     trace is read; app messages are immutable, so the text is what it
-     would have been at the time. *)
+  (* Every refused delivery goes through here: its counter, and its
+     obs drop and span. *)
   let refuse t ~src ~dst ~sent_at ~trace msg refusal =
     let se = Proto.Node_id.to_int src and de = Proto.Node_id.to_int dst in
     let s = t.stats in
@@ -741,20 +690,13 @@ module Make (App : Proto.App_intf.APP) = struct
       match refusal with
       | Dead ->
           s.messages_dropped <- s.messages_dropped + 1;
-          Dsim.Trace.logp t.trace t.now Dsim.Trace.Debug ~component:"engine" (fun ppf ->
-              Format.fprintf ppf "%a dead, dropping %a" Proto.Node_id.pp dst App.pp_msg msg);
           "dead"
       | Filtered ->
           s.messages_filtered <- s.messages_filtered + 1;
-          Dsim.Trace.logf t.trace t.now Dsim.Trace.Info ~component:"steering" "filtered %s %a->%a"
-            (App.msg_kind msg) Proto.Node_id.pp src Proto.Node_id.pp dst;
           "filtered"
       | Dropped cause ->
           s.messages_dropped <- s.messages_dropped + 1;
           Net.Netmodel.observe_loss t.netmodel ~src:se ~dst:de t.now ~delivered:false;
-          Dsim.Trace.logp t.trace t.now Dsim.Trace.Debug ~component:"net" (fun ppf ->
-              Format.fprintf ppf "drop(%s) %a->%a %a" cause Proto.Node_id.pp src Proto.Node_id.pp
-                dst App.pp_msg msg);
           root_cause cause
     in
     match t.obs with
@@ -793,23 +735,10 @@ module Make (App : Proto.App_intf.APP) = struct
                         ~labels:[ ("node", string_of_int ni); ("dir", dir) ]
                     in
                     o.o_degraded.(slot) <- Some c;
-                    c));
-          Dsim.Trace.logf t.trace t.now Dsim.Trace.Info ~component:"engine"
-            "%a %s degraded mode" Proto.Node_id.pp node
-            (if is_now then "entered" else "exited")
+                    c))
         end
 
   (* ---------- overload machinery ---------- *)
-
-  let note_shed t cause ~se ~de =
-    let s = t.stats in
-    let label =
-      match cause with
-      | `Mailbox -> s.sheds_mailbox <- s.sheds_mailbox + 1; "mailbox"
-      | `Breaker -> s.breaker_skips <- s.breaker_skips + 1; "breaker"
-    in
-    Dsim.Trace.logf t.trace t.now Dsim.Trace.Debug ~component:"engine" "shed(%s) %d->%d" label se
-      de
 
   let depth_gauge t ov de =
     match t.obs with
@@ -827,10 +756,10 @@ module Make (App : Proto.App_intf.APP) = struct
               g)
           (float_of_int (Overload.depth ov de))
 
-  let shed_mailbox t ~se ~de = note_shed t `Mailbox ~se ~de
+  let shed_mailbox t = t.stats.sheds_mailbox <- t.stats.sheds_mailbox + 1
 
-  let enqueue t ov ~se ~de ~prio =
-    let ticket = Overload.enqueue ov ~on_shed:shed_mailbox t ~se ~de ~prio in
+  let enqueue t ov ~de ~prio =
+    let ticket = Overload.enqueue ov ~on_shed:shed_mailbox t ~de ~prio in
     depth_gauge t ov de;
     ticket
 
@@ -848,8 +777,8 @@ module Make (App : Proto.App_intf.APP) = struct
         push_at t (Dsim.Vtime.add t.now delay)
           (Deliver { src; dst; msg; sent_at; trace; rel; did = -1; byz })
     | Some ov -> (
-        let se = Proto.Node_id.to_int src and de = Proto.Node_id.to_int dst in
-        match enqueue t ov ~se ~de ~prio:(prio_of msg) with
+        let de = Proto.Node_id.to_int dst in
+        match enqueue t ov ~de ~prio:(prio_of msg) with
         | Some did ->
             push_at t
               (Dsim.Vtime.add t.now (delay +. Overload.service_delay ov de))
@@ -1081,8 +1010,7 @@ module Make (App : Proto.App_intf.APP) = struct
     | name :: rest ->
         if not (List.mem name t.violated_now) then begin
           t.violations <- (t.now, name) :: t.violations;
-          t.violation_count <- t.violation_count + 1;
-          Dsim.Trace.logf t.trace t.now Dsim.Trace.Error ~component:"property" "violated: %s" name
+          t.violation_count <- t.violation_count + 1
         end;
         record_violations t rest
 
@@ -1243,12 +1171,10 @@ module Make (App : Proto.App_intf.APP) = struct
                    instant follows from the clock's current segment — a
                    fast clock fires early in global time. *)
                 let deadline = Dsim.Vtime.add (Dsim.Clock.read ck ~global:t.now) after in
-                let at = global_of_deadline t node ck deadline in
+                let at = global_of_deadline t ck deadline in
                 push_at t at (Timer_fire { node; id; gen; deadline; trace = t.current_trace }))
         | Proto.Action.Cancel_timer id -> ignore (next_timer_gen t node id : int)
-        | Proto.Action.Note s ->
-            Dsim.Trace.logf t.trace t.now Dsim.Trace.Debug ~component:App.name "%a: %s"
-              Proto.Node_id.pp node s)
+        | Proto.Action.Note _ -> ())
       actions
 
   (* Send actions that must wait for a durable write leave through a
@@ -1315,17 +1241,8 @@ module Make (App : Proto.App_intf.APP) = struct
   and recover t id d boot =
     let r = Disks.recover t.disks id ~now:t.now d boot in
     let s = t.stats in
-    if r.torn then begin
-      s.torn_recoveries <- s.torn_recoveries + 1;
-      Dsim.Trace.logf t.trace t.now Dsim.Trace.Info ~component:"store"
-        "%a recovery dropped a torn WAL tail" Proto.Node_id.pp id
-    end;
-    Option.iter
-      (fun n ->
-        s.recoveries <- s.recoveries + 1;
-        Dsim.Trace.logf t.trace t.now Dsim.Trace.Info ~component:"store"
-          "%a recovered (%d WAL records)" Proto.Node_id.pp id n)
-      r.replayed;
+    if r.torn then s.torn_recoveries <- s.torn_recoveries + 1;
+    if r.restored then s.recoveries <- s.recoveries + 1;
     s.snapshots <- s.snapshots + 1;
     (r.state, r.delay)
 
@@ -1351,9 +1268,7 @@ module Make (App : Proto.App_intf.APP) = struct
         Obs.Registry.incr lh.lo_link_deliveries;
         Obs.Registry.observe lh.lo_link_latency (latency *. 1000.));
     match Proto.Handler.applicable App.receive n.state ~src msg with
-    | [] ->
-        Dsim.Trace.logf t.trace t.now Dsim.Trace.Debug ~component:App.name "%a: no handler for %a"
-          Proto.Node_id.pp dst App.pp_msg msg
+    | [] -> ()
     | [ h ] ->
         let ctx = ctx_for t dst in
         apply_handler_result t dst (h.handle ctx n.state ~src msg)
@@ -1406,9 +1321,6 @@ module Make (App : Proto.App_intf.APP) = struct
             with
             | Reliable.Give_up ->
                 t.stats.rel_giveups <- t.stats.rel_giveups + 1;
-                Dsim.Trace.logf t.trace t.now Dsim.Trace.Info ~component:"net"
-                  "rel give-up %s %a->%a after %d retries" kind Proto.Node_id.pp e.src
-                  Proto.Node_id.pp e.dst e.tries;
                 let ctx = ctx_for t e.src in
                 apply_handler_result t e.src (App.on_timer ctx n.state ("rel.giveup:" ^ kind))
             | Resend e ->
@@ -1416,7 +1328,7 @@ module Make (App : Proto.App_intf.APP) = struct
                 transmit t ~src:e.src ~dst:e.dst ~rel:(Some seq) e.msg;
                 rearm e
             | Refused e ->
-                note_shed t `Breaker ~se ~de;
+                t.stats.breaker_skips <- t.stats.breaker_skips + 1;
                 rearm e)
         | Some _ | None ->
             (* Sender died with the send outstanding — nobody is left to
@@ -1424,16 +1336,14 @@ module Make (App : Proto.App_intf.APP) = struct
             Reliable.remove r seq)
 
   (* One tick of a running burst: a chaff arrival through the same
-     bounded queues as real traffic, then the next tick. Chaff source
-     -1 is a fictitious external client, so it never pollutes a real
-     link's accounting. *)
+     bounded queues as real traffic, then the next tick. *)
   and burst_tick t ov ~dst ~gen =
     let de = Proto.Node_id.to_int dst in
     match Overload.burst_rate ov de ~gen with
     | None -> ()  (* healed, or superseded by a newer burst *)
     | Some rate ->
         t.stats.chaff_sent <- t.stats.chaff_sent + 1;
-        (match enqueue t ov ~se:(-1) ~de ~prio:Overload.chaff_prio with
+        (match enqueue t ov ~de ~prio:Overload.chaff_prio with
         | Some did ->
             let delay = Overload.chaff_latency +. Overload.service_delay ov de in
             push_at t (Dsim.Vtime.add t.now delay) (Chaff { dst; did })
@@ -1469,8 +1379,7 @@ module Make (App : Proto.App_intf.APP) = struct
             (* A stale Boot — something else already revived the node
                since this restart was scheduled. Idempotence says the
                later revival is a no-op. *)
-            Dsim.Trace.logf t.trace t.now Dsim.Trace.Debug ~component:"engine"
-              "%a already alive, ignoring boot" Proto.Node_id.pp id
+            ()
         | prev ->
             let ctx = ctx_for t id in
             let boot, actions = App.init ctx in
@@ -1490,18 +1399,13 @@ module Make (App : Proto.App_intf.APP) = struct
             note_degraded t id ~prev:(Option.map (fun (p : node) -> p.state) prev) ~next:state;
             t.nodes <- Proto.Node_id.Map.add id { state; alive = true; incarnation } t.nodes;
             touch t id;
-            defer_sends t id ~delay actions;
-            Dsim.Trace.logf t.trace t.now Dsim.Trace.Info ~component:"engine" "%a booted"
-              Proto.Node_id.pp id)
+            defer_sends t id ~delay actions)
     | Deliver { src; dst; msg; sent_at; trace; rel; did; byz } -> (
         (* A straight line of stages; the first that claims the message
            ends the delivery. *)
-        if shed_while_queued t ~dst ~did then
-          (* Evicted from a bounded queue while in flight — counted (by
-             cause) at shed time; the node never sees it. *)
-          Dsim.Trace.logf t.trace t.now Dsim.Trace.Debug ~component:"engine"
-            "delivery shed while queued %a->%a" Proto.Node_id.pp src Proto.Node_id.pp dst
-        else
+        (* Evicted from a bounded queue while in flight — counted (by
+           cause) at shed time; the node never sees it. *)
+        if not (shed_while_queued t ~dst ~did) then
           match Proto.Node_id.Map.find_opt dst t.nodes with
           | Some n when n.alive ->
               let kind = App.msg_kind msg in
@@ -1509,10 +1413,7 @@ module Make (App : Proto.App_intf.APP) = struct
                 refuse t ~src ~dst ~sent_at ~trace msg Filtered
               else begin
                 heartbeat t ~src ~dst;
-                if duplicate_arrival t ~src ~dst ~rel then
-                  Dsim.Trace.logf t.trace t.now Dsim.Trace.Debug ~component:"net"
-                    "rel dedup %s %a->%a" kind Proto.Node_id.pp src Proto.Node_id.pp dst
-                else
+                if not (duplicate_arrival t ~src ~dst ~rel) then
                   match validate t ~byz msg with
                   | Error reason ->
                       refuse t ~src ~dst ~sent_at ~trace msg (Dropped ("invalid: " ^ reason))

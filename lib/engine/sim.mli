@@ -56,14 +56,15 @@ module Make (App : Proto.App_intf.APP) : sig
     ?seed:int ->
     ?jitter:float ->
     ?check_properties:bool ->
-    ?trace_capacity:int ->
     topology:Net.Topology.t ->
     unit ->
     t
   (** [jitter] is forwarded to {!Net.Netem.create}; [check_properties]
       (default true) evaluates the app's safety properties after every
       event. The per-node disks backing {!Proto.Durability} are
-      {!Store.create} default disks. *)
+      {!Store.create} default disks. The engine keeps no text log: what
+      a run did is read from {!stats}, {!violations},
+      {!decision_sites}, {!message_log} and the {!set_obs} sink. *)
 
   (** {1 Choice policy} *)
 
@@ -287,23 +288,17 @@ module Make (App : Proto.App_intf.APP) : sig
       [App.msg_kind] have been delivered so far. *)
   val delivered_of_kind : t -> string -> int
 
-  val enable_message_log : ?capacity:int -> t -> unit
+  val enable_message_log : t -> unit
   (** Starts recording every delivery as (time, src, dst, kind) — feed
       the result to {!Metrics.Seqdiag.render} for a sequence diagram.
-      Off by default. [capacity] bounds retention to the newest entries
-      (default 0 = unbounded); long soaks should set it so the log
-      cannot grow without bound. Forks never log.
-      @raise Invalid_argument on a negative capacity. *)
+      Off by default; the log is unbounded while on. Forks never log. *)
 
-  (** Recorded deliveries, oldest first (at most [capacity] of them
-      when a bound is set); empty when logging is off. *)
+  (** Recorded deliveries, oldest first; empty when logging is off. *)
   val message_log : t -> (Dsim.Vtime.t * Proto.Node_id.t * Proto.Node_id.t * string) list
 
   (** The node's simulated disk, for inspection — [None] until a
       durable app first boots there. *)
   val store : t -> Proto.Node_id.t -> Store.t option
-
-  val trace : t -> Dsim.Trace.t
 
   val set_obs : t -> Obs.Sink.t option -> unit
   (** Attach (or detach) an observability sink.  While attached, the
@@ -333,12 +328,10 @@ module Make (App : Proto.App_intf.APP) : sig
 
   val fork : t -> t
   (** Deep copy with an independent RNG position and the fallback
-      resolver installed; the original is untouched. The copy gets a
-      fresh trace of capacity 16 at the default [Debug] level, so it
-      still formats and keeps its last 16 records (read them through
-      {!trace}), while the original's trace sees nothing of the fork.
-      The copy has no obs sink and no message log, and builds its own
-      handler contexts (over its own RNG and resolver) as its nodes
-      run. The model checker and the runtime build consequence
-      prediction on this. *)
+      resolver installed; the original is untouched. Its counters,
+      violations and decision sites start as copies of the original's
+      and move on their own. The copy has no obs sink and no message
+      log, and builds its own handler contexts (over its own RNG and
+      resolver) as its nodes run. The model checker and the runtime
+      build consequence prediction on this. *)
 end

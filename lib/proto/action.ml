@@ -11,7 +11,7 @@ type 'msg t =
       (** (re)arm the named timer to fire [after] seconds from now;
           re-arming supersedes the previous deadline *)
   | Cancel_timer of string
-  | Note of string  (** free-form trace annotation *)
+  | Note of string  (** free-form annotation; nothing records it *)
 
 let send ~dst msg = Send { dst; msg }
 let set_timer ~id ~after = Set_timer { id; after }

@@ -12,10 +12,7 @@ type t = {
   steer_period : float;  (** how often consequence prediction runs *)
   steer_depth : int;  (** exploration depth for steering *)
   max_worlds : int;  (** exploration budget per steering round *)
-  include_drops : bool;  (** explore message-loss branches *)
-  generic_node : bool;  (** inject the generic-node alphabet *)
   filter_ttl : float;  (** seconds an installed event filter lives *)
-  history : int;  (** checkpoint generations retained *)
 }
 
 let default =
@@ -25,10 +22,7 @@ let default =
     steer_period = 1.0;
     steer_depth = 3;
     max_worlds = 5_000;
-    include_drops = false;
-    generic_node = false;
     filter_ttl = 5.0;
-    history = 16;
   }
 
 let validate t =
@@ -38,5 +32,4 @@ let validate t =
   if t.steer_depth < 0 then invalid_arg "Config: steer_depth must be non-negative";
   if t.max_worlds <= 0 then invalid_arg "Config: max_worlds must be positive";
   if t.filter_ttl <= 0. then invalid_arg "Config: filter_ttl must be positive";
-  if t.history <= 0 then invalid_arg "Config: history must be positive";
   t

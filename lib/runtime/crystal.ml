@@ -1,3 +1,6 @@
+(* Checkpoint generations retained. *)
+let history = 16
+
 module Make (App : Proto.App_intf.APP) = struct
   module E = Engine.Sim.Make (App)
   module Ex = Mc.Explorer.Make (App)
@@ -121,7 +124,7 @@ module Make (App : Proto.App_intf.APP) = struct
       | [] -> []
       | c :: rest -> if n = 0 then [] else c :: take (n - 1) rest
     in
-    t.checkpoints <- take t.cfg.history t.checkpoints;
+    t.checkpoints <- take history t.checkpoints;
     publish_obs t
 
   let attach ?(config = Config.default) ?codec ?obs ~neighbors eng =
@@ -252,9 +255,7 @@ module Make (App : Proto.App_intf.APP) = struct
       in
       t.vetoes <- lv :: t.vetoes;
       add_filter t lv;
-      t.n_vetoes <- t.n_vetoes + 1;
-      Dsim.Trace.logf (E.trace t.eng) (E.now t.eng) Dsim.Trace.Info ~component:"crystal"
-        "installing %s" lv.name
+      t.n_vetoes <- t.n_vetoes + 1
     end
 
   (* One steering round: run consequence prediction from each live
@@ -270,9 +271,8 @@ module Make (App : Proto.App_intf.APP) = struct
           (fun (id, own) ->
             let world = node_world t c ~clocks id own in
             let verdict, stats =
-              St.decide_with_stats ~max_worlds:t.cfg.max_worlds
-                ~include_drops:t.cfg.include_drops ~generic_node:t.cfg.generic_node
-                ~cache:t.cache ?obs:t.obs ~depth:t.cfg.steer_depth world
+              St.decide_with_stats ~max_worlds:t.cfg.max_worlds ~cache:t.cache ?obs:t.obs
+                ~depth:t.cfg.steer_depth world
             in
             t.n_worlds <- t.n_worlds + stats.St.worlds_explored;
             t.n_cached <- t.n_cached + stats.St.outcomes_cached;

@@ -1,21 +1,20 @@
 (* Golden event digests: one row per (app, seed, fault profile), each
-   the MD5 of everything a seeded run makes observable — every
-   Debug-level trace record, the message log, every [stats] field, the
-   violations and the decision sites. Rows with an Obs sink also pin the
-   metrics and spans JSONL in a separate column. The table lives in
-   test/golden/engine_digests.txt (see test/golden/README.md); a
-   refactor of the engine must leave it unchanged. *)
+   the MD5 of everything a seeded run makes observable — the message
+   log, every [stats] field, the violations and the decision sites.
+   Rows with an Obs sink also pin the metrics and spans JSONL in a
+   separate column. The table lives in test/golden/engine_digests.txt
+   (see test/golden/README.md); a refactor of the engine must leave it
+   unchanged. *)
 
 let nid = Proto.Node_id.of_int
 let md5 lines = Digest.to_hex (Digest.string (String.concat "\n" lines))
-let trace_capacity = 400_000
 
 module Row (App : Proto.App_intf.APP) = struct
   module E = Engine.Sim.Make (App)
   module X = Engine.Faultplan.Run (E)
 
   let create ?(jitter = 0.05) ~seed topology =
-    let eng = E.create ~seed ~jitter ~trace_capacity ~topology () in
+    let eng = E.create ~seed ~jitter ~topology () in
     E.enable_message_log eng;
     eng
 
@@ -30,17 +29,6 @@ module Row (App : Proto.App_intf.APP) = struct
 
   (* [core] digests the engine; [obs] the sink's deterministic export. *)
   let digest ?sink eng =
-    let tr = E.trace eng in
-    let records = Dsim.Trace.records tr in
-    if Dsim.Trace.count tr <> List.length records then
-      Alcotest.failf "trace evicted records (%d logged): raise trace_capacity"
-        (Dsim.Trace.count tr);
-    let trace =
-      List.map
-        (fun (r : Dsim.Trace.record) ->
-          secs r.time ^ " " ^ Format.asprintf "%a" Dsim.Trace.pp_record r)
-        records
-    in
     let log =
       List.map
         (fun (t, s, d, k) -> Printf.sprintf "%s %d->%d %s" (secs t) (node s) (node d) k)
@@ -57,7 +45,7 @@ module Row (App : Proto.App_intf.APP) = struct
         (E.decision_sites eng)
     in
     let core =
-      md5 (List.concat [ trace; [ "--" ]; log; [ "--" ]; stats; [ "--" ]; violations; [ "--" ]; sites ])
+      md5 (List.concat [ log; [ "--" ]; stats; [ "--" ]; violations; [ "--" ]; sites ])
     in
     let obs =
       match sink with

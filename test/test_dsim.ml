@@ -333,12 +333,17 @@ let test_histogram () =
   checkf "bounds lo" 2. lo;
   checkf "bounds hi" 4. hi
 
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.equal (String.sub s i m) sub || go (i + 1)) in
+  go 0
+
 let test_histogram_pp_shows_outliers () =
   let h = Dsim.Stats.Histogram.create ~lo:0. ~hi:10. ~buckets:2 in
   List.iter (Dsim.Stats.Histogram.add h) [ -1.; 5.; 99. ];
   let s = Format.asprintf "%a" Dsim.Stats.Histogram.pp h in
-  checkb "pp mentions underflow" true (Dsim.Trace.contains_substring s "underflow");
-  checkb "pp mentions overflow" true (Dsim.Trace.contains_substring s "overflow")
+  checkb "pp mentions underflow" true (contains s "underflow");
+  checkb "pp mentions overflow" true (contains s "overflow")
 
 let test_stats_sort_cache () =
   (* The regression this guards: percentile used to re-sort per query,
@@ -398,100 +403,6 @@ let prop_stats_mean_bounded =
       let m = Dsim.Stats.mean s in
       m >= Dsim.Stats.min s -. 1e-9 && m <= Dsim.Stats.max s +. 1e-9)
 
-(* ---------- Trace ---------- *)
-
-let test_trace_basic () =
-  let t = Dsim.Trace.create () in
-  Dsim.Trace.log t Dsim.Vtime.zero Dsim.Trace.Info ~component:"x" "hello";
-  Dsim.Trace.logf t Dsim.Vtime.zero Dsim.Trace.Warn ~component:"y" "n=%d" 42;
-  checki "count" 2 (Dsim.Trace.count t);
-  checki "records" 2 (List.length (Dsim.Trace.records t));
-  checki "find" 1 (List.length (Dsim.Trace.find t ~component:"y" ~substring:"n=42"))
-
-let test_trace_capacity () =
-  let t = Dsim.Trace.create ~capacity:3 () in
-  for i = 1 to 10 do
-    Dsim.Trace.logf t Dsim.Vtime.zero Dsim.Trace.Debug ~component:"c" "%d" i
-  done;
-  checki "total count" 10 (Dsim.Trace.count t);
-  let kept = Dsim.Trace.records t in
-  checki "bounded" 3 (List.length kept);
-  check Alcotest.string "oldest kept" "8" (List.hd kept).Dsim.Trace.message
-
-let test_trace_level_gate () =
-  let t = Dsim.Trace.create ~min_level:Dsim.Trace.Info () in
-  checkb "info enabled" true (Dsim.Trace.enabled t Dsim.Trace.Info);
-  checkb "debug gated" false (Dsim.Trace.enabled t Dsim.Trace.Debug);
-  (* The whole point of the gate: a suppressed logf must not run its
-     formatting.  %t takes a closure the formatter would call — if the
-     gate works, the closure never fires. *)
-  let formatted = ref false in
-  Dsim.Trace.logf t Dsim.Vtime.zero Dsim.Trace.Debug ~component:"c" "x=%t" (fun _ ->
-      formatted := true);
-  checkb "suppressed logf never formats" false !formatted;
-  checki "nothing recorded" 0 (Dsim.Trace.count t);
-  checki "suppression counted" 1 (Dsim.Trace.suppressed t);
-  Dsim.Trace.logf t Dsim.Vtime.zero Dsim.Trace.Info ~component:"c" "y=%t" (fun _ ->
-      formatted := true);
-  checkb "passing logf formats" true !formatted;
-  checki "recorded" 1 (Dsim.Trace.count t);
-  Dsim.Trace.set_min_level t Dsim.Trace.Debug;
-  checkb "gate is dynamic" true (Dsim.Trace.enabled t Dsim.Trace.Debug)
-
-(* A print-on-read record reads back exactly as [logf] of the same
-   format and arguments would have recorded it, runs its printer once,
-   on the first read; a gated one never runs it. The reused formatter
-   gives the same text as a fresh one, boxes and breaks included. *)
-let test_trace_print_on_read () =
-  let pp_pair ppf (a, b) = Format.fprintf ppf "@[<b 2>(%d,@ %s)@]" a b in
-  let eager = Dsim.Trace.create () and lazy_ = Dsim.Trace.create () in
-  let at = Dsim.Vtime.of_seconds 1.25 in
-  let runs = ref 0 in
-  List.iter
-    (fun (cause, x) ->
-      Dsim.Trace.logf eager at Dsim.Trace.Debug ~component:"net" "drop(%s) %a->%d @[%a@]" cause
-        Dsim.Vtime.pp at x pp_pair (x, cause);
-      Dsim.Trace.logp lazy_ at Dsim.Trace.Debug ~component:"net" (fun ppf ->
-          incr runs;
-          Format.fprintf ppf "drop(%s) %a->%d @[%a@]" cause Dsim.Vtime.pp at x pp_pair
-            (x, cause)))
-    [ ("loss", 1); ("", 22); (String.make 90 'x', 333); ("invalid: bad ballot", 4) ];
-  checki "printers wait for a read" 0 !runs;
-  let text t =
-    List.map (fun r -> Format.asprintf "%a" Dsim.Trace.pp_record r) (Dsim.Trace.records t)
-  in
-  check (Alcotest.list Alcotest.string) "same records as logf" (text eager) (text lazy_);
-  checki "each printer ran once" 4 !runs;
-  ignore (Dsim.Trace.records lazy_);
-  checki "a second read reuses the text" 4 !runs;
-  (match Dsim.Trace.records eager with
-  | (first : Dsim.Trace.record) :: _ ->
-      check Alcotest.string "same as a fresh formatter"
-        (Format.asprintf "drop(%s) %a->%d @[%a@]" "loss" Dsim.Vtime.pp at 1 pp_pair (1, "loss"))
-        first.message
-  | [] -> Alcotest.fail "no records");
-  let gated = Dsim.Trace.create ~min_level:Dsim.Trace.Info () in
-  Dsim.Trace.logp gated at Dsim.Trace.Debug ~component:"net" (fun _ -> incr runs);
-  ignore (Dsim.Trace.records gated);
-  checki "gated printer never runs" 4 !runs;
-  checki "gated record suppressed" 1 (Dsim.Trace.suppressed gated);
-  checki "gated record not kept" 0 (Dsim.Trace.count gated)
-
-let test_contains_substring () =
-  let c = Dsim.Trace.contains_substring in
-  checkb "empty needle always matches" true (c "" "");
-  checkb "empty needle in text" true (c "abc" "");
-  checkb "needle longer than text" false (c "ab" "abc");
-  checkb "simple hit" true (c "hello world" "o w");
-  checkb "prefix" true (c "hello" "he");
-  checkb "suffix" true (c "hello" "lo");
-  checkb "miss" false (c "hello" "z");
-  (* Overlapping candidate positions: a naive scan that advances past a
-     partial match would miss the real one starting inside it. *)
-  checkb "overlap" true (c "aaab" "aab");
-  checkb "overlap long" true (c "ababac" "abac");
-  checkb "repeated miss" false (c "aaaa" "ab")
-
 let qcheck = List.map QCheck_alcotest.to_alcotest
 
 let () =
@@ -536,12 +447,4 @@ let () =
         :: Alcotest.test_case "reservoir" `Quick test_stats_reservoir
         :: Alcotest.test_case "reservoir determinism" `Quick test_stats_reservoir_deterministic
         :: qcheck [ prop_stats_mean_bounded ] );
-      ( "trace",
-        [
-          Alcotest.test_case "basic" `Quick test_trace_basic;
-          Alcotest.test_case "capacity" `Quick test_trace_capacity;
-          Alcotest.test_case "level gate" `Quick test_trace_level_gate;
-          Alcotest.test_case "print on read" `Quick test_trace_print_on_read;
-          Alcotest.test_case "contains_substring" `Quick test_contains_substring;
-        ] );
     ]

@@ -579,28 +579,6 @@ let test_message_log_and_seqdiag () =
      contains 0);
   Alcotest.check Alcotest.string "empty diagram" "(no messages)\n" (Metrics.Seqdiag.render [])
 
-let test_message_log_bounded () =
-  let eng = make () in
-  spawn_all eng 3;
-  E.run_for eng 0.1;
-  E.enable_message_log ~capacity:3 eng;
-  for i = 1 to 5 do
-    E.inject eng ~after:(0.1 *. float_of_int i) ~src:(nid 0) ~dst:(nid 1) (Toy.Ping i)
-  done;
-  E.run_for eng 1.;
-  (* 5 pings + 5 pongs delivered, but only the newest 3 are retained. *)
-  let log = E.message_log eng in
-  checki "log capped" 3 (List.length log);
-  (match (List.rev log, log) with
-  | (newest, _, _, _) :: _, (oldest, _, _, _) :: _ ->
-      checkb "newest entries retained" true
-        (Dsim.Vtime.to_seconds newest > 0.5 && Dsim.Vtime.to_seconds oldest > 0.2);
-      checkb "still oldest-first" true Dsim.Vtime.(oldest <= newest)
-  | _ -> Alcotest.fail "empty log");
-  Alcotest.check_raises "negative capacity"
-    (Invalid_argument "Sim.enable_message_log: negative capacity") (fun () ->
-      E.enable_message_log ~capacity:(-1) eng)
-
 let test_resolver_name () =
   let eng = make () in
   Alcotest.check Alcotest.string "plain" "first" (E.resolver_name eng);
@@ -823,7 +801,6 @@ let () =
           Alcotest.test_case "nfa handler ambiguity" `Quick test_nfa_handler_ambiguity;
           Alcotest.test_case "lookahead scope" `Quick test_lookahead_scope_blinds_prediction;
           Alcotest.test_case "message log + seqdiag" `Quick test_message_log_and_seqdiag;
-          Alcotest.test_case "message log bounded" `Quick test_message_log_bounded;
           Alcotest.test_case "resolver name" `Quick test_resolver_name;
         ] );
       ( "introspection",

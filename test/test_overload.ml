@@ -229,7 +229,6 @@ let paxos_burst ~capacity =
     Net.Topology.uniform ~n:5 (Net.Linkprop.v ~latency:0.02 ~bandwidth:1_000_000. ~loss:0.)
   in
   let eng = PE.create ~seed:11 ~jitter:0. ~topology () in
-  Dsim.Trace.set_min_level (PE.trace eng) Dsim.Trace.Warn;
   let sink = Obs.Sink.create () in
   PE.set_obs eng (Some sink);
   PE.set_overload eng ~config:{ mailbox_capacity = capacity; service_time = 5e-4 };
@@ -378,7 +377,6 @@ let test_idle_retains_nothing () =
   in
   let engine ~overload =
     let eng = PE.create ~seed:7 ~jitter:0. ~topology () in
-    Dsim.Trace.set_min_level (PE.trace eng) Dsim.Trace.Info;
     PE.set_resolver eng Apps.Paxos.self_resolver;
     for i = 0 to 4 do
       PE.spawn eng (nid i)
