@@ -168,6 +168,25 @@ let rows : (string * (unit -> string * string)) list =
         Tree.E.heal_overload eng (nid 0);
         Tree.E.run_for eng 8.;
         Tree.digest eng );
+    ( "randtree lookahead+cache+1-hop scope seed=17",
+      fun () ->
+        let eng = Tree.create ~seed:17 (Experiments.Randtree_exp.topology ~seed:17 ~nodes:16) in
+        Tree.E.set_lookahead eng ~cache:(Core.Bandit.create (), 2)
+          {
+            Tree.E.default_lookahead with
+            horizon = 1.0;
+            max_events = 200;
+            scope = Some (Experiments.Randtree_exp.neighborhood_scope ~hops:1);
+          };
+        for i = 0 to 15 do
+          Tree.E.spawn eng ~after:(0.1 *. float_of_int i) (nid i)
+        done;
+        Tree.E.run_for eng 6.;
+        List.iter (fun i -> Tree.E.kill eng (nid i)) [ 3; 7; 11 ];
+        Tree.E.run_for eng 2.;
+        List.iter (fun i -> Tree.E.restart eng (nid i)) [ 3; 7; 11 ];
+        Tree.E.run_for eng 6.;
+        Tree.digest eng );
   ]
 
 let golden = "golden/engine_digests.txt"
