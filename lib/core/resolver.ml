@@ -23,13 +23,13 @@ let round_robin () =
   in
   make ~name:"round-robin" choose
 
-let scripted moves =
-  let choose _rng (site : Choice.site) =
-    match List.assoc_opt site.site_label moves with
-    | None -> 0
-    | Some i -> max 0 (min (site.site_arity - 1) i)
+let forced moves ~fallback =
+  let choose rng (site : Choice.site) =
+    match List.assoc_opt site.site_occurrence moves with
+    | Some i -> min i (site.site_arity - 1)
+    | None -> fallback.choose rng site
   in
-  make ~name:"scripted" choose
+  make ~name:"forced" choose
 
 let greedy ~feature ?(maximize = false) () =
   let column = Choice.column feature in

@@ -3,7 +3,7 @@
     A resolver never sees application values — only the site's label,
     arity and feature columns — so resolvers compose freely with any
     protocol. Stateful resolvers (round-robin, bandits, the CrystalBall
-    lookahead built in [Runtime]) close over their own state and may
+    lookahead of [Engine.Lookahead]) close over their own state and may
     learn from {!feedback}. *)
 
 type t = {
@@ -31,10 +31,10 @@ val random : t
 val round_robin : unit -> t
 (** Cycles through alternatives per label; fresh state per call. *)
 
-val scripted : (string * int) list -> t
-(** [scripted moves] answers each label from the association list
-    (clamped to arity), falling back to 0 for unlisted labels. Used by
-    the lookahead machinery to force one branch during replay. *)
+val forced : (int * int) list -> fallback:t -> t
+(** [forced moves ~fallback] answers a site whose occurrence [moves]
+    lists with the paired index (clamped to arity), else asks [fallback].
+    The engine's lookahead replays an event under it to force a branch. *)
 
 val greedy : feature:string -> ?maximize:bool -> unit -> t
 (** Picks the alternative whose [feature] is smallest (or largest when

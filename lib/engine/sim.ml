@@ -80,7 +80,6 @@ module Make (App : Proto.App_intf.APP) = struct
   type lookahead = {
     horizon : float;
     max_events : int;
-    violation_penalty : float;
     max_candidates : int;
     scope :
       (Proto.Node_id.t -> (App.state, App.msg) Proto.View.t -> (App.state, App.msg) Proto.View.t)
@@ -92,45 +91,9 @@ module Make (App : Proto.App_intf.APP) = struct
   }
 
   let default_lookahead =
-    { horizon = 2.0; max_events = 400; violation_penalty = 1000.; max_candidates = 8; scope = None }
-
-  (* Hybrid fast path (paper §3.4): a bandit cache answers sites whose
-     context has absorbed enough training; cache misses run the full
-     lookahead, whose per-alternative scores train the cache. *)
-  type cache = { bandit : Core.Bandit.t; min_pulls : int; mutable hits : int; mutable misses : int }
-
-  type mode =
-    | Plain of Core.Resolver.t
-    | Predictive of lookahead * Core.Resolver.t * cache option  (* config, fallback *)
-    | Replay of (int * int) list * Core.Resolver.t  (* (occurrence, index) forcings *)
+    { horizon = 2.0; max_events = 400; max_candidates = 8; scope = None }
 
   type filter = { f_name : string; drop : kind:string -> src:Proto.Node_id.t -> dst:Proto.Node_id.t -> bool }
-
-  (* Metric handles the hot path would otherwise re-intern per event.
-     Keys are raw endpoint ints, or [src * endpoints + dst] for a
-     directed pair; values are registry handles created on first use. *)
-  (* The three handles every successful delivery touches, bundled so
-     the hot path pays one cache lookup instead of three. *)
-  type link_obs = {
-    lo_node_deliveries : Obs.Registry.counter;
-    lo_link_deliveries : Obs.Registry.counter;
-    lo_link_latency : Obs.Registry.histogram;
-  }
-
-  type obs = {
-    o_sink : Obs.Sink.t;
-    o_queue_depth : Obs.Registry.gauge;
-    (* Handles are made on first use, which fixes the export's series
-       order; the hot ones sit in endpoint-indexed arrays and rows, so
-       finding one hashes nothing. *)
-    o_deliver : link_obs option Net.Pair_rows.t;
-    mutable o_drops : (string * Obs.Registry.counter option Net.Pair_rows.t) list;
-        (* per root cause, rows [src], columns [dst] *)
-    o_timer_fires : Obs.Registry.counter option array;
-    o_degraded : Obs.Registry.counter option array;  (* [2 * node], + 1 for exits *)
-    o_fd_recoveries : Obs.Registry.counter option array;
-    o_mailbox_depth : Obs.Registry.gauge option array;
-  }
 
   type pending_reward = {
     pr_site : Core.Choice.site;
@@ -173,7 +136,8 @@ module Make (App : Proto.App_intf.APP) = struct
     mutable trackers : (App.state, App.msg) Proto.View.t Core.Property.tracker array;
         (* one per safety property, in list order, started at the first
            check; empty until then *)
-    mutable mode : mode;
+    mutable resolver : Core.Resolver.t;
+    mutable lookahead : Lookahead.t option;  (* the installed one; {!fork} installs its fallback *)
     mutable speculative : bool;
     mutable violations : (Dsim.Vtime.t * string) list;
     mutable violation_count : int;
@@ -199,7 +163,7 @@ module Make (App : Proto.App_intf.APP) = struct
         (* per-node durable storage, created lazily at first boot;
            empty forever when [App.durable = None] — the zero-cost path *)
     stats : stats;
-    mutable obs : obs option;
+    mutable obs : Engine_obs.t option;
     mutable next_trace : int;
     mutable current_trace : int;  (** trace id of the event being processed *)
   }
@@ -229,7 +193,8 @@ module Make (App : Proto.App_intf.APP) = struct
       timer_gens = Array.make endpoints Smap.empty;
       check_properties;
       trackers = [||];
-      mode = Plain Core.Resolver.first;
+      resolver = Core.Resolver.first;
+      lookahead = None;
       speculative = false;
       violations = [];
       violation_count = 0;
@@ -261,81 +226,7 @@ module Make (App : Proto.App_intf.APP) = struct
     }
 
   let set_obs t sink =
-    t.obs <-
-      Option.map
-        (fun o_sink ->
-          let reg = o_sink.Obs.Sink.registry in
-          List.iter
-            (fun (name, read) ->
-              Obs.Registry.probe reg ~name:("engine_" ^ name) ~labels:[] (fun () -> read (stats t)))
-            Counters.fields;
-          {
-            o_sink;
-            o_queue_depth = Obs.Registry.gauge reg ~name:"engine_queue_depth" ~labels:[];
-            o_deliver = Net.Pair_rows.create ~absent:None;
-            o_drops = [];
-            o_timer_fires = Array.make t.endpoints None;
-            o_degraded = Array.make (2 * t.endpoints) None;
-            o_fd_recoveries = Array.make t.endpoints None;
-            o_mailbox_depth = Array.make t.endpoints None;
-          })
-        sink
-
-  let obs_node_counter o handles ~name ni =
-    Obs.Registry.incr
-      (match handles.(ni) with
-      | Some c -> c
-      | None ->
-          let c =
-            Obs.Registry.counter o.o_sink.Obs.Sink.registry ~name
-              ~labels:[ ("node", string_of_int ni) ]
-          in
-          handles.(ni) <- Some c;
-          c)
-
-  let rec drop_rows cause = function
-    | [] -> raise Not_found
-    | (c, rows) :: rest -> if String.equal c cause then rows else drop_rows cause rest
-
-  (* The drop counter of [cause] on the directed pair [se -> de]. *)
-  let obs_drop o ~cause ~se ~de =
-    let rows =
-      match drop_rows cause o.o_drops with
-      | rows -> rows
-      | exception Not_found ->
-          let rows = Net.Pair_rows.create ~absent:None in
-          o.o_drops <- (cause, rows) :: o.o_drops;
-          rows
-    in
-    match Net.Pair_rows.find rows se de with
-    | Some c -> c
-    | None ->
-        let c =
-          Obs.Registry.counter o.o_sink.Obs.Sink.registry ~name:"engine_drops"
-            ~labels:[ ("cause", cause); ("src", string_of_int se); ("dst", string_of_int de) ]
-        in
-        Net.Pair_rows.set rows se de (Some c);
-        c
-
-  (* The delivery handles of the directed pair [se -> de]. *)
-  let obs_link o ~se ~de =
-    match Net.Pair_rows.find o.o_deliver se de with
-    | Some h -> h
-    | None ->
-        let reg = o.o_sink.Obs.Sink.registry in
-        let link = [ ("src", string_of_int se); ("dst", string_of_int de) ] in
-        let h =
-          {
-            lo_node_deliveries =
-              Obs.Registry.counter reg ~name:"engine_deliveries" ~labels:[ ("node", string_of_int de) ];
-            lo_link_deliveries = Obs.Registry.counter reg ~name:"engine_link_deliveries" ~labels:link;
-            lo_link_latency =
-              Obs.Registry.histogram reg ~name:"engine_delivery_latency_ms" ~labels:link ~lo:0.
-                ~hi:2000. ~buckets:20;
-          }
-        in
-        Net.Pair_rows.set o.o_deliver se de (Some h);
-        h
+    t.obs <- Option.map (Engine_obs.create ~endpoints:t.endpoints ~stats:(fun () -> stats t)) sink
 
   let mint_trace t =
     let id = t.next_trace in
@@ -347,32 +238,12 @@ module Make (App : Proto.App_intf.APP) = struct
   let netmodel t = t.netmodel
   let violations t = List.rev t.violations
   let decision_sites t = t.decision_log
-  let set_resolver t r = t.mode <- Plain r
+  let set_resolver t r =
+    t.resolver <- r;
+    t.lookahead <- None
 
-  let set_lookahead t ?(fallback = Core.Resolver.random) ?cache (cfg : lookahead) =
-    if cfg.horizon <= 0. then invalid_arg "Sim.set_lookahead: horizon must be positive";
-    if cfg.max_events <= 0 then invalid_arg "Sim.set_lookahead: max_events must be positive";
-    if cfg.max_candidates <= 0 then invalid_arg "Sim.set_lookahead: max_candidates must be positive";
-    let cache =
-      Option.map
-        (fun (bandit, min_pulls) ->
-          if min_pulls <= 0 then invalid_arg "Sim.set_lookahead: min_pulls must be positive";
-          { bandit; min_pulls; hits = 0; misses = 0 })
-        cache
-    in
-    t.mode <- Predictive (cfg, fallback, cache)
-
-  let resolver_name t =
-    match t.mode with
-    | Plain r -> r.Core.Resolver.name
-    | Predictive (_, fb, None) -> "lookahead/" ^ fb.Core.Resolver.name
-    | Predictive (_, fb, Some _) -> "lookahead+cache/" ^ fb.Core.Resolver.name
-    | Replay (_, fb) -> "replay/" ^ fb.Core.Resolver.name
-
-  let cache_stats t =
-    match t.mode with
-    | Predictive (_, _, Some c) -> Some (c.hits, c.misses)
-    | Predictive (_, _, None) | Plain _ | Replay _ -> None
+  let resolver_name t = t.resolver.Core.Resolver.name
+  let cache_stats t = Option.bind t.lookahead Lookahead.cache_stats
 
   let enable_reward_feedback t ~window =
     if window <= 0. then invalid_arg "Sim.enable_reward_feedback: window must be positive";
@@ -515,15 +386,15 @@ module Make (App : Proto.App_intf.APP) = struct
       obs = None;
       (* speculative branches must not pollute the real world's metrics *)
       disks = Disks.copy t.disks;
-      mode = Plain fallback;
+      resolver = fallback;
+      lookahead = None;
       speculative = true;
       reward_window = None;
       pending_rewards = [];
     }
 
   let fork t =
-    let fallback = match t.mode with Predictive (_, fb, _) | Replay (_, fb) -> fb | Plain _ -> Core.Resolver.random in
-    fork_with t fallback
+    fork_with t (Option.fold ~none:Core.Resolver.random ~some:Lookahead.fallback t.lookahead)
 
   (* ---------- scheduling ---------- *)
 
@@ -640,7 +511,8 @@ module Make (App : Proto.App_intf.APP) = struct
      Draws no randomness — chaff timing is fully deterministic. *)
   let overload t ?(rate = 200.) node =
     check_endpoint t node;
-    if Float.is_nan rate || rate <= 0. then invalid_arg "Sim.overload: rate must be positive";
+    if not (Float.is_finite rate && rate > 0.) then
+      invalid_arg "Sim.overload: rate must be positive and finite";
     if Option.is_none t.ov then set_overload t;
     let gen = Overload.start_burst (Option.get t.ov) (Proto.Node_id.to_int node) ~rate in
     schedule t ~after:0. (Overload_tick { dst = node; gen })
@@ -701,11 +573,7 @@ module Make (App : Proto.App_intf.APP) = struct
     in
     match t.obs with
     | None -> ()
-    | Some o ->
-        Obs.Registry.incr (obs_drop o ~cause ~se ~de);
-        Obs.Span.record o.o_sink.Obs.Sink.spans ~trace ~src:se ~dst:de ~kind:(App.msg_kind msg)
-          ~enqueue:(Dsim.Vtime.to_seconds sent_at) ~deliver:(Dsim.Vtime.to_seconds t.now)
-          ~verdict:("drop:" ^ cause)
+    | Some o -> Engine_obs.drop o ~cause ~trace ~se ~de ~kind:(App.msg_kind msg) ~sent_at ~now:t.now
 
   (* Edge-detect the app's self-reported degraded mode across a state
      transition. Counted per incident (enter/exit), not per event spent
@@ -717,44 +585,15 @@ module Make (App : Proto.App_intf.APP) = struct
         let was = match prev with Some s -> f s | None -> false in
         let is_now = f next in
         if was <> is_now then begin
-          let dir = if is_now then "enter" else "exit" in
           if is_now then t.stats.degraded_entries <- t.stats.degraded_entries + 1
           else t.stats.degraded_exits <- t.stats.degraded_exits + 1;
-          (match t.obs with
-          | None -> ()
-          | Some o ->
-              let ni = Proto.Node_id.to_int node in
-              let slot = (2 * ni) + if is_now then 0 else 1 in
-              Obs.Registry.incr
-                (match o.o_degraded.(slot) with
-                | Some c -> c
-                | None ->
-                    let c =
-                      Obs.Registry.counter o.o_sink.Obs.Sink.registry
-                        ~name:"engine_degraded_transitions"
-                        ~labels:[ ("node", string_of_int ni); ("dir", dir) ]
-                    in
-                    o.o_degraded.(slot) <- Some c;
-                    c))
+          Engine_obs.degraded t.obs ~node:(Proto.Node_id.to_int node) ~entering:is_now
         end
 
   (* ---------- overload machinery ---------- *)
 
   let depth_gauge t ov de =
-    match t.obs with
-    | None -> ()
-    | Some o ->
-        Obs.Registry.set
-          (match o.o_mailbox_depth.(de) with
-          | Some g -> g
-          | None ->
-              let g =
-                Obs.Registry.gauge o.o_sink.Obs.Sink.registry ~name:"engine_mailbox_depth"
-                  ~labels:[ ("node", string_of_int de) ]
-              in
-              o.o_mailbox_depth.(de) <- Some g;
-              g)
-          (float_of_int (Overload.depth ov de))
+    match t.obs with None -> () | Some o -> Engine_obs.mailbox_depth o de (Overload.depth ov de)
 
   let shed_mailbox t = t.stats.sheds_mailbox <- t.stats.sheds_mailbox + 1
 
@@ -785,11 +624,6 @@ module Make (App : Proto.App_intf.APP) = struct
               (Deliver { src; dst; msg; sent_at; trace; rel; did; byz })
         | None -> ())
 
-  (* The span of one Netem verdict on a send, while a sink is attached. *)
-  let send_span o ~trace ~se ~de msg ~enqueue ~deliver verdict =
-    Obs.Span.record o.o_sink.Obs.Sink.spans ~trace ~src:se ~dst:de ~kind:(App.msg_kind msg) ~enqueue
-      ~deliver ~verdict
-
   let transmit t ~src ~dst ~rel msg =
     let se = Proto.Node_id.to_int src and de = Proto.Node_id.to_int dst in
     let trace = t.current_trace in
@@ -809,7 +643,8 @@ module Make (App : Proto.App_intf.APP) = struct
         match t.obs with
         | None -> ()
         | Some o ->
-            send_span o ~trace ~se ~de msg ~enqueue:now_s ~deliver:(now_s +. delay)
+            Engine_obs.span o ~trace ~se ~de ~kind:(App.msg_kind msg) ~enqueue:now_s
+              ~deliver:(now_s +. delay)
               (if Net.Netem.reorders t.netem > reorders0 then "reorder" else "deliver"))
     | Net.Netem.Duplicate delays ->
         (* Count, schedule and trace the copies in one walk of [delays]. *)
@@ -821,7 +656,8 @@ module Make (App : Proto.App_intf.APP) = struct
             match t.obs with
             | None -> ()
             | Some o ->
-                send_span o ~trace ~se ~de msg ~enqueue:now_s ~deliver:(now_s +. d)
+                Engine_obs.span o ~trace ~se ~de ~kind:(App.msg_kind msg) ~enqueue:now_s
+                  ~deliver:(now_s +. d)
                   (if i > 0 then "duplicate" else if reordered then "reorder" else "deliver"))
           delays
     | Net.Netem.Corrupt { flip } -> (
@@ -868,7 +704,9 @@ module Make (App : Proto.App_intf.APP) = struct
         push_deliver t ~byz ~src ~dst ~sent_at:t.now ~trace ~rel ~delay sent;
         match t.obs with
         | None -> ()
-        | Some o -> send_span o ~trace ~se ~de msg ~enqueue:now_s ~deliver:(now_s +. delay) verdict)
+        | Some o ->
+            Engine_obs.span o ~trace ~se ~de ~kind:(App.msg_kind msg) ~enqueue:now_s
+              ~deliver:(now_s +. delay) verdict)
 
   (* A send: while reliable delivery is on, register it as pending and
      arm the first retransmit timer before handing the payload to Netem
@@ -943,9 +781,7 @@ module Make (App : Proto.App_intf.APP) = struct
            ~now:(local_now t dst)
     then begin
       t.stats.fd_recoveries <- t.stats.fd_recoveries + 1;
-      match t.obs with
-      | Some o -> obs_node_counter o o.o_fd_recoveries ~name:"engine_fd_recoveries" de
-      | None -> ()
+      Engine_obs.fd_recovery t.obs de
     end
 
   (* Ack every tracked arrival, duplicates included — the sender may
@@ -1016,108 +852,24 @@ module Make (App : Proto.App_intf.APP) = struct
 
   (* ---------- choice resolution ---------- *)
 
-  (* Lookahead: for each candidate, fork the simulation, replay the
-     in-flight event with that branch forced (and all earlier choices of
-     the same event pinned to what was actually decided), run the fork
-     [horizon] seconds, and score the resulting view. *)
-  let rec predict_branch t (cfg : lookahead) fallback ~node ev ~forced =
-    let f = fork_with t fallback in
-    f.mode <- Replay (forced, fallback);
-    t.stats.lookahead_forks <- t.stats.lookahead_forks + 1;
-    let before_violations = f.violation_count in
-    (* The event fired at or before [t.now], which the fork inherits, so
-       replaying it at [t.now] leaves the fork's clock where it is. *)
-    process_scheduled f ~at:t.now ev;
-    f.mode <- Plain fallback;
-    run_budgeted f ~until:(Dsim.Vtime.add t.now cfg.horizon) ~budget:cfg.max_events;
-    let fresh_violations = f.violation_count - before_violations in
-    let view =
-      match cfg.scope with None -> transient_view f | Some scope -> scope node (transient_view f)
-    in
-    Core.Objective.total App.objectives view
-    -. (cfg.violation_penalty *. float_of_int fresh_violations)
-
-  and resolve_index : type a. t -> Proto.Node_id.t -> a Core.Choice.t -> int =
-   fun t node choice ->
+  let resolve_index t node choice =
     let occurrence = t.event_occurrence in
     t.event_occurrence <- occurrence + 1;
     let site = Core.Choice.site ~node:(Proto.Node_id.to_int node) ~occurrence choice in
-    let arity = site.Core.Choice.site_arity in
-    let index =
-      match t.mode with
-      | Plain r -> r.Core.Resolver.choose t.rng site
-      | Replay (forced, fb) -> (
-          match List.assoc_opt occurrence forced with
-          | Some i -> min i (arity - 1)
-          | None -> fb.Core.Resolver.choose t.rng site)
-      | Predictive (cfg, fb, cache) -> (
-          match t.processing with
-          | None -> fb.Core.Resolver.choose t.rng site
-          | Some ev ->
-              if arity = 1 then 0
-              else begin
-                let cached =
-                  match cache with
-                  | Some c
-                    when Core.Bandit.context_pulls c.bandit site >= c.min_pulls * arity ->
-                      c.hits <- c.hits + 1;
-                      Some (Core.Bandit.select c.bandit t.rng site)
-                  | Some c ->
-                      c.misses <- c.misses + 1;
-                      None
-                  | None -> None
-                in
-                match cached with
-                | Some i -> i
-                | None ->
-                    let n = min arity cfg.max_candidates in
-                    let prior = t.event_decisions in
-                    let scores =
-                      Array.init n (fun i ->
-                          predict_branch t cfg fb ~node ev
-                            ~forced:((occurrence, i) :: prior))
-                    in
-                    let best_score = Array.fold_left Float.max neg_infinity scores in
-                    (* Train the cache with normalised predicted scores so
-                       a later hit reproduces the lookahead's ranking. *)
-                    (match cache with
-                    | Some c ->
-                        let worst = Array.fold_left Float.min infinity scores in
-                        let span = Float.max 1e-9 (best_score -. worst) in
-                        Array.iteri
-                          (fun i s ->
-                            Core.Bandit.update c.bandit site ~arm:i
-                              ~reward:((s -. worst) /. span))
-                          scores
-                    | None -> ());
-                    (* Ties are broken randomly: deterministic index-0 bias
-                       would make every node steer the same way and
-                       unbalance the system. *)
-                    let eps = 1e-9 *. (1. +. Float.abs best_score) in
-                    let tied = ref [] in
-                    for i = n - 1 downto 0 do
-                      if scores.(i) >= best_score -. eps then tied := i :: !tied
-                    done;
-                    Dsim.Rng.pick t.rng !tied
-              end)
-    in
-    let index =
-      if index < 0 || index >= arity then
-        invalid_arg
-          (Printf.sprintf "Sim: resolver answered %d for arity %d at %s" index arity
-             site.Core.Choice.site_label)
-      else index
-    in
+    let index = t.resolver.Core.Resolver.choose t.rng site in
+    if index < 0 || index >= site.Core.Choice.site_arity then
+      invalid_arg
+        (Printf.sprintf "Sim: resolver answered %d for arity %d at %s" index site.site_arity
+           site.site_label);
     t.event_decisions <- (occurrence, index) :: t.event_decisions;
     t.stats.decisions <- t.stats.decisions + 1;
     if not t.speculative then begin
       t.decision_log <- (t.now, site, index) :: t.decision_log;
-      match (t.reward_window, t.mode) with
-      | Some _, Plain r ->
-          t.pending_rewards <-
-            { pr_site = site; pr_chosen = index; pr_at = t.now; pr_score = objective_score t; pr_resolver = r }
-            :: t.pending_rewards
-      | _ -> ()
+      if Option.is_some t.reward_window then
+        t.pending_rewards <-
+          { pr_site = site; pr_chosen = index; pr_at = t.now; pr_score = objective_score t;
+            pr_resolver = t.resolver }
+          :: t.pending_rewards
     end;
     index
 
@@ -1126,7 +878,7 @@ module Make (App : Proto.App_intf.APP) = struct
      own clock, so every ctx-driven timeout comparison
      (failure-detector suspicion, breaker cooldown, app timestamps)
      runs in the node's frame of reference. *)
-  and ctx_for t node : Proto.Ctx.t =
+  let rec ctx_for t node : Proto.Ctx.t =
     let e = Proto.Node_id.to_int node in
     let ctx =
       match t.ctxs.(e) with
@@ -1262,11 +1014,7 @@ module Make (App : Proto.App_intf.APP) = struct
     log_message t ~src ~dst kind;
     (match t.obs with
     | None -> ()
-    | Some o ->
-        let lh = obs_link o ~se ~de in
-        Obs.Registry.incr lh.lo_node_deliveries;
-        Obs.Registry.incr lh.lo_link_deliveries;
-        Obs.Registry.observe lh.lo_link_latency (latency *. 1000.));
+    | Some o -> Engine_obs.delivery o ~se ~de ~latency_ms:(latency *. 1000.));
     match Proto.Handler.applicable App.receive n.state ~src msg with
     | [] -> ()
     | [ h ] ->
@@ -1368,10 +1116,7 @@ module Make (App : Proto.App_intf.APP) = struct
     | Rel_ack { trace; _ }
     | Rel_retransmit { trace; _ } ->
         t.current_trace <- trace);
-    (match t.obs with
-    | None -> ()
-    | Some o ->
-        Obs.Registry.set o.o_queue_depth (float_of_int (Dsim.Event_queue.length t.queue)));
+    Engine_obs.queue_depth t.obs (Dsim.Event_queue.length t.queue);
     (match ev with
     | Boot id -> (
         match Proto.Node_id.Map.find_opt id t.nodes with
@@ -1423,14 +1168,7 @@ module Make (App : Proto.App_intf.APP) = struct
     | Timer_fire { node; id; gen; deadline = _; trace } -> (
         match Proto.Node_id.Map.find_opt node t.nodes with
         | Some n when n.alive && timer_current t node id gen ->
-            (match t.obs with
-            | None -> ()
-            | Some o ->
-                let ni = Proto.Node_id.to_int node in
-                obs_node_counter o o.o_timer_fires ~name:"engine_timer_fires" ni;
-                let at = Dsim.Vtime.to_seconds t.now in
-                Obs.Span.record o.o_sink.Obs.Sink.spans ~trace ~src:ni ~dst:ni
-                  ~kind:("timer:" ^ id) ~enqueue:at ~deliver:at ~verdict:"fire");
+            Engine_obs.timer_fire t.obs ~trace ~node:(Proto.Node_id.to_int node) ~id ~now:t.now;
             let ctx = ctx_for t node in
             apply_handler_result t node (App.on_timer ctx n.state id)
         | Some _ | None -> ())
@@ -1496,6 +1234,42 @@ module Make (App : Proto.App_intf.APP) = struct
       decr remaining
     done;
     if Dsim.Vtime.(t.now < until) then t.now <- until
+
+  (* A lookahead branch: fork, replay the in-flight event with [forced]
+     decisions (the alternative under test, and every earlier choice of
+     the same event pinned to what was actually decided), run the fork
+     [horizon] seconds, and score the view it reaches; each fresh safety
+     violation costs 1000. *)
+  let predict_branch t (cfg : lookahead) fallback ~node ev ~forced =
+    let f = fork_with t fallback in
+    f.resolver <- Core.Resolver.forced forced ~fallback;
+    t.stats.lookahead_forks <- t.stats.lookahead_forks + 1;
+    let before_violations = f.violation_count in
+    (* The event fired at or before [t.now], which the fork inherits, so
+       replaying it at [t.now] leaves the fork's clock where it is. *)
+    process_scheduled f ~at:t.now ev;
+    f.resolver <- fallback;
+    run_budgeted f ~until:(Dsim.Vtime.add t.now cfg.horizon) ~budget:cfg.max_events;
+    let fresh_violations = f.violation_count - before_violations in
+    let view =
+      match cfg.scope with None -> transient_view f | Some scope -> scope node (transient_view f)
+    in
+    Core.Objective.total App.objectives view -. (1000. *. float_of_int fresh_violations)
+
+  let set_lookahead t ?(fallback = Core.Resolver.random) ?cache (cfg : lookahead) =
+    if cfg.horizon <= 0. then invalid_arg "Sim.set_lookahead: horizon must be positive";
+    if cfg.max_events <= 0 then invalid_arg "Sim.set_lookahead: max_events must be positive";
+    let predict (site : Core.Choice.site) =
+      Option.map
+        (fun ev ->
+          let node = Proto.Node_id.of_int site.site_node and prior = t.event_decisions in
+          fun i ->
+            predict_branch t cfg fallback ~node ev ~forced:((site.site_occurrence, i) :: prior))
+        t.processing
+    in
+    let la = Lookahead.create ?cache ~max_candidates:cfg.max_candidates ~fallback predict in
+    t.resolver <- Lookahead.resolver la;
+    t.lookahead <- Some la
 
   let step t =
     if Dsim.Event_queue.is_empty t.queue then false

@@ -6,11 +6,11 @@
     {!run_until} / {!run_for} / {!step}. All randomness derives from
     the creation seed, so runs are bit-reproducible.
 
-    The engine owns choice resolution: handlers call
-    [ctx.choose] and the installed policy answers. Three families are
-    built in — plain resolvers ({!set_resolver}), the fork-based
-    predictive lookahead of the paper ({!set_lookahead}), and scripted
-    replay used internally by the lookahead itself. *)
+    Handlers call [ctx.choose], and the engine asks its one installed
+    {!Core.Resolver.t}: any resolver ({!set_resolver}), or the paper's
+    fork-based predictive lookahead ({!set_lookahead}, the policy in
+    {!Lookahead}), whose branches replay the current event under
+    {!Core.Resolver.forced}. *)
 
 module Make (App : Proto.App_intf.APP) : sig
   type t
@@ -33,7 +33,7 @@ module Make (App : Proto.App_intf.APP) : sig
       alternative the engine forks the simulation, forces that branch,
       runs the fork [horizon] virtual seconds (at most [max_events]
       events), and scores the resulting view with the application's
-      objectives; safety violations subtract [violation_penalty].
+      objectives, less 1000 per fresh safety violation.
       [scope] (default [None] = global knowledge) restricts the view the
       objectives see, keyed by the deciding node — supplying a
       neighbourhood restriction reproduces the partial-information
@@ -41,7 +41,6 @@ module Make (App : Proto.App_intf.APP) : sig
   type lookahead = {
     horizon : float;
     max_events : int;
-    violation_penalty : float;
     max_candidates : int;  (** alternatives beyond this many are not explored *)
     scope :
       (Proto.Node_id.t -> (App.state, App.msg) Proto.View.t -> (App.state, App.msg) Proto.View.t)
@@ -49,8 +48,7 @@ module Make (App : Proto.App_intf.APP) : sig
   }
 
   val default_lookahead : lookahead
-  (** [{horizon = 2.0; max_events = 400; violation_penalty = 1000.;
-      max_candidates = 8; scope = None}] *)
+  (** [{horizon = 2.0; max_events = 400; max_candidates = 8; scope = None}] *)
 
   val create :
     ?seed:int ->
@@ -73,15 +71,13 @@ module Make (App : Proto.App_intf.APP) : sig
 
   val set_lookahead :
     t -> ?fallback:Core.Resolver.t -> ?cache:Core.Bandit.t * int -> lookahead -> unit
-  (** Installs predictive resolution; [fallback] (default
-      {!Core.Resolver.random}) answers nested choices inside
-      speculative branches and is also used when a branch cannot be
-      explored. [cache = (bandit, min_pulls)] enables the hybrid fast
-      path of paper §3.4: once a site's context has absorbed
-      [min_pulls * arity] training updates, the bandit answers
-      directly (microseconds) instead of forking; cache misses run the
-      full lookahead and train the bandit with its normalised
-      per-alternative scores. *)
+  (** Installs the {!Lookahead} resolver over this engine; [fallback]
+      (default {!Core.Resolver.random}) answers nested choices inside
+      speculative branches and choices made outside an event, and is
+      what {!fork} installs. [cache = (bandit, min_pulls)] enables the
+      hybrid fast path of paper §3.4 (see {!Lookahead.create}).
+      @raise Invalid_argument unless [horizon], [max_events],
+      [max_candidates] and [min_pulls] are positive. *)
 
   val resolver_name : t -> string
 
@@ -327,8 +323,9 @@ module Make (App : Proto.App_intf.APP) : sig
   val clear_filters : t -> unit
 
   val fork : t -> t
-  (** Deep copy with an independent RNG position and the fallback
-      resolver installed; the original is untouched. Its counters,
+  (** Deep copy with an independent RNG position and, as its resolver,
+      the lookahead's fallback ({!Core.Resolver.random} without one);
+      the original is untouched. Its counters,
       violations and decision sites start as copies of the original's
       and move on their own. The copy has no obs sink and no message
       log, and builds its own handler contexts (over its own RNG and

@@ -150,11 +150,16 @@ let test_resolver_round_robin () =
   in
   Alcotest.check (Alcotest.list Alcotest.int) "cycles" [ 0; 1; 2; 0; 1 ] picks
 
-let test_resolver_scripted () =
-  let r = Core.Resolver.scripted [ ("pick", 1); ("other", 9) ] in
-  checks "scripted hit" "b" (apply r (simple_choice [ "a"; "b" ]));
-  checks "clamped" "b" (apply r (simple_choice ~label:"other" [ "a"; "b" ]));
-  checks "default 0" "a" (apply r (simple_choice ~label:"unlisted" [ "a"; "b" ]))
+(* Keyed by occurrence, not label: the same choice is forced at one
+   occurrence and left to the fallback at another. *)
+let test_resolver_forced () =
+  let r = Core.Resolver.forced [ (0, 1); (2, 9) ] ~fallback:Core.Resolver.first in
+  let at occurrence =
+    fst (Core.Resolver.apply r (rng ()) (simple_choice [ "a"; "b" ]) ~node:0 ~occurrence)
+  in
+  checks "forced hit" "b" (at 0);
+  checks "clamped" "b" (at 2);
+  checks "fallback" "a" (at 1)
 
 let cost = Core.Choice.schema [ "cost" ]
 
@@ -206,7 +211,7 @@ let test_resolver_weighted () =
 let test_resolver_by_label () =
   let r =
     Core.Resolver.by_label
-      [ ("pick", Core.Resolver.scripted [ ("pick", 1) ]) ]
+      [ ("pick", Core.Resolver.forced [ (0, 1) ] ~fallback:Core.Resolver.first) ]
       ~default:Core.Resolver.first
   in
   checks "routed" "b" (apply r (simple_choice [ "a"; "b" ]));
@@ -219,7 +224,7 @@ let test_resolver_by_label () =
   checki "feedback routed" 1 (Core.Bandit.pulls bandit site ~arm:1)
 
 let test_resolver_epsilon_mix () =
-  let explore = Core.Resolver.scripted [ ("pick", 1) ] in
+  let explore = Core.Resolver.forced [ (0, 1) ] ~fallback:Core.Resolver.first in
   let exploit = Core.Resolver.first in
   let r = Core.Resolver.epsilon_mix ~epsilon:0.5 ~explore ~exploit in
   let g = rng () in
@@ -447,7 +452,7 @@ let () =
           Alcotest.test_case "first" `Quick test_resolver_first;
           Alcotest.test_case "random uniform-ish" `Quick test_resolver_random_uniformish;
           Alcotest.test_case "round robin" `Quick test_resolver_round_robin;
-          Alcotest.test_case "scripted" `Quick test_resolver_scripted;
+          Alcotest.test_case "forced" `Quick test_resolver_forced;
           Alcotest.test_case "greedy" `Quick test_resolver_greedy;
           Alcotest.test_case "greedy missing feature" `Quick test_resolver_greedy_missing_feature;
           Alcotest.test_case "greedy random ties" `Quick test_resolver_greedy_random_ties;

@@ -579,11 +579,98 @@ let test_message_log_and_seqdiag () =
      contains 0);
   Alcotest.check Alcotest.string "empty diagram" "(no messages)\n" (Metrics.Seqdiag.render [])
 
+(* A fork installs the lookahead's fallback, and random otherwise. *)
 let test_resolver_name () =
   let eng = make () in
-  Alcotest.check Alcotest.string "plain" "first" (E.resolver_name eng);
-  E.set_lookahead eng E.default_lookahead;
-  Alcotest.check Alcotest.string "lookahead" "lookahead/random" (E.resolver_name eng)
+  let name = Alcotest.check Alcotest.string in
+  name "plain" "first" (E.resolver_name eng);
+  name "fork of plain" "random" (E.resolver_name (E.fork eng));
+  E.set_lookahead eng ~fallback:Core.Resolver.first E.default_lookahead;
+  name "lookahead" "lookahead/first" (E.resolver_name eng);
+  name "fork of lookahead" "first" (E.resolver_name (E.fork eng));
+  name "fork of that fork" "random" (E.resolver_name (E.fork (E.fork eng)));
+  E.set_resolver eng Core.Resolver.first;
+  name "fork after set_resolver" "random" (E.resolver_name (E.fork eng))
+
+(* ---------- the lookahead policy, driven by a fake predictor ---------- *)
+
+let la_site arity =
+  Core.Choice.site ~node:0 ~occurrence:0
+    (Core.Choice.of_values ~label:"la" (List.init arity Fun.id))
+
+(* Scores alternative [i] as [scores.(i)], recording each index it
+   scores; [None] (no event in flight) when [scores] is. *)
+let fake_predictor scores =
+  let scored = ref [] in
+  let predict _site =
+    Option.map
+      (fun s i ->
+        scored := i :: !scored;
+        s.(i))
+      scores
+  in
+  (predict, scored)
+
+let lookahead ?cache ?(max_candidates = 8) ?(fallback = Core.Resolver.random) predict =
+  Engine.Lookahead.resolver (Engine.Lookahead.create ?cache ~max_candidates ~fallback predict)
+
+(* Both streams answer the same next draw: they stand at one position. *)
+let same_position a b =
+  checki "rng position" (Dsim.Rng.int b 1_000_000) (Dsim.Rng.int a 1_000_000)
+
+let test_lookahead_arity_one () =
+  let predict, scored = fake_predictor (Some [| 1. |]) in
+  let rng = Dsim.Rng.create 3 in
+  let before = Dsim.Rng.copy rng in
+  checki "only alternative" 0 ((lookahead predict).choose rng (la_site 1));
+  checkb "nothing scored" true (!scored = []);
+  same_position rng before
+
+let test_lookahead_no_event () =
+  let predict, scored = fake_predictor None in
+  let fallback = Core.Resolver.make ~name:"two" (fun _ _ -> 2) in
+  checki "fallback answers" 2
+    ((lookahead ~fallback predict).choose (Dsim.Rng.create 3) (la_site 4));
+  checkb "nothing scored" true (!scored = [])
+
+let test_lookahead_max_candidates () =
+  let predict, scored = fake_predictor (Some [| 1.; 2.; 3.; 9.; 9. |]) in
+  checki "best of the first three" 2
+    ((lookahead ~max_candidates:3 predict).choose (Dsim.Rng.create 3) (la_site 5));
+  Alcotest.(check (list int)) "scored in order" [ 0; 1; 2 ] (List.rev !scored)
+
+let test_lookahead_cache () =
+  let bandit = Core.Bandit.create () in
+  let predict, scored = fake_predictor (Some [| 3.; 7.; 5. |]) in
+  let la =
+    Engine.Lookahead.create ~cache:(bandit, 2) ~max_candidates:8 ~fallback:Core.Resolver.random
+      predict
+  in
+  let r = Engine.Lookahead.resolver la and rng = Dsim.Rng.create 3 and site = la_site 3 in
+  for _ = 1 to 2 do
+    checki "a miss picks the best" 1 (r.choose rng site)
+  done;
+  (* Two misses gave each of the three arms two updates: 2 * 3 pulls. *)
+  checki "six pulls" 6 (Core.Bandit.context_pulls bandit site);
+  List.iteri
+    (fun arm reward ->
+      Alcotest.(check (float 1e-12))
+        "normalised reward" reward
+        (Core.Bandit.mean_reward bandit site ~arm))
+    [ 0.; 1.; 0.5 ];
+  scored := [];
+  ignore (r.choose rng site : int);
+  checkb "a hit scores nothing" true (!scored = []);
+  checkb "one hit, two misses" true (Engine.Lookahead.cache_stats la = Some (1, 2))
+
+let test_lookahead_ties () =
+  let predict, _ = fake_predictor (Some [| 1.; 5.; 5.; 2. |]) in
+  let rng = Dsim.Rng.create 3 in
+  let expected = Dsim.Rng.copy rng in
+  checki "tie broken by one pick"
+    (Dsim.Rng.pick expected [ 1; 2 ])
+    ((lookahead predict).choose rng (la_site 4));
+  same_position rng expected
 
 (* ---------- the in-flight contract ----------
 
@@ -802,6 +889,14 @@ let () =
           Alcotest.test_case "lookahead scope" `Quick test_lookahead_scope_blinds_prediction;
           Alcotest.test_case "message log + seqdiag" `Quick test_message_log_and_seqdiag;
           Alcotest.test_case "resolver name" `Quick test_resolver_name;
+        ] );
+      ( "lookahead policy",
+        [
+          Alcotest.test_case "arity 1 draws nothing" `Quick test_lookahead_arity_one;
+          Alcotest.test_case "no event: fallback" `Quick test_lookahead_no_event;
+          Alcotest.test_case "max_candidates cap" `Quick test_lookahead_max_candidates;
+          Alcotest.test_case "cache trains then hits" `Quick test_lookahead_cache;
+          Alcotest.test_case "ties: one pick" `Quick test_lookahead_ties;
         ] );
       ( "introspection",
         [

@@ -95,9 +95,14 @@ let test_config_validation () =
     { E.default_overload with mailbox_capacity = -1 };
   raises "Sim.set_overload: service_time must be >= 0"
     { E.default_overload with service_time = -0.1 };
-  Alcotest.check_raises "Sim.overload: rate must be positive"
-    (Invalid_argument "Sim.overload: rate must be positive") (fun () ->
-      E.overload eng ~rate:0. (nid 1))
+  (* An infinite rate would re-arm its tick after 0 s forever; only the
+     raise is tested, no burst runs at that rate. *)
+  List.iter
+    (fun rate ->
+      Alcotest.check_raises "Sim.overload: rate must be positive and finite"
+        (Invalid_argument "Sim.overload: rate must be positive and finite") (fun () ->
+          E.overload eng ~rate (nid 1)))
+    [ 0.; -1.; Float.nan; Float.infinity ]
 
 let test_limits_reported () =
   let eng = make () in
