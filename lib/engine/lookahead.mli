@@ -26,6 +26,7 @@ val resolver : t -> Core.Resolver.t
 (** Named ["lookahead/<fallback>"], or ["lookahead+cache/<fallback>"]. *)
 
 val fallback : t -> Core.Resolver.t
+(** The [fallback] given to {!create}. *)
 
 val cache_stats : t -> (int * int) option
 (** [(hits, misses)] of the cache, when there is one. *)
